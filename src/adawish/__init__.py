@@ -47,14 +47,9 @@ from .oracle import (
     MapSolver,
     OracleConfig,
     QueryLedger,
-    adversarial_neighbor_stub,
-    approx_query,
-    lower_bound_query,
     make_oracle,
     map_solve,
     sample_parity_system,
-    upper_bound_query,
-    xor_query,
 )
 
 __version__ = "0.1.0"

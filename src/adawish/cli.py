@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
         p.add_argument("--map-timeout", type=float, default=None, dest="map_timeout",
                        help="per-query wall-clock cap in seconds")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current implementation runs single-threaded)")
 
     p_est = sub.add_parser("estimate", help="run a schedule and report the estimate")
     add_model_args(p_est)

@@ -9,7 +9,7 @@ parity constraints A*x = d (mod 2); a system with zero rows is valid and means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import StructuralError
 
@@ -22,10 +22,6 @@ def pack_bits(bits: Sequence[int]) -> int:
             raise StructuralError(f"bit {i} is {b!r}, expected 0 or 1")
         word |= b << i
     return word
-
-
-def unpack_bits(word: int, width: int) -> list[int]:
-    return [(word >> i) & 1 for i in range(width)]
 
 
 def _check_rows(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> None:
@@ -57,16 +53,6 @@ class Gf2System:
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_bits(cls, matrix: Iterable[Sequence[int]], rhs: Sequence[int], cols: int | None = None) -> "Gf2System":
-        packed = [pack_bits(row) for row in matrix]
-        widths = [len(row) for row in matrix] if cols is None else []
-        if cols is None:
-            if widths and len(set(widths)) != 1:
-                raise StructuralError("rows have differing widths")
-            cols = widths[0] if widths else 0
-        return cls(cols, tuple(packed), tuple(rhs))
 
 
 @dataclass(frozen=True)

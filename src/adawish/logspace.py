@@ -32,6 +32,3 @@ def log_pow2_span(lo: int, hi: int) -> float:
         raise ValueError(f"need hi > lo, got ({lo}, {hi})")
     return hi * LN2 + math.log1p(-(2.0 ** (lo - hi)))
 
-
-def to_log10(log_value: float) -> float:
-    return log_value / LN10

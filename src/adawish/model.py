@@ -4,7 +4,15 @@ A model is a product of non-negative factors over n binary variables, stored
 in the log domain (-inf = zero weight): log w(x) = sum_f table_f[x restricted
 to scope_f].  Assignments are indexed by bitmask with bit v = variable v.
 Factor tables follow the UAI convention: the last scope variable varies
-fastest.
+fastest, so the entry of x is the scope's bits read as a binary number with
+the first scope variable most significant.
+
+Every evaluator of log w -- `log_weight`, `log_weights_at` and branch-and-
+bound MAP -- reads one `CompiledModel`, built once per model from the model
+alone (`WeightedModel.compiled`).  It holds the constant term, the factors
+grouped by their highest scope variable, the optimistic bound on the groups
+not yet scored, and the table-index rule.  All evaluators add the groups in
+variable order, so they agree to the last bit.
 
 Enumeration helpers (`exact_log_partition`, `exact_quantiles`,
 `log_weight_table`) are guarded to n <= 24 and evaluate in fixed-size blocks
@@ -15,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
@@ -42,12 +52,6 @@ class Factor:
         if np.any(np.isnan(table)) or np.any(table == np.inf):
             raise StructuralError("factor entries must be finite or -inf")
 
-    def entry_index(self, assignment_mask: int) -> int:
-        idx = 0
-        for v in self.scope:
-            idx = (idx << 1) | ((assignment_mask >> v) & 1)
-        return idx
-
 
 @dataclass(frozen=True)
 class WeightedModel:
@@ -62,6 +66,57 @@ class WeightedModel:
         for f in self.factors:
             if any(v < 0 or v >= self.n for v in f.scope):
                 raise StructuralError(f"scope {f.scope} outside {self.n} variables")
+
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        return CompiledModel(self)
+
+
+class CompiledModel:
+    """The evaluation structure of a model; see the module docstring.
+
+    groups[v] holds the (scope, table) pairs of the factors whose highest
+    variable is v: they are scored the moment v is assigned.  bound_tail[v]
+    sums the per-factor maxima of groups v..n-1.
+    """
+
+    def __init__(self, model: WeightedModel):
+        n = model.n
+        groups: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in range(n)]
+        const = 0.0
+        for f in model.factors:
+            if f.scope:
+                groups[max(f.scope)].append((f.scope, f.log_table))
+            else:
+                const += float(f.log_table[0])
+        bound_tail = [0.0] * (n + 1)
+        for v in range(n - 1, -1, -1):
+            bound_tail[v] = bound_tail[v + 1] + sum(float(np.max(t)) for _, t in groups[v])
+        self.n = n
+        self.const = const
+        self.groups = tuple(tuple(g) for g in groups)
+        self.bound_tail = tuple(bound_tail)
+
+    def completed(self, v: int, x):
+        """Summed entries at x of the factors in groups[v].
+
+        x is one bitmask (an int) or an int64 array of bitmasks; only its
+        bits 0..v are read.
+        """
+        total = 0.0
+        for scope, table in self.groups[v]:
+            idx = 0
+            for u in scope:
+                idx = (idx << 1) | ((x >> u) & 1)
+            total = total + table[idx]
+        return total
+
+    def log_weight(self, x):
+        """log w at x, a bitmask or an int64 array of bitmasks."""
+        total = np.full(np.shape(x), self.const)
+        for v in range(self.n):
+            total += self.completed(v, x)
+        return total
 
 
 @dataclass(frozen=True)
@@ -108,25 +163,12 @@ def _as_mask(assignment, n: int) -> int:
 
 def log_weight(model: WeightedModel, assignment) -> float:
     """log w(x); -inf when any factor vanishes."""
-    mask = _as_mask(assignment, model.n)
-    total = 0.0
-    for f in model.factors:
-        total += float(f.log_table[f.entry_index(mask)])
-        if total == NEG_INF:
-            return NEG_INF
-    return total
+    return float(model.compiled.log_weight(_as_mask(assignment, model.n)))
 
 
 def log_weights_at(model: WeightedModel, indices: np.ndarray) -> np.ndarray:
     """Vectorised log w over an array of assignment bitmasks."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(idx.shape, dtype=float)
-    for f in model.factors:
-        entry = np.zeros(idx.shape, dtype=np.int64)
-        for v in f.scope:
-            entry = (entry << 1) | ((idx >> v) & 1)
-        out += f.log_table[entry]
-    return out
+    return model.compiled.log_weight(np.asarray(indices, dtype=np.int64))
 
 
 def log_weight_table(model: WeightedModel) -> np.ndarray:

@@ -23,13 +23,7 @@ import numpy as np
 from .errors import StructuralError, TooLarge
 from .logspace import log_pow2_span, log_sum_exp
 from .model import QuantileCurve
-from .oracle import (
-    ExactCurveOracle,
-    NeighborStubOracle,
-    PointwiseCurveOracle,
-    QuantileOracle,
-    QueryLedger,
-)
+from .oracle import synthetic_oracle  # the curve-level oracle factory, re-exported
 
 EXHAUSTIVE_LIMIT = 20
 _FLOAT_SLACK = 1e-12
@@ -316,22 +310,3 @@ def gen_geometric_curve(n: int, ratio: float, top: float = 0.0) -> QuantileCurve
         raise StructuralError("ratio must be >= 1")
     idx = np.arange(n + 1, dtype=float)
     return QuantileCurve(n, top - idx * math.log(ratio))
-
-
-def synthetic_oracle(
-    curve: QuantileCurve,
-    kind: str,
-    gamma: float = 1.0,
-    c: int = 2,
-    policy: str = "seeded",
-    seed: int = 0,
-    ledger: QueryLedger | None = None,
-) -> QuantileOracle:
-    """Wrap a bare curve as an oracle so schedules can run without a model."""
-    if kind == "exact":
-        return ExactCurveOracle(curve, ledger)
-    if kind == "pointwise":
-        return PointwiseCurveOracle(curve, gamma, seed, ledger)
-    if kind == "neighbor-stub":
-        return NeighborStubOracle(curve, c, policy, seed, ledger)
-    raise StructuralError(f"unknown synthetic oracle kind {kind!r}")

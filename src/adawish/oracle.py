@@ -2,9 +2,11 @@
 
 `map_solve` maximises log w(x) subject to parity constraints A x = d (mod 2),
 either by enumerating the GF(2) solution space or by depth-first branch and
-bound with XOR propagation.  `xor_query` estimates the 2^i-th largest weight
-as the median of T constrained maxima under independently sampled random
-(A, d) pairs with i rows.
+bound with XOR propagation; both evaluate the model through its
+`CompiledModel`.  `XorOracle` estimates the 2^i-th largest weight as the
+median of T constrained maxima under independently sampled random (A, d)
+pairs with i rows.  `make_oracle` binds a model to any configured oracle
+kind; `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
 repeated query is never recomputed and the number of distinct queries can be
@@ -27,6 +29,7 @@ from .model import ENUMERATION_LIMIT, QuantileCurve, WeightedModel, exact_quanti
 from .seeds import mix64, rng_from, unit_from
 
 _ENUM_BLOCK = 1 << 18
+_MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +40,10 @@ _ENUM_BLOCK = 1 << 18
 class MapSolver:
     """Solver choice and optional search limits.
 
-    Enumeration is exact up to n <= 24.  Branch and bound is exact whenever it
-    finishes within the limits; otherwise the incumbent is returned and the
-    result is flagged inexact (a lower bound on the true maximum).
+    Enumeration is exact and takes up to 24 free variables (n - rank) over at
+    most 62 variables.  Branch and bound is exact whenever it finishes within
+    the limits; otherwise the incumbent is returned and the result is flagged
+    inexact (a lower bound on the true maximum).
     """
 
     strategy: str = "branch_and_bound"
@@ -74,8 +78,12 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
 
 
 def _solve_enumerate(model: WeightedModel, reduced: gf2.ReducedSystem) -> MapResult:
-    if model.n > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration limited to n <= {ENUMERATION_LIMIT}, got {model.n}")
+    free = model.n - reduced.rank
+    if free > ENUMERATION_LIMIT or model.n > _MASK_BITS:
+        raise TooLarge(
+            f"enumeration limited to {ENUMERATION_LIMIT} free variables over n <= {_MASK_BITS},"
+            f" got {free} free over n={model.n}"
+        )
     particular = reduced.particular_solution()
     basis = reduced.null_basis()
     sols = np.array([particular], dtype=np.int64)
@@ -100,19 +108,8 @@ def _solve_branch_and_bound(
     time_limit: float | None,
 ) -> MapResult:
     n = model.n
-    # Factors are scored the moment their highest variable is assigned; the
-    # optimistic bound for depth d pre-sums the per-factor maxima of all
-    # factors not yet scored at d.
-    completing: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in range(n)]
-    const_term = 0.0
-    for f in model.factors:
-        if f.scope:
-            completing[max(f.scope)].append((f.scope, f.log_table))
-        else:
-            const_term += float(f.log_table[0])
-    bound_tail = [0.0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        bound_tail[v] = bound_tail[v + 1] + sum(float(np.max(t)) for _, t in completing[v])
+    compiled = model.compiled
+    completed, bound_tail = compiled.completed, compiled.bound_tail
     # A reduced row is decided once its highest variable is assigned; in
     # depth-first order over variables 0..n-1 that variable is forced by the
     # earlier ones.
@@ -126,15 +123,6 @@ def _solve_branch_and_bound(
     nodes = 0
     exhausted = False
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-
-    def factor_sum(v: int, mask: int) -> float:
-        total = 0.0
-        for scope, table in completing[v]:
-            idx = 0
-            for u in scope:
-                idx = (idx << 1) | ((mask >> u) & 1)
-            total += float(table[idx])
-        return total
 
     def descend(v: int, mask: int, g: float) -> None:
         nonlocal best, best_assign, nodes, exhausted
@@ -165,9 +153,9 @@ def _solve_branch_and_bound(
             values = (0, 1)
         for val in values:
             child = mask | (val << v)
-            descend(v + 1, child, g + factor_sum(v, child))
+            descend(v + 1, child, g + float(completed(v, child)))
 
-    descend(0, 0, const_term)
+    descend(0, 0, compiled.const)
     return MapResult(
         best,
         best_assign,
@@ -255,6 +243,12 @@ class QueryLedger:
     trace: list[tuple[int, int, float]] = field(default_factory=list)
     guarantee_void: bool = False
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def record_solve(self, exact: bool) -> None:
+        with self._lock:
+            self.map_calls += 1
+            if not exact:
+                self.guarantee_void = True
 
     def lookup(self, index: int) -> float | None:
         with self._lock:
@@ -354,10 +348,21 @@ class PointwiseCurveOracle(QuantileOracle):
         return self.query(i, depth) + self._log_gamma
 
 
-class XorOracle(QuantileOracle):
-    """Randomized constrained-MAP median; lower/upper shift the index by c."""
+class NeighborOracle(QuantileOracle):
+    """Base of the neighbor kind: lower/upper shift the index by c, clamped to 0..n."""
 
     kind = "neighbor"
+    c: int
+
+    def lower(self, i: int, depth: int = 0) -> float:
+        return self.query(min(i + self.c, self.n), depth)
+
+    def upper(self, i: int, depth: int = 0) -> float:
+        return self.query(max(i - self.c, 0), depth)
+
+
+class XorOracle(NeighborOracle):
+    """Randomized constrained-MAP median."""
 
     def __init__(
         self,
@@ -369,6 +374,7 @@ class XorOracle(QuantileOracle):
         super().__init__(model.n, ledger)
         self.model = model
         self.config = config
+        self.c = config.c
         self.solver = solver or MapSolver()
 
     def _compute(self, i: int) -> float:
@@ -383,22 +389,14 @@ class XorOracle(QuantileOracle):
             if result is None:
                 result = map_solve(self.model, system, self.solver)
                 seen[key] = result
-                self.ledger.map_calls += 1
-                if not result.exact:
-                    self.ledger.guarantee_void = True
+                self.ledger.record_solve(result.exact)
             values.append(result.log_value)
         values.sort()
         # lower middle for even counts: never overestimates the median
         return values[(len(values) - 1) // 2]
 
-    def lower(self, i: int, depth: int = 0) -> float:
-        return self.query(min(i + self.config.c, self.n), depth)
 
-    def upper(self, i: int, depth: int = 0) -> float:
-        return self.query(max(i - self.config.c, 0), depth)
-
-
-class NeighborStubOracle(QuantileOracle):
+class NeighborStubOracle(NeighborOracle):
     """Deterministic worst-case neighbor oracle over a known curve.
 
     Answers stay inside the sandwich [b_{min(i+c,n)}, b_{max(i-c,0)}] by
@@ -408,7 +406,6 @@ class NeighborStubOracle(QuantileOracle):
     weight.
     """
 
-    kind = "neighbor"
     policies = ("always_upper", "always_lower", "seeded")
 
     def __init__(
@@ -444,17 +441,24 @@ class NeighborStubOracle(QuantileOracle):
     def _compute(self, i: int) -> float:
         return self.curve[self._picked_index(i)]
 
-    def lower(self, i: int, depth: int = 0) -> float:
-        return self.query(min(i + self.c, self.n), depth)
 
-    def upper(self, i: int, depth: int = 0) -> float:
-        return self.query(max(i - self.c, 0), depth)
-
-
-def adversarial_neighbor_stub(
-    curve: QuantileCurve, c: int, policy: str, seed: int = 0
-) -> NeighborStubOracle:
-    return NeighborStubOracle(curve, c, policy, master_seed=seed)
+def synthetic_oracle(
+    curve: QuantileCurve,
+    kind: str,
+    gamma: float = 1.0,
+    c: int = 2,
+    policy: str = "seeded",
+    seed: int = 0,
+    ledger: QueryLedger | None = None,
+) -> QuantileOracle:
+    """Wrap a known curve as an oracle so schedules can run without a model."""
+    if kind == "exact":
+        return ExactCurveOracle(curve, ledger)
+    if kind == "pointwise":
+        return PointwiseCurveOracle(curve, gamma, seed, ledger)
+    if kind == "neighbor-stub":
+        return NeighborStubOracle(curve, c, policy, seed, ledger)
+    raise StructuralError(f"unknown synthetic oracle kind {kind!r}")
 
 
 def make_oracle(
@@ -470,38 +474,6 @@ def make_oracle(
     """
     if config.kind == "neighbor":
         return XorOracle(model, config, solver, ledger)
-    if model.n > ENUMERATION_LIMIT:
-        raise TooLarge(
-            f"{config.kind} oracle needs the exact curve; n={model.n} exceeds {ENUMERATION_LIMIT}"
-        )
-    curve = exact_quantiles(model)
-    if config.kind == "exact":
-        return ExactCurveOracle(curve, ledger)
-    return PointwiseCurveOracle(curve, config.gamma, config.master_seed, ledger)
-
-
-# Free-function convenience wrappers.  Each binds a transient oracle around
-# the shared ledger; for exact/pointwise kinds that recomputes the quantile
-# curve, so hot paths should bind once with make_oracle instead.
-
-
-def xor_query(
-    i: int,
-    model: WeightedModel,
-    config: OracleConfig,
-    ledger: QueryLedger,
-    solver: MapSolver | None = None,
-) -> float:
-    return XorOracle(model, config, solver, ledger).query(i)
-
-
-def approx_query(i, model, config, ledger, solver=None) -> float:
-    return make_oracle(model, config, solver, ledger).approx(i)
-
-
-def lower_bound_query(i, model, config, ledger, solver=None) -> float:
-    return make_oracle(model, config, solver, ledger).lower(i)
-
-
-def upper_bound_query(i, model, config, ledger, solver=None) -> float:
-    return make_oracle(model, config, solver, ledger).upper(i)
+    return synthetic_oracle(
+        exact_quantiles(model), config.kind, config.gamma, seed=config.master_seed, ledger=ledger
+    )

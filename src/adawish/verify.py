@@ -17,6 +17,7 @@ from . import gf2
 from .estimator import adawish_from_oracle, sandwich_bounds, wish_from_oracle
 from .logspace import LN2
 from .model import (
+    Factor,
     WeightedModel,
     exact_log_partition,
     exact_quantiles,
@@ -42,36 +43,38 @@ class CheckResult:
     detail: str = ""
 
 
-def _mixed_models(count: int, max_n: int, seed: int) -> list[WeightedModel]:
-    rng = np.random.default_rng(seed)
-    models = []
-    for k in range(count):
-        kind = k % 3
-        if kind == 0:
-            n = int(rng.integers(4, min(10, max_n) + 1))
-            models.append(gen_clique_ising(n, coupling_w=0.1, seed=int(rng.integers(0, 2**31))))
-        elif kind == 1:
-            rows = int(rng.integers(2, 4))
-            cols = int(rng.integers(2, max(3, max_n // rows) + 1))
-            while rows * cols > max_n:
-                cols -= 1
-            models.append(gen_grid_ising(rows, cols, coupling_w=float(rng.uniform(0.2, 1.5)), seed=int(rng.integers(0, 2**31))))
-        else:
-            models.append(_random_factor_model(int(rng.integers(4, max_n + 1)), rng))
-    return models
-
-
-def _random_factor_model(n: int, rng: np.random.Generator) -> WeightedModel:
-    from .model import Factor
-
+def random_factor_model(n: int, rng: np.random.Generator, max_arity: int = 3) -> WeightedModel:
     n_factors = int(rng.integers(n, 2 * n + 1))
     factors = []
     for _ in range(n_factors):
-        arity = int(rng.integers(1, min(3, n) + 1))
+        arity = int(rng.integers(1, min(max_arity, n) + 1))
         scope = tuple(int(v) for v in rng.choice(n, size=arity, replace=False))
-        table = rng.normal(0.0, 1.5, size=1 << arity)
-        factors.append(Factor(scope, table))
+        factors.append(Factor(scope, rng.normal(0.0, 1.5, size=1 << arity)))
     return WeightedModel(n, tuple(factors), name=f"random-n{n}")
+
+
+def model_zoo(count: int, max_n: int, seed: int) -> list[WeightedModel]:
+    """Deterministic mix of clique, grid, and random-factor models with n <= max_n."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for k in range(count):
+        family = k % 3
+        if family == 0:
+            n = int(rng.integers(4, min(11, max_n) + 1))
+            models.append(gen_clique_ising(n, coupling_w=0.1, seed=int(rng.integers(0, 2**31))))
+        elif family == 1:
+            rows = int(rng.integers(2, 5))
+            cols = int(rng.integers(2, 5))
+            while rows * cols > max_n:
+                cols = max(2, cols - 1) if cols > 2 else cols
+                rows = max(2, rows - 1)
+            models.append(
+                gen_grid_ising(rows, cols, coupling_w=float(rng.uniform(0.2, 1.5)),
+                               seed=int(rng.integers(0, 2**31)))
+            )
+        else:
+            models.append(random_factor_model(int(rng.integers(4, max_n + 1)), rng))
+    return models
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
@@ -178,7 +181,7 @@ def check_adversarial_pair() -> CheckResult:
 def check_solver_agreement(trials: int = 40, seed: int = 3) -> CheckResult:
     """Branch and bound agrees with solution-space enumeration."""
     rng = np.random.default_rng(seed)
-    models = _mixed_models(6, 12, seed)
+    models = model_zoo(6, 12, seed)
     for t in range(trials):
         model = models[t % len(models)]
         m = int(rng.integers(0, 7))
@@ -237,7 +240,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}")
     max_n = 12 if level == "fast" else 16
-    models = _mixed_models(9 if level == "fast" else 15, max_n, seed=23)
+    models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
         check_gf2_counts(),
         check_sandwich(models),

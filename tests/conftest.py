@@ -1,11 +1,12 @@
-"""Shared test helpers: independent reference evaluators and model zoos."""
+"""Shared test helpers: independent reference evaluators, and the model zoo of `adawish verify`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from adawish.model import Factor, WeightedModel, gen_clique_ising, gen_grid_ising
+from adawish.model import WeightedModel
+from adawish.verify import model_zoo, random_factor_model
 
 
 def ref_log_weight(model: WeightedModel, bits: list[int]) -> float:
@@ -29,40 +30,6 @@ def mp_log_partition(model: WeightedModel, dps: int = 60) -> float:
             bits = [(x >> v) & 1 for v in range(model.n)]
             total += mpmath.e ** mpmath.mpf(ref_log_weight(model, bits))
         return float(mpmath.log(total))
-
-
-def random_factor_model(n: int, rng: np.random.Generator, max_arity: int = 3) -> WeightedModel:
-    n_factors = int(rng.integers(n, 2 * n + 1))
-    factors = []
-    for _ in range(n_factors):
-        arity = int(rng.integers(1, min(max_arity, n) + 1))
-        scope = tuple(int(v) for v in rng.choice(n, size=arity, replace=False))
-        factors.append(Factor(scope, rng.normal(0.0, 1.5, size=1 << arity)))
-    return WeightedModel(n, tuple(factors), name=f"random-n{n}")
-
-
-def model_zoo(count: int, max_n: int, seed: int) -> list[WeightedModel]:
-    """Deterministic mix of clique, grid, and random-factor models with n <= max_n."""
-    rng = np.random.default_rng(seed)
-    models = []
-    for k in range(count):
-        family = k % 3
-        if family == 0:
-            n = int(rng.integers(4, min(11, max_n) + 1))
-            models.append(gen_clique_ising(n, coupling_w=0.1, seed=int(rng.integers(0, 2**31))))
-        elif family == 1:
-            rows = int(rng.integers(2, 5))
-            cols = int(rng.integers(2, 5))
-            while rows * cols > max_n:
-                cols = max(2, cols - 1) if cols > 2 else cols
-                rows = max(2, rows - 1)
-            models.append(
-                gen_grid_ising(rows, cols, coupling_w=float(rng.uniform(0.2, 1.5)),
-                               seed=int(rng.integers(0, 2**31)))
-            )
-        else:
-            models.append(random_factor_model(int(rng.integers(4, max_n + 1)), rng))
-    return models
 
 
 @pytest.fixture(scope="session")

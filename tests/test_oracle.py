@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adawish import gf2
 from adawish.errors import StructuralError, TooLarge
@@ -10,7 +12,9 @@ from adawish.model import (
     WeightedModel,
     exact_quantiles,
     gen_grid_ising,
+    log_weight,
     log_weight_table,
+    log_weights_at,
 )
 from adawish.oracle import (
     ExactCurveOracle,
@@ -20,18 +24,13 @@ from adawish.oracle import (
     PointwiseCurveOracle,
     QueryLedger,
     XorOracle,
-    adversarial_neighbor_stub,
-    approx_query,
-    lower_bound_query,
     make_oracle,
     map_solve,
     sample_parity_system,
-    upper_bound_query,
-    xor_query,
 )
 from adawish.optbench import gen_geometric_curve
 
-from conftest import random_factor_model
+from conftest import random_factor_model, ref_log_weight
 
 NEG_INF = float("-inf")
 
@@ -93,6 +92,59 @@ class TestMapSolve:
         with pytest.raises(TooLarge):
             map_solve(model, gf2.Gf2System(25, (), ()), MapSolver("enumerate"))
 
+    def test_enumerate_guard_counts_free_variables(self):
+        # n = 30 is past the enumeration limit, but 28 independent rows
+        # leave a 4-point coset
+        system = sample_parity_system(30, 28, np.random.default_rng(0))
+        reduced = gf2.row_reduce(system)
+        assert reduced.consistent and reduced.rank == 28
+        p, (u, w) = reduced.particular_solution(), reduced.null_basis()
+        coset = {p, p ^ u, p ^ w, p ^ u ^ w}
+        model = random_factor_model(30, np.random.default_rng(1))
+        result = map_solve(model, system, MapSolver("enumerate"))
+        assert result.exact and result.feasible and result.nodes == 4
+        assert result.assignment in coset
+        assert result.log_value == max(log_weight(model, x) for x in coset)
+
+    def test_enumerate_guard_keeps_int64_masks(self):
+        system = gf2.Gf2System(70, tuple(1 << v for v in range(70)), (0,) * 70)
+        with pytest.raises(TooLarge):
+            map_solve(WeightedModel(70, ()), system, MapSolver("enumerate"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**31 - 1), st.floats(0.0, 0.5), st.data())
+    def test_solvers_and_evaluators_agree(self, n, seed, zero_frac, data):
+        # m up to n + 2 covers full-rank and inconsistent systems; zeroed
+        # entries give -inf weights and cosets of zero weight
+        m = data.draw(st.integers(0, n + 2), label="m")
+        rng = np.random.default_rng(seed)
+        factors = tuple(
+            Factor(f.scope, np.where(rng.random(f.log_table.size) < zero_frac, NEG_INF, f.log_table))
+            for f in random_factor_model(n, rng).factors
+        )
+        model = WeightedModel(n, factors)
+        system = sample_parity_system(n, m, rng)
+
+        points = range(1 << n)
+        ref = [ref_log_weight(model, [(x >> v) & 1 for v in range(n)]) for x in points]
+        table = log_weights_at(model, np.arange(1 << n))
+        for x in points:
+            assert log_weight(model, x) == table[x]
+            assert table[x] == pytest.approx(ref[x], abs=1e-12)
+
+        sols = [x for x in points if gf2.satisfies(system, x)]
+        best = max((ref[x] for x in sols), default=NEG_INF)
+        a = map_solve(model, system, MapSolver("enumerate"))
+        b = map_solve(model, system, MapSolver("branch_and_bound"))
+        assert a.feasible == b.feasible == bool(sols)
+        assert a.exact and b.exact
+        assert a.log_value == b.log_value == pytest.approx(best, abs=1e-12)
+        for r in (a, b):
+            if r.log_value == NEG_INF:
+                assert r.assignment is None
+            else:
+                assert r.assignment in sols and log_weight(model, r.assignment) == r.log_value
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(StructuralError):
             MapSolver("simulated_annealing")
@@ -102,25 +154,25 @@ class TestXorQuery:
     def test_index_zero_is_unconstrained_map(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         curve = exact_quantiles(model)
-        ledger = QueryLedger()
-        config = OracleConfig(kind="neighbor", c=2, T=7, master_seed=123)
-        assert xor_query(0, model, config, ledger) == pytest.approx(curve[0], abs=1e-12)
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=7, master_seed=123))
+        assert oracle.query(0) == pytest.approx(curve[0], abs=1e-12)
 
     def test_constant_model_answers_zero(self):
         model = WeightedModel(8, ())
         config = OracleConfig(kind="neighbor", c=2, T=9, master_seed=5)
-        ledger = QueryLedger()
+        oracle = make_oracle(model, config)
         # at i near n a bucket can be empty; stay below that regime
         for i in range(7):
-            assert xor_query(i, model, config, ledger) == 0.0
+            assert oracle.query(i) == 0.0
 
     def test_memoization(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         config = OracleConfig(kind="neighbor", c=2, T=5, master_seed=9)
         ledger = QueryLedger()
-        first = xor_query(3, model, config, ledger)
+        oracle = make_oracle(model, config, ledger=ledger)
+        first = oracle.query(3)
         calls = ledger.map_calls
-        second = xor_query(3, model, config, ledger)
+        second = oracle.query(3)
         assert first == second
         assert ledger.map_calls == calls
         assert ledger.cache_hits == 1
@@ -129,10 +181,10 @@ class TestXorQuery:
     def test_deterministic_and_order_free(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         config = OracleConfig(kind="neighbor", c=2, T=5, master_seed=41)
-        ledger_a = QueryLedger()
-        va = [xor_query(i, model, config, ledger_a) for i in range(7)]
-        ledger_b = QueryLedger()
-        vb = list(reversed([xor_query(i, model, config, ledger_b) for i in reversed(range(7))]))
+        oracle_a = make_oracle(model, config)
+        va = [oracle_a.query(i) for i in range(7)]
+        oracle_b = make_oracle(model, config)
+        vb = list(reversed([oracle_b.query(i) for i in reversed(range(7))]))
         assert va == vb
 
     def test_median_sandwich_mostly_holds(self):
@@ -166,18 +218,16 @@ class TestXorQuery:
 class TestOracleDispatch:
     def test_exact_kind_reads_the_curve(self):
         model = WeightedModel(2, (Factor((0, 1), np.log([8.0, 4.0, 2.0, 1.0])),))
-        ledger = QueryLedger()
-        config = OracleConfig(kind="exact")
-        assert approx_query(1, model, config, ledger) == pytest.approx(math.log(4.0))
+        oracle = make_oracle(model, OracleConfig(kind="exact"))
+        assert oracle.approx(1) == pytest.approx(math.log(4.0))
 
     def test_pointwise_gamma_one_equals_exact(self):
         rng = np.random.default_rng(4)
         model = random_factor_model(6, rng)
         curve = exact_quantiles(model)
-        ledger = QueryLedger()
-        config = OracleConfig(kind="pointwise", gamma=1.0, master_seed=7)
+        oracle = make_oracle(model, OracleConfig(kind="pointwise", gamma=1.0, master_seed=7))
         for i in range(model.n + 1):
-            assert approx_query(i, model, config, ledger) == pytest.approx(curve[i], abs=1e-12)
+            assert oracle.approx(i) == pytest.approx(curve[i], abs=1e-12)
 
     def test_pointwise_stays_within_ratio(self):
         rng = np.random.default_rng(8)
@@ -195,12 +245,12 @@ class TestOracleDispatch:
         model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
         config = OracleConfig(kind="neighbor", c=5, T=3, master_seed=1)
         n = model.n
-        ledger = QueryLedger()
-        upper_bound_query(2, model, config, ledger)
-        assert ledger.queried_indices() == {0}
-        ledger = QueryLedger()
-        lower_bound_query(n - 1, model, config, ledger)
-        assert ledger.queried_indices() == {n}
+        oracle = make_oracle(model, config)
+        oracle.upper(2)
+        assert oracle.ledger.queried_indices() == {0}
+        oracle = make_oracle(model, config)
+        oracle.lower(n - 1)
+        assert oracle.ledger.queried_indices() == {n}
 
     def test_exact_kind_size_guard(self):
         with pytest.raises(TooLarge):
@@ -222,32 +272,32 @@ class TestOracleDispatch:
 class TestNeighborStub:
     def test_always_upper_on_constant_curve(self):
         curve = curve_of([3.0] * 6)
-        stub = adversarial_neighbor_stub(curve, c=2, policy="always_upper")
+        stub = NeighborStubOracle(curve, c=2, policy="always_upper")
         for i in range(6):
             assert stub.approx(i) == pytest.approx(math.log(3.0))
 
     def test_always_lower_index_shift(self):
         curve = curve_of([8.0, 4.0, 2.0, 1.0, 0.5])
-        stub = adversarial_neighbor_stub(curve, c=2, policy="always_lower")
+        stub = NeighborStubOracle(curve, c=2, policy="always_lower")
         assert stub.approx(1) == pytest.approx(math.log(1.0))  # b_{min(1+2, 4)}
         assert stub.approx(2) == pytest.approx(math.log(0.5))  # clamped to b_4
 
     def test_index_zero_is_exact_for_all_policies(self):
         curve = curve_of([100.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         for policy in NeighborStubOracle.policies:
-            stub = adversarial_neighbor_stub(curve, c=3, policy=policy, seed=5)
+            stub = NeighborStubOracle(curve, c=3, policy=policy, master_seed=5)
             assert stub.approx(0) == pytest.approx(math.log(100.0))
 
     def test_answers_stay_in_sandwich(self):
         curve = gen_geometric_curve(12, 1.8)
-        stub = adversarial_neighbor_stub(curve, c=2, policy="seeded", seed=11)
+        stub = NeighborStubOracle(curve, c=2, policy="seeded", master_seed=11)
         for i in range(13):
             v = stub.approx(i)
             assert curve[min(i + 2, 12)] - 1e-12 <= v <= curve[max(i - 2, 0)] + 1e-12
 
     def test_unknown_policy(self):
         with pytest.raises(StructuralError):
-            adversarial_neighbor_stub(curve_of([1.0, 1.0]), c=2, policy="sometimes")
+            NeighborStubOracle(curve_of([1.0, 1.0]), c=2, policy="sometimes")
 
 
 class TestLedger:
