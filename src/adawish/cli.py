@@ -144,8 +144,7 @@ def _oracle_config(args, seed: int) -> OracleConfig:
 
 
 def _solver(args) -> MapSolver:
-    strategy = "enumerate" if args.solver == "enumerate" else "branch_and_bound"
-    return MapSolver(strategy, node_limit=args.node_limit, time_limit=args.map_timeout)
+    return MapSolver(node_limit=args.node_limit, time_limit=args.map_timeout)
 
 
 def _run_schedule(model, args, seed):
@@ -332,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None, help="concentration rate (default 0.078 for c=5)")
         p.add_argument("--gamma", type=float, default=1.0, help="pointwise ratio >= 1")
         p.add_argument("--seed", type=int, default=0, help="master seed (ADAWISH_SEED overrides)")
-        p.add_argument("--solver", choices=("bnb", "enumerate"), default="bnb")
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
         p.add_argument("--map-timeout", type=float, default=None, dest="map_timeout",
-                       help="per-query wall-clock cap in seconds")
+                       help="wall-clock cap in seconds per MAP solve (a query runs up to T solves)")
 
     p_est = sub.add_parser("estimate", help="run a schedule and report the estimate")
     add_model_args(p_est)

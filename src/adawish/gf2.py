@@ -9,7 +9,7 @@ parity constraints A*x = d (mod 2); a system with zero rows is valid and means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import StructuralError
 
@@ -57,10 +57,12 @@ class Gf2System:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Reduced row-echelon form of a Gf2System.
+    """Reduced row-echelon form of a Gf2System, pivoting on high columns.
 
-    Only nonzero rows are kept, ordered by pivot column.  `consistent` is False
-    iff elimination produced a 0 = 1 row.
+    Only nonzero rows are kept, ordered by pivot column.  Each row's pivot is
+    its highest set bit and is set in no other row, so once the variables
+    below a pivot are assigned, that row forces the pivot.  `consistent` is
+    False iff elimination produced a 0 = 1 row.
     """
 
     cols: int
@@ -104,13 +106,16 @@ class ReducedSystem:
 
 
 def row_reduce(system) -> ReducedSystem:
-    """Gauss-Jordan elimination over GF(2); accepts any (cols, rows, rhs) carrier."""
+    """Gauss-Jordan elimination over GF(2), columns taken from the highest down.
+
+    Accepts any (cols, rows, rhs) carrier.
+    """
     cols, rows, rhs = system.cols, list(system.rows), list(system.rhs)
     _check_rows(cols, rows, rhs)
     work = [(rows[i], rhs[i]) for i in range(len(rows))]
     reduced: list[tuple[int, int, int]] = []  # (row, rhs, pivot)
     consistent = True
-    for col in range(cols):
+    for col in reversed(range(cols)):
         pivot_idx = None
         for i, (row, _) in enumerate(work):
             if (row >> col) & 1:
@@ -155,53 +160,3 @@ def evaluate(system, assignment) -> int:
 def satisfies(system, assignment) -> bool:
     x = assignment if isinstance(assignment, int) else pack_bits(assignment)
     return evaluate(system, x) == pack_bits(list(system.rhs))
-
-
-@dataclass(frozen=True)
-class Propagation:
-    """Outcome of pushing a partial assignment through a reduced system.
-
-    `forced` holds newly implied variables (rows left with a single unfixed
-    variable, iterated to a fixpoint).  `conflict` means some fully fixed row
-    is violated.  Neither forced nor conflicting means the system is open.
-    """
-
-    conflict: bool
-    forced: dict[int, int]
-
-    @property
-    def open(self) -> bool:
-        return not self.conflict and not self.forced
-
-
-def propagate(reduced: ReducedSystem, partial: Mapping[int, int]) -> Propagation:
-    """Unit propagation for XOR rows given fixed bits for a variable subset."""
-    if not reduced.consistent:
-        raise StructuralError("propagate requires a consistent system")
-    known_mask = 0
-    known_vals = 0
-    for v, b in partial.items():
-        if v < 0 or v >= reduced.cols:
-            raise StructuralError(f"variable {v} outside {reduced.cols} columns")
-        if b not in (0, 1):
-            raise StructuralError(f"value for variable {v} must be 0 or 1")
-        known_mask |= 1 << v
-        known_vals |= b << v
-    forced: dict[int, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for row, b in zip(reduced.rows, reduced.rhs):
-            unfixed = row & ~known_mask
-            parity_fixed = (row & known_vals).bit_count() & 1
-            if unfixed == 0:
-                if parity_fixed != b:
-                    return Propagation(conflict=True, forced=forced)
-            elif unfixed & (unfixed - 1) == 0:  # exactly one bit left
-                v = unfixed.bit_length() - 1
-                val = parity_fixed ^ b
-                forced[v] = val
-                known_mask |= unfixed
-                known_vals |= val << v
-                changed = True
-    return Propagation(conflict=False, forced=forced)

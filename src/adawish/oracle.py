@@ -1,12 +1,14 @@
 """Constrained MAP solving and the quantile oracles built on it.
 
-`map_solve` maximises log w(x) subject to parity constraints A x = d (mod 2),
-either by enumerating the GF(2) solution space or by depth-first branch and
-bound with XOR propagation; both evaluate the model through its
-`CompiledModel`.  `XorOracle` estimates the 2^i-th largest weight as the
-median of T constrained maxima under independently sampled random (A, d)
-pairs with i rows.  `make_oracle` binds a model to any configured oracle
-kind; `synthetic_oracle` wraps a known quantile curve.
+`map_solve` maximises log w(x) subject to parity constraints A x = d (mod 2)
+by depth-first branch and bound over the variables in order 0..n-1, scoring
+factors through the model's `CompiledModel`.  The system is row-reduced with
+each row pivoting on its highest variable, so every pivot is forced by the
+variables before it and only the n - rank free variables are branched on.
+`XorOracle` estimates the 2^i-th largest weight as the median of T
+constrained maxima under independently sampled random (A, d) pairs with i
+rows.  `make_oracle` binds a model to any configured oracle kind;
+`synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
 repeated query is never recomputed and the number of distinct queries can be
@@ -23,13 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .errors import StructuralError, TooLarge
+from .errors import StructuralError
 from .logspace import NEG_INF
-from .model import ENUMERATION_LIMIT, QuantileCurve, WeightedModel, exact_quantiles, log_weights_at
+from .model import QuantileCurve, WeightedModel, exact_quantiles
 from .seeds import mix64, rng_from, unit_from
-
-_ENUM_BLOCK = 1 << 18
-_MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 
 
 # ---------------------------------------------------------------------------
@@ -38,21 +37,15 @@ _MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 
 @dataclass(frozen=True)
 class MapSolver:
-    """Solver choice and optional search limits.
+    """Optional limits on the branch-and-bound search of one MAP solve.
 
-    Enumeration is exact and takes up to 24 free variables (n - rank) over at
-    most 62 variables.  Branch and bound is exact whenever it finishes within
-    the limits; otherwise the incumbent is returned and the result is flagged
-    inexact (a lower bound on the true maximum).
+    The search is exact whenever it finishes within the limits; otherwise the
+    incumbent is returned and the result is flagged inexact (a lower bound on
+    the true maximum).  time_limit is in seconds per solve.
     """
 
-    strategy: str = "branch_and_bound"
     node_limit: int | None = None
     time_limit: float | None = None
-
-    def __post_init__(self):
-        if self.strategy not in ("branch_and_bound", "enumerate"):
-            raise StructuralError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -77,30 +70,6 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
     return gf2.Gf2System(n, rows, rhs)
 
 
-def _solve_enumerate(model: WeightedModel, reduced: gf2.ReducedSystem) -> MapResult:
-    free = model.n - reduced.rank
-    if free > ENUMERATION_LIMIT or model.n > _MASK_BITS:
-        raise TooLarge(
-            f"enumeration limited to {ENUMERATION_LIMIT} free variables over n <= {_MASK_BITS},"
-            f" got {free} free over n={model.n}"
-        )
-    particular = reduced.particular_solution()
-    basis = reduced.null_basis()
-    sols = np.array([particular], dtype=np.int64)
-    for vec in basis:
-        sols = np.concatenate([sols, sols ^ np.int64(vec)])
-    best_val = NEG_INF
-    best_idx = None
-    for start in range(0, sols.size, _ENUM_BLOCK):
-        block = sols[start : start + _ENUM_BLOCK]
-        w = log_weights_at(model, block)
-        k = int(np.argmax(w))
-        if w[k] > best_val:
-            best_val = float(w[k])
-            best_idx = int(block[k])
-    return MapResult(best_val, best_idx, exact=True, feasible=True, nodes=int(sols.size))
-
-
 def _solve_branch_and_bound(
     model: WeightedModel,
     reduced: gf2.ReducedSystem,
@@ -110,52 +79,46 @@ def _solve_branch_and_bound(
     n = model.n
     compiled = model.compiled
     completed, bound_tail = compiled.completed, compiled.bound_tail
-    # A reduced row is decided once its highest variable is assigned; in
-    # depth-first order over variables 0..n-1 that variable is forced by the
-    # earlier ones.
-    rows_ending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for row, b in zip(reduced.rows, reduced.rhs):
-        v = row.bit_length() - 1
-        rows_ending[v].append((row & ~(1 << v), b))
+    # Each reduced row's pivot is its highest variable, so in depth-first
+    # order over variables 0..n-1 the earlier ones force it; only the n - rank
+    # free variables branch.
+    forced: list[tuple[int, int] | None] = [None] * n
+    for row, b, p in zip(reduced.rows, reduced.rhs, reduced.pivots):
+        forced[p] = (row ^ (1 << p), b)
 
     best = NEG_INF
     best_assign: int | None = None
     nodes = 0
     exhausted = False
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-
-    def descend(v: int, mask: int, g: float) -> None:
-        nonlocal best, best_assign, nodes, exhausted
-        if exhausted:
-            return
+    # (variable, assignment of the variables below it, score so far); the
+    # 1-child is pushed first so the 0-child is searched first
+    stack = [(0, 0, compiled.const)]
+    while stack:
+        v, mask, g = stack.pop()
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             exhausted = True
-            return
+            break
         if deadline is not None and nodes & 0x3FF == 0 and time.monotonic() > deadline:
             exhausted = True
-            return
+            break
         if v == n:
             if g > best:
                 best = g
                 best_assign = mask
-            return
+            continue
         if g + bound_tail[v] <= best:
-            return
-        ending = rows_ending[v]
-        if ending:
-            need = ending[0][1] ^ ((mask & ending[0][0]).bit_count() & 1)
-            for m2, b2 in ending[1:]:
-                if b2 ^ ((mask & m2).bit_count() & 1) != need:
-                    return
-            values = (need,)
+            continue
+        rule = forced[v]
+        if rule is None:
+            one = mask | (1 << v)
+            stack.append((v + 1, one, g + float(completed(v, one))))
+            stack.append((v + 1, mask, g + float(completed(v, mask))))
         else:
-            values = (0, 1)
-        for val in values:
-            child = mask | (val << v)
-            descend(v + 1, child, g + float(completed(v, child)))
+            child = mask | ((rule[1] ^ ((mask & rule[0]).bit_count() & 1)) << v)
+            stack.append((v + 1, child, g + float(completed(v, child))))
 
-    descend(0, 0, compiled.const)
     return MapResult(
         best,
         best_assign,
@@ -173,8 +136,6 @@ def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | N
     reduced = gf2.row_reduce(system)
     if not reduced.consistent:
         return MapResult(NEG_INF, None, exact=True, feasible=False)
-    if solver.strategy == "enumerate":
-        return _solve_enumerate(model, reduced)
     return _solve_branch_and_bound(model, reduced, solver.node_limit, solver.time_limit)
 
 

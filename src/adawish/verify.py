@@ -3,7 +3,10 @@
 Each check exercises one of the library's core contracts at desk scale and
 returns a (name, passed, detail) row.  The fast level keeps models at n <= 12
 and finishes in seconds; the full level raises sizes to n <= 16 and adds the
-statistical checks (hash uniformity, randomized query coverage).
+statistical checks (hash uniformity, randomized query coverage).  The
+references the checks and the test suite share live here too: the model zoo
+and `reference_map`, the coset enumeration that `map_solve` is compared
+against.
 """
 
 from __future__ import annotations
@@ -14,26 +17,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
+from .errors import TooLarge
 from .estimator import adawish_from_oracle, sandwich_bounds, wish_from_oracle
-from .logspace import LN2
+from .logspace import LN2, NEG_INF
 from .model import (
+    ENUMERATION_LIMIT,
     Factor,
     WeightedModel,
     exact_log_partition,
     exact_quantiles,
     gen_clique_ising,
     gen_grid_ising,
+    log_weights_at,
 )
 from .optbench import compute_opt, gen_adversarial_pair, regret_bound, synthetic_oracle
 from .oracle import (
-    MapSolver,
+    MapResult,
     OracleConfig,
-    QueryLedger,
     XorOracle,
     map_solve,
     sample_parity_system,
 )
 from .seeds import rng_from
+
+_ENUM_BLOCK = 1 << 18
+_MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 
 
 @dataclass
@@ -75,6 +83,35 @@ def model_zoo(count: int, max_n: int, seed: int) -> list[WeightedModel]:
         else:
             models.append(random_factor_model(int(rng.integers(4, max_n + 1)), rng))
     return models
+
+
+def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
+    """Constrained MAP by enumerating the solution coset: the reference for `map_solve`.
+
+    Exact; takes up to 24 free variables (n - rank) over at most 62 variables.
+    """
+    reduced = gf2.row_reduce(system)
+    if not reduced.consistent:
+        return MapResult(NEG_INF, None, exact=True, feasible=False)
+    free = model.n - reduced.rank
+    if free > ENUMERATION_LIMIT or model.n > _MASK_BITS:
+        raise TooLarge(
+            f"enumeration limited to {ENUMERATION_LIMIT} free variables over n <= {_MASK_BITS},"
+            f" got {free} free over n={model.n}"
+        )
+    sols = np.array([reduced.particular_solution()], dtype=np.int64)
+    for vec in reduced.null_basis():
+        sols = np.concatenate([sols, sols ^ np.int64(vec)])
+    best_val = NEG_INF
+    best_idx = None
+    for start in range(0, sols.size, _ENUM_BLOCK):
+        block = sols[start : start + _ENUM_BLOCK]
+        w = log_weights_at(model, block)
+        k = int(np.argmax(w))
+        if w[k] > best_val:
+            best_val = float(w[k])
+            best_idx = int(block[k])
+    return MapResult(best_val, best_idx, exact=True, feasible=True, nodes=int(sols.size))
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
@@ -178,20 +215,27 @@ def check_adversarial_pair() -> CheckResult:
     return CheckResult("adversarial pair", True, "closed forms match, ratio increasing")
 
 
-def check_solver_agreement(trials: int = 40, seed: int = 3) -> CheckResult:
-    """Branch and bound agrees with solution-space enumeration."""
+def check_solver_agreement(models: list[WeightedModel], trials: int, seed: int) -> CheckResult:
+    """`map_solve` matches `reference_map` exactly on random parity systems.
+
+    Feasibility must agree, both solves must be exact, and the maxima must be
+    equal or within 1e-12.
+    """
     rng = np.random.default_rng(seed)
-    models = model_zoo(6, 12, seed)
     for t in range(trials):
         model = models[t % len(models)]
         m = int(rng.integers(0, 7))
         system = sample_parity_system(model.n, m, rng)
-        a = map_solve(model, system, MapSolver("enumerate"))
-        b = map_solve(model, system, MapSolver("branch_and_bound"))
-        same = a.log_value == b.log_value or abs(a.log_value - b.log_value) <= 1e-9
-        if a.feasible != b.feasible or not same:
-            return CheckResult("solver agreement", False, f"trial {t} on {model.name}")
-    return CheckResult("solver agreement", True, f"{trials} constrained instances")
+        a = reference_map(model, system)
+        b = map_solve(model, system)
+        same = a.log_value == b.log_value or abs(a.log_value - b.log_value) <= 1e-12
+        if not (same and a.feasible == b.feasible and a.exact and b.exact):
+            return CheckResult(
+                "solver agreement",
+                False,
+                f"trial {t} on {model.name}: enumeration {a.log_value} vs branch and bound {b.log_value}",
+            )
+    return CheckResult("solver agreement", True, f"{trials} (model, parity system) pairs match")
 
 
 def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
@@ -218,11 +262,10 @@ def check_xor_coverage(seeds: int = 40, threshold: float = 0.8) -> CheckResult:
     curve = exact_quantiles(model)
     n = model.n
     c, reps = 2, 30
-    solver = MapSolver("branch_and_bound")
     hits = np.zeros(n + 1, dtype=np.int64)
     for s in range(seeds):
         config = OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s)
-        oracle = XorOracle(model, config, solver, QueryLedger())
+        oracle = XorOracle(model, config)
         for i in range(n + 1):
             m = oracle.query(i)
             if curve[min(i + c, n)] - 1e-12 <= m <= curve[max(i - c, 0)] + 1e-12:
@@ -248,7 +291,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_regret(),
         check_adversarial_stub(),
         check_adversarial_pair(),
-        check_solver_agreement(),
+        check_solver_agreement(model_zoo(6, 12, 3), 40, 3),
     ]
     if level == "full":
         checks.append(check_hash_uniformity())

@@ -35,10 +35,10 @@ from adawish.oracle import (
     OracleConfig,
     QueryLedger,
     XorOracle,
-    map_solve,
     sample_parity_system,
 )
 from adawish.seeds import rng_from
+from adawish.verify import check_solver_agreement
 
 from conftest import model_zoo
 
@@ -253,7 +253,7 @@ def test_xor_median_coverage_on_enumerable_grid():
     model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
     curve = exact_quantiles(model)
     n, c, reps, seeds = model.n, 2, 30, 200
-    solver = MapSolver("branch_and_bound")
+    solver = MapSolver()
     hits = np.zeros(n + 1, dtype=np.int64)
     for s in range(seeds):
         config = OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s)
@@ -331,24 +331,8 @@ def test_adaptive_saves_queries_on_grid_instances():
 
 
 def test_branch_and_bound_matches_enumeration_exactly():
-    rng = np.random.default_rng(1234)
-    models = model_zoo(20, 14, seed=99)
-    checked = 0
-    for t in range(200):
-        model = models[t % len(models)]
-        m = int(rng.integers(0, 7))
-        system = sample_parity_system(model.n, m, rng)
-        a = map_solve(model, system, MapSolver("enumerate"))
-        b = map_solve(model, system, MapSolver("branch_and_bound"))
-        same = a.log_value == b.log_value or abs(a.log_value - b.log_value) <= 1e-12
-        if not (same and a.feasible == b.feasible and a.exact and b.exact):
-            report(
-                "solver equivalence",
-                False,
-                f"pair {t}: enumerate {a.log_value} vs branch-and-bound {b.log_value}",
-            )
-        checked += 1
-    report("solver equivalence", True, f"{checked} (model, parity system) pairs match")
+    result = check_solver_agreement(model_zoo(20, 14, seed=99), 200, 1234)
+    report("solver equivalence", result.passed, result.detail)
 
 
 def test_model_file_parsing_contract():

@@ -45,6 +45,16 @@ class TestRowReduce:
         reduced = gf2.row_reduce(system)
         assert len(brute_solutions(system)) == reduced.solution_count
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pivot_is_highest_bit_and_unique(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 13))
+        system = random_system(rng, n, int(rng.integers(0, n + 3)))
+        reduced = gf2.row_reduce(system)
+        for r, (row, p) in enumerate(zip(reduced.rows, reduced.pivots)):
+            assert row.bit_length() - 1 == p
+            assert all(not (other >> p) & 1 for s, other in enumerate(reduced.rows) if s != r)
+
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         system = random_system(rng, 8, 5)
@@ -107,56 +117,3 @@ class TestEvaluate:
             gf2.evaluate(system, [1, 0])
         with pytest.raises(StructuralError):
             gf2.evaluate(system, 0b11111)
-
-
-class TestPropagate:
-    def test_single_row_forces_remaining_variable(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11,), (1,)))
-        result = gf2.propagate(reduced, {0: 0})
-        assert not result.conflict
-        assert result.forced == {1: 1}
-
-    def test_satisfied_row_is_quiet(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11,), (0,)))
-        result = gf2.propagate(reduced, {0: 1, 1: 1})
-        assert not result.conflict
-        assert result.forced == {}
-        assert result.open
-
-    def test_violated_row_conflicts(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11,), (1,)))
-        assert gf2.propagate(reduced, {0: 1, 1: 1}).conflict
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_completion_enumeration(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        system = random_system(rng, 8, 4)
-        reduced = gf2.row_reduce(system)
-        if not reduced.consistent:
-            pytest.skip("inconsistent draw")
-        fixed_vars = [int(v) for v in rng.choice(8, size=5, replace=False)]
-        partial = {v: int(rng.integers(0, 2)) for v in fixed_vars}
-        result = gf2.propagate(reduced, partial)
-
-        free = [v for v in range(8) if v not in partial]
-        completions = []
-        for u in range(1 << len(free)):
-            x = 0
-            for v, b in partial.items():
-                x |= b << v
-            for j, v in enumerate(free):
-                x |= ((u >> j) & 1) << v
-            if gf2.satisfies(system, x):
-                completions.append(x)
-
-        if result.conflict:
-            assert completions == []
-        else:
-            assert completions != []
-            for v, b in result.forced.items():
-                assert all((x >> v) & 1 == b for x in completions), f"var {v} not actually forced"
-
-    def test_requires_consistent_system(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(2, (0,), (1,)))
-        with pytest.raises(StructuralError):
-            gf2.propagate(reduced, {})

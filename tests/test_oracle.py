@@ -29,6 +29,7 @@ from adawish.oracle import (
     sample_parity_system,
 )
 from adawish.optbench import gen_geometric_curve
+from adawish.verify import reference_map
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -60,8 +61,8 @@ class TestMapSolve:
         rng = np.random.default_rng(seed)
         model = gen_grid_ising(2, 5, coupling_w=1.2, seed=seed)
         system = sample_parity_system(10, 4, rng)
-        a = map_solve(model, system, MapSolver("enumerate"))
-        b = map_solve(model, system, MapSolver("branch_and_bound"))
+        a = reference_map(model, system)
+        b = map_solve(model, system, MapSolver())
         assert a.log_value == pytest.approx(b.log_value, abs=1e-9)
         assert a.feasible == b.feasible
 
@@ -69,7 +70,7 @@ class TestMapSolve:
         rng = np.random.default_rng(77)
         model = random_factor_model(8, rng)
         system = sample_parity_system(8, 3, rng)
-        result = map_solve(model, system, MapSolver("branch_and_bound"))
+        result = map_solve(model, system, MapSolver())
         table = log_weight_table(model)
         sols = [x for x in range(256) if gf2.satisfies(system, x)]
         assert result.log_value == pytest.approx(max(table[x] for x in sols), abs=1e-12)
@@ -87,29 +88,51 @@ class TestMapSolve:
         exact = map_solve(model, gf2.Gf2System(9, (), ()))
         assert result.log_value <= exact.log_value
 
+    def test_deep_chain_returns_incumbent(self):
+        # 1,500 variables is far past the interpreter's recursion limit
+        n = 1500
+        rng = np.random.default_rng(0)
+        model = WeightedModel(n, tuple(Factor((v, v + 1), rng.normal(size=4)) for v in range(n - 1)))
+        result = map_solve(model, gf2.Gf2System(n, (), ()), MapSolver(node_limit=20_000))
+        assert result.feasible and not result.exact
+        assert result.log_value == log_weight(model, result.assignment)
+
     def test_enumerate_size_guard(self):
         model = WeightedModel(25, ())
         with pytest.raises(TooLarge):
-            map_solve(model, gf2.Gf2System(25, (), ()), MapSolver("enumerate"))
+            reference_map(model, gf2.Gf2System(25, (), ()))
 
-    def test_enumerate_guard_counts_free_variables(self):
+    @staticmethod
+    def _small_coset_instance():
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
         system = sample_parity_system(30, 28, np.random.default_rng(0))
         reduced = gf2.row_reduce(system)
         assert reduced.consistent and reduced.rank == 28
         p, (u, w) = reduced.particular_solution(), reduced.null_basis()
-        coset = {p, p ^ u, p ^ w, p ^ u ^ w}
+        return system, {p, p ^ u, p ^ w, p ^ u ^ w}
+
+    def test_enumerate_guard_counts_free_variables(self):
+        system, coset = self._small_coset_instance()
         model = random_factor_model(30, np.random.default_rng(1))
-        result = map_solve(model, system, MapSolver("enumerate"))
+        result = reference_map(model, system)
         assert result.exact and result.feasible and result.nodes == 4
+        assert result.assignment in coset
+        assert result.log_value == max(log_weight(model, x) for x in coset)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_small_coset_search_branches_only_free_variables(self, k):
+        system, coset = self._small_coset_instance()
+        model = random_factor_model(30, np.random.default_rng(k))
+        result = map_solve(model, system, MapSolver(node_limit=(30 + 1) << (30 - 28)))
+        assert result.exact and result.feasible
         assert result.assignment in coset
         assert result.log_value == max(log_weight(model, x) for x in coset)
 
     def test_enumerate_guard_keeps_int64_masks(self):
         system = gf2.Gf2System(70, tuple(1 << v for v in range(70)), (0,) * 70)
         with pytest.raises(TooLarge):
-            map_solve(WeightedModel(70, ()), system, MapSolver("enumerate"))
+            reference_map(WeightedModel(70, ()), system)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 7), st.integers(0, 2**31 - 1), st.floats(0.0, 0.5), st.data())
@@ -134,20 +157,19 @@ class TestMapSolve:
 
         sols = [x for x in points if gf2.satisfies(system, x)]
         best = max((ref[x] for x in sols), default=NEG_INF)
-        a = map_solve(model, system, MapSolver("enumerate"))
-        b = map_solve(model, system, MapSolver("branch_and_bound"))
+        a = reference_map(model, system)
+        b = map_solve(model, system, MapSolver())
         assert a.feasible == b.feasible == bool(sols)
         assert a.exact and b.exact
+        reduced = gf2.row_reduce(system)
+        if reduced.consistent:
+            assert b.nodes <= (n + 1) << (n - reduced.rank)
         assert a.log_value == b.log_value == pytest.approx(best, abs=1e-12)
         for r in (a, b):
             if r.log_value == NEG_INF:
                 assert r.assignment is None
             else:
                 assert r.assignment in sols and log_weight(model, r.assignment) == r.log_value
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(StructuralError):
-            MapSolver("simulated_annealing")
 
 
 class TestXorQuery:
