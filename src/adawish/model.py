@@ -7,16 +7,22 @@ Factor tables follow the UAI convention: the last scope variable varies
 fastest, so the entry of x is the scope's bits read as a binary number with
 the first scope variable most significant.
 
-Every evaluator of log w -- `log_weight`, `log_weights_at` and branch-and-
-bound MAP -- reads one `CompiledModel`, built once per model from the model
-alone (`WeightedModel.compiled`).  It holds the constant term, the factors
-grouped by their highest scope variable, the optimistic bound on the groups
-not yet scored, and the table-index rule.  All evaluators add the groups in
-variable order, so they agree to the last bit.
+Every evaluator of log w reads one `CompiledModel`, built once per model from
+the model alone (`WeightedModel.compiled`).  It holds the constant term, the
+factors grouped by their highest scope variable, the optimistic bound on the
+groups not yet scored, and the table-index rule.  Every evaluator makes the
+same additions in the same order -- the constant, then groups 0..n-1, each
+group summed from 0.0 in factor order -- so they agree to the last bit:
 
-Enumeration helpers (`exact_log_partition`, `exact_quantiles`,
-`log_weight_table`) are guarded to n <= 24 and evaluate in fixed-size blocks
-with a fixed reduction order, so results are bit-reproducible.
+- `log_weight`, `log_weights_at` and branch-and-bound MAP gather each
+  factor's entry point by point;
+- `CompiledModel.blocks`, behind the enumeration helpers
+  (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
+  builds the table of all 2^n log-weights by broadcasting: a prefix table
+  over the low variables grows by one variable per group, and each block of
+  2^18 entries fixes the high variables and adds their groups.
+  `exact_log_partition` reduces block by block in a fixed order, so its
+  result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import InvalidSize, ParseError, StructuralError, TooLarge, Unsuppor
 from .logspace import NEG_INF, log_sum_exp
 
 ENUMERATION_LIMIT = 24
-_BLOCK = 1 << 18
+BLOCK_BITS = 18  # enumeration blocks hold 2^18 assignments
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,8 @@ class CompiledModel:
 
     groups[v] holds the (scope, table) pairs of the factors whose highest
     variable is v: they are scored the moment v is assigned.  bound_tail[v]
-    sums the per-factor maxima of groups v..n-1.
+    sums the per-factor maxima of groups v..n-1.  `completed` and
+    `log_weight` evaluate at given bitmasks; `blocks` yields the whole table.
     """
 
     def __init__(self, model: WeightedModel):
@@ -117,6 +124,49 @@ class CompiledModel:
         for v in range(self.n):
             total += self.completed(v, x)
         return total
+
+    def blocks(self, bits: int):
+        """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
+
+        b = min(n, bits).  Each factor table becomes an array with one axis
+        per variable v..0 (highest first): length 2 on its scope, 1 elsewhere,
+        so adding it broadcasts over the variables it does not read.  The
+        prefix table `low` over variables 0..b-1 grows one variable at a time
+        by adding group v; each block then fixes the high bits h, indexes the
+        axes of variables >= b with them, and adds groups b..n-1.  The
+        additions are those of `log_weight`, in its order, so every block
+        equals `log_weights_at` over its bitmasks bit for bit.
+        """
+        n, b = self.n, min(self.n, bits)
+        frames = [[_frame(scope, table, v) for scope, table in group]
+                  for v, group in enumerate(self.groups)]
+        low = np.float64(self.const)
+        for v in range(b):
+            total = np.zeros((2,) + (1,) * v)
+            for t in frames[v]:
+                total = total + t
+            low = low + total
+        if b == n:
+            yield low.reshape(-1)
+            return
+        for h in range(1 << (n - b)):
+            block = low
+            for v in range(b, n):
+                total = 0.0
+                for t in frames[v]:
+                    high = tuple(min(t.shape[j] - 1, (h >> (v - b - j)) & 1) for j in range(v - b + 1))
+                    total = total + t[high]
+                block = block + total
+            yield block.reshape(-1)
+
+
+def _frame(scope: tuple[int, ...], table: np.ndarray, v: int) -> np.ndarray:
+    """The table on axes for variables v..0: length 2 on the scope, 1 elsewhere."""
+    order = sorted(range(len(scope)), key=lambda i: -scope[i])
+    shape = [1] * (v + 1)
+    for u in scope:
+        shape[v - u] = 2
+    return table.reshape((2,) * len(scope)).transpose(order).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -171,29 +221,26 @@ def log_weights_at(model: WeightedModel, indices: np.ndarray) -> np.ndarray:
     return model.compiled.log_weight(np.asarray(indices, dtype=np.int64))
 
 
-def log_weight_table(model: WeightedModel) -> np.ndarray:
-    """All 2^n log-weights, indexed by assignment bitmask (n <= 24)."""
+def _enumerable(model: WeightedModel) -> CompiledModel:
     if model.n > ENUMERATION_LIMIT:
         raise TooLarge(f"n={model.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    size = 1 << model.n
-    table = np.empty(size, dtype=float)
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        table[start:stop] = log_weights_at(model, np.arange(start, stop, dtype=np.int64))
+    return model.compiled
+
+
+def log_weight_table(model: WeightedModel) -> np.ndarray:
+    """All 2^n log-weights, indexed by assignment bitmask (n <= 24)."""
+    compiled = _enumerable(model)
+    table = np.empty(1 << model.n, dtype=float)
+    start = 0
+    for block in compiled.blocks(BLOCK_BITS):
+        table[start : start + block.size] = block
+        start += block.size
     return table
 
 
 def exact_log_partition(model: WeightedModel) -> float:
-    """log sum_x w(x) by enumeration; block-wise with a fixed reduction order."""
-    if model.n > ENUMERATION_LIMIT:
-        raise TooLarge(f"n={model.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    size = 1 << model.n
-    partials = []
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        block = log_weights_at(model, np.arange(start, stop, dtype=np.int64))
-        partials.append(log_sum_exp(block))
-    return log_sum_exp(partials)
+    """log sum_x w(x) by enumeration: one log-sum-exp per block, then one over those."""
+    return log_sum_exp([log_sum_exp(block) for block in _enumerable(model).blocks(BLOCK_BITS)])
 
 
 def exact_quantiles(model: WeightedModel) -> QuantileCurve:

@@ -19,8 +19,9 @@ import numpy as np
 from . import gf2
 from .errors import TooLarge
 from .estimator import adawish_from_oracle, sandwich_bounds, wish_from_oracle
-from .logspace import LN2, NEG_INF
+from .logspace import LN2, NEG_INF, log_sum_exp
 from .model import (
+    BLOCK_BITS,
     ENUMERATION_LIMIT,
     Factor,
     WeightedModel,
@@ -40,7 +41,7 @@ from .oracle import (
 )
 from .seeds import rng_from
 
-_ENUM_BLOCK = 1 << 18
+_ENUM_BLOCK = 1 << BLOCK_BITS
 _MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 
 
@@ -112,6 +113,25 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
             best_val = float(w[k])
             best_idx = int(block[k])
     return MapResult(best_val, best_idx, exact=True, feasible=True, nodes=int(sols.size))
+
+
+def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckResult:
+    """`CompiledModel.blocks` and `exact_log_partition` match the per-point evaluator exactly.
+
+    For each width the concatenated blocks must equal `log_weights_at` over
+    every bitmask under `np.array_equal` (so -inf entries sit at the same
+    positions), and `exact_log_partition` must equal the log-sum-exp of that
+    reference's per-block log-sum-exps.
+    """
+    for model in models:
+        ref = log_weights_at(model, np.arange(1 << model.n))
+        for w in widths:
+            if not np.array_equal(np.concatenate(list(model.compiled.blocks(w))), ref):
+                return CheckResult("enumeration agreement", False, f"{model.name}: blocks at width {w}")
+        partials = [log_sum_exp(ref[s : s + _ENUM_BLOCK]) for s in range(0, ref.size, _ENUM_BLOCK)]
+        if exact_log_partition(model) != log_sum_exp(partials):
+            return CheckResult("enumeration agreement", False, f"{model.name}: exact_log_partition")
+    return CheckResult("enumeration agreement", True, f"{len(models)} models x widths {tuple(widths)}")
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
@@ -286,6 +306,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
         check_gf2_counts(),
+        check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_sandwich(models),
         check_schedules(models),
         check_regret(),

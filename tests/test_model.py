@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
-from adawish.logspace import LN2
+from adawish.logspace import LN2, NEG_INF
 from adawish.model import (
     Factor,
     QuantileCurve,
@@ -20,6 +21,7 @@ from adawish.model import (
     parse_uai,
     serialize_uai,
 )
+from adawish.verify import check_enumeration_agreement, model_zoo
 
 from conftest import mp_log_partition, random_factor_model, ref_log_weight
 
@@ -202,6 +204,41 @@ class TestExactReferences:
             exact_log_partition(big)
         with pytest.raises(TooLarge):
             exact_quantiles(big)
+
+    def test_blocks_match_pointwise_evaluator(self):
+        # widths 3 and 8 put most variables on the high-variable path, which
+        # the production 2^18 blocks reach only above n = 18
+        rng = np.random.default_rng(5)
+        zeros = np.array([0.5, NEG_INF, -1.0, NEG_INF])
+        edge_cases = [
+            WeightedModel(0, (), name="no variables"),
+            WeightedModel(3, (Factor((), [0.75]), Factor((), [-2.0])), name="empty scopes only"),
+            WeightedModel(
+                6,
+                (
+                    Factor((3, 1, 2), rng.normal(size=8)),
+                    Factor((), [0.25]),
+                    Factor((5, 0), zeros),
+                    Factor((4,), [NEG_INF, 0.0]),
+                    Factor((1, 4, 0), rng.normal(size=8)),
+                ),
+                name="unsorted scopes and zero weights",
+            ),
+        ]
+        result = check_enumeration_agreement(model_zoo(40, 14, 7) + edge_cases, (3, 8, 18))
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize(
+        "spec, log_w",
+        [
+            ("grid:4x4:w=1.0:seed=0", 35.88162832938161),
+            ("clique:n=16:w=0.1:seed=0", 7.973747855755184),
+            ("grid:4x5:w=1.0:seed=0", 44.354060207140584),
+            ("clique:n=20:w=0.1:seed=0", 9.265234153874985),
+        ],
+    )
+    def test_partition_pinned_on_benchmark_instances(self, spec, log_w):
+        assert exact_log_partition(parse_gen_spec(spec)) == log_w
 
     def test_table_matches_scalar_reference(self):
         rng = np.random.default_rng(3)
