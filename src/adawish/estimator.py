@@ -72,13 +72,23 @@ class EstimateResult:
 
 def _guarantee(oracle: QuantileOracle, beta: float | None) -> Guarantee:
     # Only the randomized neighbor oracle carries the probabilistic contract,
-    # and only when every solve finished to optimality.
+    # only when every solve finished to optimality, and only with the failure
+    # probability its T repetitions buy: delta_T = exp(-alpha T / ln n), the
+    # rate `OracleConfig.repetitions` inverts to pick T from delta.
     config = getattr(oracle, "config", None)
-    if oracle.kind != "neighbor" or config is None or oracle.ledger.guarantee_void:
+    n = oracle.n
+    if oracle.kind != "neighbor" or config is None or oracle.ledger.guarantee_void or n < 2:
+        return Guarantee(proven=False)
+    try:
+        alpha = config.resolved_alpha()
+    except StructuralError:  # no concentration rate known for this c
+        return Guarantee(proven=False)
+    delta = math.exp(-alpha * config.repetitions(n) / math.log(n))
+    if not delta < 1.0:
         return Guarantee(proven=False)
     factor = 2.0 ** (2 * config.c)
     kappa = factor * beta if beta is not None else factor
-    return Guarantee(proven=True, kappa=kappa, delta=config.delta)
+    return Guarantee(proven=True, kappa=kappa, delta=delta)
 
 
 def search(

@@ -14,20 +14,29 @@ groups not yet scored, and the table-index rule.  Every evaluator makes the
 same additions in the same order -- the constant, then groups 0..n-1, each
 group summed from 0.0 in factor order -- so they agree to the last bit:
 
-- `log_weight`, `log_weights_at` and branch-and-bound MAP gather each
-  factor's entry point by point;
+- `log_weight` and `log_weights_at` gather each factor's entry point by
+  point (`CompiledModel.completed`);
 - `CompiledModel.blocks`, behind the enumeration helpers
   (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
   builds the table of all 2^n log-weights by broadcasting: a prefix table
   over the low variables grows by one variable per group, and each block of
   2^18 entries fixes the high variables and adds their groups.
   `exact_log_partition` reduces block by block in a fixed order, so its
-  result is bit-reproducible.
+  result is bit-reproducible;
+- `CompiledModel.windows`, behind branch-and-bound MAP, holds one lookup
+  table per group v over the bit window lo_v..v that its factors read (lo_v
+  the lowest scope variable in the group).  It is built on the first solve
+  by the same broadcasting, and each entry equals `completed(v, x)` bit for
+  bit at every x in its window, so the search scores a node with one shift,
+  one mask and one index.  A group whose table would pass WINDOW_ENTRIES
+  (2^16) or the model's WINDOW_BUDGET (2^20 entries, 8 MB) scores through
+  `completed` in its place.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +47,8 @@ from .logspace import NEG_INF, log_sum_exp
 
 ENUMERATION_LIMIT = 24
 BLOCK_BITS = 18  # enumeration blocks hold 2^18 assignments
+WINDOW_ENTRIES = 1 << 16  # largest window table of one group
+WINDOW_BUDGET = 1 << 20  # window-table entries per model (8 MB)
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,9 @@ class CompiledModel:
     groups[v] holds the (scope, table) pairs of the factors whose highest
     variable is v: they are scored the moment v is assigned.  bound_tail[v]
     sums the per-factor maxima of groups v..n-1.  `completed` and
-    `log_weight` evaluate at given bitmasks; `blocks` yields the whole table.
+    `log_weight` evaluate at given bitmasks; `blocks` yields the whole table;
+    `windows` gives every group a lookup with
+    table[(x >> lo) & mask] == completed(v, x), built on first use.
     """
 
     def __init__(self, model: WeightedModel):
@@ -125,6 +138,33 @@ class CompiledModel:
             total += self.completed(v, x)
         return total
 
+    @cached_property
+    def windows(self) -> tuple[tuple[int, int, object], ...]:
+        """Per group v, (lo, mask, table) with table[(x >> lo) & mask] == completed(v, x).
+
+        lo is the lowest scope variable of the group (v for an empty group)
+        and the table an `array("d")` over the w = v - lo + 1 window bits, in
+        bitmask order.  It is the group's factors framed on the window's axes
+        and added from 0.0 in factor order, the additions of `completed`, so
+        every entry equals it bit for bit.  A group whose table would exceed
+        WINDOW_ENTRIES, or the WINDOW_BUDGET left by groups 0..v-1, gets
+        (0, -1, a view that calls `completed`) instead.
+        """
+        windows = []
+        budget = WINDOW_BUDGET
+        for v, group in enumerate(self.groups):
+            lo = min((min(scope) for scope, _ in group), default=v)
+            size = 1 << (v - lo + 1)
+            if size > min(WINDOW_ENTRIES, budget):
+                windows.append((0, -1, _Completed(self, v)))
+                continue
+            budget -= size
+            total = np.zeros((2,) * (v - lo + 1))
+            for scope, table in group:
+                total = total + _frame(scope, table, v, lo)
+            windows.append((lo, size - 1, array("d", total.tobytes())))
+        return tuple(windows)
+
     def blocks(self, bits: int):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
@@ -160,10 +200,20 @@ class CompiledModel:
             yield block.reshape(-1)
 
 
-def _frame(scope: tuple[int, ...], table: np.ndarray, v: int) -> np.ndarray:
-    """The table on axes for variables v..0: length 2 on the scope, 1 elsewhere."""
+class _Completed:
+    """`completed(v, ·)` behind the indexing of a window table."""
+
+    def __init__(self, compiled: CompiledModel, v: int):
+        self.compiled, self.v = compiled, v
+
+    def __getitem__(self, x: int) -> float:
+        return float(self.compiled.completed(self.v, x))
+
+
+def _frame(scope: tuple[int, ...], table: np.ndarray, v: int, lo: int = 0) -> np.ndarray:
+    """The table on axes for variables v..lo: length 2 on the scope, 1 elsewhere."""
     order = sorted(range(len(scope)), key=lambda i: -scope[i])
-    shape = [1] * (v + 1)
+    shape = [1] * (v - lo + 1)
     for u in scope:
         shape[v - u] = 2
     return table.reshape((2,) * len(scope)).transpose(order).reshape(shape)

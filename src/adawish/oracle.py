@@ -1,8 +1,10 @@
 """Constrained MAP solving and the quantile oracles built on it.
 
 `map_solve` maximises log w(x) subject to parity constraints A x = d (mod 2)
-by depth-first branch and bound over the variables in order 0..n-1, scoring
-factors through the model's `CompiledModel`.  The system is row-reduced with
+by depth-first branch and bound over the variables in order 0..n-1.  Setting
+variable v scores the factors whose highest variable is v with one lookup in
+the model's window table for v (`CompiledModel.windows`), which equals the
+per-point `completed(v, x)` bit for bit.  The system is row-reduced with
 each row pivoting on its highest variable, so every pivot is forced by the
 variables before it and only the n - rank free variables are branched on.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
@@ -18,7 +20,6 @@ audited afterwards.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -62,10 +63,8 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
     if m == 0:
         return gf2.Gf2System(n, (), ())
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    rows = tuple(
-        int.from_bytes(np.packbits(bits[r], bitorder="little").tobytes(), "little")
-        for r in range(m)
-    )
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     rhs = tuple(int(b) for b in rng.integers(0, 2, size=m, dtype=np.uint8))
     return gf2.Gf2System(n, rows, rhs)
 
@@ -78,7 +77,7 @@ def _solve_branch_and_bound(
 ) -> MapResult:
     n = model.n
     compiled = model.compiled
-    completed, bound_tail = compiled.completed, compiled.bound_tail
+    windows, bound_tail = compiled.windows, compiled.bound_tail
     # Each reduced row's pivot is its highest variable, so in depth-first
     # order over variables 0..n-1 the earlier ones force it; only the n - rank
     # free variables branch.
@@ -110,14 +109,16 @@ def _solve_branch_and_bound(
             continue
         if g + bound_tail[v] <= best:
             continue
+        # group v is scored from its window table: bits lo..v of the child
+        lo, window, table = windows[v]
         rule = forced[v]
         if rule is None:
             one = mask | (1 << v)
-            stack.append((v + 1, one, g + float(completed(v, one))))
-            stack.append((v + 1, mask, g + float(completed(v, mask))))
+            stack.append((v + 1, one, g + table[(one >> lo) & window]))
+            stack.append((v + 1, mask, g + table[(mask >> lo) & window]))
         else:
             child = mask | ((rule[1] ^ ((mask & rule[0]).bit_count() & 1)) << v)
-            stack.append((v + 1, child, g + float(completed(v, child))))
+            stack.append((v + 1, child, g + table[(child >> lo) & window]))
 
     return MapResult(
         best,
@@ -203,31 +204,23 @@ class QueryLedger:
     cache_hits: int = 0
     trace: list[tuple[int, int, float]] = field(default_factory=list)
     guarantee_void: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_solve(self, exact: bool) -> None:
-        with self._lock:
-            self.map_calls += 1
-            if not exact:
-                self.guarantee_void = True
+        self.map_calls += 1
+        if not exact:
+            self.guarantee_void = True
 
     def lookup(self, index: int) -> float | None:
-        with self._lock:
-            if index in self.memo:
-                self.cache_hits += 1
-                return self.memo[index]
+        if index in self.memo:
+            self.cache_hits += 1
+            return self.memo[index]
         return None
 
     def record(self, index: int, value: float, depth: int) -> float:
-        with self._lock:
-            if index in self.memo:
-                # a concurrent computation landed first; keep its value
-                self.cache_hits += 1
-                return self.memo[index]
-            self.memo[index] = value
-            self.distinct_queries += 1
-            self.trace.append((index, depth, value))
-            return value
+        self.memo[index] = value
+        self.distinct_queries += 1
+        self.trace.append((index, depth, value))
+        return value
 
     def queried_indices(self) -> set[int]:
         return set(self.memo)

@@ -12,6 +12,7 @@ against.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,39 @@ def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckRes
         if exact_log_partition(model) != log_sum_exp(partials):
             return CheckResult("enumeration agreement", False, f"{model.name}: exact_log_partition")
     return CheckResult("enumeration agreement", True, f"{len(models)} models x widths {tuple(widths)}")
+
+
+def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
+    """Every table of `CompiledModel.windows` equals `completed` over its window exactly.
+
+    A group's table must cover its scopes (lo at or below each scope
+    variable, mask + 1 entries) and entry k must equal completed(v, k << lo)
+    for every k <= mask under `np.array_equal`, with equal sign bits, so
+    -inf and signed-zero entries sit where `completed` puts them.  Groups past
+    the size caps score through `completed` itself and have no table.
+    """
+    tables = 0
+    for model in models:
+        compiled = model.compiled
+        for v, (lo, mask, table) in enumerate(compiled.windows):
+            if not isinstance(table, array):
+                continue
+            keys = np.arange(mask + 1, dtype=np.int64)
+            if v < 63:
+                ref = compiled.completed(v, keys << lo)
+            else:  # the masks outgrow int64; completed takes Python ints too
+                ref = [compiled.completed(v, int(k) << lo) for k in keys]
+            ref = np.broadcast_to(np.asarray(ref, dtype=float), keys.shape)
+            got = np.array(table)
+            covered = all(lo <= min(scope) for scope, _ in compiled.groups[v])
+            if not (
+                covered
+                and np.array_equal(got, ref)
+                and np.array_equal(np.signbit(got), np.signbit(ref))
+            ):
+                return CheckResult("window agreement", False, f"{model.name}: group {v}")
+            tables += 1
+    return CheckResult("window agreement", True, f"{tables} window tables over {len(models)} models")
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
@@ -307,6 +341,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     checks = [
         check_gf2_counts(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
+        check_window_agreement(models),
         check_sandwich(models),
         check_schedules(models),
         check_regret(),

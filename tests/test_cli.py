@@ -49,6 +49,17 @@ class TestEstimate:
         assert int(report["T"]) == expected_t
         assert report["guarantee"].startswith("proven")
 
+    def test_guarantee_reports_the_delta_T_buys(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
+            "--c", "2", "--alpha", "0.1", "--T", "1",
+        )
+        assert code == 0
+        report = parse_report(out)
+        assert report["T"] == "1"
+        delta = math.exp(-0.1 * 1 / math.log(9))
+        assert report["guarantee"] == f"proven(kappa=32,delta={delta:g})"
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--model", "/nonexistent/path.uai")
         assert code == 1

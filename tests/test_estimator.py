@@ -86,12 +86,13 @@ class TestFullSweep:
         c, hits, seeds = 2, 0, 20
         slack = math.log(2.0)
         for s in range(seeds):
-            config = OracleConfig(kind="neighbor", c=c, T=30, master_seed=s)
+            config = OracleConfig(kind="neighbor", c=c, T=30, alpha=0.1, master_seed=s)
             result = wish_estimate(model, config, MapSolver())
             if abs(result.log_w - log_w) <= 2 * c * LN2 + slack:
                 hits += 1
             assert result.guarantee.proven
             assert result.guarantee.kappa == pytest.approx(2.0 ** (2 * c))
+            assert result.guarantee.delta == math.exp(-0.1 * 30 / math.log(10))
         assert hits >= 0.9 * seeds
 
 
@@ -215,11 +216,28 @@ class TestGuarantee:
 
     def test_neighbor_guarantee_carries_kappa(self):
         model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
-        config = OracleConfig(kind="neighbor", c=2, T=5, delta=0.05, master_seed=3)
+        config = OracleConfig(kind="neighbor", c=2, T=5, delta=0.05, alpha=0.5, master_seed=3)
         result = adawish_estimate(model, config, beta=2.0)
         assert result.guarantee.proven
         assert result.guarantee.kappa == pytest.approx(2.0 ** 4 * 2.0)
-        assert result.guarantee.delta == 0.05
+        assert result.guarantee.delta == math.exp(-0.5 * 5 / math.log(6))
+
+    @pytest.mark.parametrize(
+        "n, c, T, alpha, delta",
+        [
+            (9, 2, 1, 0.1, math.exp(-0.1 / math.log(9))),  # T = 1 buys far less than delta = 0.01
+            # the default T = ceil(ln(1/0.01) / 0.078 * ln 9) buys delta_T just under 0.01
+            (9, 5, None, None, math.exp(-0.078 * math.ceil(math.log(100) / 0.078 * math.log(9)) / math.log(9))),
+            (9, 2, 5, None, None),  # no concentration rate known for c = 2
+            (9, 2, 5, 0.0, None),  # delta_T = 1 proves nothing
+            (1, 2, 5, 0.1, None),  # ln n = 0 at n = 1
+        ],
+    )
+    def test_delta_is_what_T_buys(self, n, c, T, alpha, delta):
+        config = OracleConfig(kind="neighbor", c=c, T=T, alpha=alpha)
+        result = wish_estimate(WeightedModel(n, ()), config)
+        assert result.guarantee.proven == (delta is not None)
+        assert result.guarantee.delta == delta
 
     def test_incumbent_only_voids_guarantee(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=1)

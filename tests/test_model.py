@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from adawish.logspace import LN2, NEG_INF
 from adawish.model import (
+    WINDOW_BUDGET,
+    WINDOW_ENTRIES,
     Factor,
     QuantileCurve,
     WeightedModel,
@@ -21,7 +24,7 @@ from adawish.model import (
     parse_uai,
     serialize_uai,
 )
-from adawish.verify import check_enumeration_agreement, model_zoo
+from adawish.verify import check_enumeration_agreement, check_window_agreement, model_zoo
 
 from conftest import mp_log_partition, random_factor_model, ref_log_weight
 
@@ -247,6 +250,58 @@ class TestExactReferences:
         for x in (0, 1, 17, 63):
             bits = [(x >> v) & 1 for v in range(6)]
             assert table[x] == pytest.approx(ref_log_weight(model, bits), abs=1e-12)
+
+
+def wide_group_model() -> WeightedModel:
+    """Group 19 spans a 20-bit window, past the per-group cap; group 3 spans 2 bits."""
+    rng = np.random.default_rng(9)
+    factors = (Factor((19, 0), rng.normal(size=4)), Factor((3, 2), rng.normal(size=4)))
+    return WeightedModel(20, factors, name="a group wider than the per-group cap")
+
+
+class TestWindows:
+    def test_tables_match_completed(self):
+        rng = np.random.default_rng(8)
+        signed = np.array([0.5, NEG_INF, -0.0, NEG_INF])
+        edge_cases = [
+            WeightedModel(0, (), name="no variables"),
+            WeightedModel(
+                7,
+                (
+                    Factor((3, 1, 2), rng.normal(size=8)),
+                    Factor((), [0.25]),
+                    Factor((5, 0), signed),
+                    Factor((4,), [NEG_INF, -0.0]),
+                    Factor((1, 4, 0), rng.normal(size=8)),
+                    Factor((6, 2), signed[::-1]),
+                ),
+                name="unsorted scopes, -inf and -0.0 entries",
+            ),
+            wide_group_model(),
+            WeightedModel(
+                100,
+                tuple(Factor((v + 1, v - 1, v), rng.normal(size=8)) for v in range(1, 99, 3))
+                + (Factor((99,), [NEG_INF, 1.0]),),
+                name="n > 64",
+            ),
+        ]
+        result = check_window_agreement(model_zoo(40, 14, 7) + edge_cases)
+        assert result.passed, result.detail
+
+    def test_wide_group_scores_through_completed(self):
+        compiled = wide_group_model().compiled
+        lo, mask, table = compiled.windows[19]
+        assert (lo, mask) == (0, -1) and not isinstance(table, array)
+        for x in (0, 1, 1 << 19, (1 << 20) - 1):
+            assert table[(x >> lo) & mask] == float(compiled.completed(19, x))
+        assert isinstance(compiled.windows[3][2], array)
+
+    def test_large_grid_stays_within_budget(self):
+        windows = gen_grid_ising(15, 15, coupling_w=1.0, seed=0).compiled.windows
+        sizes = [len(table) for _, _, table in windows if isinstance(table, array)]
+        assert 0 < len(sizes) < len(windows)
+        assert max(sizes) <= WINDOW_ENTRIES
+        assert sum(sizes) <= WINDOW_BUDGET
 
 
 class TestQuantileCurve:

@@ -29,6 +29,7 @@ from adawish.oracle import (
     sample_parity_system,
 )
 from adawish.optbench import gen_geometric_curve
+from adawish.seeds import rng_from
 from adawish.verify import reference_map
 
 from conftest import random_factor_model, ref_log_weight
@@ -172,6 +173,24 @@ class TestMapSolve:
                 assert r.assignment in sols and log_weight(model, r.assignment) == r.log_value
 
 
+class TestParitySampling:
+    @pytest.mark.parametrize("n", [1, 7, 12, 16, 25, 64, 65, 100])
+    def test_rows_match_per_row_packing(self, n):
+        # the reference packs each row on its own, the way systems were first drawn
+        for seed in range(3):
+            for i in range(1, n + 1):
+                for t in range(2):
+                    system = sample_parity_system(n, i, rng_from(seed, i, t))
+                    rng = rng_from(seed, i, t)
+                    bits = rng.integers(0, 2, size=(i, n), dtype=np.uint8)
+                    rows = tuple(
+                        int.from_bytes(np.packbits(bits[r], bitorder="little").tobytes(), "little")
+                        for r in range(i)
+                    )
+                    rhs = tuple(int(b) for b in rng.integers(0, 2, size=i, dtype=np.uint8))
+                    assert (system.cols, system.rows, system.rhs) == (n, rows, rhs)
+
+
 class TestXorQuery:
     def test_index_zero_is_unconstrained_map(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
@@ -224,6 +243,13 @@ class TestXorQuery:
                 if curve[min(i + c, n)] - 1e-12 <= m <= curve[max(i - c, 0)] + 1e-12:
                     hits[i] += 1
         assert np.all(hits / seeds >= 0.8)
+
+    def test_window_tables_built_on_first_solve(self):
+        model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3))
+        assert "windows" not in vars(model.compiled)
+        oracle.query(4)
+        assert "windows" in vars(model.compiled)
 
     def test_repetition_default_formula(self):
         config = OracleConfig(kind="neighbor", c=5, delta=0.01, alpha=0.078)
