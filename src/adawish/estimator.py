@@ -144,7 +144,7 @@ def wish_from_oracle(oracle: QuantileOracle) -> EstimateResult:
 
 def adawish_from_oracle(oracle: QuantileOracle, beta: float) -> EstimateResult:
     """Run the adaptive schedule; beta > 1 trades accuracy for fewer queries."""
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise StructuralError("beta must be > 1")
     n = oracle.n
     q = np.full(n + 1, np.nan)

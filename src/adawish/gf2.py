@@ -3,7 +3,9 @@
 Rows are stored as Python ints (bit v = variable v), so row elimination is a
 single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
-"unconstrained".
+"unconstrained".  `row_reduce` inserts each row into a basis keyed by its
+highest set bit and finishes with one back-substitution pass, which yields
+the unique reduced echelon form whose pivots are the rows' highest bits.
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ def _check_rows(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> None:
         raise StructuralError("negative column count")
     if len(rows) != len(rhs):
         raise StructuralError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    for r, row in enumerate(rows):
-        if row < 0 or row >> cols:
-            raise StructuralError(f"row {r} has bits outside {cols} columns")
-    for r, b in enumerate(rhs):
-        if b not in (0, 1):
-            raise StructuralError(f"rhs {r} is {b!r}, expected 0 or 1")
+    # one pass over each sequence; walk them only to name the offender
+    if rows and (min(rows) < 0 or max(rows) >> cols):
+        for r, row in enumerate(rows):
+            if row < 0 or row >> cols:
+                raise StructuralError(f"row {r} has bits outside {cols} columns")
+    if not set(rhs) <= {0, 1}:
+        for r, b in enumerate(rhs):
+            if b not in (0, 1):
+                raise StructuralError(f"rhs {r} is {b!r}, expected 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class ReducedSystem:
     Only nonzero rows are kept, ordered by pivot column.  Each row's pivot is
     its highest set bit and is set in no other row, so once the variables
     below a pivot are assigned, that row forces the pivot.  `consistent` is
-    False iff elimination produced a 0 = 1 row.
+    False iff elimination produced a 0 = 1 row; rhs is then unspecified.
     """
 
     cols: int
@@ -106,36 +111,54 @@ class ReducedSystem:
 
 
 def row_reduce(system) -> ReducedSystem:
-    """Gauss-Jordan elimination over GF(2), columns taken from the highest down.
+    """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
 
-    Accepts any (cols, rows, rhs) carrier.
+    Accepts any (cols, rows, rhs) carrier.  Each row is inserted into a basis
+    keyed by highest set bit: while its highest bit is already a pivot it is
+    XORed with that basis row, and it becomes a new basis row at the first
+    free highest bit.  A row that reaches 0 with rhs 1 makes the system
+    inconsistent.  One back-substitution pass in ascending pivot order then
+    clears every lower pivot from each row.  The reduced echelon form with
+    highest-bit pivots is unique, so rows, pivots and `consistent` are those
+    of Gauss-Jordan elimination from the highest column down, and so is rhs
+    on a consistent system.  On an inconsistent one rhs is unspecified:
+    callers report infeasibility without reading it.
     """
-    cols, rows, rhs = system.cols, list(system.rows), list(system.rhs)
+    cols, rows, rhs = system.cols, system.rows, system.rhs
     _check_rows(cols, rows, rhs)
-    work = [(rows[i], rhs[i]) for i in range(len(rows))]
-    reduced: list[tuple[int, int, int]] = []  # (row, rhs, pivot)
+    basis: dict[int, tuple[int, int]] = {}  # pivot -> (row, rhs)
     consistent = True
-    for col in reversed(range(cols)):
-        pivot_idx = None
-        for i, (row, _) in enumerate(work):
-            if (row >> col) & 1:
-                pivot_idx = i
+    for row, b in zip(rows, rhs):
+        while row:
+            top = row.bit_length() - 1
+            hit = basis.get(top)
+            if hit is None:
+                basis[top] = (row, b)
                 break
-        if pivot_idx is None:
-            continue
-        prow, pb = work.pop(pivot_idx)
-        work = [(r ^ prow, b ^ pb) if (r >> col) & 1 else (r, b) for r, b in work]
-        reduced = [(r ^ prow, b ^ pb, p) if (r >> col) & 1 else (r, b, p) for r, b, p in reduced]
-        reduced.append((prow, pb, col))
-    for row, b in work:
-        if row == 0 and b == 1:
-            consistent = False
-    reduced.sort(key=lambda t: t[2])
+            row ^= hit[0]
+            b ^= hit[1]
+        else:  # the row reduced to 0 = b
+            if b:
+                consistent = False
+    pivots = sorted(basis)
+    pivot_bits = sum(1 << p for p in pivots)
+    for p in pivots:
+        row, b = basis[p]
+        # the rows of lower pivots are final and each holds one pivot, so
+        # XORing one in clears that pivot and sets no other
+        lower = (row & pivot_bits) ^ (1 << p)
+        while lower:
+            q = lower.bit_length() - 1
+            qrow, qb = basis[q]
+            row ^= qrow
+            b ^= qb
+            lower ^= 1 << q
+        basis[p] = (row, b)
     return ReducedSystem(
         cols=cols,
-        rows=tuple(r for r, _, _ in reduced),
-        rhs=tuple(b for _, b, _ in reduced),
-        pivots=tuple(p for _, _, p in reduced),
+        rows=tuple(basis[p][0] for p in pivots),
+        rhs=tuple(basis[p][1] for p in pivots),
+        pivots=tuple(pivots),
         consistent=consistent,
     )
 

@@ -161,7 +161,7 @@ class CompiledModel:
             budget -= size
             total = np.zeros((2,) * (v - lo + 1))
             for scope, table in group:
-                total = total + _frame(scope, table, v, lo)
+                np.add(total, _frame(scope, table, v, lo), out=total)
             windows.append((lo, size - 1, array("d", total.tobytes())))
         return tuple(windows)
 

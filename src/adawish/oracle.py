@@ -42,11 +42,18 @@ class MapSolver:
 
     The search is exact whenever it finishes within the limits; otherwise the
     incumbent is returned and the result is flagged inexact (a lower bound on
-    the true maximum).  time_limit is in seconds per solve.
+    the true maximum).  time_limit is in seconds per solve.  A limit, when
+    given, must be positive: node_limit >= 1, time_limit > 0.
     """
 
     node_limit: int | None = None
     time_limit: float | None = None
+
+    def __post_init__(self):
+        if self.node_limit is not None and self.node_limit < 1:
+            raise StructuralError("node_limit must be >= 1")
+        if self.time_limit is not None and not self.time_limit > 0.0:
+            raise StructuralError("time_limit must be > 0")
 
 
 @dataclass(frozen=True)
@@ -59,14 +66,28 @@ class MapResult:
 
 
 def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2System:
-    """Uniform m x n 0/1 constraint matrix and uniform right-hand side."""
+    """Uniform m x n 0/1 constraint matrix and uniform right-hand side.
+
+    The matrix and the right-hand side come from one bounded-uint8 draw of
+    pad + m bytes, pad = m*n rounded up to a multiple of 4: rows from the
+    first m*n bytes, rhs from the last m.  numpy fills such a draw four bytes
+    to each fresh 32-bit word and drops the unused bytes of the last word, so
+    drawing the matrix and then the rhs in two calls consumes the same words
+    and yields the same bits; the padding is exactly the bytes the first of
+    those calls would drop.  Systems and the generator's state afterwards are
+    therefore those of the two-call draw.
+    """
     if m == 0:
         return gf2.Gf2System(n, (), ())
-    bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    rhs = tuple(int(b) for b in rng.integers(0, 2, size=m, dtype=np.uint8))
-    return gf2.Gf2System(n, rows, rhs)
+    pad = -(-m * n // 4) * 4
+    draw = rng.integers(0, 2, size=pad + m, dtype=np.uint8)
+    packed = np.packbits(draw[: m * n].reshape(m, n), axis=1, bitorder="little")
+    # row r sits at bits r*stride.. of one little-endian int over the matrix
+    stride = 8 * packed.shape[1]
+    whole = int.from_bytes(packed.tobytes(), "little")
+    mask = (1 << stride) - 1
+    rows = tuple((whole >> (r * stride)) & mask for r in range(m))
+    return gf2.Gf2System(n, rows, tuple(draw[pad:].tolist()))
 
 
 def _solve_branch_and_bound(
@@ -166,7 +187,9 @@ class OracleConfig:
             raise StructuralError(f"unknown oracle kind {self.kind!r}")
         if not 0.0 < self.delta < 1.0:
             raise StructuralError("delta must be in (0, 1)")
-        if self.gamma < 1.0:
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise StructuralError("alpha must be finite and > 0")
+        if not self.gamma >= 1.0:
             raise StructuralError("gamma must be >= 1")
         if self.kind == "neighbor" and self.c < 2:
             raise StructuralError("neighbor oracle needs c >= 2")
@@ -283,7 +306,7 @@ class PointwiseCurveOracle(QuantileOracle):
         master_seed: int = 0,
         ledger: QueryLedger | None = None,
     ):
-        if gamma < 1.0:
+        if not gamma >= 1.0:
             raise StructuralError("gamma must be >= 1")
         super().__init__(curve.n, ledger)
         self.curve = curve

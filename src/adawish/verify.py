@@ -169,13 +169,27 @@ def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
-    """Rank-based solution counts match brute-force enumeration."""
+    """Rank-based solution counts match brute-force enumeration.
+
+    Each reduced system must also be in the form the solver relies on:
+    pivots ascend, each is its row's highest set bit, and no other row has
+    it set.
+    """
     rng = np.random.default_rng(seed)
     for t in range(trials):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(0, n + 2))
         system = sample_parity_system(n, m, rng)
         reduced = gf2.row_reduce(system)
+        pivot_bits = sum(1 << p for p in reduced.pivots)
+        if not (
+            list(reduced.pivots) == sorted(set(reduced.pivots))
+            and all(
+                row.bit_length() - 1 == p and row & pivot_bits == 1 << p
+                for row, p in zip(reduced.rows, reduced.pivots)
+            )
+        ):
+            return CheckResult("gf2 solution counts", False, f"trial {t}: not in reduced echelon form")
         brute = sum(1 for x in range(1 << n) if gf2.satisfies(system, x))
         if brute != reduced.solution_count:
             return CheckResult("gf2 solution counts", False, f"trial {t}: {brute} != {reduced.solution_count}")

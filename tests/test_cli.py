@@ -65,6 +65,31 @@ class TestEstimate:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--alpha", "0"), "alpha must be finite and > 0"),
+            (("--alpha", "-1"), "alpha must be finite and > 0"),
+            (("--alpha", "nan"), "alpha must be finite and > 0"),
+            (("--alpha", "inf", "--T", "3"), "alpha must be finite and > 0"),
+            (("--oracle", "pointwise", "--gamma", "nan"), "gamma must be >= 1"),
+            (("--T", "3", "--beta", "nan"), "beta must be > 1"),
+            (("--T", "3", "--node-limit", "0"), "node_limit must be >= 1"),
+            (("--T", "3", "--map-timeout", "0"), "time_limit must be > 0"),
+            (("--T", "3", "--map-timeout", "nan"), "time_limit must be > 0"),
+        ],
+        ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "gamma-nan", "beta-nan",
+             "node-limit-0", "map-timeout-0", "map-timeout-nan"],
+    )
+    def test_invalid_parameter_exits_one(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
+            "--c", "2", *flags,
+        )
+        assert code == 1
+        assert err.strip() == f"error: {message}"
+        assert out == ""
+
     def test_guarantee_void_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=1",

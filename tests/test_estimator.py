@@ -229,7 +229,7 @@ class TestGuarantee:
             # the default T = ceil(ln(1/0.01) / 0.078 * ln 9) buys delta_T just under 0.01
             (9, 5, None, None, math.exp(-0.078 * math.ceil(math.log(100) / 0.078 * math.log(9)) / math.log(9))),
             (9, 2, 5, None, None),  # no concentration rate known for c = 2
-            (9, 2, 5, 0.0, None),  # delta_T = 1 proves nothing
+            (9, 2, 5, 1e-300, None),  # delta_T rounds to 1 and proves nothing
             (1, 2, 5, 0.1, None),  # ln n = 0 at n = 1
         ],
     )

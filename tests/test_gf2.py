@@ -17,7 +17,66 @@ def random_system(rng, n, m):
     return gf2.Gf2System(n, rows, rhs)
 
 
+def gauss_jordan(system):
+    """Plain Gauss-Jordan elimination, columns taken from the highest down.
+
+    Returns (rows, rhs, pivots, consistent) with rows ordered by pivot: the
+    reference `row_reduce` must reproduce.
+    """
+    work = list(zip(system.rows, system.rhs))
+    reduced = []  # (row, rhs, pivot)
+    for col in reversed(range(system.cols)):
+        pick = next((i for i, (row, _) in enumerate(work) if (row >> col) & 1), None)
+        if pick is None:
+            continue
+        prow, pb = work.pop(pick)
+        work = [(r ^ prow, b ^ pb) if (r >> col) & 1 else (r, b) for r, b in work]
+        reduced = [(r ^ prow, b ^ pb, p) if (r >> col) & 1 else (r, b, p) for r, b, p in reduced]
+        reduced.append((prow, pb, col))
+    reduced.sort(key=lambda t: t[2])
+    consistent = not any(row == 0 and b == 1 for row, b in work)
+    return (
+        tuple(r for r, _, _ in reduced),
+        tuple(b for _, b, _ in reduced),
+        tuple(p for _, _, p in reduced),
+        consistent,
+    )
+
+
+@st.composite
+def parity_systems(draw):
+    """Systems of up to 130 columns and n + 3 rows, some rows sparse or repeated.
+
+    Half the systems take rhs = A x for a planted x, so both consistent and
+    inconsistent ones are common.
+    """
+    n = draw(st.integers(0, 130))
+    m = draw(st.integers(0, n + 3))
+    rnd = draw(st.randoms(use_true_random=False))
+    full = (1 << n) - 1
+    planted = rnd.getrandbits(n) if draw(st.booleans()) else None
+    rows, rhs = [], []
+    for _ in range(m):
+        if rows and rnd.random() < 0.3:
+            row = rnd.choice(rows)
+        else:  # dense, or with a random set of bits zeroed
+            row = rnd.getrandbits(n) & (full if rnd.random() < 0.5 else rnd.getrandbits(n))
+        rows.append(row)
+        rhs.append(rnd.getrandbits(1) if planted is None else (row & planted).bit_count() & 1)
+    return gf2.Gf2System(n, tuple(rows), tuple(rhs))
+
+
 class TestRowReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(parity_systems())
+    def test_matches_gauss_jordan(self, system):
+        rows, rhs, pivots, consistent = gauss_jordan(system)
+        reduced = gf2.row_reduce(system)
+        assert (reduced.rows, reduced.pivots, reduced.consistent) == (rows, pivots, consistent)
+        if consistent:  # the rhs of an inconsistent system is unspecified
+            assert reduced.rhs == rhs
+
+
     def test_empty_system_is_unconstrained(self):
         reduced = gf2.row_reduce(gf2.Gf2System(4, (), ()))
         assert reduced.rank == 0

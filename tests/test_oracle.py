@@ -174,21 +174,27 @@ class TestMapSolve:
 
 
 class TestParitySampling:
-    @pytest.mark.parametrize("n", [1, 7, 12, 16, 25, 64, 65, 100])
+    @pytest.mark.parametrize("n", [0, 1, 7, 12, 13, 16, 25, 64, 65, 100])
     def test_rows_match_per_row_packing(self, n):
-        # the reference packs each row on its own, the way systems were first drawn
+        # the reference draws the matrix and the rhs in two calls and packs
+        # each row on its own, the way systems were first drawn; equal
+        # generator states afterwards pin numpy's four-bytes-a-word buffering
         for seed in range(3):
-            for i in range(1, n + 1):
-                for t in range(2):
-                    system = sample_parity_system(n, i, rng_from(seed, i, t))
-                    rng = rng_from(seed, i, t)
-                    bits = rng.integers(0, 2, size=(i, n), dtype=np.uint8)
+            for m in range(n + 3):
+                rng = rng_from(seed, n, m)
+                system = sample_parity_system(n, m, rng)
+                ref = rng_from(seed, n, m)
+                if m == 0:
+                    rows, rhs = (), ()
+                else:
+                    bits = ref.integers(0, 2, size=(m, n), dtype=np.uint8)
                     rows = tuple(
                         int.from_bytes(np.packbits(bits[r], bitorder="little").tobytes(), "little")
-                        for r in range(i)
+                        for r in range(m)
                     )
-                    rhs = tuple(int(b) for b in rng.integers(0, 2, size=i, dtype=np.uint8))
-                    assert (system.cols, system.rows, system.rhs) == (n, rows, rhs)
+                    rhs = tuple(int(b) for b in ref.integers(0, 2, size=m, dtype=np.uint8))
+                assert (system.cols, system.rows, system.rhs) == (n, rows, rhs)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestXorQuery:
@@ -315,6 +321,20 @@ class TestOracleDispatch:
             OracleConfig(delta=0.0)
         with pytest.raises(StructuralError):
             OracleConfig(T=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(StructuralError):
+            OracleConfig(alpha=alpha)
+
+    def test_solver_limits_and_nan_gamma_rejected(self):
+        with pytest.raises(StructuralError):
+            OracleConfig(gamma=math.nan)
+        with pytest.raises(StructuralError):
+            PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=math.nan)
+        for limits in ({"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": math.nan}):
+            with pytest.raises(StructuralError):
+                MapSolver(**limits)
 
 
 class TestNeighborStub:
