@@ -270,6 +270,8 @@ def _expand_suite(spec: str):
         if part.startswith("seeds="):
             lo, _, hi = part[len("seeds="):].partition("..")
             seed_range = range(int(lo), int(hi) + 1)
+            if not seed_range:
+                raise StructuralError(f"empty seed range seeds={lo}..{hi}")
         else:
             rest.append(part)
     if seed_range is None:
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p_est)
     add_oracle_args(p_est)
     p_est.add_argument("--schedule", choices=("wish", "adawish"), default="adawish")
-    p_est.add_argument("--csv", help="also append the report to this CSV file")
+    p_est.add_argument("--csv", help="also write the report to this CSV file, replacing it")
     p_est.add_argument("--exact", action="store_true", help="force exact ground truth (n <= 24)")
     p_est.add_argument("--no-auto-exact", dest="auto_exact", action="store_false",
                        help="skip automatic ground truth even when enumerable")

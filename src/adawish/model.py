@@ -18,11 +18,17 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   point (`CompiledModel.completed`);
 - `CompiledModel.blocks`, behind the enumeration helpers
   (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
-  builds the table of all 2^n log-weights by broadcasting: a prefix table
-  over the low variables grows by one variable per group, and each block of
-  2^18 entries fixes the high variables and adds their groups.
+  builds the table of all 2^n log-weights by broadcasting, in place: a
+  prefix table over the low variables doubles by one variable per group in
+  one preallocated buffer, and each block of 2^18 entries fixes the high
+  variables and adds their groups straight into its destination, a slice
+  of the caller's table (`log_weight_table`) or one reused buffer, so a
+  yielded block is valid only until the next one is drawn.  Group sums
+  alternate between the two rows of one scratch array; nothing is
+  allocated per step.
   `exact_log_partition` reduces block by block in a fixed order, so its
-  result is bit-reproducible;
+  result is bit-reproducible, and `exact_quantiles` sorts the table in
+  place;
 - `CompiledModel.windows`, behind branch-and-bound MAP, holds one lookup
   table per group v over the bit window lo_v..v that its factors read (lo_v
   the lowest scope variable in the group).  It is built on the first solve
@@ -165,39 +171,69 @@ class CompiledModel:
             windows.append((lo, size - 1, array("d", total.tobytes())))
         return tuple(windows)
 
-    def blocks(self, bits: int):
+    def blocks(self, bits: int, out: np.ndarray | None = None):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
         b = min(n, bits).  Each factor table becomes an array with one axis
         per variable v..0 (highest first): length 2 on its scope, 1 elsewhere,
         so adding it broadcasts over the variables it does not read.  The
-        prefix table `low` over variables 0..b-1 grows one variable at a time
-        by adding group v; each block then fixes the high bits h, indexes the
-        axes of variables >= b with them, and adds groups b..n-1.  The
-        additions are those of `log_weight`, in its order, so every block
-        equals `log_weights_at` over its bitmasks bit for bit.
+        prefix table over variables 0..b-1 lives in one 2^b buffer and doubles
+        by one variable per group v: the x_v = 1 half is written first as the
+        old half plus group v's sum at x_v = 1, then the sum at x_v = 0 is
+        added into the old half in place.  Each block then fixes the high bits
+        h, indexes the axes of variables >= b with them, and adds groups
+        b..n-1 into its destination.  Group sums run from 0.0 in factor order
+        through the two rows of one scratch array in turn.  The additions are
+        those of `log_weight`, in its order, so every block equals
+        `log_weights_at` over its bitmasks bit for bit.
+
+        With `out` (length 2^n) every block is written into its slice of
+        `out` and the slice is yielded.  Without it the blocks share one
+        buffer: a yielded block is valid only until the next iteration.
         """
         n, b = self.n, min(self.n, bits)
         frames = [[_frame(scope, table, v) for scope, table in group]
                   for v, group in enumerate(self.groups)]
-        low = np.float64(self.const)
+        scratch = np.empty((2, 1 << b))  # two rows, so they never overlap
+        low = out if out is not None and b == n else np.empty(1 << b)
+        low[0] = self.const
         for v in range(b):
-            total = np.zeros((2,) + (1,) * v)
-            for t in frames[v]:
-                total = total + t
-            low = low + total
+            total = _group_sum(frames[v], (2,) + (1,) * v, scratch)
+            old = low[: 1 << v].reshape((2,) * v)
+            np.add(old, total[1], out=low[1 << v : 2 << v].reshape((2,) * v))
+            np.add(old, total[0], out=old)
         if b == n:
-            yield low.reshape(-1)
+            yield low
             return
+        axes = (2,) * b
+        reused = np.empty(1 << b) if out is None else None
         for h in range(1 << (n - b)):
-            block = low
+            dst = reused if out is None else out[h << b : (h + 1) << b]
+            src = low
             for v in range(b, n):
-                total = 0.0
-                for t in frames[v]:
-                    high = tuple(min(t.shape[j] - 1, (h >> (v - b - j)) & 1) for j in range(v - b + 1))
-                    total = total + t[high]
-                block = block + total
-            yield block.reshape(-1)
+                terms = []
+                for t in frames[v]:  # a length-1 axis masks its bit of h to index 0
+                    high = tuple((h >> (v - b - j)) & (t.shape[j] - 1) for j in range(v - b + 1))
+                    terms.append(t[high])
+                np.add(src.reshape(axes), _group_sum(terms, (1,) * b, scratch), out=dst.reshape(axes))
+                src = dst
+            yield dst
+
+
+def _group_sum(terms, shape: tuple[int, ...], scratch) -> np.ndarray:
+    """0.0 plus each term in order, written into the two scratch rows in turn.
+
+    All shapes have one axis per variable, of length 1 or 2.  The running
+    sum starts as zeros of `shape` in scratch[0] and broadcasts to the union
+    of the shapes so far; step k writes scratch[k % 2], so each step reads
+    one row and writes the other.
+    """
+    total = scratch[0][: math.prod(shape)].reshape(shape)
+    total.fill(0.0)
+    for k, t in enumerate(terms, start=1):
+        shape = tuple(map(max, shape, t.shape))
+        total = np.add(total, t, out=scratch[k & 1][: math.prod(shape)].reshape(shape))
+    return total
 
 
 class _Completed:
@@ -279,12 +315,9 @@ def _enumerable(model: WeightedModel) -> CompiledModel:
 
 def log_weight_table(model: WeightedModel) -> np.ndarray:
     """All 2^n log-weights, indexed by assignment bitmask (n <= 24)."""
-    compiled = _enumerable(model)
-    table = np.empty(1 << model.n, dtype=float)
-    start = 0
-    for block in compiled.blocks(BLOCK_BITS):
-        table[start : start + block.size] = block
-        start += block.size
+    table = np.empty(1 << model.n)
+    for _ in _enumerable(model).blocks(BLOCK_BITS, out=table):
+        pass
     return table
 
 
@@ -296,9 +329,8 @@ def exact_log_partition(model: WeightedModel) -> float:
 def exact_quantiles(model: WeightedModel) -> QuantileCurve:
     """The 2^i-th largest log-weight for i = 0..n (n <= 24)."""
     table = log_weight_table(model)
-    table[::-1].sort()  # descending
-    ranks = (1 << np.arange(model.n + 1)) - 1
-    return QuantileCurve(model.n, table[ranks].copy())
+    table.sort()  # ascending: the 2^i-th largest sits at 2^n - 2^i
+    return QuantileCurve(model.n, table[(1 << model.n) - (1 << np.arange(model.n + 1))])
 
 
 # ---------------------------------------------------------------------------

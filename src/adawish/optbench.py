@@ -149,7 +149,7 @@ def compute_opt(curve: QuantileCurve, kappa: float, method: str = "greedy") -> O
     The exhaustive search (n <= 20) certifies the true global minimum and can
     only be smaller than the sweep.
     """
-    if kappa <= 1.0:
+    if not kappa > 1.0:  # NaN fails every comparison
         raise StructuralError("kappa must be > 1")
     if method == "greedy":
         b = _repair(curve, _greedy_opt(curve, kappa), kappa)

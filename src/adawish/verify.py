@@ -119,16 +119,23 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
 def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckResult:
     """`CompiledModel.blocks` and `exact_log_partition` match the per-point evaluator exactly.
 
-    For each width the concatenated blocks must equal `log_weights_at` over
-    every bitmask under `np.array_equal` (so -inf entries sit at the same
-    positions), and `exact_log_partition` must equal the log-sum-exp of that
-    reference's per-block log-sum-exps.
+    For each width the concatenated blocks, each copied before the next is
+    drawn (the blocks share one buffer), and the table that `blocks` fills
+    through `out=` must both equal `log_weights_at` over every bitmask under
+    `np.array_equal` (so -inf entries sit at the same positions), and
+    `exact_log_partition` must equal the log-sum-exp of that reference's
+    per-block log-sum-exps.
     """
     for model in models:
         ref = log_weights_at(model, np.arange(1 << model.n))
         for w in widths:
-            if not np.array_equal(np.concatenate(list(model.compiled.blocks(w))), ref):
+            if not np.array_equal(np.concatenate([b.copy() for b in model.compiled.blocks(w)]), ref):
                 return CheckResult("enumeration agreement", False, f"{model.name}: blocks at width {w}")
+            filled = np.full(ref.size, np.nan)
+            for _ in model.compiled.blocks(w, out=filled):
+                pass
+            if not np.array_equal(filled, ref):
+                return CheckResult("enumeration agreement", False, f"{model.name}: out= fill at width {w}")
         partials = [log_sum_exp(ref[s : s + _ENUM_BLOCK]) for s in range(0, ref.size, _ENUM_BLOCK)]
         if exact_log_partition(model) != log_sum_exp(partials):
             return CheckResult("enumeration agreement", False, f"{model.name}: exact_log_partition")

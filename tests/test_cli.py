@@ -101,11 +101,12 @@ class TestEstimate:
 
     def test_csv_report_round_trips(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"
-        code, out, _ = run_cli(
-            capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4",
-            "--oracle", "exact", "--schedule", "adawish", "--csv", str(out_csv),
-        )
-        assert code == 0
+        for _ in range(2):  # the second run replaces the file
+            code, out, _ = run_cli(
+                capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4",
+                "--oracle", "exact", "--schedule", "adawish", "--csv", str(out_csv),
+            )
+            assert code == 0
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
@@ -158,6 +159,14 @@ class TestOptCommand:
         assert all(entry["query_indices"] == [0, 16] for entry in lines)
         assert all(entry["opt_size"] == 2 for entry in lines)
 
+    def test_nan_kappa_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("index,log10_value\n" + "".join(f"{i},0.0\n" for i in range(5)))
+        code, out, err = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "nan")
+        assert code == 1
+        assert err.strip() == "error: kappa must be > 1"
+        assert out == ""
+
 
 class TestBench:
     def test_grid_suite_counts(self, capsys, tmp_path):
@@ -174,6 +183,17 @@ class TestBench:
             n = int(row["n"])
             assert int(row["wish_queries"]) == n + 1
             assert int(row["adawish_queries"]) <= n + 1
+
+    def test_empty_seed_range_exits_one(self, capsys, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "grid:2x2:seeds=3..1", "--oracle", "exact",
+            "--out", str(out_csv),
+        )
+        assert code == 1
+        assert err.strip() == "error: empty seed range seeds=3..1"
+        assert out == ""
+        assert not out_csv.exists()
 
 
 class TestVerifyCommand:

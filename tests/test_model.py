@@ -10,6 +10,7 @@ from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from adawish.logspace import LN2, NEG_INF
 from adawish.model import (
+    BLOCK_BITS,
     WINDOW_BUDGET,
     WINDOW_ENTRIES,
     Factor,
@@ -24,6 +25,7 @@ from adawish.model import (
     parse_uai,
     serialize_uai,
 )
+from adawish.model import _group_sum
 from adawish.verify import check_enumeration_agreement, check_window_agreement, model_zoo
 
 from conftest import mp_log_partition, random_factor_model, ref_log_weight
@@ -179,6 +181,43 @@ class TestGenerators:
             gen_grid_ising(1, 5, 0.5)
 
 
+# float.hex of exact_quantiles on the benchmark instances, bit for bit
+PINNED_QUANTILES = {
+    "grid:4x4:w=1.0:seed=0": """
+        0x1.03198c7bd10e6p+5 0x1.fbede1b5db445p+4 0x1.f9958d86645cdp+4
+        0x1.f60b1d13637f9p+4 0x1.ef5056449d847p+4 0x1.e8f63b660ce1fp+4
+        0x1.df66ae435d858p+4 0x1.d4e810f8eaf3fp+4 0x1.c9bf9d90bf28cp+4
+        0x1.bd86edbb24fb5p+4 0x1.aedaaa2eec862p+4 0x1.9c4a283ddb8dfp+4
+        0x1.83218fdf1e768p+4 0x1.042b63fac5686p+4 0x1.4903a483f678dp+2
+        0x1.0ab623b86b200p-9 -0x1.05bf0cc6539eep+5
+    """,
+    "clique:n=16:w=0.1:seed=0": """
+        0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.6c308b21b53e5p-6
+        -0x1.3674ec4b58966p-4 -0x1.4f3847477142dp-3 -0x1.1d0bb439faea0p-2
+        -0x1.c2c0836cfa117p-2 -0x1.54ecaf5fde65cp-1 -0x1.f4ee86139e60ap-1
+        -0x1.6fe60a923120ap+0 -0x1.18a2caea01aaap+1 -0x1.fd622f08391c6p+1
+        -0x1.68ac85a28ec13p+3 -0x1.b7e874da33305p+5
+    """,
+    "grid:4x5:w=1.0:seed=0": """
+        0x1.3e14c73d13548p+5 0x1.3dde579fcd049p+5 0x1.3ae0187a7f0c0p+5
+        0x1.392b24a160a74p+5 0x1.367f22b3415c6p+5 0x1.335728da2e158p+5
+        0x1.2fac8074387e7p+5 0x1.2bfd7e4ed004fp+5 0x1.27bd9dc82a3fap+5
+        0x1.236007b9005ffp+5 0x1.1e74adaf4f517p+5 0x1.17d18f7c5859dp+5
+        0x1.104a64519cc97p+5 0x1.062d538a7657ep+5 0x1.eea2f04307d6ap+4
+        0x1.a52ce6bf19f35p+4 0x1.58fca2dadbfe9p+4 0x1.0f5165edd2c00p+4
+        0x1.1363aa6d49b68p+3 -0x1.043e45e3fb500p-9 -0x1.4031652c99000p+5
+    """,
+    "clique:n=20:w=0.1:seed=0": """
+        0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.dd49cdeff8ed0p-7
+        -0x1.a67cc48be9ee6p-5 -0x1.daf8f93ea7b4cp-4 -0x1.a691cdc167cd8p-3
+        -0x1.3e497feb10ad3p-2 -0x1.dce58e5a2e384p-2 -0x1.52bae37ef0852p-1
+        -0x1.d630228c98dbep-1 -0x1.44c2ea12720eep+0 -0x1.bc901f202c4f4p+0
+        -0x1.31b9034dd6e1fp+1 -0x1.b42d1850cb06cp+1 -0x1.4d70155926cc1p+2
+        -0x1.3a7b467f65ed6p+3 -0x1.1e0ed70a7ed18p+4 -0x1.413b0f23f0dcep+6
+    """,
+}
+
+
 class TestExactReferences:
     def test_empty_model_partition(self):
         assert exact_log_partition(WeightedModel(5, ())) == pytest.approx(5 * LN2, abs=1e-12)
@@ -242,6 +281,45 @@ class TestExactReferences:
     )
     def test_partition_pinned_on_benchmark_instances(self, spec, log_w):
         assert exact_log_partition(parse_gen_spec(spec)) == log_w
+
+    @pytest.mark.parametrize("spec", list(PINNED_QUANTILES))
+    def test_quantiles_pinned_on_benchmark_instances(self, spec):
+        curve = exact_quantiles(parse_gen_spec(spec))
+        assert [v.hex() for v in curve.log_values.tolist()] == PINNED_QUANTILES[spec].split()
+
+    def test_blocks_match_pointwise_evaluator_at_production_width(self):
+        # n = 20 > BLOCK_BITS: four 2^18 blocks, with groups 18 and 19 on the
+        # high-variable path; factor (5, 19, 12) has a length-1 axis for 18
+        rng = np.random.default_rng(21)
+        zeros = np.array([0.5, NEG_INF, -1.0, NEG_INF])
+        sparse = WeightedModel(
+            20,
+            (
+                Factor((19, 2, 11, 0, 7, 15, 4, 18), rng.normal(size=256)),
+                Factor((18, 3), zeros),
+                Factor((5, 19, 12), rng.normal(size=8)),
+                Factor((9,), [NEG_INF, 0.0]),
+                Factor((), [0.25]),
+                Factor((13, 6), rng.normal(size=4)),
+                Factor((17, 1, 10), rng.normal(size=8)),
+                Factor((16, 8, 14), rng.normal(size=8)),
+            ),
+            name="sparse n=20 with a wide factor",
+        )
+        result = check_enumeration_agreement([sparse], (BLOCK_BITS,))
+        assert result.passed, result.detail
+
+    def test_group_sum_steps_never_write_over_their_input(self):
+        # numpy would still add correctly into an overlapping out= (it copies
+        # the input first), so only where each step lands shows the two
+        # scratch rows alternate
+        rng = np.random.default_rng(4)
+        terms = [rng.normal(size=shape) for shape in [(2, 2, 1), (2, 1, 2), (2, 2, 2)]]
+        scratch = np.full((2, 8), np.nan)
+        total = _group_sum(terms, (2, 1, 1), scratch)
+        assert np.array_equal(total, np.zeros((2, 1, 1)) + terms[0] + terms[1] + terms[2])
+        assert np.shares_memory(total, scratch[1]) and not np.shares_memory(total, scratch[0])
+        assert np.array_equal(scratch[0].reshape(2, 2, 2), np.zeros((2, 1, 1)) + terms[0] + terms[1])
 
     def test_table_matches_scalar_reference(self):
         rng = np.random.default_rng(3)

@@ -133,8 +133,10 @@ class TestComputeOpt:
             compute_opt(gen_geometric_curve(21, 2.0), kappa=2.0, method="exhaustive")
 
     def test_kappa_guard(self):
-        with pytest.raises(StructuralError):
-            compute_opt(gen_geometric_curve(4, 2.0), kappa=1.0)
+        for kappa in (1.0, 0.5, math.nan):
+            for method in ("greedy", "exhaustive"):
+                with pytest.raises(StructuralError, match="kappa must be > 1"):
+                    compute_opt(gen_geometric_curve(4, 2.0), kappa=kappa, method=method)
 
 
 class TestRegretBound:
