@@ -146,6 +146,8 @@ def adawish_from_oracle(oracle: QuantileOracle, beta: float) -> EstimateResult:
     """Run the adaptive schedule; beta > 1 trades accuracy for fewer queries."""
     if not beta > 1.0:
         raise StructuralError("beta must be > 1")
+    if beta == math.inf:
+        raise StructuralError("beta must be finite")
     n = oracle.n
     q = np.full(n + 1, np.nan)
     if n == 0:

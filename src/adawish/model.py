@@ -31,18 +31,22 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   place;
 - `CompiledModel.windows`, behind branch-and-bound MAP, holds one lookup
   table per group v over the bit window lo_v..v that its factors read (lo_v
-  the lowest scope variable in the group).  It is built on the first solve
+  the lowest scope variable in the group, or lower, down to the frontier of
+  the cost-to-go table after v).  It is built on the first solve
   by the same broadcasting, and each entry equals `completed(v, x)` bit for
   bit at every x in its window, so the search scores a node with one shift,
   one mask and one index.  A group whose table would pass WINDOW_ENTRIES
   (2^16) or the model's WINDOW_BUDGET (2^20 entries, 8 MB) scores through
-  `completed` in its place.
+  `completed` in its place.  `CompiledModel.branch_tables` pairs each window
+  with a cost-to-go table read at the same key: a bound on the groups after
+  v that no leaf exceeds, rounding included, from a backward max over the
+  window tables (bucket elimination used as a search heuristic, Kask &
+  Dechter, AIJ 2001), built on the first solve too.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,6 +59,7 @@ ENUMERATION_LIMIT = 24
 BLOCK_BITS = 18  # enumeration blocks hold 2^18 assignments
 WINDOW_ENTRIES = 1 << 16  # largest window table of one group
 WINDOW_BUDGET = 1 << 20  # window-table entries per model (8 MB)
+FRONTIER_BITS = 12  # widest frontier of a cost-to-go table
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,12 @@ class CompiledModel:
 
     groups[v] holds the (scope, table) pairs of the factors whose highest
     variable is v: they are scored the moment v is assigned.  bound_tail[v]
-    sums the per-factor maxima of groups v..n-1.  `completed` and
+    sums the per-factor maxima of groups v..n-1, and reach[v] is the lowest
+    scope variable of groups v..n-1 (v if none is lower).  `completed` and
     `log_weight` evaluate at given bitmasks; `blocks` yields the whole table;
     `windows` gives every group a lookup with
-    table[(x >> lo) & mask] == completed(v, x), built on first use.
+    table[(x >> lo) & mask] == completed(v, x), and `branch_tables` adds the
+    cost-to-go bound read at the same key, both built on first use.
     """
 
     def __init__(self, model: WeightedModel):
@@ -116,12 +123,15 @@ class CompiledModel:
             else:
                 const += float(f.log_table[0])
         bound_tail = [0.0] * (n + 1)
+        reach = [n] * (n + 1)
         for v in range(n - 1, -1, -1):
             bound_tail[v] = bound_tail[v + 1] + sum(float(np.max(t)) for _, t in groups[v])
+            reach[v] = min([v, reach[v + 1]] + [min(scope) for scope, _ in groups[v]])
         self.n = n
         self.const = const
         self.groups = tuple(tuple(g) for g in groups)
         self.bound_tail = tuple(bound_tail)
+        self.reach = tuple(reach)
 
     def completed(self, v: int, x):
         """Summed entries at x of the factors in groups[v].
@@ -148,11 +158,13 @@ class CompiledModel:
     def windows(self) -> tuple[tuple[int, int, object], ...]:
         """Per group v, (lo, mask, table) with table[(x >> lo) & mask] == completed(v, x).
 
-        lo is the lowest scope variable of the group (v for an empty group)
-        and the table an `array("d")` over the w = v - lo + 1 window bits, in
-        bitmask order.  It is the group's factors framed on the window's axes
-        and added from 0.0 in factor order, the additions of `completed`, so
-        every entry equals it bit for bit.  A group whose table would exceed
+        lo is the lowest scope variable of the group (v for an empty group),
+        lowered to reach[v + 1] when that frontier of `branch_tables` is
+        tabled, so one key reads both tables.  The table is a float64
+        `memoryview` over the w = v - lo + 1 window bits, in bitmask order.
+        It is the group's factors framed on the window's axes and added from
+        0.0 in factor order, the additions of `completed`, so every entry
+        equals it bit for bit.  A group whose table would exceed
         WINDOW_ENTRIES, or the WINDOW_BUDGET left by groups 0..v-1, gets
         (0, -1, a view that calls `completed`) instead.
         """
@@ -160,6 +172,8 @@ class CompiledModel:
         budget = WINDOW_BUDGET
         for v, group in enumerate(self.groups):
             lo = min((min(scope) for scope, _ in group), default=v)
+            if v + 1 - self.reach[v + 1] <= FRONTIER_BITS:
+                lo = min(lo, self.reach[v + 1])
             size = 1 << (v - lo + 1)
             if size > min(WINDOW_ENTRIES, budget):
                 windows.append((0, -1, _Completed(self, v)))
@@ -168,8 +182,80 @@ class CompiledModel:
             total = np.zeros((2,) * (v - lo + 1))
             for scope, table in group:
                 np.add(total, _frame(scope, table, v, lo), out=total)
-            windows.append((lo, size - 1, array("d", total.tobytes())))
+            windows.append((lo, size - 1, memoryview(total.reshape(-1))))
         return tuple(windows)
+
+    @cached_property
+    def branch_tables(self) -> tuple[tuple[int, int, object, object], ...]:
+        """Per group v, (lo, mask, score, bound): the window of `windows` and B_v.
+
+        The search sets variable v of a child x and reads both tables at the
+        one key k = (x >> lo) & mask: score[k] is completed(v, x) and bound[k]
+        bounds the float sums of groups v+1..n-1 over every completion of x
+        that the search can form.
+
+        reach[k] is the lowest scope variable of any group >= k (k if none is
+        lower).  H[k] is a table over the frontier bits reach[k]..k-1, in
+        bitmask order: H[n] = 0, and H[k](f) = max over x_k of
+        window_k + H[k+1], filled backward by broadcasting for as long as
+        frontiers span at most FRONTIER_BITS bits and windows are tabled.
+        B_v repeats H[v+1] + mu over window v's bits below reach[v + 1].
+        Where H[v+1] was not built, or H[v+1] + mu is nowhere below
+        bound_tail[v+1] (as on cliques, whose factors are <= 0 with 0 at the
+        all-zero entry), B_v is the constant bound_tail[v+1], the bound of
+        the plain search.
+
+        Admissibility under rounding.  The search scores a leaf as the
+        left-to-right float sum of const and one window entry per group; as
+        rounding is monotone, H[v+1](f) is at least the right-to-left float
+        sum of the entries of any completion.  Recursive summation of m terms
+        errs by at most gamma_{m-1} times the sum of their magnitudes
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2),
+        gamma_m = m u / (1 - m u), u = 2^-53, and the two roundings of
+        g + (H + mu) by u times their results.  Every magnitude involved is at
+        most G (1 + gamma_n), G = |const| + the sum over groups of the largest
+        finite |entry| of its window, so the leaf exceeds g + (H + mu) by at
+        most (2 gamma_n + gamma_n^2 + 3u (1 + gamma_n)) G + 3u mu, which
+        mu = gamma_{2n+4} G covers with about u G to spare, enough for the
+        roundings in computing mu itself.  An untabled group counts twice the
+        sum of its factors' largest finite |entry|.  -inf entries of H stay
+        -inf: every completion through them scores -inf.
+        """
+        n, reach, windows, tail = self.n, self.reach, self.windows, self.bound_tail
+        heights: list[np.ndarray | None] = [None] * (n + 1)
+        heights[n] = np.zeros(1)
+        for k in range(n - 1, -1, -1):
+            lo, _, score = windows[k]
+            if not isinstance(score, memoryview) or k - reach[k] > FRONTIER_BITS:
+                break
+            width, below = k - reach[k] + 1, reach[k + 1] - reach[k]
+            window = np.asarray(score).reshape((2,) * (k - lo + 1) + (1,) * (lo - reach[k]))
+            after = heights[k + 1].reshape((2,) * (width - below) + (1,) * below)
+            heights[k] = (window + after).max(axis=0).reshape(-1)
+
+        largest = [abs(self.const)]
+        for (_, _, score), group in zip(windows, self.groups):
+            if isinstance(score, memoryview):
+                magnitude = np.abs(np.asarray(score))
+                largest.append(float(magnitude[np.isfinite(magnitude)].max(initial=0.0)))
+            else:
+                largest.extend(2.0 * float(np.abs(t[np.isfinite(t)]).max(initial=0.0)) for _, t in group)
+        m = 2 * n + 4
+        mu = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF) * math.fsum(largest)
+
+        tables = []
+        for v, (lo, mask, score) in enumerate(windows):
+            if not isinstance(score, memoryview):
+                tables.append((lo, mask, score, _Uniform(tail[v + 1])))
+                continue
+            bound = memoryview(np.broadcast_to(np.float64(tail[v + 1]), (mask + 1,)))
+            height = heights[v + 1]
+            if height is not None and reach[v + 1] >= lo:
+                inflated = height + mu  # -inf + mu stays -inf
+                if np.any(inflated < tail[v + 1]):
+                    bound = memoryview(np.repeat(inflated, 1 << (reach[v + 1] - lo)))
+            tables.append((lo, mask, score, bound))
+        return tuple(tables)
 
     def blocks(self, bits: int, out: np.ndarray | None = None):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
@@ -236,14 +322,38 @@ def _group_sum(terms, shape: tuple[int, ...], scratch) -> np.ndarray:
     return total
 
 
-class _Completed:
-    """`completed(v, ·)` behind the indexing of a window table."""
+_UNIT_ROUNDOFF = 2.0**-53
 
-    def __init__(self, compiled: CompiledModel, v: int):
-        self.compiled, self.v = compiled, v
+
+class _Uniform:
+    """A constant behind the indexing of a bound table, for any key."""
+
+    def __init__(self, value: float):
+        self.value = value
 
     def __getitem__(self, x: int) -> float:
-        return float(self.compiled.completed(self.v, x))
+        return self.value
+
+
+class _Completed:
+    """`completed(v, ·)` behind the indexing of a window table.
+
+    The factor tables are held as lists of Python floats, so each entry is
+    added as a float rather than a numpy scalar: the same IEEE additions in
+    the same order, at a fraction of the cost.
+    """
+
+    def __init__(self, compiled: CompiledModel, v: int):
+        self.group = tuple((scope, table.tolist()) for scope, table in compiled.groups[v])
+
+    def __getitem__(self, x: int) -> float:
+        total = 0.0
+        for scope, table in self.group:
+            idx = 0
+            for u in scope:
+                idx = (idx << 1) | ((x >> u) & 1)
+            total += table[idx]
+        return total
 
 
 def _frame(scope: tuple[int, ...], table: np.ndarray, v: int, lo: int = 0) -> np.ndarray:
@@ -446,6 +556,11 @@ def serialize_uai(model: WeightedModel) -> str:
 # draws happen in a fixed documented order from one PCG64 stream.
 
 
+def _check_coupling(coupling_w: float) -> None:
+    if not 0.0 <= coupling_w < math.inf:  # NaN fails every comparison
+        raise StructuralError("coupling w must be finite and >= 0")
+
+
 def gen_clique_ising(n: int, coupling_w: float = 0.1, seed: int = 0) -> WeightedModel:
     """Fully connected Ising model over x in {0,1}^n.
 
@@ -459,6 +574,7 @@ def gen_clique_ising(n: int, coupling_w: float = 0.1, seed: int = 0) -> Weighted
     """
     if n < 4:
         raise InvalidSize(f"clique model needs n >= 4, got {n}")
+    _check_coupling(coupling_w)
     rng = np.random.default_rng(seed)
     coupling = {}
     for i in range(n):
@@ -496,6 +612,7 @@ def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> We
     """
     if rows < 2 or cols < 2:
         raise InvalidSize(f"grid must be at least 2x2, got {rows}x{cols}")
+    _check_coupling(coupling_w)
     rng = np.random.default_rng(seed)
     n = rows * cols
     var = lambda r, c: r * cols + c

@@ -151,6 +151,8 @@ def compute_opt(curve: QuantileCurve, kappa: float, method: str = "greedy") -> O
     """
     if not kappa > 1.0:  # NaN fails every comparison
         raise StructuralError("kappa must be > 1")
+    if kappa == math.inf:
+        raise StructuralError("kappa must be finite")
     if method == "greedy":
         b = _repair(curve, _greedy_opt(curve, kappa), kappa)
         return OptResult(tuple(b), len(b), kappa, "greedy", certified_global=False)

@@ -3,10 +3,15 @@
 `map_solve` maximises log w(x) subject to parity constraints A x = d (mod 2)
 by depth-first branch and bound over the variables in order 0..n-1.  Setting
 variable v scores the factors whose highest variable is v with one lookup in
-the model's window table for v (`CompiledModel.windows`), which equals the
-per-point `completed(v, x)` bit for bit.  The system is row-reduced with
-each row pivoting on its highest variable, so every pivot is forced by the
-variables before it and only the n - rank free variables are branched on.
+the model's window table for v, which equals the per-point
+`completed(v, x)` bit for bit, and bounds the groups after v with a second
+lookup at the same key in its cost-to-go table
+(`CompiledModel.branch_tables`).  The bound is added when a child is pushed;
+of two children the one with the larger bound is searched first, and a
+child whose bound does not beat the incumbent is pruned.  The system is
+row-reduced with each row pivoting on its highest variable, so every pivot
+is forced by the variables before it and only the n - rank free variables
+are branched on.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under independently sampled random (A, d) pairs with i
 rows.  `make_oracle` binds a model to any configured oracle kind;
@@ -98,7 +103,7 @@ def _solve_branch_and_bound(
 ) -> MapResult:
     n = model.n
     compiled = model.compiled
-    windows, bound_tail = compiled.windows, compiled.bound_tail
+    steps = compiled.branch_tables
     # Each reduced row's pivot is its highest variable, so in depth-first
     # order over variables 0..n-1 the earlier ones force it; only the n - rank
     # free variables branch.
@@ -110,36 +115,57 @@ def _solve_branch_and_bound(
     best_assign: int | None = None
     nodes = 0
     exhausted = False
+    # the limits are looked at only when nodes reaches `check`: at node
+    # node_limit + 1, and at every 1,024th node under a deadline
+    stop = node_limit + 1 if node_limit is not None else 1 << 62
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    # (variable, assignment of the variables below it, score so far); the
-    # 1-child is pushed first so the 0-child is searched first
-    stack = [(0, 0, compiled.const)]
+    check = min(stop, 0x400) if deadline is not None else stop
+    # (variable, assignment of the variables below it, score so far, score
+    # plus the bound on the groups still to score)
+    stack = [(0, 0, compiled.const, compiled.const + compiled.bound_tail[0])]
+    push = stack.append
     while stack:
-        v, mask, g = stack.pop()
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            exhausted = True
-            break
-        if deadline is not None and nodes & 0x3FF == 0 and time.monotonic() > deadline:
-            exhausted = True
-            break
-        if v == n:
-            if g > best:
+        v, mask, g, f = stack.pop()
+        # dive: the child that would be pushed last, and so popped next, is
+        # taken up at once; nodes are visited and counted as if it were pushed
+        while True:
+            nodes += 1
+            if nodes == check:
+                if nodes == stop or time.monotonic() > deadline:
+                    exhausted = True
+                    stack.clear()
+                    break
+                check = min(stop, nodes + 0x400)
+            if f <= best:
+                break
+            if v == n:
                 best = g
                 best_assign = mask
-            continue
-        if g + bound_tail[v] <= best:
-            continue
-        # group v is scored from its window table: bits lo..v of the child
-        lo, window, table = windows[v]
-        rule = forced[v]
-        if rule is None:
-            one = mask | (1 << v)
-            stack.append((v + 1, one, g + table[(one >> lo) & window]))
-            stack.append((v + 1, mask, g + table[(mask >> lo) & window]))
-        else:
-            child = mask | ((rule[1] ^ ((mask & rule[0]).bit_count() & 1)) << v)
-            stack.append((v + 1, child, g + table[(child >> lo) & window]))
+                break
+            # group v and the bound on groups v+1.. are read at one key: bits lo..v of the child
+            lo, window, score, bound = steps[v]
+            rule = forced[v]
+            if rule is None:
+                one = mask | (1 << v)
+                k0 = (mask >> lo) & window
+                k1 = (one >> lo) & window
+                g0 = g + score[k0]
+                g1 = g + score[k1]
+                f0 = g0 + bound[k0]
+                f1 = g1 + bound[k1]
+                # the child with the larger bound is searched first; on a tie, the 0-child
+                if f1 > f0:
+                    push((v + 1, mask, g0, f0))
+                    mask, g, f = one, g1, f1
+                else:
+                    push((v + 1, one, g1, f1))
+                    g, f = g0, f0
+            else:
+                mask |= (rule[1] ^ ((mask & rule[0]).bit_count() & 1)) << v
+                key = (mask >> lo) & window
+                g += score[key]
+                f = g + bound[key]
+            v += 1
 
     return MapResult(
         best,
@@ -151,7 +177,14 @@ def _solve_branch_and_bound(
 
 
 def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | None = None) -> MapResult:
-    """max log w(x) subject to the parity system; empty systems mean unconstrained."""
+    """max log w(x) subject to the parity system; empty systems mean unconstrained.
+
+    An exact result's value is the maximum over the solution coset: the
+    bounds never fall below a leaf they cover, rounding included
+    (`CompiledModel.branch_tables`).  Among equal maxima the assignment is
+    the first one the search meets.  nodes counts the children visited,
+    pruned ones included.
+    """
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
     solver = solver or MapSolver()
@@ -191,6 +224,8 @@ class OracleConfig:
             raise StructuralError("alpha must be finite and > 0")
         if not self.gamma >= 1.0:
             raise StructuralError("gamma must be >= 1")
+        if self.gamma == math.inf:
+            raise StructuralError("gamma must be finite")
         if self.kind == "neighbor" and self.c < 2:
             raise StructuralError("neighbor oracle needs c >= 2")
         if self.T is not None and self.T < 1:
@@ -308,6 +343,8 @@ class PointwiseCurveOracle(QuantileOracle):
     ):
         if not gamma >= 1.0:
             raise StructuralError("gamma must be >= 1")
+        if gamma == math.inf:
+            raise StructuralError("gamma must be finite")
         super().__init__(curve.n, ledger)
         self.curve = curve
         self.gamma = gamma

@@ -12,7 +12,6 @@ against.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,7 @@ def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
     for model in models:
         compiled = model.compiled
         for v, (lo, mask, table) in enumerate(compiled.windows):
-            if not isinstance(table, array):
+            if not isinstance(table, memoryview):
                 continue
             keys = np.arange(mask + 1, dtype=np.int64)
             if v < 63:
@@ -173,6 +172,34 @@ def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
                 return CheckResult("window agreement", False, f"{model.name}: group {v}")
             tables += 1
     return CheckResult("window agreement", True, f"{tables} window tables over {len(models)} models")
+
+
+def check_cost_to_go(models: list[WeightedModel]) -> CheckResult:
+    """No bound of `CompiledModel.branch_tables` falls below a leaf it covers.
+
+    For every assignment x and every variable v, the search's child at v
+    scores prefix_v(x) = const + completed(0, x) + ... + completed(v, x)
+    (left to right, as the search adds) and adds bound_v at that child's
+    window key.  That sum must be >= log w(x): each x is a leaf below the
+    child, and two assignments that agree on bits 0..v share the child, its
+    prefix and its key.  So every frontier assignment of every level is
+    checked against every completion, in the float sums the search forms.
+    """
+    levels = 0
+    for model in models:
+        compiled = model.compiled
+        xs = np.arange(1 << model.n, dtype=np.int64)
+        leaf = log_weights_at(model, xs)
+        prefix = np.full(xs.shape, compiled.const)
+        for v, (lo, mask, _, bound) in enumerate(compiled.branch_tables):
+            prefix = prefix + compiled.completed(v, xs)
+            keys, at = np.unique((xs >> lo) & mask, return_inverse=True)
+            covered = prefix + np.array([bound[int(k)] for k in keys])[at]
+            below = np.flatnonzero(~(covered >= leaf))
+            if below.size:
+                return CheckResult("cost-to-go bound", False, f"{model.name}: group {v} at x={below[0]}")
+            levels += 1
+    return CheckResult("cost-to-go bound", True, f"{levels} levels over {len(models)} models")
 
 
 def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
@@ -354,6 +381,17 @@ def check_xor_coverage(seeds: int = 40, threshold: float = 0.8) -> CheckResult:
     )
 
 
+def benchmark_models(max_n: int) -> list[WeightedModel]:
+    """The pinned instances of the benchmark workloads with n <= max_n."""
+    models = [
+        gen_grid_ising(3, 4, coupling_w=1.0, seed=2),
+        gen_clique_ising(12, coupling_w=0.1, seed=0),
+        gen_grid_ising(4, 4, coupling_w=1.0, seed=0),
+        gen_clique_ising(16, coupling_w=0.1, seed=0),
+    ]
+    return [m for m in models if m.n <= max_n]
+
+
 def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}")
@@ -363,6 +401,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_gf2_counts(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),
+        check_cost_to_go(models + benchmark_models(max_n)),
         check_sandwich(models),
         check_schedules(models),
         check_regret(),

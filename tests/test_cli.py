@@ -73,12 +73,15 @@ class TestEstimate:
             (("--alpha", "nan"), "alpha must be finite and > 0"),
             (("--alpha", "inf", "--T", "3"), "alpha must be finite and > 0"),
             (("--oracle", "pointwise", "--gamma", "nan"), "gamma must be >= 1"),
+            (("--oracle", "pointwise", "--gamma", "inf"), "gamma must be finite"),
             (("--T", "3", "--beta", "nan"), "beta must be > 1"),
+            (("--T", "3", "--beta", "inf"), "beta must be finite"),
             (("--T", "3", "--node-limit", "0"), "node_limit must be >= 1"),
             (("--T", "3", "--map-timeout", "0"), "time_limit must be > 0"),
             (("--T", "3", "--map-timeout", "nan"), "time_limit must be > 0"),
         ],
-        ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "gamma-nan", "beta-nan",
+        ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "gamma-nan", "gamma-inf",
+             "beta-nan", "beta-inf",
              "node-limit-0", "map-timeout-0", "map-timeout-nan"],
     )
     def test_invalid_parameter_exits_one(self, capsys, flags, message):
@@ -145,6 +148,13 @@ class TestGenAndQuantiles:
         with pytest.raises(Exception):
             parse_gen_spec("hypercube:n=4")
 
+    @pytest.mark.parametrize("spec", ["grid:2x2:w=nan", "grid:2x2:w=inf", "clique:n=5:w=-1"])
+    def test_bad_coupling_exits_one(self, capsys, spec):
+        code, out, err = run_cli(capsys, "estimate", "--gen", spec)
+        assert code == 1
+        assert err.strip() == "error: coupling w must be finite and >= 0"
+        assert out == ""
+
 
 class TestOptCommand:
     def test_flat_curve(self, capsys, tmp_path):
@@ -165,6 +175,15 @@ class TestOptCommand:
         code, out, err = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "nan")
         assert code == 1
         assert err.strip() == "error: kappa must be > 1"
+        assert out == ""
+
+    def test_infinite_kappa_exits_one(self, capsys, tmp_path):
+        # json.dumps would write it as Infinity, which is not JSON
+        path = tmp_path / "flat.csv"
+        path.write_text("index,log10_value\n" + "".join(f"{i},0.0\n" for i in range(5)))
+        code, out, err = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "inf")
+        assert code == 1
+        assert err.strip() == "error: kappa must be finite"
         assert out == ""
 
 

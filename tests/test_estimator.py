@@ -162,6 +162,11 @@ class TestAdaptive:
         with pytest.raises(StructuralError):
             adawish_estimate(WeightedModel(4, ()), OracleConfig(kind="exact"), beta=1.0)
 
+    def test_infinite_beta_rejected(self):
+        # kappa = 2 beta would be reported as a proven factor of inf
+        with pytest.raises(StructuralError, match="beta must be finite"):
+            adawish_estimate(WeightedModel(4, ()), OracleConfig(kind="exact"), beta=math.inf)
+
     def test_zero_weight_tail_stops(self):
         # a curve that is zero past the first index: the flat -inf tail must
         # stop the recursion and contribute nothing, leaving only the top

@@ -1,5 +1,4 @@
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -26,7 +25,13 @@ from adawish.model import (
     serialize_uai,
 )
 from adawish.model import _group_sum
-from adawish.verify import check_enumeration_agreement, check_window_agreement, model_zoo
+from adawish.verify import (
+    benchmark_models,
+    check_cost_to_go,
+    check_enumeration_agreement,
+    check_window_agreement,
+    model_zoo,
+)
 
 from conftest import mp_log_partition, random_factor_model, ref_log_weight
 
@@ -173,6 +178,15 @@ class TestGenerators:
         for fa, fb in zip(a.factors, b.factors):
             assert fa.scope == fb.scope
             assert np.array_equal(fa.log_table, fb.log_table)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("family", ["grid", "clique"])
+    def test_bad_coupling_rejected(self, family, w):
+        with pytest.raises(StructuralError, match="coupling w must be finite and >= 0"):
+            if family == "grid":
+                gen_grid_ising(2, 2, coupling_w=w)
+            else:
+                gen_clique_ising(5, coupling_w=w)
 
     def test_size_guards(self):
         with pytest.raises(InvalidSize):
@@ -330,6 +344,23 @@ class TestExactReferences:
             assert table[x] == pytest.approx(ref_log_weight(model, bits), abs=1e-12)
 
 
+def signed_entries_model(rng: np.random.Generator) -> WeightedModel:
+    """Unsorted scopes, a constant factor, -inf and -0.0 entries, and an empty group (6)."""
+    signed = np.array([0.5, NEG_INF, -0.0, NEG_INF])
+    return WeightedModel(
+        8,
+        (
+            Factor((3, 1, 2), rng.normal(size=8)),
+            Factor((), [0.25]),
+            Factor((5, 0), signed),
+            Factor((4,), [NEG_INF, -0.0]),
+            Factor((1, 4, 0), rng.normal(size=8)),
+            Factor((7, 2), signed[::-1]),
+        ),
+        name="unsorted scopes, -inf and -0.0 entries",
+    )
+
+
 def wide_group_model() -> WeightedModel:
     """Group 19 spans a 20-bit window, past the per-group cap; group 3 spans 2 bits."""
     rng = np.random.default_rng(9)
@@ -340,21 +371,9 @@ def wide_group_model() -> WeightedModel:
 class TestWindows:
     def test_tables_match_completed(self):
         rng = np.random.default_rng(8)
-        signed = np.array([0.5, NEG_INF, -0.0, NEG_INF])
         edge_cases = [
             WeightedModel(0, (), name="no variables"),
-            WeightedModel(
-                7,
-                (
-                    Factor((3, 1, 2), rng.normal(size=8)),
-                    Factor((), [0.25]),
-                    Factor((5, 0), signed),
-                    Factor((4,), [NEG_INF, -0.0]),
-                    Factor((1, 4, 0), rng.normal(size=8)),
-                    Factor((6, 2), signed[::-1]),
-                ),
-                name="unsorted scopes, -inf and -0.0 entries",
-            ),
+            signed_entries_model(rng),
             wide_group_model(),
             WeightedModel(
                 100,
@@ -369,17 +388,51 @@ class TestWindows:
     def test_wide_group_scores_through_completed(self):
         compiled = wide_group_model().compiled
         lo, mask, table = compiled.windows[19]
-        assert (lo, mask) == (0, -1) and not isinstance(table, array)
+        assert (lo, mask) == (0, -1) and not isinstance(table, memoryview)
         for x in (0, 1, 1 << 19, (1 << 20) - 1):
             assert table[(x >> lo) & mask] == float(compiled.completed(19, x))
-        assert isinstance(compiled.windows[3][2], array)
+        assert isinstance(compiled.windows[3][2], memoryview)
 
     def test_large_grid_stays_within_budget(self):
         windows = gen_grid_ising(15, 15, coupling_w=1.0, seed=0).compiled.windows
-        sizes = [len(table) for _, _, table in windows if isinstance(table, array)]
+        sizes = [len(table) for _, _, table in windows if isinstance(table, memoryview)]
         assert 0 < len(sizes) < len(windows)
         assert max(sizes) <= WINDOW_ENTRIES
         assert sum(sizes) <= WINDOW_BUDGET
+
+
+class TestBranchTables:
+    def test_cost_to_go_covers_every_leaf(self):
+        edge_cases = [
+            WeightedModel(0, (), name="no variables"),
+            signed_entries_model(np.random.default_rng(8)),
+            WeightedModel(3, (Factor((0, 2), [NEG_INF] * 4),), name="no assignment has weight"),
+        ]
+        result = check_cost_to_go(model_zoo(40, 14, 7) + benchmark_models(16) + edge_cases)
+        assert result.passed, result.detail
+
+    def test_grid_bounds_are_tighter_than_bound_tail(self):
+        compiled = gen_grid_ising(4, 4, coupling_w=1.0, seed=0).compiled
+        tighter = [
+            v for v, (_, _, _, bound) in enumerate(compiled.branch_tables)
+            if min(bound) < compiled.bound_tail[v + 1]
+        ]
+        assert tighter == list(range(15))
+
+    def test_clique_bounds_are_bound_tail(self):
+        # clique factors are <= 0 with 0 at the all-zero entry, so the
+        # cost-to-go table is no tighter and pruning stays exactly as without it
+        model = gen_clique_ising(30, coupling_w=0.1, seed=0)
+        compiled = model.compiled
+        for v, (lo, mask, _, bound) in enumerate(compiled.branch_tables):
+            for x in (0, 1 << v, (1 << (v + 1)) - 1):
+                assert bound[(x >> lo) & mask] == compiled.bound_tail[v + 1]
+
+    def test_unsorted_wide_group_keeps_bound_tail(self):
+        compiled = wide_group_model().compiled
+        lo, mask, score, bound = compiled.branch_tables[19]
+        assert (lo, mask, score) == compiled.windows[19]
+        assert bound[(1 << 20) - 1] == compiled.bound_tail[20] == 0.0
 
 
 class TestQuantileCurve:

@@ -138,6 +138,11 @@ class TestComputeOpt:
                 with pytest.raises(StructuralError, match="kappa must be > 1"):
                     compute_opt(gen_geometric_curve(4, 2.0), kappa=kappa, method=method)
 
+    def test_infinite_kappa_rejected(self):
+        for method in ("greedy", "exhaustive"):
+            with pytest.raises(StructuralError, match="kappa must be finite"):
+                compute_opt(gen_geometric_curve(4, 2.0), kappa=math.inf, method=method)
+
 
 class TestRegretBound:
     def test_formula_values(self):

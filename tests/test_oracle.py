@@ -94,9 +94,16 @@ class TestMapSolve:
         n = 1500
         rng = np.random.default_rng(0)
         model = WeightedModel(n, tuple(Factor((v, v + 1), rng.normal(size=4)) for v in range(n - 1)))
-        result = map_solve(model, gf2.Gf2System(n, (), ()), MapSolver(node_limit=20_000))
+        # parity rows over the whole chain keep the search past its node limit
+        system = sample_parity_system(n, 20, rng)
+        result = map_solve(model, system, MapSolver(node_limit=20_000))
         assert result.feasible and not result.exact
         assert result.log_value == log_weight(model, result.assignment)
+        assert gf2.satisfies(system, result.assignment)
+        # unconstrained, the cost-to-go bound leads straight to the optimum
+        # and prunes every sibling on the way
+        free = map_solve(model, gf2.Gf2System(n, (), ()), MapSolver(node_limit=20_000))
+        assert free.exact and free.nodes <= 2 * n + 1
 
     def test_enumerate_size_guard(self):
         model = WeightedModel(25, ())
@@ -254,8 +261,10 @@ class TestXorQuery:
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
         oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3))
         assert "windows" not in vars(model.compiled)
+        assert "branch_tables" not in vars(model.compiled)
         oracle.query(4)
         assert "windows" in vars(model.compiled)
+        assert "branch_tables" in vars(model.compiled)
 
     def test_repetition_default_formula(self):
         config = OracleConfig(kind="neighbor", c=5, delta=0.01, alpha=0.078)
@@ -326,6 +335,12 @@ class TestOracleDispatch:
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(StructuralError):
             OracleConfig(alpha=alpha)
+
+    def test_infinite_gamma_rejected(self):
+        with pytest.raises(StructuralError, match="gamma must be finite"):
+            OracleConfig(gamma=math.inf)
+        with pytest.raises(StructuralError, match="gamma must be finite"):
+            PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=math.inf)
 
     def test_solver_limits_and_nan_gamma_rejected(self):
         with pytest.raises(StructuralError):
