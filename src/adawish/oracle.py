@@ -14,7 +14,11 @@ is forced by the variables before it and only the n - rank free variables
 are branched on.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under independently sampled random (A, d) pairs with i
-rows.  `make_oracle` binds a model to any configured oracle kind;
+rows.  Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
+`draw_parity_systems` draws all T pairs of an index in one batch from the
+generators' raw words (`seeds.stream_words`) without building the
+generators, bit-identical to that loop, and both pack their bits through
+one helper.  `make_oracle` binds a model to any configured oracle kind;
 `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ from . import gf2
 from .errors import StructuralError
 from .logspace import NEG_INF
 from .model import QuantileCurve, WeightedModel, exact_quantiles
-from .seeds import mix64, rng_from, unit_from
+from .seeds import STREAM_CHUNK_WORDS, mix64, stream_words, unit_from
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +75,35 @@ class MapResult:
     nodes: int = 0
 
 
+def _draw_bytes(n: int, m: int) -> tuple[int, int]:
+    """(pad, pad + m): where a system's rhs starts in its draw, and the draw's length.
+
+    pad is m*n rounded up to a multiple of 4, so the rhs starts on a fresh
+    32-bit word of the generator, as in the two-call draw.
+    """
+    pad = -(-m * n // 4) * 4
+    return pad, pad + m
+
+
+def _pack_systems(n: int, m: int, draws: np.ndarray) -> list[gf2.Gf2System]:
+    """The systems in an (S, pad + m) array of 0/1 draws, one system per row.
+
+    Row r of a system is bits r*n .. r*n + n - 1 of its draw, bit v first;
+    the rhs is bits pad .. pad + m - 1.
+    """
+    pad, _ = _draw_bytes(n, m)
+    packed = np.packbits(draws[:, : m * n].reshape(len(draws), m, n), axis=2, bitorder="little")
+    # row r sits at bits r*stride.. of one little-endian int over the system's matrix
+    stride = 8 * packed.shape[2]
+    mask = (1 << stride) - 1
+    systems = []
+    for matrix, rhs in zip(packed.reshape(len(draws), -1), draws[:, pad:].tolist()):
+        whole = int.from_bytes(matrix.tobytes(), "little")
+        rows = tuple((whole >> (r * stride)) & mask for r in range(m))
+        systems.append(gf2.Gf2System(n, rows, tuple(rhs)))
+    return systems
+
+
 def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2System:
     """Uniform m x n 0/1 constraint matrix and uniform right-hand side.
 
@@ -84,15 +118,31 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
     """
     if m == 0:
         return gf2.Gf2System(n, (), ())
-    pad = -(-m * n // 4) * 4
-    draw = rng.integers(0, 2, size=pad + m, dtype=np.uint8)
-    packed = np.packbits(draw[: m * n].reshape(m, n), axis=1, bitorder="little")
-    # row r sits at bits r*stride.. of one little-endian int over the matrix
-    stride = 8 * packed.shape[1]
-    whole = int.from_bytes(packed.tobytes(), "little")
-    mask = (1 << stride) - 1
-    rows = tuple((whole >> (r * stride)) & mask for r in range(m))
-    return gf2.Gf2System(n, rows, tuple(draw[pad:].tolist()))
+    draw = rng.integers(0, 2, size=_draw_bytes(n, m)[1], dtype=np.uint8)
+    return _pack_systems(n, m, draw[None])[0]
+
+
+def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> Iterator[gf2.Gf2System]:
+    """Yield `sample_parity_system(n, m, rng_from(master_seed, m, t))` for t < reps.
+
+    The generators are never built: `seeds.stream_words` reads their raw
+    64-bit words, at most `STREAM_CHUNK_WORDS` at a time whatever reps is
+    (one system's words, when a single system needs more).  numpy's bounded
+    uint8 draw of 0 or 1 returns the top bit of each byte of its 32-bit
+    words, low byte first, and PCG64 hands out the low half of each 64-bit
+    word before the high half: so the draw's bits are bit 7 of each byte of
+    the raw words read as little-endian bytes, whatever the host's order.
+    """
+    if m == 0:
+        yield from (gf2.Gf2System(n, (), ()) for _ in range(reps))
+        return
+    length = _draw_bytes(n, m)[1]
+    k = -(-length // 8)
+    chunk = max(1, STREAM_CHUNK_WORDS // k)
+    for start in range(0, reps, chunk):
+        words = stream_words(master_seed, m, range(start, min(start + chunk, reps)), k)
+        draws = words.astype("<u8", copy=False).view(np.uint8)[:, :length] >> 7
+        yield from _pack_systems(n, m, draws)
 
 
 def _solve_branch_and_bound(
@@ -376,7 +426,15 @@ class NeighborOracle(QuantileOracle):
 
 
 class XorOracle(NeighborOracle):
-    """Randomized constrained-MAP median."""
+    """Randomized constrained-MAP median.
+
+    Query i solves the T systems of `draw_parity_systems(n, i, master_seed,
+    T)`, which are `sample_parity_system(n, i, rng_from(master_seed, i, t))`
+    for t < T, so each answer is a pure function of (master_seed, i, t) and
+    does not depend on query order.  A system drawn twice in one query is
+    solved once; map_calls counts the solves, and the answer is the lower
+    median of the T maxima.
+    """
 
     def __init__(
         self,
@@ -395,9 +453,7 @@ class XorOracle(NeighborOracle):
         reps = self.config.repetitions(self.n)
         values = []
         seen: dict[tuple, MapResult] = {}
-        for t in range(reps):
-            rng = rng_from(self.config.master_seed, i, t)
-            system = sample_parity_system(self.n, i, rng)
+        for system in draw_parity_systems(self.n, i, self.config.master_seed, reps):
             key = (system.rows, system.rhs)
             result = seen.get(key)
             if result is None:

@@ -36,6 +36,7 @@ from .oracle import (
     MapResult,
     OracleConfig,
     XorOracle,
+    draw_parity_systems,
     map_solve,
     sample_parity_system,
 )
@@ -230,6 +231,27 @@ def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
     return CheckResult("gf2 solution counts", True, f"{trials} random systems")
 
 
+def check_draw_agreement(
+    sizes=(1, 12, 16, 64, 65, 100), masters=(-7, 1 << 64, (1 << 70) + 3), reps: int = 3
+) -> CheckResult:
+    """`draw_parity_systems` yields the systems of the per-repetition loop exactly.
+
+    For every n in sizes, every index i in 0..n (rows i) and every master
+    seed, the batch must equal `[sample_parity_system(n, i, rng_from(master,
+    i, t)) for t < reps]`: the same columns, rows and rhs.  One further
+    draw, 300 systems of 64 rows over 64 columns, spans three
+    `seeds.STREAM_CHUNK_WORDS` chunks.
+    """
+    cases = [(n, i, master, reps) for n in sizes for i in range(n + 1) for master in masters]
+    cases.append((64, 64, masters[0], 300))
+    for n, i, master, count in cases:
+        loop = [sample_parity_system(n, i, rng_from(master, i, t)) for t in range(count)]
+        if list(draw_parity_systems(n, i, master, count)) != loop:
+            return CheckResult("draw agreement", False, f"n={n}, i={i}, master={master}, T={count}")
+    systems = sum(count for *_, count in cases)
+    return CheckResult("draw agreement", True, f"{systems} systems over {len(cases)} (n, i, seed, T) cases")
+
+
 def check_sandwich(models: list[WeightedModel]) -> CheckResult:
     """Quantile-derived bounds bracket the exact integral within a factor 2."""
     tol = 1e-9
@@ -399,6 +421,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
         check_gf2_counts(),
+        check_draw_agreement(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),
         check_cost_to_go(models + benchmark_models(max_n)),

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adawish import gf2
+from adawish import gf2, oracle as oracle_module
 from adawish.errors import StructuralError, TooLarge
 from adawish.model import (
     Factor,
     WeightedModel,
     exact_quantiles,
+    gen_clique_ising,
     gen_grid_ising,
     log_weight,
     log_weight_table,
@@ -24,13 +25,14 @@ from adawish.oracle import (
     PointwiseCurveOracle,
     QueryLedger,
     XorOracle,
+    draw_parity_systems,
     make_oracle,
     map_solve,
     sample_parity_system,
 )
 from adawish.optbench import gen_geometric_curve
-from adawish.seeds import rng_from
-from adawish.verify import reference_map
+from adawish.seeds import STREAM_CHUNK_WORDS, rng_from
+from adawish.verify import check_draw_agreement, reference_map
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -203,6 +205,29 @@ class TestParitySampling:
                 assert (system.cols, system.rows, system.rhs) == (n, rows, rhs)
                 assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_batched_draw_matches_per_repetition_loop(self):
+        result = check_draw_agreement()
+        assert result.passed, result.detail
+
+    def test_batched_draw_holds_a_bounded_buffer(self, monkeypatch):
+        asked = []
+        stream_words = oracle_module.stream_words
+
+        def spy(master, index, reps, k):
+            asked.append(len(reps) * k)
+            return stream_words(master, index, reps, k)
+
+        monkeypatch.setattr(oracle_module, "stream_words", spy)
+        # 300 systems of 64 x 64 need 300 * 520 words: three chunks
+        systems = list(draw_parity_systems(64, 64, 5, 300))
+        assert systems == [sample_parity_system(64, 64, rng_from(5, 64, t)) for t in range(300)]
+        assert len(asked) == 3 and max(asked) <= STREAM_CHUNK_WORDS
+        # the first system of a huge query draws one chunk, not T systems' words
+        asked.clear()
+        first = next(iter(draw_parity_systems(100, 100, 5, 100_000)))
+        assert first == sample_parity_system(100, 100, rng_from(5, 100, 0))
+        assert len(asked) == 1 and asked[0] <= STREAM_CHUNK_WORDS
+
 
 class TestXorQuery:
     def test_index_zero_is_unconstrained_map(self):
@@ -240,6 +265,32 @@ class TestXorQuery:
         oracle_b = make_oracle(model, config)
         vb = list(reversed([oracle_b.query(i) for i in reversed(range(7))]))
         assert va == vb
+
+    @pytest.mark.parametrize("T", [1, 5, 30])
+    @pytest.mark.parametrize(
+        "model",
+        [gen_grid_ising(3, 3, coupling_w=1.0, seed=4), gen_clique_ising(8, coupling_w=0.1, seed=4)],
+        ids=["grid3x3", "clique8"],
+    )
+    def test_answers_match_per_repetition_reference(self, model, T):
+        # per-sample seeds are pure functions of (master_seed, query_index, repetition)
+        master = 17
+        answers, map_calls = [], 0
+        for i in range(model.n + 1):
+            solved, values = {}, []
+            for t in range(T):
+                system = sample_parity_system(model.n, i, rng_from(master, i, t))
+                key = (system.rows, system.rhs)
+                if key not in solved:
+                    solved[key] = map_solve(model, system).log_value
+                values.append(solved[key])
+            map_calls += len(solved)
+            answers.append(sorted(values)[(T - 1) // 2])
+        oracle = XorOracle(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
+        got = {i: oracle.query(i) for i in reversed(range(model.n + 1))}
+        assert [got[i] for i in range(model.n + 1)] == answers
+        assert oracle.ledger.map_calls == map_calls
+        assert oracle.ledger.distinct_queries == model.n + 1
 
     def test_median_sandwich_mostly_holds(self):
         # scaled-down coverage check; the full-scale run lives in the
