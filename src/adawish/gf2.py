@@ -3,9 +3,12 @@
 Rows are stored as Python ints (bit v = variable v), so row elimination is a
 single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
-"unconstrained".  `row_reduce` inserts each row into a basis keyed by its
-highest set bit and finishes with one back-substitution pass, which yields
-the unique reduced echelon form whose pivots are the rows' highest bits.
+"unconstrained".  `echelon` inserts each row into a basis keyed by its
+highest set bit: one pass that gives an echelon form whose pivots are the
+rows' highest bits.  The MAP solver runs on those echelon rows as they are.
+`row_reduce` adds one back-substitution pass, which yields the unique
+reduced echelon form; `verify.reference_map`, the self-checks and the public
+API read that.
 """
 
 from __future__ import annotations
@@ -110,28 +113,24 @@ class ReducedSystem:
         return basis
 
 
-def row_reduce(system) -> ReducedSystem:
-    """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
+def echelon(
+    cols: int, rows: Sequence[int], rhs: Sequence[int]
+) -> tuple[list[tuple[int, int] | None], bool]:
+    """Insert each row into a basis keyed by its highest set bit.
 
-    Accepts any (cols, rows, rhs) carrier.  Each row is inserted into a basis
-    keyed by highest set bit: while its highest bit is already a pivot it is
-    XORed with that basis row, and it becomes a new basis row at the first
-    free highest bit.  A row that reaches 0 with rhs 1 makes the system
-    inconsistent.  One back-substitution pass in ascending pivot order then
-    clears every lower pivot from each row.  The reduced echelon form with
-    highest-bit pivots is unique, so rows, pivots and `consistent` are those
-    of Gauss-Jordan elimination from the highest column down, and so is rhs
-    on a consistent system.  On an inconsistent one rhs is unspecified:
-    callers report infeasibility without reading it.
+    Returns (basis, consistent): basis[p] is the (row, rhs) whose highest set
+    bit is p, or None when no row pivots on p, and consistent is False iff a
+    row reduced to 0 = 1.  A row is XORed with the basis row of its highest
+    bit while that bit is taken, and becomes a basis row at the first free
+    one.  Lower pivots may still be set in a basis row.  The rows are not
+    validated here: they must lie inside cols columns, as a `Gf2System`'s do.
     """
-    cols, rows, rhs = system.cols, system.rows, system.rhs
-    _check_rows(cols, rows, rhs)
-    basis: dict[int, tuple[int, int]] = {}  # pivot -> (row, rhs)
+    basis: list[tuple[int, int] | None] = [None] * cols
     consistent = True
     for row, b in zip(rows, rhs):
         while row:
             top = row.bit_length() - 1
-            hit = basis.get(top)
+            hit = basis[top]
             if hit is None:
                 basis[top] = (row, b)
                 break
@@ -140,7 +139,26 @@ def row_reduce(system) -> ReducedSystem:
         else:  # the row reduced to 0 = b
             if b:
                 consistent = False
-    pivots = sorted(basis)
+    return basis, consistent
+
+
+def row_reduce(system) -> ReducedSystem:
+    """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
+
+    Accepts any (cols, rows, rhs) carrier and validates it.  `echelon` gives
+    one basis row per pivot; one back-substitution pass in ascending pivot
+    order then clears every lower pivot from each row.  The reduced echelon
+    form with highest-bit pivots is unique, so rows, pivots, rank and
+    `consistent` are those of Gauss-Jordan elimination from the highest
+    column down, on inconsistent systems too, and so is rhs on a consistent
+    system.  On an inconsistent one rhs is unspecified: callers report
+    infeasibility without reading it.  `map_solve` does not need this form
+    and runs on `echelon`'s rows.
+    """
+    cols, rows, rhs = system.cols, system.rows, system.rhs
+    _check_rows(cols, rows, rhs)
+    basis, consistent = echelon(cols, rows, rhs)
+    pivots = [p for p, hit in enumerate(basis) if hit is not None]
     pivot_bits = sum(1 << p for p in pivots)
     for p in pivots:
         row, b = basis[p]
@@ -181,5 +199,5 @@ def evaluate(system, assignment) -> int:
 
 
 def satisfies(system, assignment) -> bool:
-    x = assignment if isinstance(assignment, int) else pack_bits(assignment)
-    return evaluate(system, x) == pack_bits(list(system.rhs))
+    """Whether the assignment solves the system; a list must hold one bit per column."""
+    return evaluate(system, assignment) == pack_bits(system.rhs)

@@ -9,16 +9,21 @@ lookup at the same key in its cost-to-go table
 (`CompiledModel.branch_tables`).  The bound is added when a child is pushed;
 of two children the one with the larger bound is searched first, and a
 child whose bound does not beat the incumbent is pruned.  The system is
-row-reduced with each row pivoting on its highest variable, so every pivot
-is forced by the variables before it and only the n - rank free variables
-are branched on.
+brought to echelon form by one pass of highest-bit insertion (`gf2.echelon`),
+so every pivot is forced by the variables before it and only the n - rank
+free variables are branched on.  The search reads the echelon rows as they
+are, with no back-substitution: when it reaches pivot p every variable below
+p is set, the lower pivots included, and each of those satisfies its own
+row, so parity(mask & row) forces the same bit on the echelon row as on the
+reduced row and the search visits the same nodes in the same order.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under independently sampled random (A, d) pairs with i
 rows.  Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
 `draw_parity_systems` draws all T pairs of an index in one batch from the
 generators' raw words (`seeds.stream_words`) without building the
 generators, bit-identical to that loop, and both pack their bits through
-one helper.  `make_oracle` binds a model to any configured oracle kind;
+one helper, which turns every row of a batch into a Python int in one
+call.  `make_oracle` binds a model to any configured oracle kind;
 `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
@@ -29,6 +34,7 @@ audited afterwards.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -89,19 +95,22 @@ def _pack_systems(n: int, m: int, draws: np.ndarray) -> list[gf2.Gf2System]:
     """The systems in an (S, pad + m) array of 0/1 draws, one system per row.
 
     Row r of a system is bits r*n .. r*n + n - 1 of its draw, bit v first;
-    the rhs is bits pad .. pad + m - 1.
+    the rhs is bits pad .. pad + m - 1.  Each row is packed into whole
+    little-endian 64-bit words, so one `tolist` turns every row into Python
+    ints; words are joined in Python only when n > 64.
     """
     pad, _ = _draw_bytes(n, m)
-    packed = np.packbits(draws[:, : m * n].reshape(len(draws), m, n), axis=2, bitorder="little")
-    # row r sits at bits r*stride.. of one little-endian int over the system's matrix
-    stride = 8 * packed.shape[2]
-    mask = (1 << stride) - 1
-    systems = []
-    for matrix, rhs in zip(packed.reshape(len(draws), -1), draws[:, pad:].tolist()):
-        whole = int.from_bytes(matrix.tobytes(), "little")
-        rows = tuple((whole >> (r * stride)) & mask for r in range(m))
-        systems.append(gf2.Gf2System(n, rows, tuple(rhs)))
-    return systems
+    count = len(draws)
+    words = max(1, -(-n // 64))
+    packed = np.zeros((count, m, 8 * words), dtype=np.uint8)
+    bits = draws[:, : m * n].reshape(count, m, n)
+    packed[:, :, : -(-n // 8)] = np.packbits(bits, axis=2, bitorder="little")
+    word = packed.view("<u8")  # (count, m, words), word j holding bits 64j..
+    if words == 1:
+        rows = word[:, :, 0].tolist()
+    else:  # join each row's words as Python ints
+        rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
+    return [gf2.Gf2System(n, r, b) for r, b in zip(rows, draws[:, pad:].tolist())]
 
 
 def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2System:
@@ -116,6 +125,8 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
     those calls would drop.  Systems and the generator's state afterwards are
     therefore those of the two-call draw.
     """
+    if min(n, m) < 0:
+        raise StructuralError(f"negative size: n={n}, m={m}")
     if m == 0:
         return gf2.Gf2System(n, (), ())
     draw = rng.integers(0, 2, size=_draw_bytes(n, m)[1], dtype=np.uint8)
@@ -132,7 +143,14 @@ def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> Iterator
     words, low byte first, and PCG64 hands out the low half of each 64-bit
     word before the high half: so the draw's bits are bit 7 of each byte of
     the raw words read as little-endian bytes, whatever the host's order.
+    Negative n, m or reps are rejected on the call, before anything is drawn.
     """
+    if min(n, m, reps) < 0:
+        raise StructuralError(f"negative size: n={n}, m={m}, reps={reps}")
+    return _draw_batches(n, m, master_seed, reps)
+
+
+def _draw_batches(n: int, m: int, master_seed: int, reps: int) -> Iterator[gf2.Gf2System]:
     if m == 0:
         yield from (gf2.Gf2System(n, (), ()) for _ in range(reps))
         return
@@ -147,19 +165,19 @@ def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> Iterator
 
 def _solve_branch_and_bound(
     model: WeightedModel,
-    reduced: gf2.ReducedSystem,
+    forced: list[tuple[int, int] | None],
     node_limit: int | None,
     time_limit: float | None,
 ) -> MapResult:
+    """Depth-first search over variables 0..n-1; forced[v] is None for a free v.
+
+    Otherwise forced[v] = (row, b), an echelon row whose highest bit is v and
+    its rhs: the search sets v to b ^ parity(mask & row).  mask holds only
+    variables below v there, so bit v of row is never read.
+    """
     n = model.n
     compiled = model.compiled
     steps = compiled.branch_tables
-    # Each reduced row's pivot is its highest variable, so in depth-first
-    # order over variables 0..n-1 the earlier ones force it; only the n - rank
-    # free variables branch.
-    forced: list[tuple[int, int] | None] = [None] * n
-    for row, b, p in zip(reduced.rows, reduced.rhs, reduced.pivots):
-        forced[p] = (row ^ (1 << p), b)
 
     best = NEG_INF
     best_assign: int | None = None
@@ -233,15 +251,20 @@ def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | N
     bounds never fall below a leaf they cover, rounding included
     (`CompiledModel.branch_tables`).  Among equal maxima the assignment is
     the first one the search meets.  nodes counts the children visited,
-    pruned ones included.
+    pruned ones included.  The search runs on `gf2.echelon`'s rows, which
+    force the same bits as `gf2.row_reduce`'s (see the module docstring); a
+    0 = 1 row makes the result infeasible.  A `Gf2System` was validated when
+    it was built; any other (cols, rows, rhs) carrier is validated here.
     """
+    if not isinstance(system, gf2.Gf2System):
+        system = gf2.Gf2System(system.cols, system.rows, system.rhs)
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
     solver = solver or MapSolver()
-    reduced = gf2.row_reduce(system)
-    if not reduced.consistent:
+    forced, consistent = gf2.echelon(system.cols, system.rows, system.rhs)
+    if not consistent:
         return MapResult(NEG_INF, None, exact=True, feasible=False)
-    return _solve_branch_and_bound(model, reduced, solver.node_limit, solver.time_limit)
+    return _solve_branch_and_bound(model, forced, solver.node_limit, solver.time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,11 @@ class QuantileOracle:
         raise NotImplementedError
 
     def query(self, i: int, depth: int = 0) -> float:
+        if type(i) is not int:  # np.int64 and bool become int; 1.5 is refused
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise StructuralError(f"query index {i!r} is not an integer") from None
         if not 0 <= i <= self.n:
             raise StructuralError(f"query index {i} outside 0..{self.n}")
         hit = self.ledger.lookup(i)

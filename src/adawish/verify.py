@@ -29,6 +29,7 @@ from .model import (
     exact_quantiles,
     gen_clique_ising,
     gen_grid_ising,
+    log_weight,
     log_weights_at,
 )
 from .optbench import compute_opt, gen_adversarial_pair, regret_bound, synthetic_oracle
@@ -232,15 +233,16 @@ def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
 
 
 def check_draw_agreement(
-    sizes=(1, 12, 16, 64, 65, 100), masters=(-7, 1 << 64, (1 << 70) + 3), reps: int = 3
+    sizes=(1, 12, 16, 64, 65, 100, 128, 129), masters=(-7, 1 << 64, (1 << 70) + 3), reps: int = 3
 ) -> CheckResult:
     """`draw_parity_systems` yields the systems of the per-repetition loop exactly.
 
     For every n in sizes, every index i in 0..n (rows i) and every master
     seed, the batch must equal `[sample_parity_system(n, i, rng_from(master,
-    i, t)) for t < reps]`: the same columns, rows and rhs.  One further
-    draw, 300 systems of 64 rows over 64 columns, spans three
-    `seeds.STREAM_CHUNK_WORDS` chunks.
+    i, t)) for t < reps]`: the same columns, rows and rhs.  Sizes 64, 65,
+    128 and 129 put rows on either side of the one- and two-word boundaries
+    of the packing.  One further draw, 300 systems of 64 rows over 64
+    columns, spans three `seeds.STREAM_CHUNK_WORDS` chunks.
     """
     cases = [(n, i, master, reps) for n in sizes for i in range(n + 1) for master in masters]
     cases.append((64, 64, masters[0], 300))
@@ -342,13 +344,15 @@ def check_adversarial_pair() -> CheckResult:
 def check_solver_agreement(models: list[WeightedModel], trials: int, seed: int) -> CheckResult:
     """`map_solve` matches `reference_map` exactly on random parity systems.
 
+    m runs up to n + 2, so full-rank and inconsistent systems come up.
     Feasibility must agree, both solves must be exact, and the maxima must be
-    equal or within 1e-12.
+    equal or within 1e-12.  Every assignment either returns must solve the
+    system and have exactly the returned value under `log_weight`.
     """
     rng = np.random.default_rng(seed)
     for t in range(trials):
         model = models[t % len(models)]
-        m = int(rng.integers(0, 7))
+        m = int(rng.integers(0, model.n + 3))
         system = sample_parity_system(model.n, m, rng)
         a = reference_map(model, system)
         b = map_solve(model, system)
@@ -359,6 +363,11 @@ def check_solver_agreement(models: list[WeightedModel], trials: int, seed: int) 
                 False,
                 f"trial {t} on {model.name}: enumeration {a.log_value} vs branch and bound {b.log_value}",
             )
+        for name, r in (("enumeration", a), ("branch and bound", b)):
+            if r.assignment is not None and not (
+                gf2.satisfies(system, r.assignment) and log_weight(model, r.assignment) == r.log_value
+            ):
+                return CheckResult("solver agreement", False, f"trial {t} on {model.name}: {name} assignment")
     return CheckResult("solver agreement", True, f"{trials} (model, parity system) pairs match")
 
 

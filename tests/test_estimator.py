@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adawish.cli import parse_gen_spec
 from adawish.errors import StructuralError
 from adawish.estimator import (
     adawish_estimate,
@@ -250,3 +251,32 @@ class TestGuarantee:
         result = adawish_estimate(model, config, beta=2.0, solver=MapSolver(node_limit=4))
         assert result.ledger.guarantee_void
         assert not result.guarantee.proven
+
+
+class TestPinnedEstimates:
+    # (spec, master seed, schedule) -> (log_w as float.hex, distinct_queries,
+    # map_calls) under the neighbor oracle at c = 2, T = 30 and beta = 2:
+    # any change to how systems are drawn, reduced or solved that alters an
+    # answer shows here
+    PINNED = {
+        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6744c239c5023p+4", 13, 361),
+        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6744c239c5023p+4", 13, 361),
+        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.6889dbdf6d079p+4", 13, 361),
+        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.6889dbdf6d079p+4", 13, 361),
+        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.b4dbedcca1732p+2", 13, 361),
+        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.b3b5d921d53e7p+2", 10, 271),
+        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c5944350f7070p+2", 13, 361),
+        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c4c17fb21ef50p+2", 10, 271),
+    }
+
+    @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))
+    def test_estimate_is_pinned(self, spec, master, schedule):
+        model = parse_gen_spec(spec)
+        config = OracleConfig(kind="neighbor", c=2, T=30, master_seed=master)
+        if schedule == "wish":
+            result = wish_estimate(model, config)
+        else:
+            result = adawish_estimate(model, config, 2.0)
+        log_w, distinct, calls = self.PINNED[spec, master, schedule]
+        got = (result.log_w, result.ledger.distinct_queries, result.ledger.map_calls)
+        assert got == (float.fromhex(log_w), distinct, calls)

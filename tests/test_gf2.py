@@ -76,6 +76,22 @@ class TestRowReduce:
         if consistent:  # the rhs of an inconsistent system is unspecified
             assert reduced.rhs == rhs
 
+    @settings(max_examples=200, deadline=None)
+    @given(parity_systems())
+    def test_echelon_rows_span_the_reduced_form(self, system):
+        # each basis row pivots on its highest bit, and the echelon system
+        # reduces to the same form as the system it came from
+        basis, consistent = gf2.echelon(system.cols, system.rows, system.rhs)
+        reduced = gf2.row_reduce(system)
+        assert consistent == reduced.consistent
+        pivots = tuple(p for p, hit in enumerate(basis) if hit is not None)
+        assert pivots == reduced.pivots
+        assert all(basis[p][0].bit_length() - 1 == p for p in pivots)
+        rows, rhs = zip(*(basis[p] for p in pivots)) if pivots else ((), ())
+        again = gf2.row_reduce(gf2.Gf2System(system.cols, rows, rhs))
+        assert (again.rows, again.pivots) == (reduced.rows, reduced.pivots)
+        if consistent:
+            assert again.rhs == reduced.rhs
 
     def test_empty_system_is_unconstrained(self):
         reduced = gf2.row_reduce(gf2.Gf2System(4, (), ()))
@@ -176,3 +192,11 @@ class TestEvaluate:
             gf2.evaluate(system, [1, 0])
         with pytest.raises(StructuralError):
             gf2.evaluate(system, 0b11111)
+
+    def test_satisfies_checks_list_length(self):
+        system = gf2.Gf2System(3, (0b111,), (1,))
+        for bits in ([1, 0], [1, 0, 0, 0]):
+            with pytest.raises(StructuralError):
+                gf2.satisfies(system, bits)
+        assert gf2.satisfies(system, [1, 0, 0]) and not gf2.satisfies(system, [1, 1, 0])
+        assert gf2.satisfies(system, 0b001)

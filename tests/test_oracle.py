@@ -107,6 +107,20 @@ class TestMapSolve:
         free = map_solve(model, gf2.Gf2System(n, (), ()), MapSolver(node_limit=20_000))
         assert free.exact and free.nodes <= 2 * n + 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduced_and_drawn_rows_solve_alike(self, seed):
+        # pivots force the same bits on echelon and reduced rows, so the
+        # search is the same node for node; other carriers are validated
+        model = gen_grid_ising(3, 4, coupling_w=1.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        for m in range(model.n + 3):
+            system = sample_parity_system(model.n, m, rng)
+            reduced = gf2.row_reduce(system)
+            if reduced.consistent:  # the reduced form drops a 0 = 1 row
+                assert map_solve(model, reduced) == map_solve(model, system)
+        with pytest.raises(StructuralError):
+            map_solve(model, gf2.ReducedSystem(model.n, (1 << model.n,), (0,), (model.n,), True))
+
     def test_enumerate_size_guard(self):
         model = WeightedModel(25, ())
         with pytest.raises(TooLarge):
@@ -179,11 +193,12 @@ class TestMapSolve:
             if r.log_value == NEG_INF:
                 assert r.assignment is None
             else:
-                assert r.assignment in sols and log_weight(model, r.assignment) == r.log_value
+                assert r.assignment in sols and gf2.satisfies(system, r.assignment)
+                assert log_weight(model, r.assignment) == r.log_value
 
 
 class TestParitySampling:
-    @pytest.mark.parametrize("n", [0, 1, 7, 12, 13, 16, 25, 64, 65, 100])
+    @pytest.mark.parametrize("n", [0, 1, 7, 12, 13, 16, 25, 64, 65, 100, 128, 129])
     def test_rows_match_per_row_packing(self, n):
         # the reference draws the matrix and the rhs in two calls and packs
         # each row on its own, the way systems were first drawn; equal
@@ -208,6 +223,16 @@ class TestParitySampling:
     def test_batched_draw_matches_per_repetition_loop(self):
         result = check_draw_agreement()
         assert result.passed, result.detail
+
+    def test_negative_sizes_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(StructuralError):
+            sample_parity_system(4, -1, rng)
+        with pytest.raises(StructuralError):
+            sample_parity_system(-1, 2, rng)
+        for n, m, reps in ((4, 2, -1), (4, -1, 3), (-1, 2, 3)):
+            with pytest.raises(StructuralError):
+                draw_parity_systems(n, m, 0, reps)  # on the call, not on first use
 
     def test_batched_draw_holds_a_bounded_buffer(self, monkeypatch):
         asked = []
@@ -256,6 +281,17 @@ class TestXorQuery:
         assert ledger.map_calls == calls
         assert ledger.cache_hits == 1
         assert ledger.distinct_queries == 1
+
+    def test_query_index_must_be_an_integer(self):
+        model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3, master_seed=9))
+        for bad in (1.5, 2.0, "3", None):
+            with pytest.raises(StructuralError):
+                oracle.query(bad)
+        assert oracle.query(np.int64(3)) == oracle.query(3)
+        assert oracle.query(True) == oracle.query(1)
+        assert oracle.ledger.queried_indices() == {1, 3}
+        assert all(type(i) is int for i in oracle.ledger.queried_indices())
 
     def test_deterministic_and_order_free(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
