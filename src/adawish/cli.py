@@ -18,7 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,14 +72,13 @@ class RunReport:
     wall_time: float
     guarantee: str
 
-    FIELDS = (
-        "instance", "n", "schedule", "oracle", "beta", "c", "T", "delta", "gamma",
-        "seed", "log10_w_estimate", "log10_w_exact", "log10_error",
-        "distinct_queries", "map_calls", "wall_time", "guarantee",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the CSV columns: every field, in declaration order
 
     def row(self) -> list[str]:
         return [_fmt(getattr(self, f)) for f in self.FIELDS]
+
+
+RunReport.FIELDS = tuple(f.name for f in fields(RunReport))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -162,7 +162,7 @@ def _run_schedule(model, args, seed):
 def _report(model, args, seed, result, wall) -> RunReport:
     log10_exact = None
     log10_err = None
-    if args.exact or (args.auto_exact and model.n <= ENUMERATION_LIMIT):
+    if args.auto_exact and model.n <= ENUMERATION_LIMIT:
         log10_exact = exact_log_partition(model) / LN10
         log10_err = abs(result.log_w / LN10 - log10_exact)
     if result.guarantee.proven:
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_oracle_args(p_est)
     p_est.add_argument("--schedule", choices=("wish", "adawish"), default="adawish")
     p_est.add_argument("--csv", help="also write the report to this CSV file, replacing it")
-    p_est.add_argument("--exact", action="store_true", help="force exact ground truth (n <= 24)")
     p_est.add_argument("--no-auto-exact", dest="auto_exact", action="store_false",
                        help="skip automatic ground truth even when enumerable")
     p_est.set_defaults(func=cmd_estimate, auto_exact=True)

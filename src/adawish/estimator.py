@@ -109,8 +109,8 @@ def search(
     if not 0 <= l < r <= oracle.n:
         raise StructuralError(f"bad interval ({l}, {r}) for n={oracle.n}")
     if r == l + 1:
-        out[l] = oracle.approx(l, depth)
-        out[r] = oracle.approx(r, depth)
+        out[l] = oracle.query(l, depth)
+        out[r] = oracle.query(r, depth)
         return
     bl = oracle.upper(l, depth)
     br = oracle.lower(r, depth)
@@ -131,7 +131,7 @@ def wish_from_oracle(oracle: QuantileOracle) -> EstimateResult:
     n = oracle.n
     q = np.empty(n + 1, dtype=float)
     for i in range(n + 1):
-        q[i] = oracle.approx(i)
+        q[i] = oracle.query(i)
     return EstimateResult(
         log_w=assemble_log_estimate(q),
         quantiles=q,
@@ -151,7 +151,7 @@ def adawish_from_oracle(oracle: QuantileOracle, beta: float) -> EstimateResult:
     n = oracle.n
     q = np.full(n + 1, np.nan)
     if n == 0:
-        q[0] = oracle.approx(0)
+        q[0] = oracle.query(0)
     else:
         search(oracle, beta, 0, n, q)
     return EstimateResult(

@@ -142,10 +142,12 @@ def echelon(
     return basis, consistent
 
 
-def row_reduce(system) -> ReducedSystem:
+def row_reduce(system: Gf2System) -> ReducedSystem:
     """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
 
-    Accepts any (cols, rows, rhs) carrier and validates it.  `echelon` gives
+    Takes a `Gf2System` only, validated when it was built; anything else
+    raises StructuralError, since a `ReducedSystem` has dropped the 0 = 1 row
+    of an inconsistent system and would read as consistent.  `echelon` gives
     one basis row per pivot; one back-substitution pass in ascending pivot
     order then clears every lower pivot from each row.  The reduced echelon
     form with highest-bit pivots is unique, so rows, pivots, rank and
@@ -155,9 +157,10 @@ def row_reduce(system) -> ReducedSystem:
     infeasibility without reading it.  `map_solve` does not need this form
     and runs on `echelon`'s rows.
     """
-    cols, rows, rhs = system.cols, system.rows, system.rhs
-    _check_rows(cols, rows, rhs)
-    basis, consistent = echelon(cols, rows, rhs)
+    if not isinstance(system, Gf2System):
+        raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
+    cols = system.cols
+    basis, consistent = echelon(cols, system.rows, system.rhs)
     pivots = [p for p, hit in enumerate(basis) if hit is not None]
     pivot_bits = sum(1 << p for p in pivots)
     for p in pivots:

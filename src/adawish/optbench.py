@@ -277,9 +277,7 @@ def gen_adversarial_pair(n: int, kappa: float) -> AdversarialPair:
 # Synthetic curves
 
 
-def gen_kvalued_curve(
-    n: int, values: Sequence[float], breakpoints: Sequence[int], k: int | None = None
-) -> QuantileCurve:
+def gen_kvalued_curve(n: int, values: Sequence[float], breakpoints: Sequence[int]) -> QuantileCurve:
     """Step curve with len(values) plateaus; values are log-weights.
 
     breakpoints[j] is the first index taking values[j+1]; they must be
@@ -287,8 +285,6 @@ def gen_kvalued_curve(
     """
     vals = [float(v) for v in values]
     bps = [int(b) for b in breakpoints]
-    if k is not None and k != len(vals):
-        raise StructuralError(f"k={k} but {len(vals)} values given")
     if len(bps) != len(vals) - 1:
         raise StructuralError("need exactly one breakpoint per value change")
     if any(v2 >= v1 for v1, v2 in zip(vals, vals[1:])):

@@ -253,11 +253,12 @@ def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | N
     the first one the search meets.  nodes counts the children visited,
     pruned ones included.  The search runs on `gf2.echelon`'s rows, which
     force the same bits as `gf2.row_reduce`'s (see the module docstring); a
-    0 = 1 row makes the result infeasible.  A `Gf2System` was validated when
-    it was built; any other (cols, rows, rhs) carrier is validated here.
+    0 = 1 row makes the result infeasible.  Only a `Gf2System`, validated when
+    it was built, is accepted: anything else raises StructuralError, as a
+    `ReducedSystem` would read as consistent after dropping a 0 = 1 row.
     """
     if not isinstance(system, gf2.Gf2System):
-        system = gf2.Gf2System(system.cols, system.rows, system.rhs)
+        raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
     solver = solver or MapSolver()
@@ -385,9 +386,6 @@ class QuantileOracle:
         if hit is not None:
             return hit
         return self.ledger.record(i, self._compute(i), depth)
-
-    def approx(self, i: int, depth: int = 0) -> float:
-        return self.query(i, depth)
 
     def lower(self, i: int, depth: int = 0) -> float:
         return self.query(i, depth)

@@ -1,12 +1,15 @@
-"""Self-check suites surfaced by the `verify` CLI command.
+"""The library's contracts, each checked in one place.
 
-Each check exercises one of the library's core contracts at desk scale and
-returns a (name, passed, detail) row.  The fast level keeps models at n <= 12
-and finishes in seconds; the full level raises sizes to n <= 16 and adds the
-statistical checks (hash uniformity, randomized query coverage).  The
-references the checks and the test suite share live here too: the model zoo
-and `reference_map`, the coset enumeration that `map_solve` is compared
-against.
+Each check exercises one of the library's core contracts on the inputs it
+is given and returns a (name, passed, detail) row; the test suite calls the
+same checks with its own pinned inputs, so every contract has one
+definition.  `run_checks` builds the suites of the `verify` CLI command:
+the fast level keeps models at n <= 12 and finishes in seconds; the full
+level raises sizes to n <= 16 and adds the statistical checks (hash
+uniformity, randomized query coverage).  The references the checks and the
+test suite share live here too: the model zoo, the curve and parity-system
+suites, and `reference_map`, the coset enumeration that `map_solve` is
+compared against.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .model import (
     BLOCK_BITS,
     ENUMERATION_LIMIT,
     Factor,
+    QuantileCurve,
     WeightedModel,
     exact_log_partition,
     exact_quantiles,
@@ -32,9 +36,17 @@ from .model import (
     log_weight,
     log_weights_at,
 )
-from .optbench import compute_opt, gen_adversarial_pair, regret_bound, synthetic_oracle
+from .optbench import (
+    compute_opt,
+    gen_adversarial_pair,
+    gen_geometric_curve,
+    gen_kvalued_curve,
+    regret_bound,
+    synthetic_oracle,
+)
 from .oracle import (
     MapResult,
+    NeighborStubOracle,
     OracleConfig,
     XorOracle,
     draw_parity_systems,
@@ -204,18 +216,25 @@ def check_cost_to_go(models: list[WeightedModel]) -> CheckResult:
     return CheckResult("cost-to-go bound", True, f"{levels} levels over {len(models)} models")
 
 
-def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
+def _gf2_systems(trials: int, seed: int) -> list[gf2.Gf2System]:
+    """Random parity systems of 1..8 columns and up to n + 1 rows, drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(0, n + 2))
+        systems.append(sample_parity_system(n, m, rng))
+    return systems
+
+
+def check_gf2_counts(systems: list[gf2.Gf2System]) -> CheckResult:
     """Rank-based solution counts match brute-force enumeration.
 
     Each reduced system must also be in the form the solver relies on:
     pivots ascend, each is its row's highest set bit, and no other row has
     it set.
     """
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, n + 2))
-        system = sample_parity_system(n, m, rng)
+    for t, system in enumerate(systems):
         reduced = gf2.row_reduce(system)
         pivot_bits = sum(1 << p for p in reduced.pivots)
         if not (
@@ -226,10 +245,10 @@ def check_gf2_counts(trials: int = 25, seed: int = 11) -> CheckResult:
             )
         ):
             return CheckResult("gf2 solution counts", False, f"trial {t}: not in reduced echelon form")
-        brute = sum(1 for x in range(1 << n) if gf2.satisfies(system, x))
+        brute = sum(1 for x in range(1 << system.cols) if gf2.satisfies(system, x))
         if brute != reduced.solution_count:
             return CheckResult("gf2 solution counts", False, f"trial {t}: {brute} != {reduced.solution_count}")
-    return CheckResult("gf2 solution counts", True, f"{trials} random systems")
+    return CheckResult("gf2 solution counts", True, f"{len(systems)} random systems")
 
 
 def check_draw_agreement(
@@ -254,6 +273,11 @@ def check_draw_agreement(
     return CheckResult("draw agreement", True, f"{systems} systems over {len(cases)} (n, i, seed, T) cases")
 
 
+def _within_budget(ledger, n: int) -> bool:
+    """At most n + 1 distinct queries, all inside 0..n."""
+    return ledger.distinct_queries <= n + 1 and ledger.queried_indices() <= set(range(n + 1))
+
+
 def check_sandwich(models: list[WeightedModel]) -> CheckResult:
     """Quantile-derived bounds bracket the exact integral within a factor 2."""
     tol = 1e-9
@@ -266,7 +290,12 @@ def check_sandwich(models: list[WeightedModel]) -> CheckResult:
 
 
 def check_schedules(models: list[WeightedModel], betas=(1.1, 2.0, 10.0)) -> CheckResult:
-    """Exact-oracle schedules land within their approximation factors."""
+    """Exact-oracle schedules land within their approximation factors and query budget.
+
+    The full sweep must be within a factor 2 of the integral and each
+    adaptive run within 2 beta; every run makes at most n + 1 distinct
+    queries, all inside 0..n.
+    """
     tol = 1e-9
     for model in models:
         curve = exact_quantiles(model)
@@ -274,53 +303,87 @@ def check_schedules(models: list[WeightedModel], betas=(1.1, 2.0, 10.0)) -> Chec
         full = wish_from_oracle(synthetic_oracle(curve, "exact"))
         if abs(full.log_w - log_w) > LN2 + tol:
             return CheckResult("schedule accuracy", False, f"{model.name}: full sweep off")
+        if not _within_budget(full.ledger, model.n):
+            return CheckResult("schedule accuracy", False, f"{model.name}: full sweep query budget")
         for beta in betas:
             adaptive = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta)
             if abs(adaptive.log_w - log_w) > math.log(2 * beta) + tol:
                 return CheckResult("schedule accuracy", False, f"{model.name}: beta={beta}")
-            if adaptive.ledger.distinct_queries > model.n + 1:
+            if not _within_budget(adaptive.ledger, model.n):
                 return CheckResult("schedule accuracy", False, f"{model.name}: query budget")
     return CheckResult("schedule accuracy", True, f"{len(models)} models x {len(betas)} betas")
 
 
-def check_regret(n_curves: int = 30, n: int = 64, beta: float = 2.0, seed: int = 5) -> CheckResult:
-    """Adaptive query counts stay within the greedy-OPT regret budget."""
-    from .optbench import gen_geometric_curve, gen_kvalued_curve
+def curve_mix(
+    count: int, n: int, seed: int, max_k: int = 6, drop=(1.0, 12.0), base: float = 40.0, top=None
+) -> list[QuantileCurve]:
+    """Alternating step and geometric curves over 0..n, drawn from one generator.
 
+    Curve t is, for even t, a step curve of k in [2, max_k) plateaus whose
+    values fall from base by uniform(*drop) each, and for odd t a geometric
+    curve of ratio uniform(1.01, 4) whose top is uniform(*top), or 0 when
+    top is None.
+    """
     rng = np.random.default_rng(seed)
-    for t in range(n_curves):
+    curves = []
+    for t in range(count):
         if t % 2 == 0:
-            k = int(rng.integers(2, 6))
+            k = int(rng.integers(2, max_k))
             bps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
-            vals = np.cumsum(-rng.uniform(1.0, 12.0, size=k)) + 40.0
-            curve = gen_kvalued_curve(n, vals.tolist(), bps)
+            vals = np.cumsum(-rng.uniform(*drop, size=k)) + base
+            curves.append(gen_kvalued_curve(n, vals.tolist(), bps))
         else:
-            curve = gen_geometric_curve(n, float(rng.uniform(1.01, 4.0)))
+            ratio = float(rng.uniform(1.01, 4.0))
+            shift = 0.0 if top is None else float(rng.uniform(*top))
+            curves.append(gen_geometric_curve(n, ratio, top=shift))
+    return curves
+
+
+def check_regret(curves: list[QuantileCurve], beta: float = 2.0) -> CheckResult:
+    """Adaptive query counts stay within the greedy-OPT regret budget.
+
+    Exhaustive certification is out of reach at these sizes, so the (never
+    smaller) greedy optimum feeds the budget.
+    """
+    for t, curve in enumerate(curves):
         result = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta)
         opt = compute_opt(curve, 2 * beta, "greedy")
-        budget = regret_bound(opt.opt_size, n)
+        budget = regret_bound(opt.opt_size, curve.n)
         if result.ledger.distinct_queries > budget:
             return CheckResult("regret budget", False, f"curve {t}: {result.ledger.distinct_queries} > {budget}")
-    return CheckResult("regret budget", True, f"{n_curves} curves at n={n}")
+    sizes = ", ".join(str(n) for n in sorted({curve.n for curve in curves}))
+    return CheckResult("regret budget", True, f"{len(curves)} curves at n={sizes}")
 
 
-def check_adversarial_stub(n_curves: int = 10, beta: float = 2.0, seed: int = 7) -> CheckResult:
-    """Worst-case neighbor answers keep the output within 2^(2c) * beta."""
-    from .optbench import gen_geometric_curve
-
+def _stub_curves(count: int, seed: int) -> list[QuantileCurve]:
+    """Geometric curves of random length 8..32, ratio and top, for `check_adversarial_stub`."""
     rng = np.random.default_rng(seed)
-    for t in range(n_curves):
-        n = int(rng.integers(8, 33))
-        curve = gen_geometric_curve(n, float(rng.uniform(1.0, 3.0)), top=float(rng.uniform(-2, 2)))
+    curves = []
+    for _ in range(count):
+        n, ratio = int(rng.integers(8, 33)), float(rng.uniform(1.0, 3.0))
+        curves.append(gen_geometric_curve(n, ratio, top=float(rng.uniform(-2, 2))))
+    return curves
+
+
+def check_adversarial_stub(curves: list[QuantileCurve], beta: float = 2.0) -> CheckResult:
+    """Worst-case neighbor answers keep the output within 2^(2c) * beta and the query budget.
+
+    Curve t is answered by the stub at c = 2 and 3 under every policy, seeded
+    with t; each run must also make at most n + 1 distinct queries, all inside
+    0..n.
+    """
+    for t, curve in enumerate(curves):
         implied, _ = sandwich_bounds(curve)
         for c in (2, 3):
-            for policy in ("always_upper", "always_lower", "seeded"):
+            for policy in NeighborStubOracle.policies:
                 oracle = synthetic_oracle(curve, "neighbor-stub", c=c, policy=policy, seed=t)
                 result = adawish_from_oracle(oracle, beta)
                 bound = 2 * c * LN2 + math.log(beta) + 1e-9
                 if abs(result.log_w - implied) > bound:
                     return CheckResult("adversarial stub", False, f"curve {t} c={c} {policy}")
-    return CheckResult("adversarial stub", True, f"{n_curves} curves, both c, all policies")
+                if not _within_budget(result.ledger, curve.n):
+                    return CheckResult("adversarial stub", False, f"curve {t} c={c} {policy}: query budget")
+    return CheckResult("adversarial stub", True, f"{len(curves)} curves, both c, all policies")
 
 
 def check_adversarial_pair() -> CheckResult:
@@ -429,15 +492,15 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     max_n = 12 if level == "fast" else 16
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
-        check_gf2_counts(),
+        check_gf2_counts(_gf2_systems(25, seed=11)),
         check_draw_agreement(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),
         check_cost_to_go(models + benchmark_models(max_n)),
         check_sandwich(models),
         check_schedules(models),
-        check_regret(),
-        check_adversarial_stub(),
+        check_regret(curve_mix(30, 64, seed=5)),
+        check_adversarial_stub(_stub_curves(10, seed=7)),
         check_adversarial_pair(),
         check_solver_agreement(model_zoo(6, 12, 3), 40, 3),
     ]

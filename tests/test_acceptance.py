@@ -10,35 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from adawish import gf2
-from adawish.estimator import adawish_from_oracle, sandwich_bounds, wish_from_oracle
+from adawish.estimator import adawish_from_oracle
 from adawish.errors import ParseError, UnsupportedCardinality
-from adawish.logspace import LN2
-from adawish.model import (
-    exact_log_partition,
-    exact_quantiles,
-    gen_grid_ising,
-    log_weight,
-    parse_uai,
-    serialize_uai,
+from adawish.model import exact_quantiles, gen_grid_ising, log_weight, parse_uai, serialize_uai
+from adawish.optbench import gen_geometric_curve, gen_kvalued_curve, synthetic_oracle
+from adawish.oracle import MapSolver, OracleConfig, QueryLedger, XorOracle
+from adawish.verify import (
+    check_adversarial_pair,
+    check_adversarial_stub,
+    check_hash_uniformity,
+    check_regret,
+    check_sandwich,
+    check_schedules,
+    check_solver_agreement,
+    curve_mix,
 )
-from adawish.optbench import (
-    compute_opt,
-    gen_adversarial_pair,
-    gen_geometric_curve,
-    gen_kvalued_curve,
-    regret_bound,
-    synthetic_oracle,
-)
-from adawish.oracle import (
-    MapSolver,
-    OracleConfig,
-    QueryLedger,
-    XorOracle,
-    sample_parity_system,
-)
-from adawish.seeds import rng_from
-from adawish.verify import check_solver_agreement
 
 from conftest import model_zoo
 
@@ -56,139 +42,60 @@ def acceptance_models():
 
 
 @pytest.fixture(scope="module")
-def model_curves(acceptance_models):
-    return [exact_quantiles(m) for m in acceptance_models]
+def schedule_check(acceptance_models):
+    """Exact-oracle schedules shared by the accuracy and budget criteria, with the check's run time."""
+    start = time.monotonic()
+    result = check_schedules(acceptance_models, BETAS)
+    return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def model_truths(acceptance_models):
-    return [exact_log_partition(m) for m in acceptance_models]
+def stub_check():
+    """Adaptive runs against the deterministic worst-case neighbor oracle, at beta 2.
 
-
-def synthetic_curve_suite(count, n, seed):
-    """Plateau and geometric mixes used by the schedule/regret criteria."""
-    rng = np.random.default_rng(seed)
-    curves = []
-    for t in range(count):
-        if t % 2 == 0:
-            k = int(rng.integers(2, 7))
-            bps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
-            vals = (np.cumsum(-rng.uniform(0.5, 25.0, size=k)) + 30.0).tolist()
-            curves.append(gen_kvalued_curve(n, vals, bps))
-        else:
-            curves.append(
-                gen_geometric_curve(n, float(rng.uniform(1.01, 4.0)), top=float(rng.uniform(-5, 5)))
-            )
-    return curves
-
-
-@pytest.fixture(scope="module")
-def schedule_runs(acceptance_models, model_curves, model_truths):
-    """Exact-oracle schedule results shared by the accuracy and budget criteria."""
-    runs = []
-    for model, curve, log_w in zip(acceptance_models, model_curves, model_truths):
-        sweep = wish_from_oracle(synthetic_oracle(curve, "exact"))
-        runs.append(("wish", None, model.n, log_w, sweep))
-        for beta in BETAS:
-            adaptive = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta)
-            runs.append(("adawish", beta, model.n, log_w, adaptive))
-    return runs
-
-
-@pytest.fixture(scope="module")
-def stub_runs():
-    """Adaptive runs against the deterministic worst-case neighbor oracle."""
+    The curves alternate geometric and plateau shapes over random lengths 6..64.
+    """
     rng = np.random.default_rng(31)
-    beta = 2.0
-    runs = []
+    curves = []
     for t in range(50):
         n = int(rng.integers(6, 65))
         if t % 2 == 0:
-            curve = gen_geometric_curve(n, float(rng.uniform(1.0, 3.5)))
+            curves.append(gen_geometric_curve(n, float(rng.uniform(1.0, 3.5))))
         else:
             k = int(rng.integers(2, min(5, n)))
             bps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist())
-            vals = np.cumsum(-rng.uniform(1.0, 40.0, size=k)).tolist()
-            curve = gen_kvalued_curve(n, vals, bps)
-        implied, _ = sandwich_bounds(curve)
-        for c in (2, 3):
-            for policy in ("always_upper", "always_lower", "seeded"):
-                oracle = synthetic_oracle(curve, "neighbor-stub", c=c, policy=policy, seed=t)
-                result = adawish_from_oracle(oracle, beta)
-                runs.append((n, c, policy, beta, implied, result))
-    return runs
+            curves.append(gen_kvalued_curve(n, np.cumsum(-rng.uniform(1.0, 40.0, size=k)).tolist(), bps))
+    return check_adversarial_stub(curves, beta=2.0)
 
 
-def test_exact_sandwich_brackets_integral(acceptance_models, model_curves, model_truths):
+def test_exact_sandwich_brackets_integral(acceptance_models):
     start = time.monotonic()
-    tol = 1e-9
-    worst = 0.0
-    for model, curve, log_w in zip(acceptance_models, model_curves, model_truths):
-        lo, up = sandwich_bounds(curve)
-        ok = lo <= log_w + tol and log_w <= up + tol and up <= lo + LN2 + tol
-        worst = max(worst, up - lo - LN2)
-        if not ok:
-            report("exact quantile sandwich", False, f"violated on {model.name}")
+    result = check_sandwich(acceptance_models)
     elapsed = time.monotonic() - start
     report(
         "exact quantile sandwich",
-        elapsed < 60.0,
-        f"LB <= W <= UB <= 2LB on {len(acceptance_models)} models, {elapsed:.1f}s",
+        result.passed and elapsed < 60.0,
+        f"LB <= W <= UB <= 2LB: {result.detail}, {elapsed:.1f}s",
     )
 
 
-def test_schedule_accuracy_under_exact_oracle(schedule_runs):
-    start = time.monotonic()
-    tol = 1e-9
-    for schedule, beta, n, log_w, result in schedule_runs:
-        err = abs(result.log_w - log_w)
-        bound = LN2 + tol if schedule == "wish" else math.log(2 * beta) + tol
-        if err > bound:
-            report(
-                "schedule accuracy (exact oracle)",
-                False,
-                f"{schedule} beta={beta} err={err:.3g} > {bound:.3g}",
-            )
-    elapsed = time.monotonic() - start
+def test_schedule_accuracy_under_exact_oracle(schedule_check):
+    result, elapsed = schedule_check
     report(
         "schedule accuracy (exact oracle)",
-        elapsed < 120.0,
-        f"{len(schedule_runs)} runs within factor bounds, {elapsed:.1f}s",
+        result.passed and elapsed < 120.0,
+        f"{result.detail} within factor bounds, {elapsed:.1f}s",
     )
 
 
-def test_adaptive_accuracy_under_worst_case_neighbor(stub_runs):
-    tol = 1e-9
-    for n, c, policy, beta, implied, result in stub_runs:
-        bound = 2 * c * LN2 + math.log(beta) + tol
-        if abs(result.log_w - implied) > bound:
-            report(
-                "worst-case neighbor accuracy",
-                False,
-                f"n={n} c={c} {policy}: err {abs(result.log_w - implied):.3g} > {bound:.3g}",
-            )
-    report(
-        "worst-case neighbor accuracy",
-        True,
-        f"{len(stub_runs)} runs within 2^(2c)*beta",
-    )
+def test_adaptive_accuracy_under_worst_case_neighbor(stub_check):
+    report("worst-case neighbor accuracy", stub_check.passed, f"{stub_check.detail} within 2^(2c)*beta")
 
 
-def test_query_budget_upper_bound(schedule_runs, stub_runs):
-    for schedule, beta, n, _, result in schedule_runs:
-        ok = (
-            result.ledger.distinct_queries <= n + 1
-            and result.ledger.queried_indices() <= set(range(n + 1))
-        )
-        if not ok:
-            report("query budget", False, f"{schedule} beta={beta} n={n}")
-    for n, c, policy, beta, _, result in stub_runs:
-        ok = (
-            result.ledger.distinct_queries <= n + 1
-            and result.ledger.queried_indices() <= set(range(n + 1))
-        )
-        if not ok:
-            report("query budget", False, f"stub c={c} {policy} n={n}")
+def test_query_budget_upper_bound(schedule_check, stub_check):
+    for result in (schedule_check[0], stub_check):
+        if not result.passed:
+            report("query budget", False, result.detail)
     flat = gen_kvalued_curve(32, [1.0], [])
     flat_run = adawish_from_oracle(synthetic_oracle(flat, "exact"), 2.0)
     report(
@@ -199,36 +106,25 @@ def test_query_budget_upper_bound(schedule_runs, stub_runs):
 
 
 def test_adaptive_query_count_within_regret_budget():
-    beta = 2.0
-    violations = 0
-    total = 0
-    for n in (64, 256):
-        for curve in synthetic_curve_suite(50, n, seed=500 + n):
-            result = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta)
-            # exhaustive certification is out of reach at these sizes, so the
-            # (not smaller) greedy optimum feeds the budget
-            opt = compute_opt(curve, kappa=2 * beta, method="greedy")
-            budget = regret_bound(opt.opt_size, n)
-            total += 1
-            violations += result.ledger.distinct_queries > budget
-    report(
-        "regret budget",
-        violations == 0,
-        f"{total} curves at n in (64, 256), {violations} violations",
-    )
+    curves = [
+        curve
+        for n in (64, 256)
+        for curve in curve_mix(50, n, seed=500 + n, max_k=7, drop=(0.5, 25.0), base=30.0, top=(-5, 5))
+    ]
+    result = check_regret(curves, beta=2.0)
+    report("regret budget", result.passed, result.detail)
 
 
 def test_few_valued_curves_need_logarithmic_queries():
     beta = 2.0
     k = 3
+    curves = {n: gen_kvalued_curve(n, [0.0, -9.0, -21.0], [n // 3, (2 * n) // 3]) for n in (64, 256, 1024)}
+    regret = check_regret(list(curves.values()), beta)
+    if not regret.passed:
+        report("few-valued query growth", False, f"regret budget exceeded: {regret.detail}")
     counts = {}
-    for n in (64, 256, 1024):
-        curve = gen_kvalued_curve(n, [0.0, -9.0, -21.0], [n // 3, (2 * n) // 3])
-        result = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta)
-        counts[n] = result.ledger.distinct_queries
-        opt = compute_opt(curve, kappa=2 * beta, method="greedy")
-        if result.ledger.distinct_queries > regret_bound(opt.opt_size, n):
-            report("few-valued query growth", False, f"regret budget exceeded at n={n}")
+    for n, curve in curves.items():
+        counts[n] = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta).ledger.distinct_queries
         if counts[n] >= n / 2:
             report("few-valued query growth", False, f"not sublinear at n={n}: {counts[n]}")
     bound = 3 * k * (math.log2(1024) + 2)
@@ -273,41 +169,13 @@ def test_xor_median_coverage_on_enumerable_grid():
 
 
 def test_lower_bound_construction_matches_closed_forms():
-    ratios = []
-    for n in (64, 256, 1024):
-        pair = gen_adversarial_pair(n, 2.0)
-        for brute, closed in (
-            (pair.w1_brute_force, pair.w1_closed_form),
-            (pair.w2_brute_force, pair.w2_closed_form),
-        ):
-            if abs(brute - closed) > 1e-9 * abs(closed):
-                report("worst-case pair closed forms", False, f"n={n}: {brute} != {closed}")
-        ratios.append(pair.w2_brute_force / pair.w1_brute_force)
-    ok = ratios == sorted(ratios) and all(r < 4.0 for r in ratios)
-    report(
-        "worst-case pair closed forms",
-        ok,
-        f"ratios {[f'{r:.4f}' for r in ratios]} increasing toward 4",
-    )
+    result = check_adversarial_pair()
+    report("worst-case pair closed forms", result.passed, result.detail)
 
 
 def test_sampled_hash_pairs_are_uniform():
-    n, m, samples = 8, 3, 20000
-    x1, x2 = 0b10110001, 0b01110010
-    rng = rng_from(2024, 0xA5)
-    counts = np.zeros((1 << m, 1 << m), dtype=np.int64)
-    for _ in range(samples):
-        system = sample_parity_system(n, m, rng)
-        d = gf2.pack_bits(list(system.rhs))
-        h1 = gf2.evaluate(system, x1) ^ d
-        h2 = gf2.evaluate(system, x2) ^ d
-        counts[h1, h2] += 1
-    tv = 0.5 * float(np.abs(counts / samples - 1.0 / counts.size).sum())
-    report(
-        "pairwise hash uniformity",
-        tv <= 0.03,
-        f"total variation {tv:.4f} over {counts.size} cells ({samples} samples)",
-    )
+    result = check_hash_uniformity(20000, seed=2024)
+    report("pairwise hash uniformity", result.passed, f"{result.detail} (20000 samples)")
 
 
 def test_adaptive_saves_queries_on_grid_instances():

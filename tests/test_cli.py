@@ -216,8 +216,9 @@ class TestBench:
 
 
 class TestVerifyCommand:
-    def test_fast_level_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--level", "fast")
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_level_passes(self, capsys, level):
+        code, out, _ = run_cli(capsys, "verify", "--level", level)
         assert code == 0
         assert "checks passed" in out
         assert "[FAIL]" not in out

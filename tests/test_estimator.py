@@ -23,14 +23,9 @@ from adawish.model import (
     gen_clique_ising,
     gen_grid_ising,
 )
-from adawish.optbench import (
-    compute_opt,
-    gen_geometric_curve,
-    gen_kvalued_curve,
-    regret_bound,
-    synthetic_oracle,
-)
+from adawish.optbench import gen_geometric_curve, gen_kvalued_curve, synthetic_oracle
 from adawish.oracle import MapSolver, OracleConfig, QueryLedger
+from adawish.verify import check_adversarial_stub, check_regret, check_sandwich, check_schedules
 
 
 def log_curve(values):
@@ -50,12 +45,8 @@ class TestSandwichBounds:
         assert up <= lo + LN2 + 1e-12
 
     def test_brackets_exact_integral(self):
-        model = gen_grid_ising(3, 3, coupling_w=1.0, seed=2)
-        log_w = exact_log_partition(model)
-        lo, up = sandwich_bounds(exact_quantiles(model))
-        assert lo <= log_w + 1e-9
-        assert log_w <= up + 1e-9
-        assert up <= lo + LN2 + 1e-9
+        result = check_sandwich([gen_grid_ising(3, 3, coupling_w=1.0, seed=2)])
+        assert result.passed, result.detail
 
 
 class TestFullSweep:
@@ -105,11 +96,8 @@ class TestAdaptive:
         assert result.ledger.distinct_queries == 2
 
     def test_two_level_curve_query_budget(self):
-        n = 64
-        curve = gen_kvalued_curve(n, [math.log(10.0), 0.0], [n // 2])
-        result = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta=2.0)
-        opt = compute_opt(curve, kappa=4.0, method="greedy")
-        assert result.ledger.distinct_queries <= regret_bound(opt.opt_size, n)
+        result = check_regret([gen_kvalued_curve(64, [math.log(10.0), 0.0], [32])], beta=2.0)
+        assert result.passed, result.detail
 
     def test_close_beta_still_accurate(self):
         model = gen_clique_ising(10, coupling_w=0.1, seed=7)
@@ -119,10 +107,8 @@ class TestAdaptive:
 
     @pytest.mark.parametrize("beta", [1.1, 2.0, 10.0])
     def test_exact_oracle_factor_bound(self, beta, small_models):
-        for model in small_models[:6]:
-            log_w = exact_log_partition(model)
-            result = adawish_estimate(model, OracleConfig(kind="exact"), beta=beta)
-            assert abs(result.log_w - log_w) <= math.log(2 * beta) + 1e-9
+        result = check_schedules(small_models[:6], (beta,))
+        assert result.passed, result.detail
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0])
     def test_pointwise_oracle_factor_bound(self, gamma, small_models):
@@ -136,16 +122,9 @@ class TestAdaptive:
 
     def test_adversarial_stub_factor_bound(self):
         rng = np.random.default_rng(3)
-        beta = 2.0
-        for t in range(12):
-            n = int(rng.integers(6, 40))
-            curve = gen_geometric_curve(n, float(rng.uniform(1.0, 3.0)))
-            implied, _ = sandwich_bounds(curve)
-            for c in (2, 3):
-                for policy in ("always_upper", "always_lower", "seeded"):
-                    oracle = synthetic_oracle(curve, "neighbor-stub", c=c, policy=policy, seed=t)
-                    result = adawish_from_oracle(oracle, beta)
-                    assert abs(result.log_w - implied) <= 2 * c * LN2 + math.log(beta) + 1e-9
+        curves = [gen_geometric_curve(int(rng.integers(6, 40)), float(rng.uniform(1.0, 3.0))) for _ in range(12)]
+        result = check_adversarial_stub(curves, beta=2.0)
+        assert result.passed, result.detail
 
     def test_filled_quantiles_monotone_under_exact_oracle(self, small_models):
         for model in small_models[:6]:
@@ -154,10 +133,8 @@ class TestAdaptive:
             assert np.all(q[:-1] >= q[1:] - 1e-12)
 
     def test_query_subset_of_index_range(self, small_models):
-        for model in small_models:
-            result = adawish_estimate(model, OracleConfig(kind="exact"), beta=1.5)
-            assert result.ledger.distinct_queries <= model.n + 1
-            assert result.ledger.queried_indices() <= set(range(model.n + 1))
+        result = check_schedules(small_models, (1.5,))
+        assert result.passed, result.detail
 
     def test_beta_must_exceed_one(self):
         with pytest.raises(StructuralError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from adawish import gf2
 from adawish.errors import StructuralError
+from adawish.verify import check_gf2_counts
 
 
 def brute_solutions(system):
@@ -104,37 +105,32 @@ class TestRowReduce:
         assert not reduced.consistent
         assert reduced.solution_count == 0
 
+    # check_gf2_counts compares the rank-based count with enumeration and
+    # checks the reduced echelon form: highest-bit pivots, each in one row
     def test_random_system_counts_match_enumeration(self):
-        rng = np.random.default_rng(35)
-        system = random_system(rng, 5, 3)
-        reduced = gf2.row_reduce(system)
-        sols = brute_solutions(system)
-        assert len(sols) == reduced.solution_count
+        result = check_gf2_counts([random_system(np.random.default_rng(35), 5, 3)])
+        assert result.passed, result.detail
 
     @pytest.mark.parametrize("seed", range(12))
     def test_counts_match_enumeration_many(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 13))
         m = int(rng.integers(0, n + 3))
-        system = random_system(rng, n, m)
-        reduced = gf2.row_reduce(system)
-        assert len(brute_solutions(system)) == reduced.solution_count
+        result = check_gf2_counts([random_system(rng, n, m)])
+        assert result.passed, result.detail
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pivot_is_highest_bit_and_unique(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(1, 13))
-        system = random_system(rng, n, int(rng.integers(0, n + 3)))
-        reduced = gf2.row_reduce(system)
-        for r, (row, p) in enumerate(zip(reduced.rows, reduced.pivots)):
-            assert row.bit_length() - 1 == p
-            assert all(not (other >> p) & 1 for s, other in enumerate(reduced.rows) if s != r)
+        result = check_gf2_counts([random_system(rng, n, int(rng.integers(0, n + 3)))])
+        assert result.passed, result.detail
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         system = random_system(rng, 8, 5)
         once = gf2.row_reduce(system)
-        twice = gf2.row_reduce(once)
+        twice = gf2.row_reduce(gf2.Gf2System(once.cols, once.rows, once.rhs))
         assert once.rows == twice.rows
         assert once.rhs == twice.rhs
         assert once.pivots == twice.pivots
