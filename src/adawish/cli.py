@@ -39,7 +39,6 @@ from .model import (
 )
 from .optbench import compute_opt, segment_bounds
 from .oracle import MapSolver, OracleConfig
-from .verify import run_checks
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -303,6 +302,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so the other commands start without loading the self-checks
+    from .verify import run_checks
+
     checks = run_checks(args.level)
     failed = 0
     for check in checks:

@@ -5,10 +5,12 @@ single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
 "unconstrained".  `echelon` inserts each row into a basis keyed by its
 highest set bit: one pass that gives an echelon form whose pivots are the
-rows' highest bits.  The MAP solver runs on those echelon rows as they are.
-`row_reduce` adds one back-substitution pass, which yields the unique
-reduced echelon form; `verify.reference_map`, the self-checks and the public
-API read that.
+rows' highest bits.  `coset` turns that basis into the solution set in one
+forward pass: the solution x0 with every free variable at 0, and one null
+vector per free variable; the MAP solver searches that coset.
+`row_reduce` adds one back-substitution pass to `echelon`, which yields the
+unique reduced echelon form; `verify.reference_map`, the self-checks and the
+public API read that, and it is the independent reference for `coset`.
 """
 
 from __future__ import annotations
@@ -142,6 +144,38 @@ def echelon(
     return basis, consistent
 
 
+def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> tuple[int, list[int | None]] | None:
+    """The solution set as (x0, nulls), or None when the system is inconsistent.
+
+    x0 is the solution with every free variable at 0, and nulls[v] is the
+    null vector of free variable v: the homogeneous solution with x_v = 1
+    and every other free variable at 0.  Its lowest set bit is v, the rest
+    are pivots above v.  nulls[p] is None at a pivot p.  The solutions are
+    x0 XOR any sum of null vectors; they are `row_reduce`'s
+    particular_solution and null_basis.  One forward pass over `echelon`'s
+    basis, in ascending pivot order, sets pivot p of x0 and of each null
+    vector from the parity of its basis row with the bits below p.  The
+    rows are not validated, as in `echelon`.
+    """
+    basis, consistent = echelon(cols, rows, rhs)
+    if not consistent:
+        return None
+    x0 = 0
+    nulls: list[int | None] = [None] * cols
+    free = []
+    for p, hit in enumerate(basis):
+        if hit is None:
+            nulls[p] = 1 << p
+            free.append(p)
+            continue
+        row, b = hit
+        # only bits below p are set in x0 and the null vectors so far
+        x0 |= (b ^ ((row & x0).bit_count() & 1)) << p
+        for u in free:
+            nulls[u] |= ((row & nulls[u]).bit_count() & 1) << p
+    return x0, nulls
+
+
 def row_reduce(system: Gf2System) -> ReducedSystem:
     """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
 
@@ -155,7 +189,7 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
     column down, on inconsistent systems too, and so is rhs on a consistent
     system.  On an inconsistent one rhs is unspecified: callers report
     infeasibility without reading it.  `map_solve` does not need this form
-    and runs on `echelon`'s rows.
+    and runs on `coset`.
     """
     if not isinstance(system, Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")

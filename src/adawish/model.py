@@ -16,32 +16,37 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
 
 - `log_weight` and `log_weights_at` gather each factor's entry point by
   point (`CompiledModel.completed`);
+- `CompiledModel.windows` holds one lookup table per group v over the bit
+  window lo_v..v that its factors read (lo_v the lowest scope variable in
+  the group, or lower, down to the frontier of the cost-to-go table after
+  v).  It is built on first use: the group's factors are framed on the
+  window's axes and summed by broadcasting, each step only over the axes
+  seen so far, then the sum is broadcast to the full window.  Each entry
+  equals `completed(v, x)` bit for bit at every x in its window, so the
+  search scores a node with one shift, one mask and one index.  A group
+  whose table would pass WINDOW_ENTRIES (2^16) or the model's
+  WINDOW_BUDGET (2^20 entries, 8 MB) scores through `completed` in its
+  place.  Each group is summed once per model, and its table serves both
+  evaluators below;
 - `CompiledModel.blocks`, behind the enumeration helpers
   (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
   builds the table of all 2^n log-weights by broadcasting, in place: a
   prefix table over the low variables doubles by one variable per group in
-  one preallocated buffer, and each block of 2^18 entries fixes the high
-  variables and adds their groups straight into its destination, a slice
-  of the caller's table (`log_weight_table`) or one reused buffer, so a
-  yielded block is valid only until the next one is drawn.  Group sums
-  alternate between the two rows of one scratch array; nothing is
-  allocated per step.
-  `exact_log_partition` reduces block by block in a fixed order, so its
-  result is bit-reproducible, and `exact_quantiles` sorts the table in
-  place;
-- `CompiledModel.windows`, behind branch-and-bound MAP, holds one lookup
-  table per group v over the bit window lo_v..v that its factors read (lo_v
-  the lowest scope variable in the group, or lower, down to the frontier of
-  the cost-to-go table after v).  It is built on the first solve
-  by the same broadcasting, and each entry equals `completed(v, x)` bit for
-  bit at every x in its window, so the search scores a node with one shift,
-  one mask and one index.  A group whose table would pass WINDOW_ENTRIES
-  (2^16) or the model's WINDOW_BUDGET (2^20 entries, 8 MB) scores through
-  `completed` in its place.  `CompiledModel.branch_tables` pairs each window
-  with a cost-to-go table read at the same key: a bound on the groups after
-  v that no leaf exceeds, rounding included, from a backward max over the
-  window tables (bucket elimination used as a search heuristic, Kask &
-  Dechter, AIJ 2001), built on the first solve too.
+  one preallocated buffer, adding the group's window table where it has
+  one, and each block of 2^18 entries fixes the high variables and adds
+  their groups straight into its destination, a slice of the caller's
+  table (`log_weight_table`) or one reused buffer, so a yielded block is
+  valid only until the next one is drawn.  The sums of untabled and high
+  groups alternate between the two rows of one scratch array; nothing is
+  allocated per step.  `exact_log_partition` reduces block by block in a
+  fixed order, so its result is bit-reproducible, and `exact_quantiles`
+  sorts the table in place;
+- branch-and-bound MAP reads the windows through
+  `CompiledModel.branch_tables`, which pairs each window with a cost-to-go
+  table read at the same key: a bound on the groups after v that no leaf
+  exceeds, rounding included, from a backward max over the window tables
+  (bucket elimination used as a search heuristic, Kask & Dechter, AIJ
+  2001), built on the first solve.
 """
 
 from __future__ import annotations
@@ -107,10 +112,11 @@ class CompiledModel:
     variable is v: they are scored the moment v is assigned.  bound_tail[v]
     sums the per-factor maxima of groups v..n-1, and reach[v] is the lowest
     scope variable of groups v..n-1 (v if none is lower).  `completed` and
-    `log_weight` evaluate at given bitmasks; `blocks` yields the whole table;
-    `windows` gives every group a lookup with
-    table[(x >> lo) & mask] == completed(v, x), and `branch_tables` adds the
-    cost-to-go bound read at the same key, both built on first use.
+    `log_weight` evaluate at given bitmasks; `windows` gives every group a
+    lookup with table[(x >> lo) & mask] == completed(v, x), and
+    `branch_tables` adds the cost-to-go bound read at the same key, both
+    built on first use; `blocks` yields the whole table, reading the
+    windows of its prefix groups.
     """
 
     def __init__(self, model: WeightedModel):
@@ -162,14 +168,16 @@ class CompiledModel:
         lowered to reach[v + 1] when that frontier of `branch_tables` is
         tabled, so one key reads both tables.  The table is a float64
         `memoryview` over the w = v - lo + 1 window bits, in bitmask order.
-        It is the group's factors framed on the window's axes and added from
-        0.0 in factor order, the additions of `completed`, so every entry
-        equals it bit for bit.  A group whose table would exceed
-        WINDOW_ENTRIES, or the WINDOW_BUDGET left by groups 0..v-1, gets
-        (0, -1, a view that calls `completed`) instead.
+        It is the group's sum as `blocks` forms it, on the window's axes:
+        `_group_sum` of the factors framed on axes v..lo, from 0.0 in factor
+        order, broadcast to the full window.  Those are the additions of
+        `completed`, so every entry equals it bit for bit.  A group whose
+        table would exceed WINDOW_ENTRIES, or the WINDOW_BUDGET left by
+        groups 0..v-1, gets (0, -1, a view that calls `completed`) instead.
         """
         windows = []
         budget = WINDOW_BUDGET
+        scratch = np.empty((2, WINDOW_ENTRIES))
         for v, group in enumerate(self.groups):
             lo = min((min(scope) for scope, _ in group), default=v)
             if v + 1 - self.reach[v + 1] <= FRONTIER_BITS:
@@ -179,10 +187,10 @@ class CompiledModel:
                 windows.append((0, -1, _Completed(self, v)))
                 continue
             budget -= size
-            total = np.zeros((2,) * (v - lo + 1))
-            for scope, table in group:
-                np.add(total, _frame(scope, table, v, lo), out=total)
-            windows.append((lo, size - 1, memoryview(total.reshape(-1))))
+            frames = [_frame(scope, table, v, lo) for scope, table in group]
+            table = np.empty((2,) * (v - lo + 1))
+            np.copyto(table, _group_sum(frames, (2,) + (1,) * (v - lo), scratch))
+            windows.append((lo, size - 1, memoryview(table.reshape(-1))))
         return tuple(windows)
 
     @cached_property
@@ -266,25 +274,35 @@ class CompiledModel:
         prefix table over variables 0..b-1 lives in one 2^b buffer and doubles
         by one variable per group v: the x_v = 1 half is written first as the
         old half plus group v's sum at x_v = 1, then the sum at x_v = 0 is
-        added into the old half in place.  Each block then fixes the high bits
-        h, indexes the axes of variables >= b with them, and adds groups
-        b..n-1 into its destination.  Group sums run from 0.0 in factor order
-        through the two rows of one scratch array in turn.  The additions are
-        those of `log_weight`, in its order, so every block equals
-        `log_weights_at` over its bitmasks bit for bit.
+        added into the old half in place.  A prefix group with a table in
+        `windows` reads that table as its sum, on axes v..lo; only the others
+        are framed and summed here.  Each block then fixes the high bits h,
+        indexes the axes of variables >= b with them, and adds groups b..n-1
+        into its destination.  Group sums run from 0.0 in factor order
+        through the two rows of one scratch array in turn, as the window
+        tables do.  The additions are those of `log_weight`, in its order, so
+        every block equals `log_weights_at` over its bitmasks bit for bit.
 
         With `out` (length 2^n) every block is written into its slice of
         `out` and the slice is yielded.  Without it the blocks share one
         buffer: a yielded block is valid only until the next iteration.
         """
         n, b = self.n, min(self.n, bits)
-        frames = [[_frame(scope, table, v) for scope, table in group]
-                  for v, group in enumerate(self.groups)]
+        windows = self.windows
+        frames = {
+            v: [_frame(scope, table, v) for scope, table in group]
+            for v, group in enumerate(self.groups)
+            if v >= b or not isinstance(windows[v][2], memoryview)
+        }
         scratch = np.empty((2, 1 << b))  # two rows, so they never overlap
         low = out if out is not None and b == n else np.empty(1 << b)
         low[0] = self.const
         for v in range(b):
-            total = _group_sum(frames[v], (2,) + (1,) * v, scratch)
+            if v in frames:
+                total = _group_sum(frames[v], (2,) + (1,) * v, scratch)
+            else:
+                lo, _, table = windows[v]
+                total = np.asarray(table).reshape((2,) * (v - lo + 1) + (1,) * lo)
             old = low[: 1 << v].reshape((2,) * v)
             np.add(old, total[1], out=low[1 << v : 2 << v].reshape((2,) * v))
             np.add(old, total[0], out=old)

@@ -6,16 +6,18 @@ variable v scores the factors whose highest variable is v with one lookup in
 the model's window table for v, which equals the per-point
 `completed(v, x)` bit for bit, and bounds the groups after v with a second
 lookup at the same key in its cost-to-go table
-(`CompiledModel.branch_tables`).  The bound is added when a child is pushed;
+(`CompiledModel.branch_tables`).  The bound is added when a child is made;
 of two children the one with the larger bound is searched first, and a
-child whose bound does not beat the incumbent is pruned.  The system is
-brought to echelon form by one pass of highest-bit insertion (`gf2.echelon`),
-so every pivot is forced by the variables before it and only the n - rank
-free variables are branched on.  The search reads the echelon rows as they
-are, with no back-substitution: when it reaches pivot p every variable below
-p is set, the lower pivots included, and each of those satisfies its own
-row, so parity(mask & row) forces the same bit on the echelon row as on the
-reduced row and the search visits the same nodes in the same order.
+child whose bound does not beat the incumbent is pruned, when it would be
+pushed or, if the incumbent has risen since, when it is popped.  The
+system becomes its solution coset in two passes, highest-bit insertion
+(`gf2.echelon`) and one forward pass (`gf2.coset`): the solution x0 with
+every free variable at 0, plus one null vector per free variable v whose
+lowest set bit is v.  Every pivot is forced by the variables before it, so
+only the n - rank free variables are branched on.  The search carries a
+full solution: a free variable branches with one XOR of its null vector,
+which also flips the pivots above it that it forces, and a pivot is
+already set, so scoring it is the one lookup.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under independently sampled random (A, d) pairs with i
 rows.  Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
@@ -38,6 +40,7 @@ import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,21 +62,36 @@ class MapSolver:
     The search is exact whenever it finishes within the limits; otherwise the
     incumbent is returned and the result is flagged inexact (a lower bound on
     the true maximum).  time_limit is in seconds per solve.  A limit, when
-    given, must be positive: node_limit >= 1, time_limit > 0.
+    given, must be positive: node_limit an integer >= 1, time_limit > 0.
+
+    The limits are checked when a node is popped, not at every node, so a
+    limited solve runs on to the end of the dive it is in: it may overrun
+    node_limit by one dive, at most 2n nodes over n variables (two children
+    at each free variable).  The time limit is checked at the first pop
+    after every 1,024 nodes.
     """
 
     node_limit: int | None = None
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.node_limit is not None and self.node_limit < 1:
-            raise StructuralError("node_limit must be >= 1")
+        if self.node_limit is not None:
+            object.__setattr__(self, "node_limit", _count("node_limit", self.node_limit))
+            if self.node_limit < 1:
+                raise StructuralError("node_limit must be >= 1")
         if self.time_limit is not None and not self.time_limit > 0.0:
             raise StructuralError("time_limit must be > 0")
 
 
-@dataclass(frozen=True)
-class MapResult:
+def _count(name: str, value) -> int:
+    """value as an int (numpy integers and bools included); anything else raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StructuralError(f"{name} must be an integer, got {value!r}") from None
+
+
+class MapResult(NamedTuple):
     log_value: float
     assignment: int | None
     exact: bool
@@ -165,15 +183,18 @@ def _draw_batches(n: int, m: int, master_seed: int, reps: int) -> Iterator[gf2.G
 
 def _solve_branch_and_bound(
     model: WeightedModel,
-    forced: list[tuple[int, int] | None],
+    x0: int,
+    nulls: list[int | None],
     node_limit: int | None,
     time_limit: float | None,
 ) -> MapResult:
-    """Depth-first search over variables 0..n-1; forced[v] is None for a free v.
+    """Depth-first search over variables 0..n-1 of the coset (x0, nulls) (`gf2.coset`).
 
-    Otherwise forced[v] = (row, b), an echelon row whose highest bit is v and
-    its rhs: the search sets v to b ^ parity(mask & row).  mask holds only
-    variables below v there, so bit v of row is never read.
+    A node at variable v carries a full solution x: its free variables
+    below v are decided, those from v up are 0, and every pivot holds the
+    value its row forces.  nulls[v] is None for a pivot, whose bit in x is
+    already right, so the child is x itself; a free v branches into x and
+    x ^ nulls[v], which flips v and the pivots above it that v forces.
     """
     n = model.n
     compiled = model.compiled
@@ -181,67 +202,63 @@ def _solve_branch_and_bound(
 
     best = NEG_INF
     best_assign: int | None = None
-    nodes = 0
+    nodes = 1  # the root; every child is counted when it is made
     exhausted = False
-    # the limits are looked at only when nodes reaches `check`: at node
-    # node_limit + 1, and at every 1,024th node under a deadline
-    stop = node_limit + 1 if node_limit is not None else 1 << 62
+    # the limits are looked at on a pop once nodes reaches `check`: from
+    # node_limit on, and every 1,024 nodes under a deadline
+    stop = node_limit if node_limit is not None else 1 << 62
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     check = min(stop, 0x400) if deadline is not None else stop
-    # (variable, assignment of the variables below it, score so far, score
+    # (variable, solution, score of the groups below the variable, score
     # plus the bound on the groups still to score)
-    stack = [(0, 0, compiled.const, compiled.const + compiled.bound_tail[0])]
+    stack = [(0, x0, compiled.const, compiled.const + compiled.bound_tail[0])]
     push = stack.append
+    pop = stack.pop
     while stack:
-        v, mask, g, f = stack.pop()
-        # dive: the child that would be pushed last, and so popped next, is
-        # taken up at once; nodes are visited and counted as if it were pushed
-        while True:
-            nodes += 1
-            if nodes == check:
-                if nodes == stop or time.monotonic() > deadline:
-                    exhausted = True
-                    stack.clear()
-                    break
-                check = min(stop, nodes + 0x400)
-            if f <= best:
+        v, x, g, f = pop()
+        if nodes >= check:
+            if nodes >= stop or time.monotonic() > deadline:
+                exhausted = True
                 break
+            check = min(stop, nodes + 0x400)
+        # dive: the child that would be pushed last, and so popped next, is
+        # taken up at once
+        while f > best:
             if v == n:
                 best = g
-                best_assign = mask
+                best_assign = x
                 break
             # group v and the bound on groups v+1.. are read at one key: bits lo..v of the child
             lo, window, score, bound = steps[v]
-            rule = forced[v]
-            if rule is None:
-                one = mask | (1 << v)
-                k0 = (mask >> lo) & window
+            null = nulls[v]
+            if null is None:
+                key = (x >> lo) & window
+                g += score[key]
+                f = g + bound[key]
+                nodes += 1
+            else:
+                one = x ^ null
+                k0 = (x >> lo) & window
                 k1 = (one >> lo) & window
                 g0 = g + score[k0]
                 g1 = g + score[k1]
                 f0 = g0 + bound[k0]
                 f1 = g1 + bound[k1]
-                # the child with the larger bound is searched first; on a tie, the 0-child
+                nodes += 2
+                # the child with the larger bound is searched first; on a tie,
+                # the 0-child.  The other is pushed only if it can still beat
+                # the incumbent, which never falls.
                 if f1 > f0:
-                    push((v + 1, mask, g0, f0))
-                    mask, g, f = one, g1, f1
+                    if f0 > best:
+                        push((v + 1, x, g0, f0))
+                    x, g, f = one, g1, f1
                 else:
-                    push((v + 1, one, g1, f1))
+                    if f1 > best:
+                        push((v + 1, one, g1, f1))
                     g, f = g0, f0
-            else:
-                mask |= (rule[1] ^ ((mask & rule[0]).bit_count() & 1)) << v
-                key = (mask >> lo) & window
-                g += score[key]
-                f = g + bound[key]
             v += 1
 
-    return MapResult(
-        best,
-        best_assign,
-        exact=not exhausted,
-        feasible=True,
-        nodes=nodes,
-    )
+    return MapResult(best, best_assign, not exhausted, True, nodes)
 
 
 def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | None = None) -> MapResult:
@@ -250,22 +267,22 @@ def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | N
     An exact result's value is the maximum over the solution coset: the
     bounds never fall below a leaf they cover, rounding included
     (`CompiledModel.branch_tables`).  Among equal maxima the assignment is
-    the first one the search meets.  nodes counts the children visited,
-    pruned ones included.  The search runs on `gf2.echelon`'s rows, which
-    force the same bits as `gf2.row_reduce`'s (see the module docstring); a
-    0 = 1 row makes the result infeasible.  Only a `Gf2System`, validated when
-    it was built, is accepted: anything else raises StructuralError, as a
-    `ReducedSystem` would read as consistent after dropping a 0 = 1 row.
+    the first one the search meets.  nodes counts the root and every child
+    made, pruned ones included.  The search runs on `gf2.coset`; an
+    inconsistent system makes the result infeasible.  Only a `Gf2System`,
+    validated when it was built, is accepted: anything else raises
+    StructuralError, as a `ReducedSystem` would read as consistent after
+    dropping a 0 = 1 row.
     """
     if not isinstance(system, gf2.Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
     solver = solver or MapSolver()
-    forced, consistent = gf2.echelon(system.cols, system.rows, system.rhs)
-    if not consistent:
-        return MapResult(NEG_INF, None, exact=True, feasible=False)
-    return _solve_branch_and_bound(model, forced, solver.node_limit, solver.time_limit)
+    coset = gf2.coset(system.cols, system.rows, system.rhs)
+    if coset is None:
+        return MapResult(NEG_INF, None, True, False)
+    return _solve_branch_and_bound(model, *coset, solver.node_limit, solver.time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +307,10 @@ class OracleConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _count("c", self.c))
+        object.__setattr__(self, "master_seed", _count("master_seed", self.master_seed))
+        if self.T is not None:
+            object.__setattr__(self, "T", _count("T", self.T))
         if self.kind not in ("exact", "pointwise", "neighbor"):
             raise StructuralError(f"unknown oracle kind {self.kind!r}")
         if not 0.0 < self.delta < 1.0:

@@ -251,6 +251,63 @@ def check_gf2_counts(systems: list[gf2.Gf2System]) -> CheckResult:
     return CheckResult("gf2 solution counts", True, f"{len(systems)} random systems")
 
 
+def coset_systems(seed: int) -> list[gf2.Gf2System]:
+    """Parity systems for `check_coset`, drawn from one generator.
+
+    n runs over 0, 1, 3, 6, 10, 65 and 100 (masks of two words), m over 0,
+    1, n // 2, n and n + 2.  Each draw of two rows or more is also taken
+    with the XOR of its first two rows appended, rhs included, so
+    rank-deficient consistent systems come up beside full-rank and
+    inconsistent ones.
+    """
+    rng = np.random.default_rng(seed)
+    systems = []
+    for n in (0, 1, 3, 6, 10, 65, 100):
+        for m in sorted({0, 1, n // 2, n, n + 2}):
+            system = sample_parity_system(n, m, rng)
+            systems.append(system)
+            if m >= 2:
+                rows, rhs = system.rows, system.rhs
+                systems.append(gf2.Gf2System(n, rows + (rows[0] ^ rows[1],), rhs + (rhs[0] ^ rhs[1],)))
+    return systems
+
+
+def check_coset(systems: list[gf2.Gf2System], brute_cols: int = 10) -> CheckResult:
+    """`gf2.coset` gives each system's solution set, as `gf2.row_reduce` does.
+
+    An inconsistent system must give None.  A consistent one gives (x0,
+    nulls): x0 must be `particular_solution()`, the null vectors in
+    variable order must be `null_basis()`, and each must have its free
+    variable as lowest set bit.  Over at most brute_cols columns x0 and the
+    null vectors must span exactly the solutions found by enumeration;
+    wider, x0 must solve the system and each null vector its homogeneous
+    form.
+    """
+    for t, system in enumerate(systems):
+        got = gf2.coset(system.cols, system.rows, system.rhs)
+        reduced = gf2.row_reduce(system)
+        if got is None or not reduced.consistent:
+            if got is not None or reduced.consistent:
+                return CheckResult("gf2 coset", False, f"system {t}: consistency differs from row_reduce")
+            continue
+        x0, nulls = got
+        free = [(v, vec) for v, vec in enumerate(nulls) if vec is not None]
+        if any(vec & -vec != 1 << v for v, vec in free):
+            return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
+        if x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis():
+            return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
+        if system.cols <= brute_cols:
+            span = {x0}
+            for _, vec in free:
+                span |= {x ^ vec for x in span}
+            spans = span == {x for x in range(1 << system.cols) if gf2.satisfies(system, x)}
+        else:
+            spans = gf2.satisfies(system, x0) and not any(gf2.evaluate(system, vec) for _, vec in free)
+        if not spans:
+            return CheckResult("gf2 coset", False, f"system {t}: not the solution set")
+    return CheckResult("gf2 coset", True, f"{len(systems)} systems")
+
+
 def check_draw_agreement(
     sizes=(1, 12, 16, 64, 65, 100, 128, 129), masters=(-7, 1 << 64, (1 << 70) + 3), reps: int = 3
 ) -> CheckResult:
@@ -493,6 +550,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
         check_gf2_counts(_gf2_systems(25, seed=11)),
+        check_coset(coset_systems(seed=13)),
         check_draw_agreement(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),

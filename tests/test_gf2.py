@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adawish import gf2
 from adawish.errors import StructuralError
-from adawish.verify import check_gf2_counts
+from adawish.verify import check_coset, check_gf2_counts, coset_systems
 
 
 def brute_solutions(system):
@@ -93,6 +93,17 @@ class TestRowReduce:
         assert (again.rows, again.pivots) == (reduced.rows, reduced.pivots)
         if consistent:
             assert again.rhs == reduced.rhs
+
+    def test_coset_is_the_solution_set(self):
+        # n = 0, m = 0, and masks of two words at n = 65 and 100
+        result = check_coset(coset_systems(seed=13))
+        assert result.passed, result.detail
+
+    @settings(max_examples=200, deadline=None)
+    @given(parity_systems())
+    def test_coset_matches_reduced_form(self, system):
+        result = check_coset([system])
+        assert result.passed, result.detail
 
     def test_empty_system_is_unconstrained(self):
         reduced = gf2.row_reduce(gf2.Gf2System(4, (), ()))

@@ -323,6 +323,16 @@ class TestExactReferences:
         result = check_enumeration_agreement([sparse], (BLOCK_BITS,))
         assert result.passed, result.detail
 
+    def test_blocks_read_window_tables_and_sum_untabled_prefix_groups(self):
+        # a prefix group's sum comes from its window table when it has one
+        # and is framed and summed otherwise: on clique n = 20 groups 0..15
+        # are tabled, 16 and 17 pass WINDOW_ENTRIES, and 18 and 19 are high
+        model = parse_gen_spec("clique:n=20:w=0.1:seed=0")
+        tabled = [isinstance(table, memoryview) for _, _, table in model.compiled.windows]
+        assert tabled == [True] * 16 + [False] * 4
+        result = check_enumeration_agreement([model], (BLOCK_BITS,))
+        assert result.passed, result.detail
+
     def test_group_sum_steps_never_write_over_their_input(self):
         # numpy would still add correctly into an overlapping out= (it copies
         # the input first), so only where each step lands shows the two

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adawish import gf2, oracle as oracle_module
+from adawish.cli import parse_gen_spec
 from adawish.errors import StructuralError, TooLarge
 from adawish.model import (
     Factor,
@@ -90,6 +91,17 @@ class TestMapSolve:
         assert not result.exact
         exact = map_solve(model, gf2.Gf2System(9, (), ()))
         assert result.log_value <= exact.log_value
+        # limits are checked at each pop, so a solve overruns its limit by at
+        # most one dive: two children at each of the n variables
+        rng = np.random.default_rng(5)
+        for m in range(model.n + 1):
+            system = sample_parity_system(model.n, m, rng)
+            for limit in (1, 5, 20):
+                limited = map_solve(model, system, MapSolver(node_limit=limit))
+                assert limited.nodes <= limit + 2 * model.n
+                if limited.assignment is not None:
+                    assert gf2.satisfies(system, limited.assignment)
+                    assert log_weight(model, limited.assignment) == limited.log_value
 
     def test_deep_chain_returns_incumbent(self):
         # 1,500 variables is far past the interpreter's recursion limit
@@ -109,8 +121,8 @@ class TestMapSolve:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reduced_and_drawn_rows_solve_alike(self, seed):
-        # pivots force the same bits on echelon and reduced rows, so the
-        # search is the same node for node
+        # a system and its reduced form have one coset, so the search is
+        # the same node for node
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=seed)
         rng = np.random.default_rng(seed)
         for m in range(model.n + 3):
@@ -345,6 +357,24 @@ class TestXorQuery:
         result = check_xor_coverage()
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize(
+        "spec, nodes",
+        [("grid:3x4:w=1.0:seed=2", 20_269), ("clique:n=12:w=0.1:seed=0", 23_330)],
+    )
+    def test_search_order_is_pinned(self, spec, nodes):
+        # the node count of every solve of ten repetitions per index under
+        # three master seeds: a change to branching order, tie-breaking or
+        # pruning shows here even when every maximum stays the same
+        model = parse_gen_spec(spec)
+        results = [
+            map_solve(model, system)
+            for master in range(3)
+            for i in range(model.n + 1)
+            for system in draw_parity_systems(model.n, i, master, 10)
+        ]
+        assert len(results) == 390 and sum(r.feasible for r in results) == 360
+        assert sum(r.nodes for r in results) == nodes
+
     def test_window_tables_built_on_first_solve(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
         oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3))
@@ -418,6 +448,14 @@ class TestOracleDispatch:
             OracleConfig(delta=0.0)
         with pytest.raises(StructuralError):
             OracleConfig(T=0)
+        # counts must be integers: a float T failed on the first query, and a
+        # float seed was truncated
+        for bad in ({"T": 2.5}, {"master_seed": 1.5}, {"c": 2.5}, {"T": "3"}):
+            with pytest.raises(StructuralError, match="must be an integer"):
+                OracleConfig(**bad)
+        config = OracleConfig(T=np.int64(3), master_seed=np.int64(-2), c=np.int64(3))
+        assert (config.T, config.master_seed, config.c) == (3, -2, 3)
+        assert all(type(v) is int for v in (config.T, config.master_seed, config.c))
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_must_be_finite_and_positive(self, alpha):
@@ -435,9 +473,16 @@ class TestOracleDispatch:
             OracleConfig(gamma=math.nan)
         with pytest.raises(StructuralError):
             PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=math.nan)
-        for limits in ({"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": math.nan}):
+        for limits in (
+            {"node_limit": 0},
+            {"node_limit": 5.5},  # was accepted and never fired
+            {"node_limit": "5"},
+            {"time_limit": 0.0},
+            {"time_limit": math.nan},
+        ):
             with pytest.raises(StructuralError):
                 MapSolver(**limits)
+        assert type(MapSolver(node_limit=np.int64(5)).node_limit) is int
 
 
 class TestNeighborStub:
