@@ -17,10 +17,16 @@ lowest set bit is v.  Every pivot is forced by the variables before it, so
 only the n - rank free variables are branched on.  The search carries a
 full solution: a free variable branches with one XOR of its null vector,
 which also flips the pivots above it that it forces, and a pivot is
-already set, so scoring it is the one lookup.
+already set, so scoring it is the one lookup.  A solve may be asked a
+bracketed question [floor, ceiling]: the incumbent starts at floor, and the
+search ends at the first leaf that reaches ceiling.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under independently sampled random (A, d) pairs with i
-rows.  Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
+rows.  It solves each distinct system in a bracket read off the sorted
+values reported so far, whose ends are proven bounds on the lower median,
+so a solve stops once its value can no longer move the answer, and the
+answer is the one full solves give (the proof is in `XorOracle`).
+Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
 `draw_parity_systems` draws all T pairs of an index in one batch from the
 generators' raw words (`seeds.stream_words`) without building the
 generators, bit-identical to that loop, and both pack their bits through
@@ -35,6 +41,7 @@ audited afterwards.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import time
@@ -68,7 +75,9 @@ class MapSolver:
     limited solve runs on to the end of the dive it is in: it may overrun
     node_limit by one dive, at most 2n nodes over n variables (two children
     at each free variable).  The time limit is checked at the first pop
-    after every 1,024 nodes.
+    after every 1,024 nodes.  A popped node that can no longer beat the
+    incumbent is dropped before the limits are looked at, so a search whose
+    every remaining node is pruned ends exact.
     """
 
     node_limit: int | None = None
@@ -92,6 +101,18 @@ def _count(name: str, value) -> int:
 
 
 class MapResult(NamedTuple):
+    """One MAP solve: the value found, a solution attaining it, and how it was found.
+
+    exact means the question asked was answered: with the default bracket,
+    log_value is the constrained maximum; under a bracket [floor, ceiling]
+    (`map_solve`) it is that maximum clamped as the bracket allows, and is
+    floor with assignment None when no solution beats the floor.  An
+    inexact result hit a node or time limit and holds the incumbent, a
+    lower bound on what was asked.  feasible is False only for an
+    inconsistent system, whose value is -inf.  nodes counts the search's
+    nodes, 0 when no search ran.
+    """
+
     log_value: float
     assignment: int | None
     exact: bool
@@ -187,6 +208,8 @@ def _solve_branch_and_bound(
     nulls: list[int | None],
     node_limit: int | None,
     time_limit: float | None,
+    floor: float,
+    ceiling: float,
 ) -> MapResult:
     """Depth-first search over variables 0..n-1 of the coset (x0, nulls) (`gf2.coset`).
 
@@ -195,12 +218,14 @@ def _solve_branch_and_bound(
     value its row forces.  nulls[v] is None for a pivot, whose bit in x is
     already right, so the child is x itself; a free v branches into x and
     x ^ nulls[v], which flips v and the pivots above it that v forces.
+    The incumbent starts at floor with no assignment, and the search ends
+    at the first leaf that reaches ceiling.
     """
     n = model.n
     compiled = model.compiled
     steps = compiled.branch_tables
 
-    best = NEG_INF
+    best = floor
     best_assign: int | None = None
     nodes = 1  # the root; every child is counted when it is made
     exhausted = False
@@ -216,7 +241,9 @@ def _solve_branch_and_bound(
     pop = stack.pop
     while stack:
         v, x, g, f = pop()
-        if nodes >= check:
+        # a popped child the incumbent has overtaken is dropped by the
+        # dive's test below; the limits only end a search that has work left
+        if nodes >= check and f > best:
             if nodes >= stop or time.monotonic() > deadline:
                 exhausted = True
                 break
@@ -227,6 +254,8 @@ def _solve_branch_and_bound(
             if v == n:
                 best = g
                 best_assign = x
+                if g >= ceiling:
+                    stack.clear()
                 break
             # group v and the bound on groups v+1.. are read at one key: bits lo..v of the child
             lo, window, score, bound = steps[v]
@@ -261,7 +290,14 @@ def _solve_branch_and_bound(
     return MapResult(best, best_assign, not exhausted, True, nodes)
 
 
-def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | None = None) -> MapResult:
+def map_solve(
+    model: WeightedModel,
+    system: gf2.Gf2System,
+    solver: MapSolver | None = None,
+    *,
+    floor: float = NEG_INF,
+    ceiling: float = math.inf,
+) -> MapResult:
     """max log w(x) subject to the parity system; empty systems mean unconstrained.
 
     An exact result's value is the maximum over the solution coset: the
@@ -273,16 +309,29 @@ def map_solve(model: WeightedModel, system: gf2.Gf2System, solver: MapSolver | N
     validated when it was built, is accepted: anything else raises
     StructuralError, as a `ReducedSystem` would read as consistent after
     dropping a 0 = 1 row.
+
+    floor <= ceiling bracket the question asked; the defaults, -inf and
+    +inf, ask for the maximum v itself.  The search starts its incumbent at
+    floor and prunes every node whose bound does not beat it, and it stops
+    at the first leaf worth ceiling or more.  So an exact bracketed result
+    has value max(v, floor) when v < ceiling, and a value in [ceiling, v]
+    otherwise.  When no leaf beats the floor the value is floor, the
+    assignment None and the result still feasible; otherwise the
+    assignment is a solution worth exactly the value.  An inconsistent
+    system is infeasible at -inf whatever the bracket.  `XorOracle` asks
+    each solve only what its lower median needs.
     """
     if not isinstance(system, gf2.Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
+    if not floor <= ceiling:
+        raise StructuralError(f"bracket [{floor}, {ceiling}] is empty")
     solver = solver or MapSolver()
     coset = gf2.coset(system.cols, system.rows, system.rhs)
     if coset is None:
         return MapResult(NEG_INF, None, True, False)
-    return _solve_branch_and_bound(model, *coset, solver.node_limit, solver.time_limit)
+    return _solve_branch_and_bound(model, *coset, solver.node_limit, solver.time_limit, floor, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +529,27 @@ class XorOracle(NeighborOracle):
     for t < T, so each answer is a pure function of (master_seed, i, t) and
     does not depend on query order.  A system drawn twice in one query is
     solved once; map_calls counts the solves, and the answer is the lower
-    median of the T maxima.
+    median s = s_r, r = (T - 1) // 2, of the T maxima v_t.
+
+    Only s is wanted, so each solve is asked only what s needs.  known is
+    the sorted list of the values reported so far, one per repetition, and
+    a new system is solved (`map_solve`) in the bracket
+    floor = known[k - (T - r)] (once k >= T - r) and ceiling = known[r]
+    (once k > r), k = len(known).  Its reported value u is then v itself,
+    or max(v, floor), or a value in [ceiling, v].
+
+    Claim: every u lies on v's side of s, that is, v <= s implies
+    v <= u <= s and v >= s implies s <= u <= v.  So at least r + 1 values u
+    are <= s and at least T - r are >= s, and known[r] = s at the end.
+    Proof, by induction over the solves: if the claim holds for the values
+    known so far, floor <= s, since T - r known values above s would come
+    from T - r maxima above s, leaving at most r maxima <= s; and likewise
+    ceiling >= s, or r + 1 known values below s would come from r + 1 maxima
+    below s.  A floor clamp raises v < floor <= s to floor, and a ceiling
+    stop reports a leaf in [ceiling, v] with ceiling >= s: either way u stays
+    on v's side of s.  A repeated system reuses u, which has the same v.
+    The claim holds only for exact solves: under node or time limits the
+    answer is a heuristic, as an unbracketed one would be.
     """
 
     def __init__(
@@ -498,19 +567,27 @@ class XorOracle(NeighborOracle):
 
     def _compute(self, i: int) -> float:
         reps = self.config.repetitions(self.n)
-        values = []
-        seen: dict[tuple, MapResult] = {}
+        # lower middle for even counts: never overestimates the median
+        r = (reps - 1) // 2
+        above = reps - r  # how many of the T values are at or above s
+        known: list[float] = []
+        seen: dict[tuple, float] = {}
         for system in draw_parity_systems(self.n, i, self.config.master_seed, reps):
             key = (system.rows, system.rhs)
-            result = seen.get(key)
-            if result is None:
-                result = map_solve(self.model, system, self.solver)
-                seen[key] = result
-                self.ledger.record_solve(result.exact)
-            values.append(result.log_value)
-        values.sort()
-        # lower middle for even counts: never overestimates the median
-        return values[(len(values) - 1) // 2]
+            value = seen.get(key)
+            if value is None:
+                k = len(known)
+                floor = known[k - above] if k >= above else NEG_INF
+                ceiling = known[r] if k > r else math.inf
+                value = seen[key] = self._solve(system, floor, ceiling)
+            bisect.insort(known, value)
+        return known[r]
+
+    def _solve(self, system: gf2.Gf2System, floor: float, ceiling: float) -> float:
+        """The value one distinct system reports in its bracket; each call is a counted MAP solve."""
+        result = map_solve(self.model, system, self.solver, floor=floor, ceiling=ceiling)
+        self.ledger.record_solve(result.exact)
+        return result.log_value
 
 
 class NeighborStubOracle(NeighborOracle):

@@ -14,6 +14,7 @@ compared against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -330,6 +331,77 @@ def check_draw_agreement(
     return CheckResult("draw agreement", True, f"{systems} systems over {len(cases)} (n, i, seed, T) cases")
 
 
+class _BracketLog(XorOracle):
+    """An `XorOracle` that keeps (system, floor, ceiling, reported value) for every solve."""
+
+    def __init__(self, model: WeightedModel, config: OracleConfig):
+        super().__init__(model, config)
+        self.solves: list[tuple[gf2.Gf2System, float, float, float]] = []
+
+    def _solve(self, system: gf2.Gf2System, floor: float, ceiling: float) -> float:
+        value = super()._solve(system, floor, ceiling)
+        self.solves.append((system, floor, ceiling, value))
+        return value
+
+
+def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
+    """`XorOracle`'s bracketed solves leave every query's lower median as it was.
+
+    For each model, T in reps, master seed and index i, the answer must
+    equal the lower median s of the T unbracketed maxima v_t =
+    `map_solve(model, system_t).log_value`, and map_calls must grow by the
+    number of distinct systems.  Each solve the oracle made must have had
+    floor <= s <= ceiling and report u = max(v, floor) when v < ceiling,
+    ceiling <= u <= v otherwise, and -inf for an inconsistent system.  The
+    detail counts the floor clamps, ceiling stops, infeasible systems and
+    ties (a further distinct system whose maximum equals a finite s), so a
+    caller can see that its inputs reached each case.
+    """
+    queries = solves = clamps = stops = infeasible = ties = 0
+    for model, count, master in itertools.product(models, reps, masters):
+        oracle = _BracketLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
+        for i in range(model.n + 1):
+            where = f"{model.name}, T={count}, master={master}, i={i}"
+            maxima: dict[tuple, MapResult] = {}
+            values = []
+            for system in draw_parity_systems(model.n, i, master, count):
+                key = (system.rows, system.rhs)
+                if key not in maxima:
+                    maxima[key] = map_solve(model, system)
+                values.append(maxima[key].log_value)
+            s = sorted(values)[(count - 1) // 2]
+            made, calls = len(oracle.solves), oracle.ledger.map_calls
+            if oracle.query(i) != s:
+                return CheckResult("median bracket", False, f"{where}: median moved")
+            if not len(oracle.solves) - made == oracle.ledger.map_calls - calls == len(maxima):
+                return CheckResult("median bracket", False, f"{where}: solve count")
+            for system, floor, ceiling, u in oracle.solves[made:]:
+                full = maxima[(system.rows, system.rhs)]
+                v = full.log_value
+                if not full.feasible:
+                    held = u == NEG_INF
+                    infeasible += 1
+                elif v < ceiling:
+                    held = u == max(v, floor)
+                    clamps += v < floor
+                else:
+                    held = ceiling <= u <= v
+                    stops += 1
+                if not (held and floor <= s <= ceiling):
+                    detail = f"{where}: bracket [{floor}, {ceiling}] reported {u} for maximum {v}"
+                    return CheckResult("median bracket", False, detail)
+            if s > NEG_INF:
+                ties += max(0, sum(full.log_value == s for full in maxima.values()) - 1)
+            queries += 1
+            solves += len(maxima)
+    return CheckResult(
+        "median bracket",
+        True,
+        f"{queries} queries, {solves} solves: {clamps} floor clamps, {stops} ceiling stops,"
+        f" {infeasible} infeasible, {ties} ties",
+    )
+
+
 def _within_budget(ledger, n: int) -> bool:
     """At most n + 1 distinct queries, all inside 0..n."""
     return ledger.distinct_queries <= n + 1 and ledger.queried_indices() <= set(range(n + 1))
@@ -561,6 +633,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_adversarial_stub(_stub_curves(10, seed=7)),
         check_adversarial_pair(),
         check_solver_agreement(model_zoo(6, 12, 3), 40, 3),
+        check_median_bracket(benchmark_models(max_n)),
     ]
     if level == "full":
         checks.append(check_hash_uniformity())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from adawish.oracle import (
 )
 from adawish.optbench import gen_geometric_curve
 from adawish.seeds import STREAM_CHUNK_WORDS, rng_from
-from adawish.verify import check_draw_agreement, check_xor_coverage, reference_map
+from adawish.verify import check_draw_agreement, check_median_bracket, check_xor_coverage, reference_map
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -87,10 +88,18 @@ class TestMapSolve:
 
     def test_node_limit_yields_incumbent(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
-        result = map_solve(model, gf2.Gf2System(9, (), ()), MapSolver(node_limit=5))
+        # the unlimited search takes 33 nodes; the first dive ends at 17 on
+        # a leaf below the optimum
+        system = sample_parity_system(model.n, 2, np.random.default_rng(0))
+        result = map_solve(model, system, MapSolver(node_limit=5))
         assert not result.exact
-        exact = map_solve(model, gf2.Gf2System(9, (), ()))
-        assert result.log_value <= exact.log_value
+        exact = map_solve(model, system)
+        assert exact.nodes == 33 and result.nodes == 17
+        assert result.log_value < exact.log_value
+        # a ceiling of -inf ends the search at the first leaf, the same
+        # dive's end, and answers its question exactly
+        first = map_solve(model, system, ceiling=NEG_INF)
+        assert first == result._replace(exact=True)
         # limits are checked at each pop, so a solve overruns its limit by at
         # most one dive: two children at each of the n variables
         rng = np.random.default_rng(5)
@@ -102,6 +111,16 @@ class TestMapSolve:
                 if limited.assignment is not None:
                     assert gf2.satisfies(system, limited.assignment)
                     assert log_weight(model, limited.assignment) == limited.log_value
+
+    @pytest.mark.parametrize("limit", [5, 19])
+    def test_node_limit_after_the_last_useful_node_stays_exact(self, limit):
+        # the first dive meets the optimum in 19 nodes and every child left
+        # on the stack is pruned when popped, so the limit cuts nothing
+        model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
+        free = gf2.Gf2System(9, (), ())
+        limited = map_solve(model, free, MapSolver(node_limit=limit))
+        assert limited == map_solve(model, free)
+        assert limited.exact and limited.nodes == 19
 
     def test_deep_chain_returns_incumbent(self):
         # 1,500 variables is far past the interpreter's recursion limit
@@ -143,6 +162,12 @@ class TestMapSolve:
             map_solve(model, reduced)
         with pytest.raises(StructuralError):
             gf2.row_reduce(reduced)
+
+    def test_empty_bracket_rejected(self):
+        model = gen_grid_ising(2, 2, coupling_w=1.0, seed=0)
+        for floor, ceiling in ((1.0, 0.0), (math.nan, math.inf), (NEG_INF, math.nan)):
+            with pytest.raises(StructuralError, match="bracket"):
+                map_solve(model, gf2.Gf2System(4, (), ()), floor=floor, ceiling=ceiling)
 
     def test_enumerate_size_guard(self):
         model = WeightedModel(25, ())
@@ -218,6 +243,27 @@ class TestMapSolve:
             else:
                 assert r.assignment in sols and gf2.satisfies(system, r.assignment)
                 assert log_weight(model, r.assignment) == r.log_value
+
+        # a bracket drawn from the coset's values, points between them and
+        # the infinities, so its ends can tie with leaves
+        assert map_solve(model, system, floor=NEG_INF, ceiling=math.inf) == b
+        values = sorted({float(table[x]) for x in sols})
+        ends = values + [v + d for v in values if v > NEG_INF for d in (-0.25, 0.25)] + [NEG_INF, math.inf]
+        floor, ceiling = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2), label="bracket"))
+        c = map_solve(model, system, floor=floor, ceiling=ceiling)
+        v = b.log_value
+        assert c.exact and c.feasible == b.feasible
+        if not b.feasible:
+            assert c == b
+        elif ceiling > v:
+            assert c.log_value == max(v, floor)
+        else:
+            assert ceiling <= c.log_value <= v
+        if c.feasible and c.assignment is None:
+            assert c.log_value == floor >= v
+        elif c.feasible:
+            assert c.log_value > floor and gf2.satisfies(system, c.assignment)
+            assert log_weight(model, c.assignment) == c.log_value
 
 
 class TestParitySampling:
@@ -350,6 +396,16 @@ class TestXorQuery:
         assert [got[i] for i in range(model.n + 1)] == answers
         assert oracle.ledger.map_calls == map_calls
         assert oracle.ledger.distinct_queries == model.n + 1
+
+    @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0"])
+    def test_bracketed_medians_match_unbracketed(self, spec):
+        # T = 1 solves with no bracket, T = 2 with a ceiling only, even T
+        # takes the lower middle; the clique's complement ties give maxima
+        # equal to the median, and i = n draws inconsistent systems
+        result = check_median_bracket([parse_gen_spec(spec)], reps=(1, 2, 5, 10, 30), masters=range(3))
+        assert result.passed, result.detail
+        counts = re.findall(r"(\d+) (?:floor clamps|ceiling stops|infeasible|ties)", result.detail)
+        assert len(counts) == 4 and min(int(k) for k in counts) > 0, result.detail
 
     def test_median_sandwich_mostly_holds(self):
         # scaled-down coverage check (grid 2x5, c = 2, T = 30, 40 seeds, 0.8
