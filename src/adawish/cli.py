@@ -123,14 +123,7 @@ def _load_model(args) -> WeightedModel:
     raise StructuralError("provide --model FILE or --gen SPEC")
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("ADAWISH_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
-def _oracle_config(args, seed: int) -> OracleConfig:
+def _oracle_config(args) -> OracleConfig:
     return OracleConfig(
         kind=args.oracle,
         c=args.c,
@@ -138,7 +131,7 @@ def _oracle_config(args, seed: int) -> OracleConfig:
         delta=args.delta,
         alpha=args.alpha,
         gamma=args.gamma,
-        master_seed=seed,
+        master_seed=args.seed,
     )
 
 
@@ -146,8 +139,8 @@ def _solver(args) -> MapSolver:
     return MapSolver(node_limit=args.node_limit, time_limit=args.map_timeout)
 
 
-def _run_schedule(model, args, seed):
-    config = _oracle_config(args, seed)
+def _run_schedule(model, args):
+    config = _oracle_config(args)
     solver = _solver(args)
     start = time.monotonic()
     if args.schedule == "wish":
@@ -158,7 +151,7 @@ def _run_schedule(model, args, seed):
     return result, wall
 
 
-def _report(model, args, seed, result, wall) -> RunReport:
+def _report(model, args, result, wall) -> RunReport:
     log10_exact = None
     log10_err = None
     if args.auto_exact and model.n <= ENUMERATION_LIMIT:
@@ -170,7 +163,7 @@ def _report(model, args, seed, result, wall) -> RunReport:
         guarantee = "heuristic"
     effective_t = None
     if args.oracle == "neighbor":
-        effective_t = _oracle_config(args, seed).repetitions(model.n)
+        effective_t = _oracle_config(args).repetitions(model.n)
     return RunReport(
         instance=model.name,
         n=model.n,
@@ -181,7 +174,7 @@ def _report(model, args, seed, result, wall) -> RunReport:
         T=effective_t,
         delta=args.delta if args.oracle == "neighbor" else None,
         gamma=args.gamma if args.oracle == "pointwise" else None,
-        seed=seed,
+        seed=args.seed,
         log10_w_estimate=result.log_w / LN10,
         log10_w_exact=log10_exact,
         log10_error=log10_err,
@@ -194,9 +187,8 @@ def _report(model, args, seed, result, wall) -> RunReport:
 
 def cmd_estimate(args) -> int:
     model = _load_model(args)
-    seed = _resolve_seed(args)
-    result, wall = _run_schedule(model, args, seed)
-    report = _report(model, args, seed, result, wall)
+    result, wall = _run_schedule(model, args)
+    report = _report(model, args, result, wall)
     for field in RunReport.FIELDS:
         print(f"{field}: {_fmt(getattr(report, field))}")
     if args.csv:
@@ -281,14 +273,13 @@ def _expand_suite(spec: str):
 
 
 def cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
     rows = []
     exit_code = 0
     for model in _expand_suite(args.suite):
-        config = _oracle_config(args, seed)
+        config = _oracle_config(args)
         solver = _solver(args)
         full = wish_estimate(model, config, solver)
-        adaptive = adawish_estimate(model, _oracle_config(args, seed), args.beta, solver)
+        adaptive = adawish_estimate(model, config, args.beta, solver)
         wq = full.ledger.distinct_queries
         aq = adaptive.ledger.distinct_queries
         savings = 100.0 * (1.0 - aq / wq)
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=0.01, help="failure probability")
         p.add_argument("--alpha", type=float, default=None, help="concentration rate (default 0.078 for c=5)")
         p.add_argument("--gamma", type=float, default=1.0, help="pointwise ratio >= 1")
-        p.add_argument("--seed", type=int, default=0, help="master seed (ADAWISH_SEED overrides)")
+        p.add_argument("--seed", type=int, default=0, help="master seed of the XOR and pointwise oracles")
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
         p.add_argument("--map-timeout", type=float, default=None, dest="map_timeout",
                        help="wall-clock cap in seconds per MAP solve (a query runs up to T solves)")

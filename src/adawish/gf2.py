@@ -11,6 +11,8 @@ vector per free variable; the MAP solver searches that coset.
 `row_reduce` adds one back-substitution pass to `echelon`, which yields the
 unique reduced echelon form; `verify.reference_map`, the self-checks and the
 public API read that, and it is the independent reference for `coset`.
+`as_mask` turns an assignment into a bitmask for `evaluate`, `satisfies` and
+`model.log_weight`.
 """
 
 from __future__ import annotations
@@ -18,17 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import StructuralError
 
 
-def pack_bits(bits: Sequence[int]) -> int:
-    """Pack a 0/1 sequence into an int, bit i = bits[i]."""
-    word = 0
+def as_mask(assignment, n: int) -> int:
+    """An assignment of n variables as a bitmask, bit v = x_v: the one converter.
+
+    An int or a numpy integer is the bitmask itself, inside n bits; anything
+    else must be a sequence of n entries equal to 0 or 1 (bools and 1.0 pass).
+    """
+    if isinstance(assignment, (int, np.integer)):
+        mask = int(assignment)
+        if mask < 0 or mask >> n:
+            raise StructuralError(f"assignment mask outside {n} variables")
+        return mask
+    bits = list(assignment)
+    if len(bits) != n:
+        raise StructuralError(f"assignment length {len(bits)} != n={n}")
+    mask = 0
     for i, b in enumerate(bits):
         if b not in (0, 1):
-            raise StructuralError(f"bit {i} is {b!r}, expected 0 or 1")
-        word |= b << i
-    return word
+            raise StructuralError(f"assignment bit {i} must be 0 or 1")
+        mask |= int(b) << i
+    return mask
 
 
 def _check_rows(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> None:
@@ -219,16 +235,8 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
 
 
 def evaluate(system, assignment) -> int:
-    """Apply the constraint matrix to an assignment: bit i = parity(row_i & x)."""
-    if isinstance(assignment, int):
-        x = assignment
-    else:
-        bits = list(assignment)
-        if len(bits) != system.cols:
-            raise StructuralError(f"assignment length {len(bits)} != {system.cols} columns")
-        x = pack_bits(bits)
-    if x < 0 or x >> system.cols:
-        raise StructuralError(f"assignment has bits outside {system.cols} columns")
+    """Apply the constraint matrix to an assignment (`as_mask`): bit i = parity(row_i & x)."""
+    x = as_mask(assignment, system.cols)
     out = 0
     for i, row in enumerate(system.rows):
         out |= ((row & x).bit_count() & 1) << i
@@ -236,5 +244,5 @@ def evaluate(system, assignment) -> int:
 
 
 def satisfies(system, assignment) -> bool:
-    """Whether the assignment solves the system; a list must hold one bit per column."""
-    return evaluate(system, assignment) == pack_bits(system.rhs)
+    """Whether the assignment (`as_mask`) solves the system."""
+    return evaluate(system, assignment) == as_mask(system.rhs, len(system.rhs))

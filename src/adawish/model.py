@@ -58,6 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
+from .gf2 import as_mask
 from .logspace import NEG_INF, log_sum_exp
 
 ENUMERATION_LIMIT = 24
@@ -408,26 +409,9 @@ class QuantileCurve:
         return float(self.log_values[i])
 
 
-def _as_mask(assignment, n: int) -> int:
-    if isinstance(assignment, (int, np.integer)):
-        mask = int(assignment)
-        if mask < 0 or mask >> n:
-            raise StructuralError(f"assignment mask outside {n} variables")
-        return mask
-    bits = list(assignment)
-    if len(bits) != n:
-        raise StructuralError(f"assignment length {len(bits)} != n={n}")
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise StructuralError(f"assignment bit {i} must be 0 or 1")
-        mask |= int(b) << i
-    return mask
-
-
 def log_weight(model: WeightedModel, assignment) -> float:
-    """log w(x); -inf when any factor vanishes."""
-    return float(model.compiled.log_weight(_as_mask(assignment, model.n)))
+    """log w(x) at an assignment (`gf2.as_mask`); -inf when any factor vanishes."""
+    return float(model.compiled.log_weight(as_mask(assignment, model.n)))
 
 
 def log_weights_at(model: WeightedModel, indices: np.ndarray) -> np.ndarray:

@@ -93,11 +93,25 @@ class MapSolver:
 
 
 def _count(name: str, value) -> int:
-    """value as an int (numpy integers and bools included); anything else raises."""
+    """The one check of a caller's integer: numpy integers and bools pass as int, all else raises."""
     try:
         return operator.index(value)
     except TypeError:
         raise StructuralError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_gamma(gamma: float) -> None:
+    """The pointwise ratio must be >= 1 and finite (NaN fails the first test)."""
+    if not gamma >= 1.0:
+        raise StructuralError("gamma must be >= 1")
+    if gamma == math.inf:
+        raise StructuralError("gamma must be finite")
+
+
+def _check_slack(c: int) -> None:
+    """A neighbor oracle's slack c must be >= 2."""
+    if c < 2:
+        raise StructuralError("neighbor oracle needs c >= 2")
 
 
 class MapResult(NamedTuple):
@@ -366,12 +380,9 @@ class OracleConfig:
             raise StructuralError("delta must be in (0, 1)")
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise StructuralError("alpha must be finite and > 0")
-        if not self.gamma >= 1.0:
-            raise StructuralError("gamma must be >= 1")
-        if self.gamma == math.inf:
-            raise StructuralError("gamma must be finite")
-        if self.kind == "neighbor" and self.c < 2:
-            raise StructuralError("neighbor oracle needs c >= 2")
+        _check_gamma(self.gamma)
+        if self.kind == "neighbor":
+            _check_slack(self.c)
         if self.T is not None and self.T < 1:
             raise StructuralError("T must be >= 1")
 
@@ -446,10 +457,7 @@ class QuantileOracle:
 
     def query(self, i: int, depth: int = 0) -> float:
         if type(i) is not int:  # np.int64 and bool become int; 1.5 is refused
-            try:
-                i = operator.index(i)
-            except TypeError:
-                raise StructuralError(f"query index {i!r} is not an integer") from None
+            i = _count("query index", i)
         if not 0 <= i <= self.n:
             raise StructuralError(f"query index {i} outside 0..{self.n}")
         hit = self.ledger.lookup(i)
@@ -487,14 +495,11 @@ class PointwiseCurveOracle(QuantileOracle):
         master_seed: int = 0,
         ledger: QueryLedger | None = None,
     ):
-        if not gamma >= 1.0:
-            raise StructuralError("gamma must be >= 1")
-        if gamma == math.inf:
-            raise StructuralError("gamma must be finite")
+        _check_gamma(gamma)
         super().__init__(curve.n, ledger)
         self.curve = curve
         self.gamma = gamma
-        self.master_seed = master_seed
+        self.master_seed = _count("master_seed", master_seed)
         self._log_gamma = math.log(gamma)
 
     def _compute(self, i: int) -> float:
@@ -612,13 +617,13 @@ class NeighborStubOracle(NeighborOracle):
     ):
         if policy not in self.policies:
             raise StructuralError(f"unknown policy {policy!r}")
-        if c < 2:
-            raise StructuralError("neighbor stub needs c >= 2")
+        c = _count("c", c)
+        _check_slack(c)
         super().__init__(curve.n, ledger)
         self.curve = curve
         self.c = c
         self.policy = policy
-        self.master_seed = master_seed
+        self.master_seed = _count("master_seed", master_seed)
 
     def _picked_index(self, i: int) -> int:
         if i == 0:

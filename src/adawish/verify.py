@@ -58,6 +58,15 @@ from .seeds import rng_from
 
 _ENUM_BLOCK = 1 << BLOCK_BITS
 _MASK_BITS = 62  # enumerated assignments are int64 bitmasks
+MAX_ARITY = 3  # widest factor of `random_factor_model`
+BRUTE_COLS = 10  # `check_coset` enumerates the solutions up to this many columns
+# `check_draw_agreement`: column counts, master seeds and repetitions per index
+DRAW_SIZES = (1, 12, 16, 64, 65, 100, 128, 129)
+DRAW_MASTERS = (-7, 1 << 64, (1 << 70) + 3)
+DRAW_REPS = 3
+# `check_xor_coverage`: master seeds, and the least per-index share of medians in the sandwich
+COVERAGE_SEEDS = 40
+COVERAGE_THRESHOLD = 0.8
 
 
 @dataclass
@@ -67,11 +76,11 @@ class CheckResult:
     detail: str = ""
 
 
-def random_factor_model(n: int, rng: np.random.Generator, max_arity: int = 3) -> WeightedModel:
+def random_factor_model(n: int, rng: np.random.Generator) -> WeightedModel:
     n_factors = int(rng.integers(n, 2 * n + 1))
     factors = []
     for _ in range(n_factors):
-        arity = int(rng.integers(1, min(max_arity, n) + 1))
+        arity = int(rng.integers(1, min(MAX_ARITY, n) + 1))
         scope = tuple(int(v) for v in rng.choice(n, size=arity, replace=False))
         factors.append(Factor(scope, rng.normal(0.0, 1.5, size=1 << arity)))
     return WeightedModel(n, tuple(factors), name=f"random-n{n}")
@@ -273,13 +282,13 @@ def coset_systems(seed: int) -> list[gf2.Gf2System]:
     return systems
 
 
-def check_coset(systems: list[gf2.Gf2System], brute_cols: int = 10) -> CheckResult:
+def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
     """`gf2.coset` gives each system's solution set, as `gf2.row_reduce` does.
 
     An inconsistent system must give None.  A consistent one gives (x0,
     nulls): x0 must be `particular_solution()`, the null vectors in
     variable order must be `null_basis()`, and each must have its free
-    variable as lowest set bit.  Over at most brute_cols columns x0 and the
+    variable as lowest set bit.  Over at most BRUTE_COLS columns x0 and the
     null vectors must span exactly the solutions found by enumeration;
     wider, x0 must solve the system and each null vector its homogeneous
     form.
@@ -297,7 +306,7 @@ def check_coset(systems: list[gf2.Gf2System], brute_cols: int = 10) -> CheckResu
             return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
         if x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis():
             return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
-        if system.cols <= brute_cols:
+        if system.cols <= BRUTE_COLS:
             span = {x0}
             for _, vec in free:
                 span |= {x ^ vec for x in span}
@@ -309,20 +318,21 @@ def check_coset(systems: list[gf2.Gf2System], brute_cols: int = 10) -> CheckResu
     return CheckResult("gf2 coset", True, f"{len(systems)} systems")
 
 
-def check_draw_agreement(
-    sizes=(1, 12, 16, 64, 65, 100, 128, 129), masters=(-7, 1 << 64, (1 << 70) + 3), reps: int = 3
-) -> CheckResult:
+def check_draw_agreement() -> CheckResult:
     """`draw_parity_systems` yields the systems of the per-repetition loop exactly.
 
-    For every n in sizes, every index i in 0..n (rows i) and every master
-    seed, the batch must equal `[sample_parity_system(n, i, rng_from(master,
-    i, t)) for t < reps]`: the same columns, rows and rhs.  Sizes 64, 65,
-    128 and 129 put rows on either side of the one- and two-word boundaries
-    of the packing.  One further draw, 300 systems of 64 rows over 64
-    columns, spans three `seeds.STREAM_CHUNK_WORDS` chunks.
+    For every n in DRAW_SIZES, every index i in 0..n (rows i) and every
+    master seed in DRAW_MASTERS, the batch must equal
+    `[sample_parity_system(n, i, rng_from(master, i, t)) for t < DRAW_REPS]`:
+    the same columns, rows and rhs.  Sizes 64, 65, 128 and 129 put rows on
+    either side of the one- and two-word boundaries of the packing.  One
+    further draw, 300 systems of 64 rows over 64 columns, spans three
+    `seeds.STREAM_CHUNK_WORDS` chunks.
     """
-    cases = [(n, i, master, reps) for n in sizes for i in range(n + 1) for master in masters]
-    cases.append((64, 64, masters[0], 300))
+    cases = [
+        (n, i, master, DRAW_REPS) for n in DRAW_SIZES for i in range(n + 1) for master in DRAW_MASTERS
+    ]
+    cases.append((64, 64, DRAW_MASTERS[0], 300))
     for n, i, master, count in cases:
         loop = [sample_parity_system(n, i, rng_from(master, i, t)) for t in range(count)]
         if list(draw_parity_systems(n, i, master, count)) != loop:
@@ -571,7 +581,7 @@ def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
     counts = np.zeros((1 << m, 1 << m), dtype=np.int64)
     for _ in range(samples):
         system = sample_parity_system(n, m, rng)
-        d = gf2.pack_bits(list(system.rhs))
+        d = gf2.as_mask(system.rhs, m)
         h1 = gf2.evaluate(system, x1) ^ d
         h2 = gf2.evaluate(system, x2) ^ d
         counts[h1, h2] += 1
@@ -581,26 +591,27 @@ def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
     )
 
 
-def check_xor_coverage(seeds: int = 40, threshold: float = 0.8) -> CheckResult:
+def check_xor_coverage() -> CheckResult:
     """Randomized query medians land between the c-shifted quantiles."""
     model = gen_grid_ising(2, 5, coupling_w=1.0, seed=3)
     curve = exact_quantiles(model)
     n = model.n
     c, reps = 2, 30
     hits = np.zeros(n + 1, dtype=np.int64)
-    for s in range(seeds):
+    for s in range(COVERAGE_SEEDS):
         config = OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s)
         oracle = XorOracle(model, config)
         for i in range(n + 1):
             m = oracle.query(i)
             if curve[min(i + c, n)] - 1e-12 <= m <= curve[max(i - c, 0)] + 1e-12:
                 hits[i] += 1
-    freq = hits / seeds
-    ok = bool(np.all(freq >= threshold))
+    freq = hits / COVERAGE_SEEDS
+    ok = bool(np.all(freq >= COVERAGE_THRESHOLD))
     return CheckResult(
         "xor median coverage",
         ok,
-        f"min per-index frequency {freq.min():.3f} over {seeds} seeds (threshold {threshold})",
+        f"min per-index frequency {freq.min():.3f} over {COVERAGE_SEEDS} seeds"
+        f" (threshold {COVERAGE_THRESHOLD})",
     )
 
 

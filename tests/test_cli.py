@@ -5,7 +5,7 @@ import math
 import pytest
 
 from adawish.cli import main, parse_gen_spec, read_curve_csv
-from adawish.model import exact_log_partition, parse_uai
+from adawish.model import exact_log_partition, exact_quantiles, parse_uai, serialize_uai
 
 FIXTURE = "MARKOV\n2\n2 2\n1\n2 0 1\n4\n1 2 3 4\n"
 
@@ -117,14 +117,24 @@ class TestEstimate:
         assert rows[0]["log10_w_estimate"] == printed["log10_w_estimate"]
         assert float(rows[0]["log10_w_estimate"]) == float(printed["log10_w_estimate"])
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ADAWISH_SEED", "99")
-        code, out, _ = run_cli(
-            capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4",
-            "--oracle", "neighbor", "--c", "2", "--T", "3", "--seed", "5",
-        )
+    def test_seed_comes_from_the_flag_only(self, capsys, monkeypatch):
+        # the environment is not read: --seed alone sets the master seed
+        argv = ("estimate", "--gen", "grid:2x3:w=0.5:seed=4", "--oracle", "neighbor",
+                "--c", "2", "--T", "3", "--seed", "5")
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert parse_report(out)["seed"] == "99"
+        monkeypatch.setenv("ADAWISH_SEED", "99")
+        code, again, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = parse_report(again)
+        assert report["seed"] == "5"
+        assert report["log10_w_estimate"] == parse_report(out)["log10_w_estimate"]
+
+    def test_neither_model_nor_gen_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "estimate")
+        assert code == 1
+        assert err.strip() == "error: provide --model FILE or --gen SPEC"
+        assert out == ""
 
 
 class TestGenAndQuantiles:
@@ -144,9 +154,38 @@ class TestGenAndQuantiles:
         curve = read_curve_csv(str(path))
         assert curve.n == 6
 
+    def test_gen_writes_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--spec", "grid:2x2:w=0.5:seed=1")
+        assert code == 0
+        assert out == serialize_uai(parse_gen_spec("grid:2x2:w=0.5:seed=1"))
+
+    def test_quantiles_write_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "quantiles", "--gen", "grid:2x2:w=0.8:seed=1")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "index,log10_value" and len(lines) == 6
+        curve = exact_quantiles(parse_gen_spec("grid:2x2:w=0.8:seed=1"))
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert values == [v / math.log(10) for v in curve.log_values]
+
     def test_gen_spec_validation(self):
         with pytest.raises(Exception):
             parse_gen_spec("hypercube:n=4")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("grid:3x3:bogus", "cannot parse spec fragment 'bogus'"),
+            ("grid:w=1.0", "grid spec needs a RxC shape, e.g. grid:3x3"),
+            ("clique:w=0.1", "clique spec needs n=, e.g. clique:n=10"),
+        ],
+        ids=["bad-fragment", "grid-without-shape", "clique-without-n"],
+    )
+    def test_malformed_spec_exits_one(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "gen", "--spec", spec)
+        assert code == 1
+        assert err.strip() == f"error: {message}"
+        assert out == ""
 
     @pytest.mark.parametrize("spec", ["grid:2x2:w=nan", "grid:2x2:w=inf", "clique:n=5:w=-1"])
     def test_bad_coupling_exits_one(self, capsys, spec):
@@ -177,6 +216,22 @@ class TestOptCommand:
         assert err.strip() == "error: kappa must be > 1"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("i,value\n0,0.0\n1,0.0\n", "expected header with index,log10_value columns"),
+            ("index,log10_value\n0,0.0\n2,0.0\n", "indices must be 0..n without gaps"),
+        ],
+        ids=["bad-header", "index-gap"],
+    )
+    def test_malformed_curve_exits_one(self, capsys, tmp_path, text, message):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "2")
+        assert code == 1
+        assert err.strip() == f"error: {path}: {message}"
+        assert out == ""
+
     def test_infinite_kappa_exits_one(self, capsys, tmp_path):
         # json.dumps would write it as Infinity, which is not JSON
         path = tmp_path / "flat.csv"
@@ -202,6 +257,25 @@ class TestBench:
             n = int(row["n"])
             assert int(row["wish_queries"]) == n + 1
             assert int(row["adawish_queries"]) <= n + 1
+
+    def test_suite_without_seeds_runs_seed_zero(self, capsys, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "grid:2x2:w=1.0", "--oracle", "exact", "--out", str(out_csv),
+        )
+        assert code == 0
+        with open(out_csv) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["instance"] == parse_gen_spec("grid:2x2:w=1.0:seed=0").name
+        assert out.startswith(f"{row['instance']}: full=5 ")
+
+    def test_guarantee_void_exits_two(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "grid:3x3:w=1.0:seeds=1..1", "--oracle", "neighbor",
+            "--c", "2", "--T", "3", "--node-limit", "4",
+        )
+        assert code == 2
+        assert "full=10" in out
 
     def test_empty_seed_range_exits_one(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"

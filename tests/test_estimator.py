@@ -145,6 +145,14 @@ class TestAdaptive:
         with pytest.raises(StructuralError, match="beta must be finite"):
             adawish_estimate(WeightedModel(4, ()), OracleConfig(kind="exact"), beta=math.inf)
 
+    def test_single_point_curve(self):
+        # n = 0: the one assignment is the whole sum, and one query reads it
+        curve = QuantileCurve(0, np.array([1.5]))
+        result = adawish_from_oracle(synthetic_oracle(curve, "exact"), beta=2.0)
+        assert result.log_w == 1.5 and list(result.quantiles) == [1.5]
+        assert result.ledger.distinct_queries == 1
+        assert result.log10_w == 1.5 / math.log(10.0)
+
     def test_zero_weight_tail_stops(self):
         # a curve that is zero past the first index: the flat -inf tail must
         # stop the recursion and contribute nothing, leaving only the top

@@ -164,6 +164,24 @@ class TestRowReduce:
         with pytest.raises(StructuralError):
             gf2.Gf2System(2, (0b100,), (0,))  # bit outside cols
 
+    @pytest.mark.parametrize(
+        "cols, rows, rhs, message",
+        [
+            (-1, (), (), "negative column count"),
+            (3, (0b001, 0b010), (0, 2), "rhs 1 is 2, expected 0 or 1"),
+        ],
+        ids=["negative-cols", "rhs-not-a-bit"],
+    )
+    def test_malformed_system_rejected(self, cols, rows, rhs, message):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            gf2.Gf2System(cols, rows, rhs)
+
+    def test_inconsistent_system_has_no_particular_solution(self):
+        reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11, 0b11), (0, 1)))
+        assert not reduced.consistent and reduced.solution_count == 0
+        with pytest.raises(StructuralError, match="inconsistent system has no solution"):
+            reduced.particular_solution()
+
 
 class TestEvaluate:
     def test_identity_matrix(self):
@@ -199,6 +217,34 @@ class TestEvaluate:
             gf2.evaluate(system, [1, 0])
         with pytest.raises(StructuralError):
             gf2.evaluate(system, 0b11111)
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [0b101, np.int64(0b101), np.uint8(0b101), [1, 0, 1], [True, False, True], [1, 0, 1.0],
+         np.array([1, 0, 1]), (np.int64(1), 0, np.float64(1.0))],
+        ids=["int", "np-int64", "np-uint8", "list", "bools", "float-bit", "np-array", "np-scalars"],
+    )
+    def test_every_assignment_form_evaluates_alike(self, assignment):
+        # evaluate and satisfies take every form log_weight takes
+        system = gf2.Gf2System(3, (0b011, 0b110, 0b101), (1, 1, 0))
+        assert gf2.as_mask(assignment, 3) == 0b101
+        assert gf2.evaluate(system, assignment) == 0b011
+        assert gf2.satisfies(system, assignment)
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            (np.int64(-1), "assignment mask outside 3 variables"),
+            ([1, 0, 0.5], "assignment bit 2 must be 0 or 1"),
+            ([1, 2, 0], "assignment bit 1 must be 0 or 1"),
+        ],
+        ids=["negative-mask", "half-bit", "two"],
+    )
+    def test_bad_assignment_rejected(self, assignment, message):
+        system = gf2.Gf2System(3, (0b111,), (1,))
+        for read in (gf2.evaluate, gf2.satisfies):
+            with pytest.raises(StructuralError, match=f"^{message}$"):
+                read(system, assignment)
 
     def test_satisfies_checks_list_length(self):
         system = gf2.Gf2System(3, (0b111,), (1,))

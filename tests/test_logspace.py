@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from adawish.logspace import NEG_INF, log_sum_exp
+from adawish.logspace import LN2, NEG_INF, log_pow2_span, log_sum_exp
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -15,6 +15,16 @@ def mp_log_sum_exp(terms) -> float:
     with mpmath.workdps(60):
         total = mpmath.fsum(mpmath.e ** mpmath.mpf(t) for t in terms if t != NEG_INF)
         return float(mpmath.log(total)) if total else NEG_INF
+
+
+class TestLogPow2Span:
+    def test_values_and_empty_span(self):
+        assert log_pow2_span(0, 1) == 0.0  # 2 - 1
+        assert log_pow2_span(3, 5) == pytest.approx(np.log(24.0), abs=1e-15)
+        assert log_pow2_span(0, 2000) == pytest.approx(2000 * LN2, abs=1e-12)
+        for lo, hi in ((3, 3), (4, 2)):
+            with pytest.raises(ValueError, match=f"^need hi > lo, got \\({lo}, {hi}\\)$"):
+                log_pow2_span(lo, hi)
 
 
 class TestLogSumExp:

@@ -62,6 +62,36 @@ class TestLogWeight:
         with pytest.raises(StructuralError):
             log_weight(model, [0, 1])
 
+    def test_assignment_forms_agree(self):
+        model = gen_grid_ising(2, 2, coupling_w=0.7, seed=1)
+        expected = log_weight(model, 0b0110)
+        for x in (np.int64(0b0110), [0, 1, 1, 0], [False, True, True, False], [0, 1.0, 1, 0]):
+            assert log_weight(model, x) == expected
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "scope, table, message",
+        [
+            ((0, 0), [0.0] * 4, r"duplicate variable in scope \(0, 0\)"),
+            ((0, 1), [0.0] * 3, "table size 3 does not match scope arity 2"),
+            ((0,), [0.0, math.nan], "factor entries must be finite or -inf"),
+            ((0,), [0.0, math.inf], "factor entries must be finite or -inf"),
+        ],
+        ids=["duplicate-variable", "table-size", "nan-entry", "inf-entry"],
+    )
+    def test_bad_factor_rejected(self, scope, table, message):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            Factor(scope, np.array(table))
+
+    def test_bad_model_rejected(self):
+        with pytest.raises(StructuralError, match="^negative variable count$"):
+            WeightedModel(-1, ())
+        with pytest.raises(StructuralError, match=r"^scope \(1, 3\) outside 3 variables$"):
+            WeightedModel(3, (Factor((1, 3), np.zeros(4)),))
+        with pytest.raises(StructuralError, match=r"^scope \(-1,\) outside 3 variables$"):
+            WeightedModel(3, (Factor((-1,), np.zeros(2)),))
+
 
 class TestUaiFormat:
     def test_golden_fixture(self):
@@ -102,6 +132,22 @@ class TestUaiFormat:
         with pytest.raises(ParseError) as info:
             parse_uai(text)
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MARKOV\n-1\n", "line 2: variable count must be >= 0, got -1"),
+            ("MARKOV\n1\n2\n1\n-2 0\n", "line 5: scope size of factor 0 must be >= 0, got -2"),
+            ("MARKOV\n1\n2\n1\n1 0\n2\n1 x\n",
+             "line 7: expected number for table entry of factor 0, got 'x'"),
+            ("MARKOV\n2\n2 2\n1\n2 1 1\n4\n1 2 3 4\n", "line 5: factor 0 repeats a variable in its scope"),
+        ],
+        ids=["negative-count", "negative-scope-size", "non-numeric-entry", "repeated-scope-variable"],
+    )
+    def test_malformed_inputs_name_the_fault(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_uai(text)
+        assert str(info.value) == message
 
     def test_truncated_file(self):
         with pytest.raises(ParseError):
@@ -453,6 +499,10 @@ class TestQuantileCurve:
     def test_rejects_wrong_length(self):
         with pytest.raises(StructuralError):
             QuantileCurve(3, np.array([0.0, -1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(StructuralError, match="^curve values must not be NaN$"):
+            QuantileCurve(2, np.array([0.0, math.nan, -1.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))

@@ -139,6 +139,10 @@ class TestComputeOpt:
                 with pytest.raises(StructuralError, match="kappa must be > 1"):
                     compute_opt(gen_geometric_curve(4, 2.0), kappa=kappa, method=method)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(StructuralError, match="^unknown method 'psychic'$"):
+            compute_opt(gen_geometric_curve(4, 2.0), kappa=2.0, method="psychic")
+
     def test_infinite_kappa_rejected(self):
         for method in ("greedy", "exhaustive"):
             with pytest.raises(StructuralError, match="kappa must be finite"):
@@ -162,6 +166,12 @@ class TestRegretBound:
 
 
 class TestAdversarialPair:
+    def test_argument_guards(self):
+        with pytest.raises(StructuralError, match="^kappa must be >= 1$"):
+            gen_adversarial_pair(16, 0.5)
+        with pytest.raises(StructuralError, match="^n must be >= 1$"):
+            gen_adversarial_pair(0, 2.0)
+
     def test_degenerate_kappa_one(self):
         pair = gen_adversarial_pair(16, 1.0)
         assert pair.w1_brute_force == pair.w2_brute_force == 1.0
@@ -229,6 +239,9 @@ class TestCurveGenerators:
             gen_kvalued_curve(8, [0.0, -1.0, -2.0], [5, 3])  # breakpoints unsorted
         with pytest.raises(StructuralError):
             gen_kvalued_curve(8, [0.0, -1.0], [])  # missing breakpoint
+        for breakpoints in ([0, 4], [4, 9]):
+            with pytest.raises(StructuralError, match=r"^breakpoints must lie in \[1, 8\]$"):
+                gen_kvalued_curve(8, [0.0, -1.0, -2.0], breakpoints)
 
     def test_geometric_validation(self):
         with pytest.raises(StructuralError):

@@ -32,7 +32,7 @@ from adawish.oracle import (
     map_solve,
     sample_parity_system,
 )
-from adawish.optbench import gen_geometric_curve
+from adawish.optbench import gen_geometric_curve, synthetic_oracle
 from adawish.seeds import STREAM_CHUNK_WORDS, rng_from
 from adawish.verify import check_draw_agreement, check_median_bracket, check_xor_coverage, reference_map
 
@@ -111,6 +111,15 @@ class TestMapSolve:
                 if limited.assignment is not None:
                     assert gf2.satisfies(system, limited.assignment)
                     assert log_weight(model, limited.assignment) == limited.log_value
+
+    def test_time_limit_that_never_expires_changes_nothing(self):
+        # the deadline is looked at every 1,024 nodes; this solve takes
+        # 9,799, so the check is re-armed several times before it ends
+        model = gen_grid_ising(5, 5, coupling_w=1.0, seed=0)
+        system = sample_parity_system(model.n, 12, np.random.default_rng(0))
+        unlimited = map_solve(model, system)
+        assert unlimited.nodes == 9799
+        assert map_solve(model, system, MapSolver(time_limit=3600.0)) == unlimited
 
     @pytest.mark.parametrize("limit", [5, 19])
     def test_node_limit_after_the_last_useful_node_stays_exact(self, limit):
@@ -355,7 +364,7 @@ class TestXorQuery:
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3, master_seed=9))
         for bad in (1.5, 2.0, "3", None):
-            with pytest.raises(StructuralError):
+            with pytest.raises(StructuralError, match=f"^query index must be an integer, got {bad!r}$"):
                 oracle.query(bad)
         assert oracle.query(np.int64(3)) == oracle.query(3)
         assert oracle.query(True) == oracle.query(1)
@@ -489,6 +498,12 @@ class TestOracleDispatch:
         oracle.lower(n - 1)
         assert oracle.ledger.queried_indices() == {n}
 
+    def test_default_repetitions_below_two_variables(self):
+        # ln n is 0 or undefined there, so the default T is 1
+        config = OracleConfig(kind="neighbor")
+        assert config.repetitions(0) == config.repetitions(1) == 1
+        assert config.repetitions(2) == math.ceil(math.log(100.0) / 0.078 * math.log(2))
+
     def test_exact_kind_size_guard(self):
         with pytest.raises(TooLarge):
             make_oracle(WeightedModel(25, ()), OracleConfig(kind="exact"))
@@ -570,6 +585,24 @@ class TestNeighborStub:
     def test_unknown_policy(self):
         with pytest.raises(StructuralError):
             NeighborStubOracle(curve_of([1.0, 1.0]), c=2, policy="sometimes")
+
+    def test_slack_below_two_rejected(self):
+        for c in (1, 0, -3):
+            with pytest.raises(StructuralError, match="^neighbor oracle needs c >= 2$"):
+                NeighborStubOracle(curve_of([1.0, 1.0]), c=c)
+
+    def test_counts_must_be_integers(self):
+        # a float c would index the curve with floats, and a float seed
+        # would be truncated
+        curve = gen_geometric_curve(8, 2.0)
+        with pytest.raises(StructuralError, match="c must be an integer"):
+            NeighborStubOracle(curve, c=2.0)
+        for kind in ("pointwise", "neighbor-stub"):
+            with pytest.raises(StructuralError, match="master_seed must be an integer"):
+                synthetic_oracle(curve, kind, gamma=1.5, seed=1.5)
+        stub = NeighborStubOracle(curve, c=np.int64(3), master_seed=np.int64(4))
+        assert type(stub.c) is int and type(stub.master_seed) is int
+        assert stub.query(5) == NeighborStubOracle(curve, c=3, master_seed=4).query(5)
 
 
 class TestLedger:
