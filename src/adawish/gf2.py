@@ -17,12 +17,15 @@ public API read that, and it is the independent reference for `coset`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError
+
+_INT = frozenset((int,))
 
 
 def as_mask(assignment, n: int) -> int:
@@ -45,6 +48,24 @@ def as_mask(assignment, n: int) -> int:
             raise StructuralError(f"assignment bit {i} must be 0 or 1")
         mask |= int(b) << i
     return mask
+
+
+def _int_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """rows as a tuple of Python ints, converting only the rows that are not one.
+
+    Elimination calls bit_length and shifts rows as unbounded ints, which a
+    numpy integer does not support.  A row that is not an integer is refused.
+    """
+    rows = tuple(rows)
+    if _INT.issuperset(map(type, rows)):
+        return rows
+    ints = []
+    for r, row in enumerate(rows):
+        try:
+            ints.append(operator.index(row))  # an int comes back as itself
+        except TypeError:
+            raise StructuralError(f"row {r} must be an integer, got {row!r}") from None
+    return tuple(ints)
 
 
 def _check_rows(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> None:
@@ -72,9 +93,12 @@ class Gf2System:
     rhs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        _check_rows(self.cols, self.rows, self.rhs)
+        rows, rhs = _int_rows(self.rows), tuple(self.rhs)
+        _check_rows(self.cols, rows, rhs)
+        if not _INT.issuperset(map(type, rhs)):  # bits equal to 0 or 1: True, 1.0, numpy integers
+            rhs = tuple(map(int, rhs))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def m(self) -> int:

@@ -21,17 +21,20 @@ already set, so scoring it is the one lookup.  A solve may be asked a
 bracketed question [floor, ceiling]: the incumbent starts at floor, and the
 search ends at the first leaf that reaches ceiling.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
-constrained maxima under independently sampled random (A, d) pairs with i
-rows.  It solves each distinct system in a bracket read off the sorted
-values reported so far, whose ends are proven bounds on the lower median,
-so a solve stops once its value can no longer move the answer, and the
-answer is the one full solves give (the proof is in `XorOracle`).
-Pair t is `sample_parity_system(n, i, rng_from(master_seed, i, t))`;
-`draw_parity_systems` draws all T pairs of an index in one batch from the
-generators' raw words (`seeds.stream_words`) without building the
-generators, bit-identical to that loop, and both pack their bits through
-one helper, which turns every row of a batch into a Python int in one
-call.  `make_oracle` binds a model to any configured oracle kind;
+constrained maxima under random (A, d) pairs with i rows.  Repetition t
+draws one n-row pair on the first query, and query i takes its first i
+rows, so within a repetition the solution sets nest as i grows and every
+index solved bounds the maximum at every other.  A repetition those bounds
+settle is answered with no search; the others are solved in a bracket
+narrowed by them and by the sorted values reported so far, whose ends are
+proven bounds on the lower median, so a solve stops once its value can no
+longer move the answer, and the answer is the one full solves give (the
+proof is in `XorOracle`).  Pair t is `sample_parity_system(n, n,
+rng_from(master_seed, n, t))`; `draw_parity_systems` draws all T pairs in
+one batch from the generators' raw words (`seeds.stream_words`) without
+building the generators, bit-identical to that loop, and both pack their
+bits through one helper, which turns every row of a batch into a Python int
+in one call.  `make_oracle` binds a model to any configured oracle kind;
 `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
@@ -527,34 +530,64 @@ class NeighborOracle(QuantileOracle):
 
 
 class XorOracle(NeighborOracle):
-    """Randomized constrained-MAP median.
+    """Randomized constrained-MAP median over nested parity systems.
 
-    Query i solves the T systems of `draw_parity_systems(n, i, master_seed,
-    T)`, which are `sample_parity_system(n, i, rng_from(master_seed, i, t))`
-    for t < T, so each answer is a pure function of (master_seed, i, t) and
-    does not depend on query order.  A system drawn twice in one query is
-    solved once; map_calls counts the solves, and the answer is the lower
-    median s = s_r, r = (T - 1) // 2, of the T maxima v_t.
+    Repetition t draws one n-row system, the t-th of `draw_parity_systems(n,
+    n, master_seed, T)`, on the first query; query i reads its first i rows
+    and rhs bits, the prefix system P_{i,t}.  The answer is the lower median
+    s = s_r, r = (T - 1) // 2, of the T maxima v_{i,t} = max log w over the
+    solutions S_{i,t} of P_{i,t}, so each answer is a pure function of
+    (master_seed, i, T) and does not depend on query order; how many solves
+    it takes (map_calls) does.  A prefix drawn twice in one query is solved
+    once, and map_calls counts the solves.
 
-    Only s is wanted, so each solve is asked only what s needs.  known is
-    the sorted list of the values reported so far, one per repetition, and
-    a new system is solved (`map_solve`) in the bracket
-    floor = known[k - (T - r)] (once k >= T - r) and ceiling = known[r]
-    (once k > r), k = len(known).  Its reported value u is then v itself,
-    or max(v, floor), or a value in [ceiling, v].
+    Guarantee.  The first i rows of a uniform n-row system with a uniform
+    rhs are a uniform i-row system with a uniform rhs, so each index's T
+    prefixes have the law of T independent i-row draws.  The per-index
+    coverage argument, and the union bound over indices built on it, read
+    only these per-index marginals; the joint law across indices, which the
+    nesting changes, is never used.
 
-    Claim: every u lies on v's side of s, that is, v <= s implies
+    Records.  Adding rows only removes solutions, S_{i+1,t} is a subset of
+    S_{i,t}, so v_{i+1,t} <= v_{i,t}.  Per repetition the oracle keeps two
+    lists over 0..n: caps[j], a proven upper bound on v_{j,t} (inf until
+    one is proven), and leaves[d], the largest weight of a solution found
+    whose first violated row is d (n if none), which lies in every S_{i,t}
+    with i <= d.  So v_{i,t} lies in [lo, hi], lo = max(leaves[i:]) and
+    hi = min(caps[:i + 1]).  After a solve in [floor, ceiling], an exact
+    result with no assignment proves v <= floor (caps[i] = floor), an exact
+    value below ceiling is v itself (caps[i] = v), and any assignment found
+    is a solution, entered in leaves at its first violated row; a ceiling
+    stop or a limited search proves no cap.  An inconsistent prefix has
+    caps[i] = -inf, which every longer prefix of t inherits.  These bounds
+    hold whether or not a search hit its limits.
+
+    Brackets.  known is the sorted list of the values reported so far, one
+    per repetition, and repetition k is asked floor = known[k - (T - r)]
+    (once k >= T - r) and ceiling = known[r] (once k > r).  With [lo, hi]
+    from the records, it reports lo with no search when lo >= ceiling or
+    lo == hi, and hi with no search when hi <= floor; otherwise it solves
+    (`map_solve`) in [max(floor, lo), min(ceiling, hi)] and reports the
+    result's value.  That bracket is never empty: known is sorted, so
+    floor <= ceiling; lo <= hi, as both are proven; and the two checks
+    before it leave floor < hi and lo < ceiling.
+
+    Claim: every reported u lies on v's side of s, that is, v <= s implies
     v <= u <= s and v >= s implies s <= u <= v.  So at least r + 1 values u
     are <= s and at least T - r are >= s, and known[r] = s at the end.
-    Proof, by induction over the solves: if the claim holds for the values
-    known so far, floor <= s, since T - r known values above s would come
-    from T - r maxima above s, leaving at most r maxima <= s; and likewise
-    ceiling >= s, or r + 1 known values below s would come from r + 1 maxima
-    below s.  A floor clamp raises v < floor <= s to floor, and a ceiling
-    stop reports a leaf in [ceiling, v] with ceiling >= s: either way u stays
-    on v's side of s.  A repeated system reuses u, which has the same v.
-    The claim holds only for exact solves: under node or time limits the
-    answer is a heuristic, as an unbracketed one would be.
+    Proof, by induction over the repetitions: if the claim holds for the
+    values known so far, floor <= s, since T - r known values above s would
+    come from T - r maxima above s, leaving at most r maxima <= s; and
+    likewise ceiling >= s.  Then lo >= ceiling gives s <= u = lo <= v,
+    lo == hi gives u = v, and hi <= floor gives v <= u = hi <= s.  A solve
+    in [f, c] with floor <= f = max(floor, lo) <= c = min(ceiling, hi) <=
+    ceiling reports max(v, f) when v < c, which is v unless f = floor > v,
+    a floor clamp; or a value in [c, v], which is v when c = hi >= v and
+    otherwise lies in [ceiling, v].  Either way u stays on v's side of s.
+    A repeated prefix reuses u, which has the same v.  The claim holds only
+    for exact solves: under node or time limits the floor and ceiling are
+    no longer proven and the answer is a heuristic, as an unbracketed one
+    would be.
     """
 
     def __init__(
@@ -569,30 +602,56 @@ class XorOracle(NeighborOracle):
         self.config = config
         self.c = config.c
         self.solver = solver or MapSolver()
+        # per repetition, filled on the first query: the system, caps and leaves
+        self._systems: list[gf2.Gf2System] = []
+        self._caps: list[list[float]] = []
+        self._leaves: list[list[float]] = []
 
     def _compute(self, i: int) -> float:
         reps = self.config.repetitions(self.n)
+        if not self._systems:
+            self._systems = list(draw_parity_systems(self.n, self.n, self.config.master_seed, reps))
+            self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
+            self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
         # lower middle for even counts: never overestimates the median
         r = (reps - 1) // 2
         above = reps - r  # how many of the T values are at or above s
         known: list[float] = []
-        seen: dict[tuple, float] = {}
-        for system in draw_parity_systems(self.n, i, self.config.master_seed, reps):
-            key = (system.rows, system.rhs)
-            value = seen.get(key)
-            if value is None:
-                k = len(known)
-                floor = known[k - above] if k >= above else NEG_INF
-                ceiling = known[r] if k > r else math.inf
-                value = seen[key] = self._solve(system, floor, ceiling)
-            bisect.insort(known, value)
+        solved: dict[tuple, tuple[MapResult, float]] = {}
+        for t in range(reps):
+            k = len(known)
+            floor = known[k - above] if k >= above else NEG_INF
+            ceiling = known[r] if k > r else math.inf
+            bisect.insort(known, self._report(i, t, floor, ceiling, solved))
         return known[r]
 
-    def _solve(self, system: gf2.Gf2System, floor: float, ceiling: float) -> float:
-        """The value one distinct system reports in its bracket; each call is a counted MAP solve."""
-        result = map_solve(self.model, system, self.solver, floor=floor, ceiling=ceiling)
-        self.ledger.record_solve(result.exact)
-        return result.log_value
+    def _report(self, i: int, t: int, floor: float, ceiling: float, solved: dict) -> float:
+        """The value repetition t reports at index i in [floor, ceiling]; see the class docstring."""
+        caps, leaves = self._caps[t], self._leaves[t]
+        lo, hi = max(leaves[i:]), min(caps[: i + 1])
+        if lo >= ceiling or lo == hi:
+            return lo
+        if hi <= floor:
+            return hi
+        system = self._systems[t]
+        key = (system.rows[:i], system.rhs[:i])
+        hit = solved.get(key)
+        if hit is None:
+            prefix = gf2.Gf2System(self.n, *key)
+            top = min(ceiling, hi)
+            result = map_solve(self.model, prefix, self.solver, floor=max(floor, lo), ceiling=top)
+            self.ledger.record_solve(result.exact)
+            hit = solved[key] = (result, top)
+        result, top = hit
+        value, x = result.log_value, result.assignment
+        if x is not None:  # a solution of rows 0..d-1, d its first violated row
+            d = i
+            while d < self.n and (system.rows[d] & x).bit_count() & 1 == system.rhs[d]:
+                d += 1
+            leaves[d] = max(leaves[d], value)
+        if result.exact and (x is None or value < top):
+            caps[i] = min(caps[i], value)
+        return value
 
 
 class NeighborStubOracle(NeighborOracle):

@@ -341,74 +341,89 @@ def check_draw_agreement() -> CheckResult:
     return CheckResult("draw agreement", True, f"{systems} systems over {len(cases)} (n, i, seed, T) cases")
 
 
-class _BracketLog(XorOracle):
-    """An `XorOracle` that keeps (system, floor, ceiling, reported value) for every solve."""
+class _ReportLog(XorOracle):
+    """An `XorOracle` that keeps (index, repetition, reported value, whether it searched) per answer."""
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
         super().__init__(model, config)
-        self.solves: list[tuple[gf2.Gf2System, float, float, float]] = []
+        self.reports: list[tuple[int, int, float, bool]] = []
 
-    def _solve(self, system: gf2.Gf2System, floor: float, ceiling: float) -> float:
-        value = super()._solve(system, floor, ceiling)
-        self.solves.append((system, floor, ceiling, value))
+    def _report(self, i: int, t: int, floor: float, ceiling: float, solved: dict) -> float:
+        calls = self.ledger.map_calls
+        value = super()._report(i, t, floor, ceiling, solved)
+        self.reports.append((i, t, value, self.ledger.map_calls > calls))
         return value
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
-    """`XorOracle`'s bracketed solves leave every query's lower median as it was.
+    """`XorOracle`'s chained, bracketed answers are the medians full solves give.
 
-    For each model, T in reps, master seed and index i, the answer must
-    equal the lower median s of the T unbracketed maxima v_t =
-    `map_solve(model, system_t).log_value`, and map_calls must grow by the
-    number of distinct systems.  Each solve the oracle made must have had
-    floor <= s <= ceiling and report u = max(v, floor) when v < ceiling,
-    ceiling <= u <= v otherwise, and -inf for an inconsistent system.  The
-    detail counts the floor clamps, ceiling stops, infeasible systems and
-    ties (a further distinct system whose maximum equals a finite s), so a
-    caller can see that its inputs reached each case.
+    For each model, T in reps and master seed, the reference solves every
+    distinct prefix P_{i,t} (the first i rows of the t-th system of
+    `draw_parity_systems(n, n, master, T)`) with no bracket: v_{i,t} =
+    `map_solve(model, P_{i,t}).log_value`, and s_i is the lower median of
+    v_{i,0..T-1}.  The oracle then runs in both query orders, the `wish`
+    sweep and `adawish` bisection at beta = 2, and must answer s_i at every
+    index it queried; every value a repetition reported must lie on its
+    maximum's side of s_i (v <= u <= s_i or s_i <= u <= v); map_calls must
+    not exceed the distinct prefixes of the queried indices; and the
+    sweep's medians must not increase with i.  The detail counts the
+    answers found with no search, reported values raised above their
+    maximum or lowered below it, infeasible prefixes and ties (a further
+    distinct prefix whose maximum equals a finite s_i), so a caller can
+    see that its inputs reached each case.
     """
-    queries = solves = clamps = stops = infeasible = ties = 0
+    queries = answers = solves = unsearched = raised = lowered = infeasible = ties = 0
     for model, count, master in itertools.product(models, reps, masters):
-        oracle = _BracketLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
-        for i in range(model.n + 1):
-            where = f"{model.name}, T={count}, master={master}, i={i}"
-            maxima: dict[tuple, MapResult] = {}
-            values = []
-            for system in draw_parity_systems(model.n, i, master, count):
-                key = (system.rows, system.rhs)
-                if key not in maxima:
-                    maxima[key] = map_solve(model, system)
-                values.append(maxima[key].log_value)
-            s = sorted(values)[(count - 1) // 2]
-            made, calls = len(oracle.solves), oracle.ledger.map_calls
-            if oracle.query(i) != s:
-                return CheckResult("median bracket", False, f"{where}: median moved")
-            if not len(oracle.solves) - made == oracle.ledger.map_calls - calls == len(maxima):
-                return CheckResult("median bracket", False, f"{where}: solve count")
-            for system, floor, ceiling, u in oracle.solves[made:]:
-                full = maxima[(system.rows, system.rhs)]
-                v = full.log_value
-                if not full.feasible:
-                    held = u == NEG_INF
-                    infeasible += 1
-                elif v < ceiling:
-                    held = u == max(v, floor)
-                    clamps += v < floor
-                else:
-                    held = ceiling <= u <= v
-                    stops += 1
-                if not (held and floor <= s <= ceiling):
-                    detail = f"{where}: bracket [{floor}, {ceiling}] reported {u} for maximum {v}"
-                    return CheckResult("median bracket", False, detail)
+        n = model.n
+        systems = list(draw_parity_systems(n, n, master, count))
+        maxima: list[list[float]] = []  # v_{i,t}
+        medians: list[float] = []
+        distinct: list[int] = []
+        for i in range(n + 1):
+            full: dict[tuple, float] = {}
+            for system in systems:
+                key = (system.rows[:i], system.rhs[:i])
+                if key not in full:
+                    full[key] = map_solve(model, gf2.Gf2System(n, *key)).log_value
+            maxima.append([full[system.rows[:i], system.rhs[:i]] for system in systems])
+            s = sorted(maxima[i])[(count - 1) // 2]
+            medians.append(s)
+            distinct.append(len(full))
             if s > NEG_INF:
-                ties += max(0, sum(full.log_value == s for full in maxima.values()) - 1)
-            queries += 1
-            solves += len(maxima)
+                ties += max(0, sum(v == s for v in full.values()) - 1)
+        for schedule in ("wish", "adawish"):
+            where = f"{model.name}, T={count}, master={master}, {schedule}"
+            oracle = _ReportLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
+            if schedule == "wish":
+                wish_from_oracle(oracle)
+            else:
+                adawish_from_oracle(oracle, 2.0)
+            memo = oracle.ledger.memo
+            for i, answer in memo.items():
+                if answer != medians[i]:
+                    return CheckResult("median bracket", False, f"{where}, i={i}: median moved")
+            for i, t, u, searched in oracle.reports:
+                v, s = maxima[i][t], medians[i]
+                if not (v <= u <= s or s <= u <= v):
+                    detail = f"{where}, i={i}, t={t}: reported {u} for maximum {v}, median {s}"
+                    return CheckResult("median bracket", False, detail)
+                unsearched += not searched
+                raised += u > v
+                lowered += u < v
+                infeasible += v == NEG_INF
+            if oracle.ledger.map_calls > sum(distinct[i] for i in memo):
+                return CheckResult("median bracket", False, f"{where}: more solves than distinct prefixes")
+            if schedule == "wish" and any(memo[i] < memo[i + 1] for i in range(n)):
+                return CheckResult("median bracket", False, f"{where}: sweep medians increase")
+            queries += len(memo)
+            answers += len(oracle.reports)
+            solves += oracle.ledger.map_calls
     return CheckResult(
         "median bracket",
         True,
-        f"{queries} queries, {solves} solves: {clamps} floor clamps, {stops} ceiling stops,"
-        f" {infeasible} infeasible, {ties} ties",
+        f"{queries} queries, {answers} answers, {solves} solves: {unsearched} with no search,"
+        f" {raised} raised, {lowered} lowered, {infeasible} infeasible, {ties} ties",
     )
 
 

@@ -244,14 +244,14 @@ class TestPinnedEstimates:
     # any change to how systems are drawn, reduced or solved that alters an
     # answer shows here
     PINNED = {
-        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6744c239c5023p+4", 13, 361),
-        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6744c239c5023p+4", 13, 361),
-        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.6889dbdf6d079p+4", 13, 361),
-        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.6889dbdf6d079p+4", 13, 361),
-        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.b4dbedcca1732p+2", 13, 361),
-        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.b3b5d921d53e7p+2", 10, 271),
-        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c5944350f7070p+2", 13, 361),
-        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c4c17fb21ef50p+2", 10, 271),
+        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.697e4aba409c4p+4", 13, 179),
+        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.697e4aba409c4p+4", 13, 228),
+        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.684e20d4a71a7p+4", 13, 190),
+        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.684e20d4a71a7p+4", 13, 231),
+        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.a14becf6134aap+2", 13, 196),
+        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.9f80b9e71c95fp+2", 10, 210),
+        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.a85b2fbe093f4p+2", 13, 186),
+        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.a7025e387bd18p+2", 10, 198),
     }
 
     @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))

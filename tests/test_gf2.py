@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from adawish import gf2
 from adawish.errors import StructuralError
+from adawish.model import WeightedModel
+from adawish.oracle import map_solve
 from adawish.verify import check_coset, check_gf2_counts, coset_systems
 
 
@@ -175,6 +179,28 @@ class TestRowReduce:
     def test_malformed_system_rejected(self, cols, rows, rhs, message):
         with pytest.raises(StructuralError, match=f"^{message}$"):
             gf2.Gf2System(cols, rows, rhs)
+
+    def test_int_rows_are_kept_as_given(self):
+        rows, rhs = (0b011, 0b110), (1, 0)
+        system = gf2.Gf2System(3, rows, rhs)
+        assert system.rows is rows and system.rhs is rhs
+
+    def test_numpy_integers_become_ints(self):
+        # elimination calls bit_length and shifts past 63 bits, which numpy
+        # integers do not support
+        model = WeightedModel(3, ())
+        system = gf2.Gf2System(3, (np.int64(3), 0b100), (np.uint8(1), np.True_))
+        assert system == gf2.Gf2System(3, (3, 0b100), (1, 1))
+        assert all(type(v) is int for v in system.rows + system.rhs)
+        assert gf2.row_reduce(system).pivots == (1, 2)
+        assert map_solve(model, gf2.Gf2System(3, (np.int64(3),), (0,))).feasible
+        wide = gf2.Gf2System(70, tuple(np.uint64(1) << np.uint64(v) for v in range(64)), (np.int64(1),) * 64)
+        assert gf2.coset(70, wide.rows, wide.rhs)[0] == (1 << 64) - 1
+
+    @pytest.mark.parametrize("row", [1.0, "1", None], ids=["float", "str", "none"])
+    def test_non_integer_row_rejected(self, row):
+        with pytest.raises(StructuralError, match=f"^row 1 must be an integer, got {re.escape(repr(row))}$"):
+            gf2.Gf2System(3, (1, row), (0, 0))
 
     def test_inconsistent_system_has_no_particular_solution(self):
         reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11, 0b11), (0, 1)))
