@@ -29,13 +29,12 @@ settle is answered with no search; the others are solved in a bracket
 narrowed by them and by the sorted values reported so far, whose ends are
 proven bounds on the lower median, so a solve stops once its value can no
 longer move the answer, and the answer is the one full solves give (the
-proof is in `XorOracle`).  Pair t is `sample_parity_system(n, n,
-rng_from(master_seed, n, t))`; `draw_parity_systems` draws all T pairs in
-one batch from the generators' raw words (`seeds.stream_words`) without
-building the generators, bit-identical to that loop, and both pack their
-bits through one helper, which turns every row of a batch into a Python int
-in one call.  `make_oracle` binds a model to any configured oracle kind;
-`synthetic_oracle` wraps a known quantile curve.
+proof is in `XorOracle`).  `draw_parity_systems` draws the T pairs as the
+rows of one bounded-uint8 draw from `rng_from(master_seed, n)`, and
+`sample_parity_system` draws one pair from a caller's generator; both pack
+their bits through one helper, which turns every row of a batch into a
+Python int in one call.  `make_oracle` binds a model to any configured
+oracle kind; `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
 repeated query is never recomputed and the number of distinct queries can be
@@ -48,7 +47,6 @@ import bisect
 import math
 import operator
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +56,7 @@ from . import gf2
 from .errors import StructuralError
 from .logspace import NEG_INF
 from .model import QuantileCurve, WeightedModel, exact_quantiles
-from .seeds import STREAM_CHUNK_WORDS, mix64, stream_words, unit_from
+from .seeds import mix64, rng_from, unit_from
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +187,20 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2Sys
     return _pack_systems(n, m, draw[None])[0]
 
 
-def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> Iterator[gf2.Gf2System]:
-    """Yield `sample_parity_system(n, m, rng_from(master_seed, m, t))` for t < reps.
+def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> list[gf2.Gf2System]:
+    """reps uniform m-row systems over n columns, drawn from `rng_from(master_seed, m)`.
 
-    The generators are never built: `seeds.stream_words` reads their raw
-    64-bit words, at most `STREAM_CHUNK_WORDS` at a time whatever reps is
-    (one system's words, when a single system needs more).  numpy's bounded
-    uint8 draw of 0 or 1 returns the top bit of each byte of its 32-bit
-    words, low byte first, and PCG64 hands out the low half of each 64-bit
-    word before the high half: so the draw's bits are bit 7 of each byte of
-    the raw words read as little-endian bytes, whatever the host's order.
-    Negative n, m or reps are rejected on the call, before anything is drawn.
+    System t is row t of one (reps, pad + m) bounded-uint8 draw, laid out as
+    in `sample_parity_system`.  The generator fills the draw row by row, so
+    system t does not depend on reps: a draw of k systems is the first k of
+    any longer one.
     """
     if min(n, m, reps) < 0:
         raise StructuralError(f"negative size: n={n}, m={m}, reps={reps}")
-    return _draw_batches(n, m, master_seed, reps)
-
-
-def _draw_batches(n: int, m: int, master_seed: int, reps: int) -> Iterator[gf2.Gf2System]:
     if m == 0:
-        yield from (gf2.Gf2System(n, (), ()) for _ in range(reps))
-        return
-    length = _draw_bytes(n, m)[1]
-    k = -(-length // 8)
-    chunk = max(1, STREAM_CHUNK_WORDS // k)
-    for start in range(0, reps, chunk):
-        words = stream_words(master_seed, m, range(start, min(start + chunk, reps)), k)
-        draws = words.astype("<u8", copy=False).view(np.uint8)[:, :length] >> 7
-        yield from _pack_systems(n, m, draws)
+        return [gf2.Gf2System(n, (), ()) for _ in range(reps)]
+    draws = rng_from(master_seed, m).integers(0, 2, size=(reps, _draw_bytes(n, m)[1]), dtype=np.uint8)
+    return _pack_systems(n, m, draws)
 
 
 def _solve_branch_and_bound(
@@ -532,9 +516,10 @@ class NeighborOracle(QuantileOracle):
 class XorOracle(NeighborOracle):
     """Randomized constrained-MAP median over nested parity systems.
 
-    Repetition t draws one n-row system, the t-th of `draw_parity_systems(n,
-    n, master_seed, T)`, on the first query; query i reads its first i rows
-    and rhs bits, the prefix system P_{i,t}.  The answer is the lower median
+    The first query draws the T n-row systems in one call,
+    `draw_parity_systems(n, n, master_seed, T)`, and repetition t keeps the
+    t-th; query i reads its first i rows and rhs bits, the prefix system
+    P_{i,t}.  The answer is the lower median
     s = s_r, r = (T - 1) // 2, of the T maxima v_{i,t} = max log w over the
     solutions S_{i,t} of P_{i,t}, so each answer is a pure function of
     (master_seed, i, T) and does not depend on query order; how many solves
@@ -610,7 +595,7 @@ class XorOracle(NeighborOracle):
     def _compute(self, i: int) -> float:
         reps = self.config.repetitions(self.n)
         if not self._systems:
-            self._systems = list(draw_parity_systems(self.n, self.n, self.config.master_seed, reps))
+            self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, reps)
             self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
             self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
         # lower middle for even counts: never overestimates the median

@@ -60,10 +60,6 @@ _ENUM_BLOCK = 1 << BLOCK_BITS
 _MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 MAX_ARITY = 3  # widest factor of `random_factor_model`
 BRUTE_COLS = 10  # `check_coset` enumerates the solutions up to this many columns
-# `check_draw_agreement`: column counts, master seeds and repetitions per index
-DRAW_SIZES = (1, 12, 16, 64, 65, 100, 128, 129)
-DRAW_MASTERS = (-7, 1 << 64, (1 << 70) + 3)
-DRAW_REPS = 3
 # `check_xor_coverage`: master seeds, and the least per-index share of medians in the sandwich
 COVERAGE_SEEDS = 40
 COVERAGE_THRESHOLD = 0.8
@@ -318,29 +314,6 @@ def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
     return CheckResult("gf2 coset", True, f"{len(systems)} systems")
 
 
-def check_draw_agreement() -> CheckResult:
-    """`draw_parity_systems` yields the systems of the per-repetition loop exactly.
-
-    For every n in DRAW_SIZES, every index i in 0..n (rows i) and every
-    master seed in DRAW_MASTERS, the batch must equal
-    `[sample_parity_system(n, i, rng_from(master, i, t)) for t < DRAW_REPS]`:
-    the same columns, rows and rhs.  Sizes 64, 65, 128 and 129 put rows on
-    either side of the one- and two-word boundaries of the packing.  One
-    further draw, 300 systems of 64 rows over 64 columns, spans three
-    `seeds.STREAM_CHUNK_WORDS` chunks.
-    """
-    cases = [
-        (n, i, master, DRAW_REPS) for n in DRAW_SIZES for i in range(n + 1) for master in DRAW_MASTERS
-    ]
-    cases.append((64, 64, DRAW_MASTERS[0], 300))
-    for n, i, master, count in cases:
-        loop = [sample_parity_system(n, i, rng_from(master, i, t)) for t in range(count)]
-        if list(draw_parity_systems(n, i, master, count)) != loop:
-            return CheckResult("draw agreement", False, f"n={n}, i={i}, master={master}, T={count}")
-    systems = sum(count for *_, count in cases)
-    return CheckResult("draw agreement", True, f"{systems} systems over {len(cases)} (n, i, seed, T) cases")
-
-
 class _ReportLog(XorOracle):
     """An `XorOracle` that keeps (index, repetition, reported value, whether it searched) per answer."""
 
@@ -362,12 +335,13 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     distinct prefix P_{i,t} (the first i rows of the t-th system of
     `draw_parity_systems(n, n, master, T)`) with no bracket: v_{i,t} =
     `map_solve(model, P_{i,t}).log_value`, and s_i is the lower median of
-    v_{i,0..T-1}.  The oracle then runs in both query orders, the `wish`
-    sweep and `adawish` bisection at beta = 2, and must answer s_i at every
-    index it queried; every value a repetition reported must lie on its
-    maximum's side of s_i (v <= u <= s_i or s_i <= u <= v); map_calls must
-    not exceed the distinct prefixes of the queried indices; and the
-    sweep's medians must not increase with i.  The detail counts the
+    v_{i,0..T-1}.  The oracle then runs in three query orders, the `wish`
+    sweep, `adawish` bisection at beta = 2 and a full sweep from i = n down
+    to 0, and must answer s_i at every index it queried; every value a
+    repetition reported must lie on its maximum's side of s_i (v <= u <= s_i
+    or s_i <= u <= v); map_calls must not exceed the distinct prefixes of
+    the queried indices; and each full sweep must query all n + 1 indices,
+    with medians that do not increase with i.  The detail counts the
     answers found with no search, reported values raised above their
     maximum or lowered below it, infeasible prefixes and ties (a further
     distinct prefix whose maximum equals a finite s_i), so a caller can
@@ -376,7 +350,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     queries = answers = solves = unsearched = raised = lowered = infeasible = ties = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
-        systems = list(draw_parity_systems(n, n, master, count))
+        systems = draw_parity_systems(n, n, master, count)
         maxima: list[list[float]] = []  # v_{i,t}
         medians: list[float] = []
         distinct: list[int] = []
@@ -392,13 +366,16 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
             distinct.append(len(full))
             if s > NEG_INF:
                 ties += max(0, sum(v == s for v in full.values()) - 1)
-        for schedule in ("wish", "adawish"):
-            where = f"{model.name}, T={count}, master={master}, {schedule}"
+        for order in ("wish", "adawish", "descending"):
+            where = f"{model.name}, T={count}, master={master}, {order}"
             oracle = _ReportLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
-            if schedule == "wish":
+            if order == "wish":
                 wish_from_oracle(oracle)
-            else:
+            elif order == "adawish":
                 adawish_from_oracle(oracle, 2.0)
+            else:
+                for i in reversed(range(n + 1)):
+                    oracle.query(i)
             memo = oracle.ledger.memo
             for i, answer in memo.items():
                 if answer != medians[i]:
@@ -414,8 +391,11 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
                 infeasible += v == NEG_INF
             if oracle.ledger.map_calls > sum(distinct[i] for i in memo):
                 return CheckResult("median bracket", False, f"{where}: more solves than distinct prefixes")
-            if schedule == "wish" and any(memo[i] < memo[i + 1] for i in range(n)):
-                return CheckResult("median bracket", False, f"{where}: sweep medians increase")
+            if order != "adawish":
+                if oracle.ledger.distinct_queries != n + 1:
+                    return CheckResult("median bracket", False, f"{where}: sweep missed an index")
+                if any(memo[i] < memo[i + 1] for i in range(n)):
+                    return CheckResult("median bracket", False, f"{where}: sweep medians increase")
             queries += len(memo)
             answers += len(oracle.reports)
             solves += oracle.ledger.map_calls
@@ -649,7 +629,6 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     checks = [
         check_gf2_counts(_gf2_systems(25, seed=11)),
         check_coset(coset_systems(seed=13)),
-        check_draw_agreement(),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),
         check_cost_to_go(models + benchmark_models(max_n)),

@@ -63,3 +63,16 @@ def test_curve_exact_setup_binds(harness, tmp_path):
     workload = workloads.CurveExact(3, str(tmp_path))
     workload.setup()
     assert set(workload.specs) <= set(workload.curves)
+
+
+def test_xor_deep_rounds_pass_their_gate(harness, tmp_path):
+    # rounds alternate between the two instances, so rounds 0 and 1 run both
+    # through `adawish.cli.main` in-process
+    _, workloads = harness
+    workload = workloads.XorDeep(3, str(tmp_path))
+    workload.setup()
+    workload.prepare()
+    estimates = workload.run_round(0) + workload.run_round(1)
+    cells = sorted(f"{spec}/{schedule}" for spec in workload.specs for schedule in ("wish", "adawish"))
+    assert sorted(e.cell for e in estimates) == cells
+    assert [e.failures for e in estimates] == [[]] * len(estimates)

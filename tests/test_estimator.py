@@ -244,14 +244,14 @@ class TestPinnedEstimates:
     # any change to how systems are drawn, reduced or solved that alters an
     # answer shows here
     PINNED = {
-        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.697e4aba409c4p+4", 13, 179),
-        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.697e4aba409c4p+4", 13, 228),
-        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.684e20d4a71a7p+4", 13, 190),
-        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.684e20d4a71a7p+4", 13, 231),
-        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.a14becf6134aap+2", 13, 196),
-        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.9f80b9e71c95fp+2", 10, 210),
-        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.a85b2fbe093f4p+2", 13, 186),
-        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.a7025e387bd18p+2", 10, 198),
+        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6acab37a5c2efp+4", 13, 191),
+        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6acab37a5c2efp+4", 13, 240),
+        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.66e16c79661a2p+4", 13, 182),
+        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.66e16c79661a2p+4", 13, 238),
+        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.bbca42fe1d76bp+2", 13, 186),
+        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 203),
+        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 173),
+        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 196),
     }
 
     @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))

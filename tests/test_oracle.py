@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adawish import gf2, oracle as oracle_module
+from adawish import gf2
 from adawish.cli import parse_gen_spec
 from adawish.errors import StructuralError, TooLarge
 from adawish.model import (
@@ -26,15 +26,14 @@ from adawish.oracle import (
     OracleConfig,
     PointwiseCurveOracle,
     QueryLedger,
-    XorOracle,
     draw_parity_systems,
     make_oracle,
     map_solve,
     sample_parity_system,
 )
 from adawish.optbench import gen_geometric_curve, synthetic_oracle
-from adawish.seeds import STREAM_CHUNK_WORDS, rng_from
-from adawish.verify import check_draw_agreement, check_median_bracket, check_xor_coverage, reference_map
+from adawish.seeds import rng_from
+from adawish.verify import check_median_bracket, check_xor_coverage, reference_map
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -276,31 +275,39 @@ class TestMapSolve:
 
 
 class TestParitySampling:
+    @staticmethod
+    def _packed(n, m, bits, pad):
+        # each row packed on its own, the way systems were first drawn
+        rows = tuple(
+            int.from_bytes(np.packbits(bits[r * n : (r + 1) * n], bitorder="little").tobytes(), "little")
+            for r in range(m)
+        )
+        return gf2.Gf2System(n, rows, tuple(int(b) for b in bits[pad:]))
+
     @pytest.mark.parametrize("n", [0, 1, 7, 12, 13, 16, 25, 64, 65, 100, 128, 129])
     def test_rows_match_per_row_packing(self, n):
-        # the reference draws the matrix and the rhs in two calls and packs
-        # each row on its own, the way systems were first drawn; equal
+        # the reference draws the matrix and the rhs in two calls; equal
         # generator states afterwards pin numpy's four-bytes-a-word buffering
         for seed in range(3):
             for m in range(n + 3):
                 rng = rng_from(seed, n, m)
                 system = sample_parity_system(n, m, rng)
                 ref = rng_from(seed, n, m)
-                if m == 0:
-                    rows, rhs = (), ()
-                else:
-                    bits = ref.integers(0, 2, size=(m, n), dtype=np.uint8)
-                    rows = tuple(
-                        int.from_bytes(np.packbits(bits[r], bitorder="little").tobytes(), "little")
-                        for r in range(m)
-                    )
-                    rhs = tuple(int(b) for b in ref.integers(0, 2, size=m, dtype=np.uint8))
-                assert (system.cols, system.rows, system.rhs) == (n, rows, rhs)
+                matrix = ref.integers(0, 2, size=m * n, dtype=np.uint8)
+                bits = np.concatenate([matrix, ref.integers(0, 2, size=m, dtype=np.uint8)])
+                assert system == self._packed(n, m, bits, m * n)
                 assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_batched_draw_matches_per_repetition_loop(self):
-        result = check_draw_agreement()
-        assert result.passed, result.detail
+        # a batch is one (reps, pad + m) draw of `rng_from(master, m)`, one
+        # system per row with its rhs from byte pad = m*n rounded up to a
+        # multiple of 4; row t does not depend on reps
+        for master in (-7, 1 << 64, (1 << 70) + 3):
+            for m in range(n + 3):
+                pad = -(-m * n // 4) * 4
+                bits = rng_from(master, m).integers(0, 2, size=(3, pad + m), dtype=np.uint8)
+                batch = draw_parity_systems(n, m, master, 3)
+                assert batch == [self._packed(n, m, row, pad) for row in bits]
+                assert draw_parity_systems(n, m, master, 1) == batch[:1]
+                assert draw_parity_systems(n, m, master, 5)[:3] == batch
 
     def test_negative_sizes_rejected(self):
         rng = np.random.default_rng(0)
@@ -310,26 +317,7 @@ class TestParitySampling:
             sample_parity_system(-1, 2, rng)
         for n, m, reps in ((4, 2, -1), (4, -1, 3), (-1, 2, 3)):
             with pytest.raises(StructuralError):
-                draw_parity_systems(n, m, 0, reps)  # on the call, not on first use
-
-    def test_batched_draw_holds_a_bounded_buffer(self, monkeypatch):
-        asked = []
-        stream_words = oracle_module.stream_words
-
-        def spy(master, index, reps, k):
-            asked.append(len(reps) * k)
-            return stream_words(master, index, reps, k)
-
-        monkeypatch.setattr(oracle_module, "stream_words", spy)
-        # 300 systems of 64 x 64 need 300 * 520 words: three chunks
-        systems = list(draw_parity_systems(64, 64, 5, 300))
-        assert systems == [sample_parity_system(64, 64, rng_from(5, 64, t)) for t in range(300)]
-        assert len(asked) == 3 and max(asked) <= STREAM_CHUNK_WORDS
-        # the first system of a huge query draws one chunk, not T systems' words
-        asked.clear()
-        first = next(iter(draw_parity_systems(100, 100, 5, 100_000)))
-        assert first == sample_parity_system(100, 100, rng_from(5, 100, 0))
-        assert len(asked) == 1 and asked[0] <= STREAM_CHUNK_WORDS
+                draw_parity_systems(n, m, 0, reps)
 
 
 class TestXorQuery:
@@ -387,27 +375,10 @@ class TestXorQuery:
         ids=["grid3x3", "clique8"],
     )
     def test_answers_match_per_repetition_reference(self, model, T):
-        # repetition t draws one n-row system from its own generator, keyed
-        # by (master_seed, n, t), and query i solves its first i rows; the
-        # answers do not depend on query order, the solve count may
-        master, n = 17, model.n
-        systems = [sample_parity_system(n, n, rng_from(master, n, t)) for t in range(T)]
-        answers, distinct = [], 0
-        for i in range(n + 1):
-            solved, values = {}, []
-            for system in systems:
-                key = (system.rows[:i], system.rhs[:i])
-                if key not in solved:
-                    solved[key] = map_solve(model, gf2.Gf2System(n, *key)).log_value
-                values.append(solved[key])
-            distinct += len(solved)
-            answers.append(sorted(values)[(T - 1) // 2])
-        for order in (range(n + 1), reversed(range(n + 1))):
-            oracle = XorOracle(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
-            got = {i: oracle.query(i) for i in order}
-            assert [got[i] for i in range(n + 1)] == answers
-            assert oracle.ledger.map_calls <= distinct
-            assert oracle.ledger.distinct_queries == n + 1
+        # the reference solves every repetition's prefix at every index in
+        # full; the answers do not depend on query order, the solve count may
+        result = check_median_bracket([model], reps=(T,), masters=(17,))
+        assert result.passed, result.detail
 
     @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0"])
     def test_bracketed_medians_match_unbracketed(self, spec):
@@ -436,10 +407,10 @@ class TestXorQuery:
         # pruning shows here even when every maximum stays the same
         model = parse_gen_spec(spec)
         results = [
-            map_solve(model, system)
+            map_solve(model, sample_parity_system(model.n, i, rng_from(master, i, t)))
             for master in range(3)
             for i in range(model.n + 1)
-            for system in draw_parity_systems(model.n, i, master, 10)
+            for t in range(10)
         ]
         assert len(results) == 390 and sum(r.feasible for r in results) == 360
         assert sum(r.nodes for r in results) == nodes
