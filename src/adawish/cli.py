@@ -18,8 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import ClassVar
 
 import numpy as np
 
@@ -49,35 +47,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return _FLOAT_FMT.format(value)
     return str(value)
-
-
-@dataclass
-class RunReport:
-    instance: str
-    n: int
-    schedule: str
-    oracle: str
-    beta: float | None
-    c: int | None
-    T: int | None
-    delta: float | None
-    gamma: float | None
-    seed: int
-    log10_w_estimate: float
-    log10_w_exact: float | None
-    log10_error: float | None
-    distinct_queries: int
-    map_calls: int
-    wall_time: float
-    guarantee: str
-
-    FIELDS: ClassVar[tuple[str, ...]]  # the CSV columns: every field, in declaration order
-
-    def row(self) -> list[str]:
-        return [_fmt(getattr(self, f)) for f in self.FIELDS]
-
-
-RunReport.FIELDS = tuple(f.name for f in fields(RunReport))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -151,7 +120,8 @@ def _run_schedule(model, args):
     return result, wall
 
 
-def _report(model, args, result, wall) -> RunReport:
+def _report(model, args, result, wall) -> dict:
+    """The run's report, keyed by CSV column in column order."""
     log10_exact = None
     log10_err = None
     if args.auto_exact and model.n <= ENUMERATION_LIMIT:
@@ -161,38 +131,36 @@ def _report(model, args, result, wall) -> RunReport:
         guarantee = f"proven(kappa={result.guarantee.kappa:.6g},delta={result.guarantee.delta:g})"
     else:
         guarantee = "heuristic"
-    effective_t = None
-    if args.oracle == "neighbor":
-        effective_t = _oracle_config(args).repetitions(model.n)
-    return RunReport(
-        instance=model.name,
-        n=model.n,
-        schedule=result.schedule,
-        oracle=args.oracle,
-        beta=result.beta,
-        c=args.c if args.oracle == "neighbor" else None,
-        T=effective_t,
-        delta=args.delta if args.oracle == "neighbor" else None,
-        gamma=args.gamma if args.oracle == "pointwise" else None,
-        seed=args.seed,
-        log10_w_estimate=result.log_w / LN10,
-        log10_w_exact=log10_exact,
-        log10_error=log10_err,
-        distinct_queries=result.ledger.distinct_queries,
-        map_calls=result.ledger.map_calls,
-        wall_time=wall,
-        guarantee=guarantee,
-    )
+    neighbor = args.oracle == "neighbor"
+    return {
+        "instance": model.name,
+        "n": model.n,
+        "schedule": result.schedule,
+        "oracle": args.oracle,
+        "beta": result.beta,
+        "c": args.c if neighbor else None,
+        "T": _oracle_config(args).repetitions(model.n) if neighbor else None,
+        "delta": args.delta if neighbor else None,
+        "gamma": args.gamma if args.oracle == "pointwise" else None,
+        "seed": args.seed,
+        "log10_w_estimate": result.log_w / LN10,
+        "log10_w_exact": log10_exact,
+        "log10_error": log10_err,
+        "distinct_queries": result.ledger.distinct_queries,
+        "map_calls": result.ledger.map_calls,
+        "wall_time": wall,
+        "guarantee": guarantee,
+    }
 
 
 def cmd_estimate(args) -> int:
     model = _load_model(args)
     result, wall = _run_schedule(model, args)
-    report = _report(model, args, result, wall)
-    for field in RunReport.FIELDS:
-        print(f"{field}: {_fmt(getattr(report, field))}")
+    report = {column: _fmt(value) for column, value in _report(model, args, result, wall).items()}
+    for column, value in report.items():
+        print(f"{column}: {value}")
     if args.csv:
-        _write_csv(args.csv, RunReport.FIELDS, [report.row()])
+        _write_csv(args.csv, report, [report.values()])
     return 2 if result.ledger.guarantee_void else 0
 
 

@@ -31,13 +31,12 @@ def sandwich_bounds(curve: QuantileCurve) -> tuple[float, float]:
     """Lower/upper bounds on log W from the exact quantile curve.
 
     lower = b_0 + sum_{i=1..n} b_i (2^i - 2^{i-1}); the upper bound replaces
-    b_i by b_{i-1}.  The two always bracket W, and upper <= 2 * lower.
+    b_i by b_{i-1}, which is the full sweep's estimate on the exact curve.
+    The two always bracket W, and upper <= 2 * lower.
     """
     b = curve.log_values
-    n = curve.n
-    lo_terms = [b[0]] + [b[i] + (i - 1) * LN2 for i in range(1, n + 1)]
-    up_terms = [b[0]] + [b[i - 1] + (i - 1) * LN2 for i in range(1, n + 1)]
-    return log_sum_exp(lo_terms), log_sum_exp(up_terms)
+    lo_terms = [b[0]] + [b[i] + (i - 1) * LN2 for i in range(1, curve.n + 1)]
+    return log_sum_exp(lo_terms), assemble_log_estimate(b)
 
 
 def assemble_log_estimate(quantiles: np.ndarray) -> float:

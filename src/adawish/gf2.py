@@ -9,8 +9,8 @@ rows' highest bits.  `coset` turns that basis into the solution set in one
 forward pass: the solution x0 with every free variable at 0, and one null
 vector per free variable; the MAP solver searches that coset.
 `row_reduce` adds one back-substitution pass to `echelon`, which yields the
-unique reduced echelon form; `verify.reference_map`, the self-checks and the
-public API read that, and it is the independent reference for `coset`.
+unique reduced echelon form; the public API reads that, and
+`verify.check_coset` holds it as the independent reference for `coset`.
 `as_mask` turns an assignment into a bitmask for `evaluate`, `satisfies` and
 `model.log_weight`.
 """

@@ -393,13 +393,12 @@ class OracleConfig:
 class QueryLedger:
     """Memo table plus counters for auditing oracle traffic.
 
-    distinct_queries only grows when a new index is computed; repeat accesses
-    are cache hits.  map_calls counts actual MAP solver invocations.
-    guarantee_void flips when any solve came back inexact.
+    distinct_queries is the number of indices computed, one memo entry each;
+    repeat accesses are cache hits.  map_calls counts actual MAP solver
+    invocations.  guarantee_void flips when any solve came back inexact.
     """
 
     memo: dict[int, float] = field(default_factory=dict)
-    distinct_queries: int = 0
     map_calls: int = 0
     cache_hits: int = 0
     trace: list[tuple[int, int, float]] = field(default_factory=list)
@@ -418,9 +417,12 @@ class QueryLedger:
 
     def record(self, index: int, value: float, depth: int) -> float:
         self.memo[index] = value
-        self.distinct_queries += 1
         self.trace.append((index, depth, value))
         return value
+
+    @property
+    def distinct_queries(self) -> int:
+        return len(self.memo)
 
     def queried_indices(self) -> set[int]:
         return set(self.memo)

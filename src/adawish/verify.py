@@ -59,7 +59,7 @@ from .seeds import rng_from
 _ENUM_BLOCK = 1 << BLOCK_BITS
 _MASK_BITS = 62  # enumerated assignments are int64 bitmasks
 MAX_ARITY = 3  # widest factor of `random_factor_model`
-BRUTE_COLS = 10  # `check_coset` enumerates the solutions up to this many columns
+BRUTE_COLS = 12  # `check_coset` enumerates the solutions up to this many columns
 # `check_xor_coverage`: master seeds, and the least per-index share of medians in the sandwich
 COVERAGE_SEEDS = 40
 COVERAGE_THRESHOLD = 0.8
@@ -110,18 +110,21 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
     """Constrained MAP by enumerating the solution coset: the reference for `map_solve`.
 
     Exact; takes up to 24 free variables (n - rank) over at most 62 variables.
+    The coset is `gf2.coset`'s (x0, nulls), which `check_coset` proves is the
+    solution set.
     """
-    reduced = gf2.row_reduce(system)
-    if not reduced.consistent:
+    got = gf2.coset(system.cols, system.rows, system.rhs)
+    if got is None:
         return MapResult(NEG_INF, None, exact=True, feasible=False)
-    free = model.n - reduced.rank
-    if free > ENUMERATION_LIMIT or model.n > _MASK_BITS:
+    x0, nulls = got
+    basis = [vec for vec in nulls if vec is not None]
+    if len(basis) > ENUMERATION_LIMIT or model.n > _MASK_BITS:
         raise TooLarge(
             f"enumeration limited to {ENUMERATION_LIMIT} free variables over n <= {_MASK_BITS},"
-            f" got {free} free over n={model.n}"
+            f" got {len(basis)} free over n={model.n}"
         )
-    sols = np.array([reduced.particular_solution()], dtype=np.int64)
-    for vec in reduced.null_basis():
+    sols = np.array([x0], dtype=np.int64)
+    for vec in basis:
         sols = np.concatenate([sols, sols ^ np.int64(vec)])
     best_val = NEG_INF
     best_idx = None
@@ -222,41 +225,6 @@ def check_cost_to_go(models: list[WeightedModel]) -> CheckResult:
     return CheckResult("cost-to-go bound", True, f"{levels} levels over {len(models)} models")
 
 
-def _gf2_systems(trials: int, seed: int) -> list[gf2.Gf2System]:
-    """Random parity systems of 1..8 columns and up to n + 1 rows, drawn from one generator."""
-    rng = np.random.default_rng(seed)
-    systems = []
-    for _ in range(trials):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(0, n + 2))
-        systems.append(sample_parity_system(n, m, rng))
-    return systems
-
-
-def check_gf2_counts(systems: list[gf2.Gf2System]) -> CheckResult:
-    """Rank-based solution counts match brute-force enumeration.
-
-    Each reduced system must also be in the form the solver relies on:
-    pivots ascend, each is its row's highest set bit, and no other row has
-    it set.
-    """
-    for t, system in enumerate(systems):
-        reduced = gf2.row_reduce(system)
-        pivot_bits = sum(1 << p for p in reduced.pivots)
-        if not (
-            list(reduced.pivots) == sorted(set(reduced.pivots))
-            and all(
-                row.bit_length() - 1 == p and row & pivot_bits == 1 << p
-                for row, p in zip(reduced.rows, reduced.pivots)
-            )
-        ):
-            return CheckResult("gf2 solution counts", False, f"trial {t}: not in reduced echelon form")
-        brute = sum(1 for x in range(1 << system.cols) if gf2.satisfies(system, x))
-        if brute != reduced.solution_count:
-            return CheckResult("gf2 solution counts", False, f"trial {t}: {brute} != {reduced.solution_count}")
-    return CheckResult("gf2 solution counts", True, f"{len(systems)} random systems")
-
-
 def coset_systems(seed: int) -> list[gf2.Gf2System]:
     """Parity systems for `check_coset`, drawn from one generator.
 
@@ -284,34 +252,45 @@ def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
     An inconsistent system must give None.  A consistent one gives (x0,
     nulls): x0 must be `particular_solution()`, the null vectors in
     variable order must be `null_basis()`, and each must have its free
-    variable as lowest set bit.  Over at most BRUTE_COLS columns x0 and the
-    null vectors must span exactly the solutions found by enumeration;
-    wider, x0 must solve the system and each null vector its homogeneous
-    form.
+    variable as lowest set bit.  Every system of at most BRUTE_COLS columns
+    is also enumerated: x0 and the null vectors must span exactly the
+    solutions found, and an inconsistent system must have none.  Wider, x0
+    must solve the system and each null vector its homogeneous form.  The
+    detail counts the enumerated systems that are consistent of full rank
+    (rank m), consistent and rank-deficient, and inconsistent, so a caller
+    can see that its inputs reached each case.
     """
+    enumerated = dict.fromkeys(("full rank", "rank-deficient", "inconsistent"), 0)
     for t, system in enumerate(systems):
         got = gf2.coset(system.cols, system.rows, system.rhs)
         reduced = gf2.row_reduce(system)
-        if got is None or not reduced.consistent:
-            if got is not None or reduced.consistent:
-                return CheckResult("gf2 coset", False, f"system {t}: consistency differs from row_reduce")
+        if (got is None) == reduced.consistent:
+            return CheckResult("gf2 coset", False, f"system {t}: consistency differs from row_reduce")
+        free: list[tuple[int, int]] = []
+        if got is not None:
+            x0, nulls = got
+            free = [(v, vec) for v, vec in enumerate(nulls) if vec is not None]
+            if any(vec & -vec != 1 << v for v, vec in free):
+                return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
+            if x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis():
+                return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
+        if system.cols > BRUTE_COLS:
+            if got is not None and not (
+                gf2.satisfies(system, x0) and not any(gf2.evaluate(system, vec) for _, vec in free)
+            ):
+                return CheckResult("gf2 coset", False, f"system {t}: not the solution set")
             continue
-        x0, nulls = got
-        free = [(v, vec) for v, vec in enumerate(nulls) if vec is not None]
-        if any(vec & -vec != 1 << v for v, vec in free):
-            return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
-        if x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis():
-            return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
-        if system.cols <= BRUTE_COLS:
-            span = {x0}
-            for _, vec in free:
-                span |= {x ^ vec for x in span}
-            spans = span == {x for x in range(1 << system.cols) if gf2.satisfies(system, x)}
-        else:
-            spans = gf2.satisfies(system, x0) and not any(gf2.evaluate(system, vec) for _, vec in free)
-        if not spans:
+        span = set() if got is None else {x0}
+        for _, vec in free:
+            span |= {x ^ vec for x in span}
+        if span != {x for x in range(1 << system.cols) if gf2.satisfies(system, x)}:
             return CheckResult("gf2 coset", False, f"system {t}: not the solution set")
-    return CheckResult("gf2 coset", True, f"{len(systems)} systems")
+        if got is None:
+            enumerated["inconsistent"] += 1
+        else:
+            enumerated["full rank" if system.cols - len(free) == system.m else "rank-deficient"] += 1
+    kinds = ", ".join(f"{count} {kind}" for kind, count in enumerated.items())
+    return CheckResult("gf2 coset", True, f"{len(systems)} systems, {sum(enumerated.values())} enumerated: {kinds}")
 
 
 class _ReportLog(XorOracle):
@@ -586,21 +565,28 @@ def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
     )
 
 
-def check_xor_coverage() -> CheckResult:
-    """Randomized query medians land between the c-shifted quantiles."""
-    model = gen_grid_ising(2, 5, coupling_w=1.0, seed=3)
+def xor_coverage(model: WeightedModel, c: int, reps: int, seeds) -> np.ndarray:
+    """Per index i, the share of master seeds whose XOR median lies in [b_{i+c}, b_{i-c}].
+
+    One `XorOracle` (neighbor kind, c, T = reps) per master seed answers
+    every index 0..n; b is the model's exact quantile curve, its indices
+    clamped to 0..n, with 1e-12 of slack at both ends.
+    """
     curve = exact_quantiles(model)
     n = model.n
-    c, reps = 2, 30
     hits = np.zeros(n + 1, dtype=np.int64)
-    for s in range(COVERAGE_SEEDS):
-        config = OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s)
-        oracle = XorOracle(model, config)
+    for s in seeds:
+        oracle = XorOracle(model, OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s))
         for i in range(n + 1):
             m = oracle.query(i)
             if curve[min(i + c, n)] - 1e-12 <= m <= curve[max(i - c, 0)] + 1e-12:
                 hits[i] += 1
-    freq = hits / COVERAGE_SEEDS
+    return hits / len(seeds)
+
+
+def check_xor_coverage() -> CheckResult:
+    """Randomized query medians land between the c-shifted quantiles."""
+    freq = xor_coverage(gen_grid_ising(2, 5, coupling_w=1.0, seed=3), 2, 30, range(COVERAGE_SEEDS))
     ok = bool(np.all(freq >= COVERAGE_THRESHOLD))
     return CheckResult(
         "xor median coverage",
@@ -627,7 +613,6 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     max_n = 12 if level == "fast" else 16
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
-        check_gf2_counts(_gf2_systems(25, seed=11)),
         check_coset(coset_systems(seed=13)),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),

@@ -14,7 +14,6 @@ from adawish.estimator import adawish_from_oracle
 from adawish.errors import ParseError, UnsupportedCardinality
 from adawish.model import exact_quantiles, gen_grid_ising, log_weight, parse_uai, serialize_uai
 from adawish.optbench import gen_geometric_curve, gen_kvalued_curve, synthetic_oracle
-from adawish.oracle import MapSolver, OracleConfig, QueryLedger, XorOracle
 from adawish.verify import (
     check_adversarial_pair,
     check_adversarial_stub,
@@ -24,6 +23,7 @@ from adawish.verify import (
     check_schedules,
     check_solver_agreement,
     curve_mix,
+    xor_coverage,
 )
 
 from conftest import model_zoo
@@ -146,20 +146,8 @@ def test_xor_median_coverage_on_enumerable_grid():
     # per-query failure probability of 0.2.  The criterion is asserted as
     # stated and fails honestly at the boundary index.
     start = time.monotonic()
-    model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
-    curve = exact_quantiles(model)
-    n, c, reps, seeds = model.n, 2, 30, 200
-    solver = MapSolver()
-    hits = np.zeros(n + 1, dtype=np.int64)
-    for s in range(seeds):
-        config = OracleConfig(kind="neighbor", c=c, T=reps, master_seed=s)
-        oracle = XorOracle(model, config, solver, QueryLedger())
-        for i in range(n + 1):
-            m = oracle.query(i)
-            if curve[min(i + c, n)] - 1e-12 <= m <= curve[max(i - c, 0)] + 1e-12:
-                hits[i] += 1
+    freq = xor_coverage(gen_grid_ising(3, 4, coupling_w=1.0, seed=2), c=2, reps=30, seeds=range(200))
     elapsed = time.monotonic() - start
-    freq = hits / seeds
     assert elapsed < 600.0, f"coverage run took {elapsed:.0f}s"
     detail = (
         f"per-index frequencies {[f'{f:.2f}' for f in freq]} in {elapsed:.0f}s; "

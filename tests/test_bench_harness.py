@@ -65,6 +65,21 @@ def test_curve_exact_setup_binds(harness, tmp_path):
     assert set(workload.specs) <= set(workload.curves)
 
 
+def test_curve_exact_round_passes_its_gate(harness, tmp_path):
+    # on a bare curve the reference is the sandwich's lower end and the
+    # exact-oracle sweep reads its upper end, so the gate checks that the
+    # two lie within a factor 2
+    _, workloads = harness
+    workload = workloads.CurveExact(3, str(tmp_path))
+    workload.setup()
+    workload.prepare()
+    estimates = workload.run_round(0)
+    assert len(estimates) == len(workload.cells)
+    assert [e.failures for e in estimates] == [[]] * len(estimates)
+    _, checks = workload.opt_pass()
+    assert checks and checks == [[]] * len(checks)
+
+
 def test_xor_deep_rounds_pass_their_gate(harness, tmp_path):
     # rounds alternate between the two instances, so rounds 0 and 1 run both
     # through `adawish.cli.main` in-process

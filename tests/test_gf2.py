@@ -9,7 +9,7 @@ from adawish import gf2
 from adawish.errors import StructuralError
 from adawish.model import WeightedModel
 from adawish.oracle import map_solve
-from adawish.verify import check_coset, check_gf2_counts, coset_systems
+from adawish.verify import check_coset, coset_systems
 
 
 def brute_solutions(system):
@@ -71,6 +71,11 @@ def parity_systems(draw):
     return gf2.Gf2System(n, tuple(rows), tuple(rhs))
 
 
+# (seed, (n, m)) of random systems with n <= 12; a shape of None is drawn
+# from the seed first, n in 1..12 and m in 0..n + 2
+SEEDED_SHAPES = [(35, (5, 3))] + [(seed, None) for seed in (*range(12), *range(100, 112))]
+
+
 class TestRowReduce:
     @settings(max_examples=200, deadline=None)
     @given(parity_systems())
@@ -99,9 +104,12 @@ class TestRowReduce:
             assert again.rhs == reduced.rhs
 
     def test_coset_is_the_solution_set(self):
-        # n = 0, m = 0, and masks of two words at n = 65 and 100
+        # n = 0, m = 0, and masks of two words at n = 65 and 100; the systems
+        # the check enumerates include every kind
         result = check_coset(coset_systems(seed=13))
         assert result.passed, result.detail
+        counts = re.search(r"(\d+) full rank, (\d+) rank-deficient, (\d+) inconsistent$", result.detail)
+        assert counts and min(int(k) for k in counts.groups()) > 0, result.detail
 
     @settings(max_examples=200, deadline=None)
     @given(parity_systems())
@@ -120,25 +128,14 @@ class TestRowReduce:
         assert not reduced.consistent
         assert reduced.solution_count == 0
 
-    # check_gf2_counts compares the rank-based count with enumeration and
-    # checks the reduced echelon form: highest-bit pivots, each in one row
-    def test_random_system_counts_match_enumeration(self):
-        result = check_gf2_counts([random_system(np.random.default_rng(35), 5, 3)])
-        assert result.passed, result.detail
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_counts_match_enumeration_many(self, seed):
+    # check_coset compares the coset, or its absence, with enumeration
+    @pytest.mark.parametrize("seed, shape", SEEDED_SHAPES, ids=[str(seed) for seed, _ in SEEDED_SHAPES])
+    def test_counts_match_enumeration_many(self, seed, shape):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 13))
-        m = int(rng.integers(0, n + 3))
-        result = check_gf2_counts([random_system(rng, n, m)])
-        assert result.passed, result.detail
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_pivot_is_highest_bit_and_unique(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(1, 13))
-        result = check_gf2_counts([random_system(rng, n, int(rng.integers(0, n + 3)))])
+        if shape is None:
+            n = int(rng.integers(1, 13))
+            shape = (n, int(rng.integers(0, n + 3)))
+        result = check_coset([random_system(rng, *shape)])
         assert result.passed, result.detail
 
     def test_idempotent(self):

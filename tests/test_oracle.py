@@ -187,9 +187,8 @@ class TestMapSolve:
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
         system = sample_parity_system(30, 28, np.random.default_rng(0))
-        reduced = gf2.row_reduce(system)
-        assert reduced.consistent and reduced.rank == 28
-        p, (u, w) = reduced.particular_solution(), reduced.null_basis()
+        p, nulls = gf2.coset(system.cols, system.rows, system.rhs)
+        u, w = (vec for vec in nulls if vec is not None)
         return system, {p, p ^ u, p ^ w, p ^ u ^ w}
 
     def test_enumerate_guard_counts_free_variables(self):
@@ -241,9 +240,9 @@ class TestMapSolve:
         b = map_solve(model, system, MapSolver())
         assert a.feasible == b.feasible == bool(sols)
         assert a.exact and b.exact
-        reduced = gf2.row_reduce(system)
-        if reduced.consistent:
-            assert b.nodes <= (n + 1) << (n - reduced.rank)
+        coset = gf2.coset(n, system.rows, system.rhs)
+        if coset is not None:
+            assert b.nodes <= (n + 1) << sum(vec is not None for vec in coset[1])
         assert a.log_value == b.log_value == pytest.approx(best, abs=1e-12)
         for r in (a, b):
             if r.log_value == NEG_INF:
