@@ -3,23 +3,25 @@
 Rows are stored as Python ints (bit v = variable v), so row elimination is a
 single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
-"unconstrained".  `echelon` inserts each row into a basis keyed by its
-highest set bit: one pass that gives an echelon form whose pivots are the
-rows' highest bits.  `coset` turns that basis into the solution set in one
-forward pass: the solution x0 with every free variable at 0, and one null
-vector per free variable; the MAP solver searches that coset.
-`row_reduce` adds one back-substitution pass to `echelon`, which yields the
-unique reduced echelon form; the public API reads that, and
-`verify.check_coset` holds it as the independent reference for `coset`.
-`as_mask` turns an assignment into a bitmask for `evaluate`, `satisfies` and
-`model.log_weight`.
+"unconstrained".  A `Coset` is a system's solution set: the solution x0 with
+every free variable at 0, and one null vector per free variable; the MAP
+solver searches it.  `extend` adds one row to a coset in one pass over its
+null vectors, and `coset` folds it over a system's rows, so a coset is
+built once and a longer prefix of the same system costs one step per row
+(`prefix_coset`).  The pivots are the rows' highest bits after reduction,
+as in highest-bit elimination.  `echelon` inserts each row into a basis
+keyed by its highest set bit, and `row_reduce` adds one back-substitution
+pass to it, which yields the unique reduced echelon form; the public API
+reads that, and `verify.check_coset` holds it as the independent reference
+for `coset`.  `as_mask` turns an assignment into a bitmask for `evaluate`,
+`satisfies` and `model.log_weight`.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,36 +186,79 @@ def echelon(
     return basis, consistent
 
 
-def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> tuple[int, list[int | None]] | None:
-    """The solution set as (x0, nulls), or None when the system is inconsistent.
+class Coset(NamedTuple):
+    """The solution set of an m-row parity system over cols columns.
 
     x0 is the solution with every free variable at 0, and nulls[v] is the
     null vector of free variable v: the homogeneous solution with x_v = 1
     and every other free variable at 0.  Its lowest set bit is v, the rest
     are pivots above v.  nulls[p] is None at a pivot p.  The solutions are
     x0 XOR any sum of null vectors; they are `row_reduce`'s
-    particular_solution and null_basis.  One forward pass over `echelon`'s
-    basis, in ascending pivot order, sets pivot p of x0 and of each null
-    vector from the parity of its basis row with the bits below p.  The
-    rows are not validated, as in `echelon`.
+    particular_solution and null_basis.  An inconsistent system has x0 None
+    and nulls ().  x0 and nulls depend only on the solution set, so two
+    systems with one solution set have them equal.
     """
-    basis, consistent = echelon(cols, rows, rhs)
-    if not consistent:
-        return None
-    x0 = 0
-    nulls: list[int | None] = [None] * cols
-    free = []
-    for p, hit in enumerate(basis):
-        if hit is None:
-            nulls[p] = 1 << p
-            free.append(p)
-            continue
-        row, b = hit
-        # only bits below p are set in x0 and the null vectors so far
-        x0 |= (b ^ ((row & x0).bit_count() & 1)) << p
-        for u in free:
-            nulls[u] |= ((row & nulls[u]).bit_count() & 1) << p
-    return x0, nulls
+
+    cols: int
+    m: int
+    x0: int | None
+    nulls: tuple[int | None, ...]
+
+
+def extend(coset: Coset, row: int, b: int) -> Coset:
+    """The coset with one more row, parity(row & x) = b, added to its system.
+
+    The parity of row & nulls[u] is bit u of the row once every pivot is
+    eliminated from it, so the highest free u where it is odd is the new
+    pivot p: the leading bit of the reduced row, the one highest-bit
+    insertion picks.  Each lower odd null vector takes nulls[p] in, which
+    clears its parity; x0 takes nulls[p] in when its parity is not b.  A
+    row with no odd free variable depends on the system's rows: the
+    solutions stay when x0 satisfies it, and there are none otherwise.  The
+    row is not validated: it must lie inside cols columns.
+    """
+    cols, m, x0, nulls = coset
+    if x0 is None:
+        return Coset(cols, m + 1, None, ())
+    # a null vector is never 0, so None is the only falsy entry
+    odd = [u for u, vec in enumerate(nulls) if vec and (row & vec).bit_count() & 1]
+    flip = (row & x0).bit_count() & 1 != b
+    if not odd:
+        return Coset(cols, m + 1, None, ()) if flip else Coset(cols, m + 1, x0, nulls)
+    p = odd.pop()
+    top = nulls[p]
+    new = list(nulls)
+    new[p] = None
+    for u in odd:
+        new[u] ^= top
+    return Coset(cols, m + 1, x0 ^ top if flip else x0, tuple(new))
+
+
+def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> Coset:
+    """The system's solution set: `extend` folded over its rows.
+
+    The fold starts from the unconstrained coset, every variable free and
+    x0 = 0, so the coset of a prefix extended by the remaining rows is the
+    coset of the whole system; `prefix_coset` keeps those steps.  The rows
+    are not validated, as in `echelon`.
+    """
+    got = Coset(cols, 0, 0, tuple(1 << v for v in range(cols)))
+    for row, b in zip(rows, rhs):
+        got = extend(got, row, b)
+    return got
+
+
+def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
+    """The coset of the system's first i rows, kept in chain.
+
+    chain[k] is the coset of the first k rows, chain[0] the unconstrained
+    one; the chain is extended one row at a time as far as i, so each
+    prefix is eliminated once, from its shorter prefix.
+    """
+    while len(chain) <= i:
+        k = len(chain) - 1
+        chain.append(extend(chain[k], system.rows[k], system.rhs[k]))
+    return chain[i]
 
 
 def row_reduce(system: Gf2System) -> ReducedSystem:

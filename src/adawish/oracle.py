@@ -10,16 +10,15 @@ lookup at the same key in its cost-to-go table
 of two children the one with the larger bound is searched first, and a
 child whose bound does not beat the incumbent is pruned, when it would be
 pushed or, if the incumbent has risen since, when it is popped.  The
-system becomes its solution coset in two passes, highest-bit insertion
-(`gf2.echelon`) and one forward pass (`gf2.coset`): the solution x0 with
-every free variable at 0, plus one null vector per free variable v whose
-lowest set bit is v.  Every pivot is forced by the variables before it, so
-only the n - rank free variables are branched on.  The search carries a
-full solution: a free variable branches with one XOR of its null vector,
-which also flips the pivots above it that it forces, and a pivot is
-already set, so scoring it is the one lookup.  A solve may be asked a
-bracketed question [floor, ceiling]: the incumbent starts at floor, and the
-search ends at the first leaf that reaches ceiling.
+search runs on the system's solution coset (`gf2.Coset`): the solution x0
+with every free variable at 0, plus one null vector per free variable v
+whose lowest set bit is v.  Every pivot is forced by the variables before
+it, so only the n - rank free variables are branched on.  The search
+carries a full solution: a free variable branches with one XOR of its null
+vector, which also flips the pivots above it that it forces, and a pivot
+is already set, so scoring it is the one lookup.  A solve may be asked a
+bracketed question [floor, ceiling]: the incumbent starts at floor, and
+the search ends at the first leaf that reaches ceiling.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under random (A, d) pairs with i rows.  Repetition t
 draws one n-row pair on the first query, and query i takes its first i
@@ -29,12 +28,15 @@ settle is answered with no search; the others are solved in a bracket
 narrowed by them and by the sorted values reported so far, whose ends are
 proven bounds on the lower median, so a solve stops once its value can no
 longer move the answer, and the answer is the one full solves give (the
-proof is in `XorOracle`).  `draw_parity_systems` draws the T pairs as the
-rows of one bounded-uint8 draw from `rng_from(master_seed, n)`, and
-`sample_parity_system` draws one pair from a caller's generator; both pack
-their bits through one helper, which turns every row of a batch into a
-Python int in one call.  `make_oracle` binds a model to any configured
-oracle kind; `synthetic_oracle` wraps a known quantile curve.
+proof is in `XorOracle`).  Each repetition keeps the cosets of its
+prefixes in a chain, each one row's elimination step (`gf2.extend`) from
+the one before, so no solve re-eliminates a prefix.  `draw_parity_systems`
+draws the T pairs as the rows of one bounded-uint8 draw from
+`rng_from(master_seed, n)`, and `sample_parity_system` draws one pair from
+a caller's generator; both pack their bits through one helper, which turns
+every row of a batch into a Python int in one call.  `make_oracle` binds a
+model to any configured oracle kind; `synthetic_oracle` wraps a known
+quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
 repeated query is never recomputed and the number of distinct queries can be
@@ -206,7 +208,7 @@ def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> list[gf2
 def _solve_branch_and_bound(
     model: WeightedModel,
     x0: int,
-    nulls: list[int | None],
+    nulls: tuple[int | None, ...],
     node_limit: int | None,
     time_limit: float | None,
     floor: float,
@@ -291,9 +293,15 @@ def _solve_branch_and_bound(
     return MapResult(best, best_assign, not exhausted, True, nodes)
 
 
+def check_columns(system, model: WeightedModel) -> None:
+    """A system, or its coset, must have one column per model variable."""
+    if system.cols != model.n:
+        raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
+
+
 def map_solve(
     model: WeightedModel,
-    system: gf2.Gf2System,
+    system: gf2.Gf2System | gf2.Coset,
     solver: MapSolver | None = None,
     *,
     floor: float = NEG_INF,
@@ -305,11 +313,13 @@ def map_solve(
     bounds never fall below a leaf they cover, rounding included
     (`CompiledModel.branch_tables`).  Among equal maxima the assignment is
     the first one the search meets.  nodes counts the root and every child
-    made, pruned ones included.  The search runs on `gf2.coset`; an
-    inconsistent system makes the result infeasible.  Only a `Gf2System`,
-    validated when it was built, is accepted: anything else raises
-    StructuralError, as a `ReducedSystem` would read as consistent after
-    dropping a 0 = 1 row.
+    made, pruned ones included.  The search runs on the system's
+    `gf2.coset`, or on a coset passed in its place, as `XorOracle` passes
+    each prefix's from its chain; an inconsistent one makes the result
+    infeasible.  Only a `Gf2System`, validated when it was built, or a
+    `gf2.Coset` is accepted, over one column per model variable: anything
+    else raises StructuralError, as a `ReducedSystem` would read as
+    consistent after dropping a 0 = 1 row.
 
     floor <= ceiling bracket the question asked; the defaults, -inf and
     +inf, ask for the maximum v itself.  The search starts its incumbent at
@@ -322,17 +332,18 @@ def map_solve(
     system is infeasible at -inf whatever the bracket.  `XorOracle` asks
     each solve only what its lower median needs.
     """
-    if not isinstance(system, gf2.Gf2System):
-        raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
-    if system.cols != model.n:
-        raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
+    if not isinstance(system, (gf2.Gf2System, gf2.Coset)):
+        raise StructuralError(f"expected a Gf2System or a Coset, got {type(system).__name__}")
+    check_columns(system, model)
     if not floor <= ceiling:
         raise StructuralError(f"bracket [{floor}, {ceiling}] is empty")
     solver = solver or MapSolver()
-    coset = gf2.coset(system.cols, system.rows, system.rhs)
-    if coset is None:
+    coset = system if isinstance(system, gf2.Coset) else gf2.coset(system.cols, system.rows, system.rhs)
+    if coset.x0 is None:
         return MapResult(NEG_INF, None, True, False)
-    return _solve_branch_and_bound(model, *coset, solver.node_limit, solver.time_limit, floor, ceiling)
+    return _solve_branch_and_bound(
+        model, coset.x0, coset.nulls, solver.node_limit, solver.time_limit, floor, ceiling
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +532,14 @@ class XorOracle(NeighborOracle):
     The first query draws the T n-row systems in one call,
     `draw_parity_systems(n, n, master_seed, T)`, and repetition t keeps the
     t-th; query i reads its first i rows and rhs bits, the prefix system
-    P_{i,t}.  The answer is the lower median
-    s = s_r, r = (T - 1) // 2, of the T maxima v_{i,t} = max log w over the
-    solutions S_{i,t} of P_{i,t}, so each answer is a pure function of
-    (master_seed, i, T) and does not depend on query order; how many solves
-    it takes (map_calls) does.  A prefix drawn twice in one query is solved
-    once, and map_calls counts the solves.
+    P_{i,t}.  A solve runs on P_{i,t}'s coset, read from repetition t's
+    chain of prefix cosets (`gf2.prefix_coset`), which is extended one row
+    at a time, and only as far as the highest index solved.  The answer is
+    the lower median s = s_r, r = (T - 1) // 2, of the T maxima
+    v_{i,t} = max log w over the solutions S_{i,t} of P_{i,t}, so each
+    answer is a pure function of (master_seed, i, T) and does not depend on
+    query order; how many solves it takes (map_calls) does.  A prefix drawn
+    twice in one query is solved once, and map_calls counts the solves.
 
     Guarantee.  The first i rows of a uniform n-row system with a uniform
     rhs are a uniform i-row system with a uniform rhs, so each index's T
@@ -589,8 +602,10 @@ class XorOracle(NeighborOracle):
         self.config = config
         self.c = config.c
         self.solver = solver or MapSolver()
-        # per repetition, filled on the first query: the system, caps and leaves
+        # per repetition, filled on the first query: the system, its chain
+        # of prefix cosets (`gf2.prefix_coset`), caps and leaves
         self._systems: list[gf2.Gf2System] = []
+        self._chains: list[list[gf2.Coset]] = []
         self._caps: list[list[float]] = []
         self._leaves: list[list[float]] = []
 
@@ -598,6 +613,8 @@ class XorOracle(NeighborOracle):
         reps = self.config.repetitions(self.n)
         if not self._systems:
             self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, reps)
+            free = gf2.coset(self.n, (), ())
+            self._chains = [[free] for _ in range(reps)]
             self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
             self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
         # lower middle for even counts: never overestimates the median
@@ -624,7 +641,7 @@ class XorOracle(NeighborOracle):
         key = (system.rows[:i], system.rhs[:i])
         hit = solved.get(key)
         if hit is None:
-            prefix = gf2.Gf2System(self.n, *key)
+            prefix = gf2.prefix_coset(self._chains[t], system, i)
             top = min(ceiling, hi)
             result = map_solve(self.model, prefix, self.solver, floor=max(floor, lo), ceiling=top)
             self.ledger.record_solve(result.exact)

@@ -50,6 +50,7 @@ from .oracle import (
     NeighborStubOracle,
     OracleConfig,
     XorOracle,
+    check_columns,
     draw_parity_systems,
     map_solve,
     sample_parity_system,
@@ -111,19 +112,20 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
 
     Exact; takes up to 24 free variables (n - rank) over at most 62 variables.
     The coset is `gf2.coset`'s (x0, nulls), which `check_coset` proves is the
-    solution set.
+    solution set.  The system must have one column per model variable, as
+    in `map_solve`.
     """
+    check_columns(system, model)
     got = gf2.coset(system.cols, system.rows, system.rhs)
-    if got is None:
+    if got.x0 is None:
         return MapResult(NEG_INF, None, exact=True, feasible=False)
-    x0, nulls = got
-    basis = [vec for vec in nulls if vec is not None]
+    basis = [vec for vec in got.nulls if vec is not None]
     if len(basis) > ENUMERATION_LIMIT or model.n > _MASK_BITS:
         raise TooLarge(
             f"enumeration limited to {ENUMERATION_LIMIT} free variables over n <= {_MASK_BITS},"
             f" got {len(basis)} free over n={model.n}"
         )
-    sols = np.array([x0], dtype=np.int64)
+    sols = np.array([got.x0], dtype=np.int64)
     for vec in basis:
         sols = np.concatenate([sols, sols ^ np.int64(vec)])
     best_val = NEG_INF
@@ -249,48 +251,65 @@ def coset_systems(seed: int) -> list[gf2.Gf2System]:
 def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
     """`gf2.coset` gives each system's solution set, as `gf2.row_reduce` does.
 
-    An inconsistent system must give None.  A consistent one gives (x0,
-    nulls): x0 must be `particular_solution()`, the null vectors in
-    variable order must be `null_basis()`, and each must have its free
-    variable as lowest set bit.  Every system of at most BRUTE_COLS columns
-    is also enumerated: x0 and the null vectors must span exactly the
-    solutions found, and an inconsistent system must have none.  Wider, x0
-    must solve the system and each null vector its homogeneous form.  The
-    detail counts the enumerated systems that are consistent of full rank
-    (rank m), consistent and rank-deficient, and inconsistent, so a caller
-    can see that its inputs reached each case.
+    An inconsistent system must give x0 None.  A consistent one must give
+    x0 = `particular_solution()`, the null vectors in variable order must
+    be `null_basis()`, and each must have its free variable as lowest set
+    bit.  Every system of at most BRUTE_COLS columns is also enumerated: x0
+    and the null vectors must span exactly the solutions found, and an
+    inconsistent system must have none.  Wider, x0 must solve the system
+    and each null vector its homogeneous form.  Each prefix of each system,
+    from no rows to all of them, is also read from a chain
+    (`gf2.prefix_coset`), as `XorOracle` reads it, and must equal
+    `gf2.coset` of that prefix built from scratch.  The detail counts the
+    prefixes compared, with how many of them were inconsistent, and the
+    enumerated systems that are consistent of full rank (rank m),
+    consistent and rank-deficient, and inconsistent, so a caller can see
+    that its inputs reached each case.
     """
     enumerated = dict.fromkeys(("full rank", "rank-deficient", "inconsistent"), 0)
+    prefixes = broken = 0
     for t, system in enumerate(systems):
-        got = gf2.coset(system.cols, system.rows, system.rhs)
+        cols, rows, rhs = system.cols, system.rows, system.rhs
+        chain = [gf2.coset(cols, (), ())]
+        for k in range(system.m + 1):
+            got = gf2.coset(cols, rows[:k], rhs[:k])  # the whole system's at k = m
+            if gf2.prefix_coset(chain, system, k) != got:
+                return CheckResult("gf2 coset", False, f"system {t}: chained coset of prefix {k} differs")
+            prefixes += 1
+            broken += got.x0 is None
+        x0 = got.x0
         reduced = gf2.row_reduce(system)
-        if (got is None) == reduced.consistent:
+        if (x0 is None) == reduced.consistent:
             return CheckResult("gf2 coset", False, f"system {t}: consistency differs from row_reduce")
-        free: list[tuple[int, int]] = []
-        if got is not None:
-            x0, nulls = got
-            free = [(v, vec) for v, vec in enumerate(nulls) if vec is not None]
-            if any(vec & -vec != 1 << v for v, vec in free):
-                return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
-            if x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis():
-                return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
-        if system.cols > BRUTE_COLS:
-            if got is not None and not (
+        free = [(v, vec) for v, vec in enumerate(got.nulls) if vec is not None]
+        if any(vec & -vec != 1 << v for v, vec in free):
+            return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
+        if x0 is not None and (
+            x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis()
+        ):
+            return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
+        if cols > BRUTE_COLS:
+            if x0 is not None and not (
                 gf2.satisfies(system, x0) and not any(gf2.evaluate(system, vec) for _, vec in free)
             ):
                 return CheckResult("gf2 coset", False, f"system {t}: not the solution set")
             continue
-        span = set() if got is None else {x0}
+        span = set() if x0 is None else {x0}
         for _, vec in free:
             span |= {x ^ vec for x in span}
-        if span != {x for x in range(1 << system.cols) if gf2.satisfies(system, x)}:
+        if span != {x for x in range(1 << cols) if gf2.satisfies(system, x)}:
             return CheckResult("gf2 coset", False, f"system {t}: not the solution set")
-        if got is None:
+        if x0 is None:
             enumerated["inconsistent"] += 1
         else:
-            enumerated["full rank" if system.cols - len(free) == system.m else "rank-deficient"] += 1
+            enumerated["full rank" if cols - len(free) == system.m else "rank-deficient"] += 1
     kinds = ", ".join(f"{count} {kind}" for kind, count in enumerated.items())
-    return CheckResult("gf2 coset", True, f"{len(systems)} systems, {sum(enumerated.values())} enumerated: {kinds}")
+    return CheckResult(
+        "gf2 coset",
+        True,
+        f"{len(systems)} systems, {prefixes} prefixes chained ({broken} inconsistent),"
+        f" {sum(enumerated.values())} enumerated: {kinds}",
+    )
 
 
 class _ReportLog(XorOracle):

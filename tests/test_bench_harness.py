@@ -91,3 +91,23 @@ def test_xor_deep_rounds_pass_their_gate(harness, tmp_path):
     cells = sorted(f"{spec}/{schedule}" for spec in workload.specs for schedule in ("wish", "adawish"))
     assert sorted(e.cell for e in estimates) == cells
     assert [e.failures for e in estimates] == [[]] * len(estimates)
+
+
+def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
+    # every solve, inconsistent prefixes included, goes through
+    # `adawish.oracle.map_solve` with an argument that has .m and .cols, so
+    # the tracer's solve count is the ledgers' and every index band has nodes
+    tracing, workloads = harness
+    workload = workloads.XorShallow(3, str(tmp_path))
+    workload.setup()
+    workload.prepare()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload.setup()
+        estimates = workload.run_round(0)
+    finally:
+        tracer.remove()
+    metrics = tracing.layer_metrics(tracer, estimates, {"opt_size": 0})
+    assert metrics["oracle.map_solve.calls"] == sum(e.map_calls for e in estimates) / len(estimates)
+    assert all(metrics[f"oracle.map_solve.band{b}.nodes"] > 0 for b in range(tracing.BANDS))

@@ -105,11 +105,38 @@ class TestRowReduce:
 
     def test_coset_is_the_solution_set(self):
         # n = 0, m = 0, and masks of two words at n = 65 and 100; the systems
-        # the check enumerates include every kind
-        result = check_coset(coset_systems(seed=13))
+        # the check enumerates include every kind, and the prefixes it
+        # chains include inconsistent ones
+        systems = coset_systems(seed=13)
+        assert any(system.cols > 64 and system.m > 1 for system in systems)
+        result = check_coset(systems)
         assert result.passed, result.detail
         counts = re.search(r"(\d+) full rank, (\d+) rank-deficient, (\d+) inconsistent$", result.detail)
         assert counts and min(int(k) for k in counts.groups()) > 0, result.detail
+        chained = re.search(r"(\d+) prefixes chained \((\d+) inconsistent\)", result.detail)
+        assert chained and int(chained[1]) == sum(system.m + 1 for system in systems), result.detail
+        assert int(chained[2]) > 0, result.detail
+
+    def test_dependent_row_keeps_or_empties_the_coset(self):
+        # the third row is the XOR of the first two: with the matching rhs
+        # the solutions stay, with the other one there are none, and every
+        # row after that leaves the system inconsistent
+        start = gf2.coset(4, (0b0011, 0b0110), (1, 0))
+        kept = gf2.extend(start, 0b0101, 1)
+        assert kept == start._replace(m=3)
+        empty = gf2.extend(start, 0b0101, 0)
+        assert empty == gf2.Coset(4, 3, None, ())
+        assert gf2.extend(empty, 0b1000, 1) == gf2.Coset(4, 4, None, ())
+        assert gf2.coset(4, (0b0011, 0b0110, 0b0101, 0b1000), (1, 0, 0, 1)) == gf2.Coset(4, 4, None, ())
+
+    def test_chain_extends_only_as_far_as_asked(self):
+        system = gf2.Gf2System(5, (0b00011, 0b00110, 0b11000), (1, 0, 1))
+        chain = [gf2.coset(5, (), ())]
+        assert gf2.prefix_coset(chain, system, 2) == gf2.coset(5, system.rows[:2], system.rhs[:2])
+        assert len(chain) == 3
+        assert gf2.prefix_coset(chain, system, 1) is chain[1]
+        assert gf2.prefix_coset(chain, system, 3) == gf2.coset(5, system.rows, system.rhs)
+        assert len(chain) == 4
 
     @settings(max_examples=200, deadline=None)
     @given(parity_systems())
@@ -192,7 +219,7 @@ class TestRowReduce:
         assert gf2.row_reduce(system).pivots == (1, 2)
         assert map_solve(model, gf2.Gf2System(3, (np.int64(3),), (0,))).feasible
         wide = gf2.Gf2System(70, tuple(np.uint64(1) << np.uint64(v) for v in range(64)), (np.int64(1),) * 64)
-        assert gf2.coset(70, wide.rows, wide.rhs)[0] == (1 << 64) - 1
+        assert gf2.coset(70, wide.rows, wide.rhs).x0 == (1 << 64) - 1
 
     @pytest.mark.parametrize("row", [1.0, "1", None], ids=["float", "str", "none"])
     def test_non_integer_row_rejected(self, row):

@@ -33,7 +33,7 @@ from adawish.oracle import (
 )
 from adawish.optbench import gen_geometric_curve, synthetic_oracle
 from adawish.seeds import rng_from
-from adawish.verify import check_median_bracket, check_xor_coverage, reference_map
+from adawish.verify import check_median_bracket, check_xor_coverage, model_zoo, reference_map
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -84,6 +84,41 @@ class TestMapSolve:
         model = WeightedModel(4, ())
         with pytest.raises(StructuralError):
             map_solve(model, gf2.Gf2System(5, (), ()))
+        with pytest.raises(StructuralError, match="^system over 5 columns, model has 4 variables$"):
+            map_solve(model, gf2.coset(5, (), ()))
+
+    def test_reference_rejects_a_dimension_mismatch(self):
+        # a solution over more columns than the model has variables would be
+        # scored on its low bits
+        model = gen_grid_ising(2, 2, 1.0, 0)
+        system = gf2.Gf2System(6, (0b110000,), (1,))
+        for solve in (reference_map, map_solve):
+            with pytest.raises(StructuralError, match="^system over 6 columns, model has 4 variables$"):
+                solve(model, system)
+
+    def test_chained_coset_solves_as_its_system(self):
+        # each prefix's coset read from a chain, as `XorOracle` reads it,
+        # gives the prefix system's own result, nodes included, under the
+        # default bracket, narrowed brackets and a node limit; n + 2 rows
+        # reach inconsistent prefixes
+        rng = np.random.default_rng(99)
+        for model in model_zoo(20, 14, seed=99):
+            n = model.n
+            system = sample_parity_system(n, n + 2, rng)
+            chain = [gf2.coset(n, (), ())]
+            for i in range(n + 3):
+                prefix = gf2.Gf2System(n, system.rows[:i], system.rhs[:i])
+                coset = gf2.prefix_coset(chain, system, i)
+                full = map_solve(model, prefix)
+                v = full.log_value if full.feasible else 0.0
+                for kwargs in (
+                    {},
+                    {"floor": v - 0.5, "ceiling": v + 0.5},
+                    {"ceiling": v - 0.5},
+                    {"floor": v + 0.5},
+                    {"solver": MapSolver(node_limit=3)},
+                ):
+                    assert map_solve(model, coset, **kwargs) == map_solve(model, prefix, **kwargs)
 
     def test_node_limit_yields_incumbent(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
@@ -187,8 +222,9 @@ class TestMapSolve:
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
         system = sample_parity_system(30, 28, np.random.default_rng(0))
-        p, nulls = gf2.coset(system.cols, system.rows, system.rhs)
-        u, w = (vec for vec in nulls if vec is not None)
+        got = gf2.coset(system.cols, system.rows, system.rhs)
+        p = got.x0
+        u, w = (vec for vec in got.nulls if vec is not None)
         return system, {p, p ^ u, p ^ w, p ^ u ^ w}
 
     def test_enumerate_guard_counts_free_variables(self):
@@ -241,8 +277,8 @@ class TestMapSolve:
         assert a.feasible == b.feasible == bool(sols)
         assert a.exact and b.exact
         coset = gf2.coset(n, system.rows, system.rhs)
-        if coset is not None:
-            assert b.nodes <= (n + 1) << sum(vec is not None for vec in coset[1])
+        if coset.x0 is not None:
+            assert b.nodes <= (n + 1) << sum(vec is not None for vec in coset.nulls)
         assert a.log_value == b.log_value == pytest.approx(best, abs=1e-12)
         for r in (a, b):
             if r.log_value == NEG_INF:
