@@ -18,7 +18,7 @@ from .estimator import (
     wish_estimate,
     wish_from_oracle,
 )
-from .gf2 import Gf2System, ReducedSystem, evaluate, row_reduce
+from .gf2 import Gf2System, evaluate, row_reduce
 from .model import (
     Factor,
     QuantileCurve,

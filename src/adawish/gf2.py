@@ -3,18 +3,15 @@
 Rows are stored as Python ints (bit v = variable v), so row elimination is a
 single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
-"unconstrained".  A `Coset` is a system's solution set: the solution x0 with
-every free variable at 0, and one null vector per free variable; the MAP
-solver searches it.  `extend` adds one row to a coset in one pass over its
-null vectors, and `coset` folds it over a system's rows, so a coset is
-built once and a longer prefix of the same system costs one step per row
-(`prefix_coset`).  The pivots are the rows' highest bits after reduction,
-as in highest-bit elimination.  `echelon` inserts each row into a basis
-keyed by its highest set bit, and `row_reduce` adds one back-substitution
-pass to it, which yields the unique reduced echelon form; the public API
-reads that, and `verify.check_coset` holds it as the independent reference
-for `coset`.  `as_mask` turns an assignment into a bitmask for `evaluate`,
-`satisfies` and `model.log_weight`.
+"unconstrained".  A `Coset` is a system's solution set, its one form here:
+the solution x0 with every free variable at 0, and one null vector per free
+variable; the MAP solver searches it.  `extend` adds one row to a coset in
+one pass over its null vectors, and `coset` folds it over a system's rows,
+so a longer prefix of a system costs one step per row (`prefix_coset`).
+The pivots are the rows' highest bits after reduction.  `row_reduce`
+builds the same coset by Gauss-Jordan elimination, the independent
+reference for `coset`.  `as_mask` turns an assignment into a bitmask for
+`evaluate`, `satisfies` and `model.log_weight`.
 """
 
 from __future__ import annotations
@@ -107,85 +104,6 @@ class Gf2System:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Reduced row-echelon form of a Gf2System, pivoting on high columns.
-
-    Only nonzero rows are kept, ordered by pivot column.  Each row's pivot is
-    its highest set bit and is set in no other row, so once the variables
-    below a pivot are assigned, that row forces the pivot.  `consistent` is
-    False iff elimination produced a 0 = 1 row; rhs is then unspecified.
-    """
-
-    cols: int
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-    pivots: tuple[int, ...]
-    consistent: bool
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def solution_count(self) -> int:
-        return (1 << (self.cols - self.rank)) if self.consistent else 0
-
-    def particular_solution(self) -> int:
-        """One solution as a bitmask (free variables set to 0)."""
-        if not self.consistent:
-            raise StructuralError("inconsistent system has no solution")
-        sol = 0
-        for row, b, p in zip(self.rows, self.rhs, self.pivots):
-            # RREF rows touch their pivot plus free columns only, so with free
-            # vars at 0 the pivot value is just the rhs bit.
-            sol |= b << p
-        return sol
-
-    def null_basis(self) -> list[int]:
-        """Basis of the homogeneous solution space, one bitmask per free column."""
-        pivot_set = set(self.pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vec = 1 << f
-            for row, p in zip(self.rows, self.pivots):
-                if (row >> f) & 1:
-                    vec |= 1 << p
-            basis.append(vec)
-        return basis
-
-
-def echelon(
-    cols: int, rows: Sequence[int], rhs: Sequence[int]
-) -> tuple[list[tuple[int, int] | None], bool]:
-    """Insert each row into a basis keyed by its highest set bit.
-
-    Returns (basis, consistent): basis[p] is the (row, rhs) whose highest set
-    bit is p, or None when no row pivots on p, and consistent is False iff a
-    row reduced to 0 = 1.  A row is XORed with the basis row of its highest
-    bit while that bit is taken, and becomes a basis row at the first free
-    one.  Lower pivots may still be set in a basis row.  The rows are not
-    validated here: they must lie inside cols columns, as a `Gf2System`'s do.
-    """
-    basis: list[tuple[int, int] | None] = [None] * cols
-    consistent = True
-    for row, b in zip(rows, rhs):
-        while row:
-            top = row.bit_length() - 1
-            hit = basis[top]
-            if hit is None:
-                basis[top] = (row, b)
-                break
-            row ^= hit[0]
-            b ^= hit[1]
-        else:  # the row reduced to 0 = b
-            if b:
-                consistent = False
-    return basis, consistent
-
-
 class Coset(NamedTuple):
     """The solution set of an m-row parity system over cols columns.
 
@@ -193,8 +111,7 @@ class Coset(NamedTuple):
     null vector of free variable v: the homogeneous solution with x_v = 1
     and every other free variable at 0.  Its lowest set bit is v, the rest
     are pivots above v.  nulls[p] is None at a pivot p.  The solutions are
-    x0 XOR any sum of null vectors; they are `row_reduce`'s
-    particular_solution and null_basis.  An inconsistent system has x0 None
+    x0 XOR any sum of null vectors.  An inconsistent system has x0 None
     and nulls ().  x0 and nulls depend only on the solution set, so two
     systems with one solution set have them equal.
     """
@@ -240,7 +157,8 @@ def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> Coset:
     The fold starts from the unconstrained coset, every variable free and
     x0 = 0, so the coset of a prefix extended by the remaining rows is the
     coset of the whole system; `prefix_coset` keeps those steps.  The rows
-    are not validated, as in `echelon`.
+    are not validated: they must lie inside cols columns, as a
+    `Gf2System`'s do.
     """
     got = Coset(cols, 0, 0, tuple(1 << v for v in range(cols)))
     for row, b in zip(rows, rhs):
@@ -261,25 +179,34 @@ def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
     return chain[i]
 
 
-def row_reduce(system: Gf2System) -> ReducedSystem:
-    """Reduced row-echelon form over GF(2), each row pivoting on its highest bit.
+def row_reduce(system: Gf2System) -> Coset:
+    """The system's `Coset` by Gauss-Jordan elimination: the reference for `coset`.
 
-    Takes a `Gf2System` only, validated when it was built; anything else
-    raises StructuralError, since a `ReducedSystem` has dropped the 0 = 1 row
-    of an inconsistent system and would read as consistent.  `echelon` gives
-    one basis row per pivot; one back-substitution pass in ascending pivot
-    order then clears every lower pivot from each row.  The reduced echelon
-    form with highest-bit pivots is unique, so rows, pivots, rank and
-    `consistent` are those of Gauss-Jordan elimination from the highest
-    column down, on inconsistent systems too, and so is rhs on a consistent
-    system.  On an inconsistent one rhs is unspecified: callers report
-    infeasibility without reading it.  `map_solve` does not need this form
-    and runs on `coset`.
+    Takes a `Gf2System` only; anything else, a `Coset` included, raises
+    StructuralError.  Each row is inserted into a basis keyed by its highest
+    set bit, XORed with the basis row of that bit while it is taken; a row
+    that reduces to 0 = 1 leaves no solution.  One back-substitution pass in
+    ascending pivot order then clears every lower pivot from each row.  x0
+    sets each pivot to its row's rhs bit, and the null vector of a free
+    column f sets f and every pivot whose row holds f.  No step is shared
+    with `extend`, so `verify.check_coset` holds this as its witness.
     """
     if not isinstance(system, Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
     cols = system.cols
-    basis, consistent = echelon(cols, system.rows, system.rhs)
+    basis: list[tuple[int, int] | None] = [None] * cols
+    for row, b in zip(system.rows, system.rhs):
+        while row:
+            top = row.bit_length() - 1
+            hit = basis[top]
+            if hit is None:
+                basis[top] = (row, b)
+                break
+            row ^= hit[0]
+            b ^= hit[1]
+        else:  # the row reduced to 0 = b
+            if b:
+                return Coset(cols, system.m, None, ())
     pivots = [p for p, hit in enumerate(basis) if hit is not None]
     pivot_bits = sum(1 << p for p in pivots)
     for p in pivots:
@@ -294,13 +221,10 @@ def row_reduce(system: Gf2System) -> ReducedSystem:
             b ^= qb
             lower ^= 1 << q
         basis[p] = (row, b)
-    return ReducedSystem(
-        cols=cols,
-        rows=tuple(basis[p][0] for p in pivots),
-        rhs=tuple(basis[p][1] for p in pivots),
-        pivots=tuple(pivots),
-        consistent=consistent,
+    nulls = (
+        None if basis[f] else sum(1 << p for p in pivots if (basis[p][0] >> f) & 1) | 1 << f for f in range(cols)
     )
+    return Coset(cols, system.m, sum(basis[p][1] << p for p in pivots), tuple(nulls))
 
 
 def evaluate(system, assignment) -> int:

@@ -294,9 +294,17 @@ def _solve_branch_and_bound(
 
 
 def check_columns(system, model: WeightedModel) -> None:
-    """A system, or its coset, must have one column per model variable."""
+    """A system, or its coset, must have one column per model variable.
+
+    A consistent coset must also keep x0 inside its columns and have one
+    null-vector slot per column; both checks are O(1).
+    """
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
+    if isinstance(system, gf2.Coset) and system.x0 is not None and (
+        len(system.nulls) != system.cols or system.x0 >> system.cols
+    ):
+        raise StructuralError(f"coset's x0 or null vectors do not fit its {system.cols} columns")
 
 
 def map_solve(
@@ -315,11 +323,11 @@ def map_solve(
     the first one the search meets.  nodes counts the root and every child
     made, pruned ones included.  The search runs on the system's
     `gf2.coset`, or on a coset passed in its place, as `XorOracle` passes
-    each prefix's from its chain; an inconsistent one makes the result
-    infeasible.  Only a `Gf2System`, validated when it was built, or a
-    `gf2.Coset` is accepted, over one column per model variable: anything
-    else raises StructuralError, as a `ReducedSystem` would read as
-    consistent after dropping a 0 = 1 row.
+    each prefix's from its chain, or `gf2.row_reduce` gives; an
+    inconsistent one makes the result infeasible.  Only a `Gf2System`,
+    validated when it was built, or a `gf2.Coset` is accepted, over one
+    column per model variable (`check_columns`): anything else raises
+    StructuralError.
 
     floor <= ceiling bracket the question asked; the defaults, -inf and
     +inf, ask for the maximum v itself.  The search starts its incumbent at

@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -227,45 +229,51 @@ def check_cost_to_go(models: list[WeightedModel]) -> CheckResult:
     return CheckResult("cost-to-go bound", True, f"{levels} levels over {len(models)} models")
 
 
-def coset_systems(seed: int) -> list[gf2.Gf2System]:
-    """Parity systems for `check_coset`, drawn from one generator.
+def coset_systems(seed: int) -> tuple[list[gf2.Gf2System], dict[int, int | None]]:
+    """Parity systems for `check_coset`, drawn from one generator, and their witnesses.
 
     n runs over 0, 1, 3, 6, 10, 65 and 100 (masks of two words), m over 0,
     1, n // 2, n and n + 2.  Each draw of two rows or more is also taken
     with the XOR of its first two rows appended, rhs included, so
     rank-deficient consistent systems come up beside full-rank and
-    inconsistent ones.
+    inconsistent ones; with that rhs flipped, which has no solution
+    (witness None); and with rhs = A x* for a drawn x* (witness x*).
     """
     rng = np.random.default_rng(seed)
-    systems = []
+    systems, witnesses = [], {}
     for n in (0, 1, 3, 6, 10, 65, 100):
         for m in sorted({0, 1, n // 2, n, n + 2}):
             system = sample_parity_system(n, m, rng)
             systems.append(system)
             if m >= 2:
                 rows, rhs = system.rows, system.rhs
-                systems.append(gf2.Gf2System(n, rows + (rows[0] ^ rows[1],), rhs + (rhs[0] ^ rhs[1],)))
-    return systems
+                dependent, both = rows + (rows[0] ^ rows[1],), rhs[0] ^ rhs[1]
+                planted = gf2.as_mask(rng.integers(0, 2, size=n), n)
+                systems.append(gf2.Gf2System(n, dependent, rhs + (both,)))
+                witnesses[len(systems)] = None
+                systems.append(gf2.Gf2System(n, dependent, rhs + (both ^ 1,)))
+                witnesses[len(systems)] = planted
+                systems.append(gf2.Gf2System(n, rows, tuple((row & planted).bit_count() & 1 for row in rows)))
+    return systems, witnesses
 
 
-def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
-    """`gf2.coset` gives each system's solution set, as `gf2.row_reduce` does.
+def check_coset(systems: list[gf2.Gf2System], witnesses: dict[int, int | None] | None = None) -> CheckResult:
+    """`gf2.coset` gives each system's solution set: the coset `gf2.row_reduce` gives.
 
-    An inconsistent system must give x0 None.  A consistent one must give
-    x0 = `particular_solution()`, the null vectors in variable order must
-    be `null_basis()`, and each must have its free variable as lowest set
-    bit.  Every system of at most BRUTE_COLS columns is also enumerated: x0
-    and the null vectors must span exactly the solutions found, and an
+    Every system of at most BRUTE_COLS columns is also enumerated: x0 and
+    the null vectors must span exactly the solutions found, and an
     inconsistent system must have none.  Wider, x0 must solve the system
-    and each null vector its homogeneous form.  Each prefix of each system,
-    from no rows to all of them, is also read from a chain
+    and each null vector its homogeneous form.  At every width, a system t
+    with witnesses[t] None must have x0 None, and one with a solution there
+    must hold it.  Each prefix of each system is also read from a chain
     (`gf2.prefix_coset`), as `XorOracle` reads it, and must equal
     `gf2.coset` of that prefix built from scratch.  The detail counts the
-    prefixes compared, with how many of them were inconsistent, and the
-    enumerated systems that are consistent of full rank (rank m),
-    consistent and rank-deficient, and inconsistent, so a caller can see
-    that its inputs reached each case.
+    prefixes compared, with how many were inconsistent, the witnesses of
+    each kind, and the enumerated systems that are consistent of full rank
+    (rank m), consistent and rank-deficient, and inconsistent, so a caller
+    can see that its inputs reached each case.
     """
+    witnesses = witnesses or {}
     enumerated = dict.fromkeys(("full rank", "rank-deficient", "inconsistent"), 0)
     prefixes = broken = 0
     for t, system in enumerate(systems):
@@ -277,17 +285,15 @@ def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
                 return CheckResult("gf2 coset", False, f"system {t}: chained coset of prefix {k} differs")
             prefixes += 1
             broken += got.x0 is None
-        x0 = got.x0
-        reduced = gf2.row_reduce(system)
-        if (x0 is None) == reduced.consistent:
-            return CheckResult("gf2 coset", False, f"system {t}: consistency differs from row_reduce")
-        free = [(v, vec) for v, vec in enumerate(got.nulls) if vec is not None]
-        if any(vec & -vec != 1 << v for v, vec in free):
-            return CheckResult("gf2 coset", False, f"system {t}: a null vector's lowest bit is not its variable")
-        if x0 is not None and (
-            x0 != reduced.particular_solution() or [vec for _, vec in free] != reduced.null_basis()
-        ):
+        if got != gf2.row_reduce(system):
             return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
+        x0 = got.x0
+        free = [(v, vec) for v, vec in enumerate(got.nulls) if vec is not None]
+        if t in witnesses:  # a solution's free bits pick the one point of the coset it must be
+            known = witnesses[t]
+            point = x0 if None in (known, x0) else reduce(xor, (vec for v, vec in free if known >> v & 1), x0)
+            if point != known:
+                return CheckResult("gf2 coset", False, f"system {t}: disagrees with its witness")
         if cols > BRUTE_COLS:
             if x0 is not None and not (
                 gf2.satisfies(system, x0) and not any(gf2.evaluate(system, vec) for _, vec in free)
@@ -304,10 +310,12 @@ def check_coset(systems: list[gf2.Gf2System]) -> CheckResult:
         else:
             enumerated["full rank" if cols - len(free) == system.m else "rank-deficient"] += 1
     kinds = ", ".join(f"{count} {kind}" for kind, count in enumerated.items())
+    planted = sum(known is not None for known in witnesses.values())
     return CheckResult(
         "gf2 coset",
         True,
         f"{len(systems)} systems, {prefixes} prefixes chained ({broken} inconsistent),"
+        f" witnesses: {planted} planted solutions, {len(witnesses) - planted} systems with none;"
         f" {sum(enumerated.values())} enumerated: {kinds}",
     )
 
@@ -632,7 +640,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     max_n = 12 if level == "fast" else 16
     models = model_zoo(9 if level == "fast" else 15, max_n, seed=23)
     checks = [
-        check_coset(coset_systems(seed=13)),
+        check_coset(*coset_systems(seed=13)),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
         check_window_agreement(models),
         check_cost_to_go(models + benchmark_models(max_n)),

@@ -25,8 +25,8 @@ def random_system(rng, n, m):
 def gauss_jordan(system):
     """Plain Gauss-Jordan elimination, columns taken from the highest down.
 
-    Returns (rows, rhs, pivots, consistent) with rows ordered by pivot: the
-    reference `row_reduce` must reproduce.
+    Returns (rows, rhs, pivots, consistent) with rows ordered by pivot;
+    `gauss_jordan_coset` reads off them the coset `row_reduce` must give.
     """
     work = list(zip(system.rows, system.rhs))
     reduced = []  # (row, rhs, pivot)
@@ -46,6 +46,22 @@ def gauss_jordan(system):
         tuple(p for _, _, p in reduced),
         consistent,
     )
+
+
+def gauss_jordan_coset(system):
+    """The system's coset read off `gauss_jordan`'s reduced rows.
+
+    x0 sets each pivot to its rhs bit, and the null vector of a free column
+    f sets f and every pivot whose row holds f.
+    """
+    rows, rhs, pivots, consistent = gauss_jordan(system)
+    if not consistent:
+        return gf2.Coset(system.cols, system.m, None, ())
+    nulls = tuple(
+        None if f in pivots else sum(1 << p for row, p in zip(rows, pivots) if (row >> f) & 1) | 1 << f
+        for f in range(system.cols)
+    )
+    return gf2.Coset(system.cols, system.m, sum(b << p for b, p in zip(rhs, pivots)), nulls)
 
 
 @st.composite
@@ -80,37 +96,19 @@ class TestRowReduce:
     @settings(max_examples=200, deadline=None)
     @given(parity_systems())
     def test_matches_gauss_jordan(self, system):
-        rows, rhs, pivots, consistent = gauss_jordan(system)
-        reduced = gf2.row_reduce(system)
-        assert (reduced.rows, reduced.pivots, reduced.consistent) == (rows, pivots, consistent)
-        if consistent:  # the rhs of an inconsistent system is unspecified
-            assert reduced.rhs == rhs
-
-    @settings(max_examples=200, deadline=None)
-    @given(parity_systems())
-    def test_echelon_rows_span_the_reduced_form(self, system):
-        # each basis row pivots on its highest bit, and the echelon system
-        # reduces to the same form as the system it came from
-        basis, consistent = gf2.echelon(system.cols, system.rows, system.rhs)
-        reduced = gf2.row_reduce(system)
-        assert consistent == reduced.consistent
-        pivots = tuple(p for p, hit in enumerate(basis) if hit is not None)
-        assert pivots == reduced.pivots
-        assert all(basis[p][0].bit_length() - 1 == p for p in pivots)
-        rows, rhs = zip(*(basis[p] for p in pivots)) if pivots else ((), ())
-        again = gf2.row_reduce(gf2.Gf2System(system.cols, rows, rhs))
-        assert (again.rows, again.pivots) == (reduced.rows, reduced.pivots)
-        if consistent:
-            assert again.rhs == reduced.rhs
+        assert gf2.row_reduce(system) == gauss_jordan_coset(system)
 
     def test_coset_is_the_solution_set(self):
         # n = 0, m = 0, and masks of two words at n = 65 and 100; the systems
         # the check enumerates include every kind, and the prefixes it
         # chains include inconsistent ones
-        systems = coset_systems(seed=13)
-        assert any(system.cols > 64 and system.m > 1 for system in systems)
-        result = check_coset(systems)
+        systems, witnesses = coset_systems(seed=13)
+        # both kinds of witness reach masks of two words
+        assert {known is None for t, known in witnesses.items() if systems[t].cols > 64} == {True, False}
+        result = check_coset(systems, witnesses)
         assert result.passed, result.detail
+        seen = re.search(r"witnesses: (\d+) planted solutions, (\d+) systems with none;", result.detail)
+        assert seen and min(int(k) for k in seen.groups()) > 0, result.detail
         counts = re.search(r"(\d+) full rank, (\d+) rank-deficient, (\d+) inconsistent$", result.detail)
         assert counts and min(int(k) for k in counts.groups()) > 0, result.detail
         chained = re.search(r"(\d+) prefixes chained \((\d+) inconsistent\)", result.detail)
@@ -145,15 +143,10 @@ class TestRowReduce:
         assert result.passed, result.detail
 
     def test_empty_system_is_unconstrained(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(4, (), ()))
-        assert reduced.rank == 0
-        assert reduced.consistent
-        assert reduced.solution_count == 16
+        assert gf2.row_reduce(gf2.Gf2System(4, (), ())) == gf2.Coset(4, 0, 0, (1, 2, 4, 8))
 
     def test_zero_row_with_one_rhs_is_inconsistent(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(4, (0,), (1,)))
-        assert not reduced.consistent
-        assert reduced.solution_count == 0
+        assert gf2.row_reduce(gf2.Gf2System(4, (0,), (1,))) == gf2.Coset(4, 1, None, ())
 
     # check_coset compares the coset, or its absence, with enumeration
     @pytest.mark.parametrize("seed, shape", SEEDED_SHAPES, ids=[str(seed) for seed, _ in SEEDED_SHAPES])
@@ -165,25 +158,15 @@ class TestRowReduce:
         result = check_coset([random_system(rng, *shape)])
         assert result.passed, result.detail
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(7)
-        system = random_system(rng, 8, 5)
-        once = gf2.row_reduce(system)
-        twice = gf2.row_reduce(gf2.Gf2System(once.cols, once.rows, once.rhs))
-        assert once.rows == twice.rows
-        assert once.rhs == twice.rhs
-        assert once.pivots == twice.pivots
-
     def test_solution_space_parametrization(self):
         rng = np.random.default_rng(0)  # consistent rank-3 draw
         system = random_system(rng, 6, 3)
-        reduced = gf2.row_reduce(system)
-        assert reduced.consistent
-        particular = reduced.particular_solution()
-        basis = reduced.null_basis()
-        span = {particular}
-        for vec in basis:
-            span |= {s ^ vec for s in span}
+        got = gf2.row_reduce(system)
+        assert got.x0 is not None
+        span = {got.x0}
+        for vec in got.nulls:
+            if vec is not None:
+                span |= {s ^ vec for s in span}
         assert span == set(brute_solutions(system))
 
     def test_dimension_mismatch_rejected(self):
@@ -216,7 +199,7 @@ class TestRowReduce:
         system = gf2.Gf2System(3, (np.int64(3), 0b100), (np.uint8(1), np.True_))
         assert system == gf2.Gf2System(3, (3, 0b100), (1, 1))
         assert all(type(v) is int for v in system.rows + system.rhs)
-        assert gf2.row_reduce(system).pivots == (1, 2)
+        assert gf2.row_reduce(system) == gf2.Coset(3, 2, 0b110, (0b011, None, None))
         assert map_solve(model, gf2.Gf2System(3, (np.int64(3),), (0,))).feasible
         wide = gf2.Gf2System(70, tuple(np.uint64(1) << np.uint64(v) for v in range(64)), (np.int64(1),) * 64)
         assert gf2.coset(70, wide.rows, wide.rhs).x0 == (1 << 64) - 1
@@ -227,10 +210,8 @@ class TestRowReduce:
             gf2.Gf2System(3, (1, row), (0, 0))
 
     def test_inconsistent_system_has_no_particular_solution(self):
-        reduced = gf2.row_reduce(gf2.Gf2System(2, (0b11, 0b11), (0, 1)))
-        assert not reduced.consistent and reduced.solution_count == 0
-        with pytest.raises(StructuralError, match="inconsistent system has no solution"):
-            reduced.particular_solution()
+        system = gf2.Gf2System(2, (0b11, 0b11), (0, 1))
+        assert gf2.row_reduce(system) == gf2.Coset(2, 2, None, ()) == gf2.coset(2, system.rows, system.rhs)
 
 
 class TestEvaluate:

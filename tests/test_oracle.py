@@ -183,28 +183,39 @@ class TestMapSolve:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reduced_and_drawn_rows_solve_alike(self, seed):
-        # a system and its reduced form have one coset, so the search is
-        # the same node for node
+        # a system and its reference coset have one solution set, so the
+        # search is the same node for node, inconsistent systems included
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=seed)
         rng = np.random.default_rng(seed)
         for m in range(model.n + 3):
             system = sample_parity_system(model.n, m, rng)
-            reduced = gf2.row_reduce(system)
-            if reduced.consistent:  # the reduced form drops a 0 = 1 row
-                rows = gf2.Gf2System(reduced.cols, reduced.rows, reduced.rhs)
-                assert map_solve(model, rows) == map_solve(model, system)
+            assert map_solve(model, gf2.row_reduce(system)) == map_solve(model, system)
 
     def test_only_parity_systems_are_solved(self):
-        # a reduced system drops the 0 = 1 row of an inconsistent system, so
-        # solving it as a carrier would report a feasible maximum
+        # an inconsistent system's reference coset carries x0 None, so it
+        # solves as infeasible; a bare tuple of its fields is refused
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=0)
         system = gf2.Gf2System(model.n, (0b101, 0b101), (0, 1))
         assert not map_solve(model, system).feasible
-        reduced = gf2.row_reduce(system)
+        reference = gf2.row_reduce(system)
+        assert not map_solve(model, reference).feasible
         with pytest.raises(StructuralError):
-            map_solve(model, reduced)
+            map_solve(model, tuple(reference))
         with pytest.raises(StructuralError):
-            gf2.row_reduce(reduced)
+            gf2.row_reduce(reference)
+
+    @pytest.mark.parametrize(
+        "coset",
+        [gf2.Coset(4, 0, 0, ()), gf2.Coset(4, 0, 1 << 7, (1, 2, 4, 8)), gf2.Coset(4, 0, -1, (1, 2, 4, 8))],
+        ids=["no-nulls", "x0-outside", "x0-negative"],
+    )
+    def test_malformed_coset_rejected(self, coset):
+        # the search would index past nulls, or return an assignment
+        # outside the model's variables
+        model = gen_grid_ising(2, 2, coupling_w=1.0, seed=0)
+        with pytest.raises(StructuralError, match="^coset's x0 or null vectors do not fit its 4 columns$"):
+            map_solve(model, coset)
+        assert not map_solve(model, gf2.Coset(4, 1, None, ())).feasible
 
     def test_empty_bracket_rejected(self):
         model = gen_grid_ising(2, 2, coupling_w=1.0, seed=0)
