@@ -148,6 +148,7 @@ def _report(model, args, result, wall) -> dict:
         "log10_error": log10_err,
         "distinct_queries": result.ledger.distinct_queries,
         "map_calls": result.ledger.map_calls,
+        "search_nodes": result.ledger.search_nodes,
         "wall_time": wall,
         "guarantee": guarantee,
     }

@@ -5,9 +5,11 @@ single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
 "unconstrained".  A `Coset` is a system's solution set, its one form here:
 the solution x0 with every free variable at 0, and one null vector per free
-variable; the MAP solver searches it.  `extend` adds one row to a coset in
-one pass over its null vectors, and `coset` folds it over a system's rows,
-so a longer prefix of a system costs one step per row (`prefix_coset`).
+variable; the MAP solver searches it.  A Coset built by hand is checked to
+be in that form; the builders below skip the check.  `extend` adds one row
+to a coset in one pass over its null vectors, and `coset` folds it over a
+system's rows, so a longer prefix of a system costs one step per row
+(`prefix_coset`).
 The pivots are the rows' highest bits after reduction.  `row_reduce`
 builds the same coset by Gauss-Jordan elimination, the independent
 reference for `coset`.  `as_mask` turns an assignment into a bitmask for
@@ -17,8 +19,9 @@ reference for `coset`.  `as_mask` turns an assignment into a bitmask for
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +107,7 @@ class Gf2System:
         return len(self.rows)
 
 
-class Coset(NamedTuple):
+class Coset(namedtuple("Coset", ("cols", "m", "x0", "nulls"))):
     """The solution set of an m-row parity system over cols columns.
 
     x0 is the solution with every free variable at 0, and nulls[v] is the
@@ -114,12 +117,55 @@ class Coset(NamedTuple):
     x0 XOR any sum of null vectors.  An inconsistent system has x0 None
     and nulls ().  x0 and nulls depend only on the solution set, so two
     systems with one solution set have them equal.
+
+    Building a Coset by hand checks that form in O(cols) and raises
+    StructuralError where it fails, so `map_solve` can trust every Coset
+    it is given.  `extend`, `coset` and `row_reduce` build theirs in that
+    form and skip the check (`_trusted`), so a chained solve pays nothing
+    for it.
     """
 
-    cols: int
-    m: int
-    x0: int | None
-    nulls: tuple[int | None, ...]
+    __slots__ = ()
+
+    def __new__(cls, cols: int, m: int, x0: int | None, nulls):
+        got = _trusted(cols, m, x0, tuple(nulls))
+        _check_coset(got)
+        return got
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this: keep it checked
+        return cls(*iterable)
+
+
+def _trusted(cols: int, m: int, x0: int | None, nulls: tuple) -> Coset:
+    """A Coset of fields already in its form, built with no check."""
+    return tuple.__new__(Coset, (cols, m, x0, nulls))
+
+
+def _check_coset(got: Coset) -> None:
+    cols, m, x0, nulls = got
+    if not (_INT.issuperset((type(cols), type(m))) and cols >= 0 and m >= 0):
+        raise StructuralError(f"coset needs integer cols and m >= 0, got {cols!r} and {m!r}")
+    if x0 is None:
+        if nulls:
+            raise StructuralError("an inconsistent coset has no null vectors")
+        return
+    free = [v for v, vec in enumerate(nulls) if vec is not None]
+    free_bits = sum(1 << v for v in free)
+    # x0 sets no free variable; each null vector sets its own free variable,
+    # no other, and pivots above it, all inside cols columns
+    if not (
+        len(nulls) == cols
+        and type(x0) is int
+        and 0 <= x0 < 1 << cols
+        and not x0 & free_bits
+        and all(
+            type(vec) is int and vec >> cols == 0 and vec & (free_bits | (1 << v) - 1) == 1 << v
+            for v, vec in enumerate(nulls)
+            if vec is not None
+        )
+    ):
+        raise StructuralError(f"coset's x0 or null vectors do not fit its {cols} columns")
 
 
 def extend(coset: Coset, row: int, b: int) -> Coset:
@@ -136,19 +182,19 @@ def extend(coset: Coset, row: int, b: int) -> Coset:
     """
     cols, m, x0, nulls = coset
     if x0 is None:
-        return Coset(cols, m + 1, None, ())
+        return _trusted(cols, m + 1, None, ())
     # a null vector is never 0, so None is the only falsy entry
     odd = [u for u, vec in enumerate(nulls) if vec and (row & vec).bit_count() & 1]
     flip = (row & x0).bit_count() & 1 != b
     if not odd:
-        return Coset(cols, m + 1, None, ()) if flip else Coset(cols, m + 1, x0, nulls)
+        return _trusted(cols, m + 1, None, ()) if flip else _trusted(cols, m + 1, x0, nulls)
     p = odd.pop()
     top = nulls[p]
     new = list(nulls)
     new[p] = None
     for u in odd:
         new[u] ^= top
-    return Coset(cols, m + 1, x0 ^ top if flip else x0, tuple(new))
+    return _trusted(cols, m + 1, x0 ^ top if flip else x0, tuple(new))
 
 
 def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> Coset:
@@ -160,7 +206,7 @@ def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> Coset:
     are not validated: they must lie inside cols columns, as a
     `Gf2System`'s do.
     """
-    got = Coset(cols, 0, 0, tuple(1 << v for v in range(cols)))
+    got = _trusted(cols, 0, 0, tuple(1 << v for v in range(cols)))
     for row, b in zip(rows, rhs):
         got = extend(got, row, b)
     return got
@@ -206,7 +252,7 @@ def row_reduce(system: Gf2System) -> Coset:
             b ^= hit[1]
         else:  # the row reduced to 0 = b
             if b:
-                return Coset(cols, system.m, None, ())
+                return _trusted(cols, system.m, None, ())
     pivots = [p for p, hit in enumerate(basis) if hit is not None]
     pivot_bits = sum(1 << p for p in pivots)
     for p in pivots:
@@ -224,7 +270,7 @@ def row_reduce(system: Gf2System) -> Coset:
     nulls = (
         None if basis[f] else sum(1 << p for p in pivots if (basis[p][0] >> f) & 1) | 1 << f for f in range(cols)
     )
-    return Coset(cols, system.m, sum(basis[p][1] << p for p in pivots), tuple(nulls))
+    return _trusted(cols, system.m, sum(basis[p][1] << p for p in pivots), tuple(nulls))
 
 
 def evaluate(system, assignment) -> int:

@@ -46,7 +46,13 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   table read at the same key: a bound on the groups after v that no leaf
   exceeds, rounding included, from a backward max over the window tables
   (bucket elimination used as a search heuristic, Kask & Dechter, AIJ
-  2001), built on the first solve.
+  2001), built on the first solve.  A pair of tables of at most
+  2^FRONTIER_BITS (4,096) entries is held as Python lists, so a lookup
+  returns a float the list already holds; a wider pair stays a pair of
+  memoryviews, each lookup of which builds a float, because converting
+  it would cost more per model than its lookups save (a clique of 16
+  variables has windows of up to 2^16 entries).  Every table of a grid
+  at paper scale fits under the cap.
 """
 
 from __future__ import annotations
@@ -201,7 +207,12 @@ class CompiledModel:
         The search sets variable v of a child x and reads both tables at the
         one key k = (x >> lo) & mask: score[k] is completed(v, x) and bound[k]
         bounds the float sums of groups v+1..n-1 over every completion of x
-        that the search can form.
+        that the search can form.  A pair of at most 2^FRONTIER_BITS entries
+        is held as two lists of Python floats, which a lookup hands back as
+        they are; a wider pair stays a pair of memoryviews over float64
+        arrays, which build a new float on every lookup but cost nothing to
+        convert.  Both hold the same values, so the search's sums, nodes and
+        order are the same either way.
 
         reach[k] is the lowest scope variable of any group >= k (k if none is
         lower).  H[k] is a table over the frontier bits reach[k]..k-1, in
@@ -257,13 +268,16 @@ class CompiledModel:
             if not isinstance(score, memoryview):
                 tables.append((lo, mask, score, _Uniform(tail[v + 1])))
                 continue
-            bound = memoryview(np.broadcast_to(np.float64(tail[v + 1]), (mask + 1,)))
+            bound = np.broadcast_to(np.float64(tail[v + 1]), (mask + 1,))
             height = heights[v + 1]
             if height is not None and reach[v + 1] >= lo:
                 inflated = height + mu  # -inf + mu stays -inf
                 if np.any(inflated < tail[v + 1]):
-                    bound = memoryview(np.repeat(inflated, 1 << (reach[v + 1] - lo)))
-            tables.append((lo, mask, score, bound))
+                    bound = np.repeat(inflated, 1 << (reach[v + 1] - lo))
+            if mask < 1 << FRONTIER_BITS:  # a list hands back the floats it holds
+                tables.append((lo, mask, score.tolist(), bound.tolist()))
+            else:  # a memoryview builds a float per lookup, but costs no conversion
+                tables.append((lo, mask, score, memoryview(bound)))
         return tuple(tables)
 
     def blocks(self, bits: int, out: np.ndarray | None = None):

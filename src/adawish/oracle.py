@@ -23,24 +23,25 @@ the search ends at the first leaf that reaches ceiling.
 constrained maxima under random (A, d) pairs with i rows.  Repetition t
 draws one n-row pair on the first query, and query i takes its first i
 rows, so within a repetition the solution sets nest as i grows and every
-index solved bounds the maximum at every other.  A repetition those bounds
-settle is answered with no search; the others are solved in a bracket
-narrowed by them and by the sorted values reported so far, whose ends are
-proven bounds on the lower median, so a solve stops once its value can no
-longer move the answer, and the answer is the one full solves give (the
-proof is in `XorOracle`).  Each repetition keeps the cosets of its
-prefixes in a chain, each one row's elimination step (`gf2.extend`) from
-the one before, so no solve re-eliminates a prefix.  `draw_parity_systems`
-draws the T pairs as the rows of one bounded-uint8 draw from
-`rng_from(master_seed, n)`, and `sample_parity_system` draws one pair from
-a caller's generator; both pack their bits through one helper, which turns
-every row of a batch into a Python int in one call.  `make_oracle` binds a
-model to any configured oracle kind; `synthetic_oracle` wraps a known
-quantile curve.
+index solved bounds the maximum at every other.  So each repetition holds
+a proven interval on its maximum, and the lower median lies between the
+same order statistic of the intervals' lower ends and of their upper
+ends.  The query visits the repetitions once and solves only those whose
+interval straddles that bracket, each inside it, so a solve stops once its
+value can no longer move the answer; it ends when the bracket closes, and
+the answer is the one full solves give (the proof is in `XorOracle`).
+Each repetition keeps the cosets of its prefixes in a chain, each one
+row's elimination step (`gf2.extend`) from the one before, so no solve
+re-eliminates a prefix.  `draw_parity_systems` draws the T pairs as the
+rows of one bounded-uint8 draw from `rng_from(master_seed, n)`, and
+`sample_parity_system` draws one pair from a caller's generator; both pack
+their bits through one helper, which turns every row of a batch into a
+Python int in one call.  `make_oracle` binds a model to any configured
+oracle kind; `synthetic_oracle` wraps a known quantile curve.
 
 All oracles answer through a QueryLedger that memoises by query index, so a
 repeated query is never recomputed and the number of distinct queries can be
-audited afterwards.
+audited afterwards, beside the MAP solves and the search nodes they took.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import bisect
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -296,15 +298,11 @@ def _solve_branch_and_bound(
 def check_columns(system, model: WeightedModel) -> None:
     """A system, or its coset, must have one column per model variable.
 
-    A consistent coset must also keep x0 inside its columns and have one
-    null-vector slot per column; both checks are O(1).
+    The rest of a system or a coset was checked when it was built
+    (`gf2.Gf2System`, `gf2.Coset`), so this check is O(1).
     """
     if system.cols != model.n:
         raise StructuralError(f"system over {system.cols} columns, model has {model.n} variables")
-    if isinstance(system, gf2.Coset) and system.x0 is not None and (
-        len(system.nulls) != system.cols or system.x0 >> system.cols
-    ):
-        raise StructuralError(f"coset's x0 or null vectors do not fit its {system.cols} columns")
 
 
 def map_solve(
@@ -324,8 +322,8 @@ def map_solve(
     made, pruned ones included.  The search runs on the system's
     `gf2.coset`, or on a coset passed in its place, as `XorOracle` passes
     each prefix's from its chain, or `gf2.row_reduce` gives; an
-    inconsistent one makes the result infeasible.  Only a `Gf2System`,
-    validated when it was built, or a `gf2.Coset` is accepted, over one
+    inconsistent one makes the result infeasible.  Only a `Gf2System` or a
+    `gf2.Coset`, each validated when it was built, is accepted, over one
     column per model variable (`check_columns`): anything else raises
     StructuralError.
 
@@ -414,18 +412,21 @@ class QueryLedger:
 
     distinct_queries is the number of indices computed, one memo entry each;
     repeat accesses are cache hits.  map_calls counts actual MAP solver
-    invocations.  guarantee_void flips when any solve came back inexact.
+    invocations and search_nodes sums their `MapResult.nodes`.
+    guarantee_void flips when any solve came back inexact.
     """
 
     memo: dict[int, float] = field(default_factory=dict)
     map_calls: int = 0
+    search_nodes: int = 0
     cache_hits: int = 0
     trace: list[tuple[int, int, float]] = field(default_factory=list)
     guarantee_void: bool = False
 
-    def record_solve(self, exact: bool) -> None:
+    def record_solve(self, result: MapResult) -> None:
         self.map_calls += 1
-        if not exact:
+        self.search_nodes += result.nodes
+        if not result.exact:
             self.guarantee_void = True
 
     def lookup(self, index: int) -> float | None:
@@ -543,11 +544,10 @@ class XorOracle(NeighborOracle):
     P_{i,t}.  A solve runs on P_{i,t}'s coset, read from repetition t's
     chain of prefix cosets (`gf2.prefix_coset`), which is extended one row
     at a time, and only as far as the highest index solved.  The answer is
-    the lower median s = s_r, r = (T - 1) // 2, of the T maxima
-    v_{i,t} = max log w over the solutions S_{i,t} of P_{i,t}, so each
-    answer is a pure function of (master_seed, i, T) and does not depend on
-    query order; how many solves it takes (map_calls) does.  A prefix drawn
-    twice in one query is solved once, and map_calls counts the solves.
+    the lower median s, the (r + 1)-th smallest, r = (T - 1) // 2, of the T
+    maxima v_{i,t} = max log w over the solutions S_{i,t} of P_{i,t}, so
+    each answer is a pure function of (master_seed, i, T) and does not
+    depend on query order; how many solves it takes (map_calls) does.
 
     Guarantee.  The first i rows of a uniform n-row system with a uniform
     rhs are a uniform i-row system with a uniform rhs, so each index's T
@@ -556,46 +556,37 @@ class XorOracle(NeighborOracle):
     only these per-index marginals; the joint law across indices, which the
     nesting changes, is never used.
 
-    Records.  Adding rows only removes solutions, S_{i+1,t} is a subset of
-    S_{i,t}, so v_{i+1,t} <= v_{i,t}.  Per repetition the oracle keeps two
-    lists over 0..n: caps[j], a proven upper bound on v_{j,t} (inf until
-    one is proven), and leaves[d], the largest weight of a solution found
-    whose first violated row is d (n if none), which lies in every S_{i,t}
-    with i <= d.  So v_{i,t} lies in [lo, hi], lo = max(leaves[i:]) and
-    hi = min(caps[:i + 1]).  After a solve in [floor, ceiling], an exact
-    result with no assignment proves v <= floor (caps[i] = floor), an exact
-    value below ceiling is v itself (caps[i] = v), and any assignment found
-    is a solution, entered in leaves at its first violated row; a ceiling
-    stop or a limited search proves no cap.  An inconsistent prefix has
-    caps[i] = -inf, which every longer prefix of t inherits.  These bounds
-    hold whether or not a search hit its limits.
+    Intervals.  Adding rows only removes solutions, S_{i+1,t} is a subset
+    of S_{i,t}, so v_{i+1,t} <= v_{i,t}.  Per repetition the oracle keeps
+    proven bounds over 0..n: caps[j] >= v_{j,t} and leaves[d] <= v_{d,t}
+    (inf and -inf until proven), so v_{i,t} lies in [lo_t, hi_t], lo_t =
+    max(leaves[i:]) and hi_t = min(caps[:i + 1]).  A solve in [floor,
+    ceiling] (`map_solve`) tightens them: any assignment it returns is a
+    solution, entered in leaves at its first violated row; an exact result
+    with no assignment proves v <= floor, and an exact value below ceiling
+    is v, either entered in caps[i]; a ceiling stop or a limited search
+    proves no cap.  An inconsistent prefix gets caps[i] = -inf, which every
+    longer prefix of t inherits.
 
-    Brackets.  known is the sorted list of the values reported so far, one
-    per repetition, and repetition k is asked floor = known[k - (T - r)]
-    (once k >= T - r) and ceiling = known[r] (once k > r).  With [lo, hi]
-    from the records, it reports lo with no search when lo >= ceiling or
-    lo == hi, and hi with no search when hi <= floor; otherwise it solves
-    (`map_solve`) in [max(floor, lo), min(ceiling, hi)] and reports the
-    result's value.  That bracket is never empty: known is sorted, so
-    floor <= ceiling; lo <= hi, as both are proven; and the two checks
-    before it leave floor < hi and lo < ceiling.
+    Selection.  s lies in [S_lo, S_hi], the (r + 1)-th smallest lo_t and
+    hi_t.  The query visits the repetitions once, in descending hi_t, and
+    solves each that straddles the bracket (lo_t < hi_t, hi_t > S_lo and
+    lo_t < S_hi) in [max(S_lo, lo_t), min(S_hi, hi_t)]; it answers S_lo
+    once S_lo == S_hi.  One pass is enough: bounds only tighten, so S_lo
+    only rises and S_hi only falls, and a repetition that stops straddling
+    never straddles again.  An exact solve ends its repetition's
+    straddling: no leaf above the floor leaves hi_t at or below it, a
+    value below the ceiling makes lo_t = hi_t, and a ceiling stop leaves
+    lo_t at or above it.  Were S_lo < S_hi after the pass, each repetition
+    would have hi_t < S_hi or lo_t > S_lo, but at most r can have the
+    first and at most T - r - 1 the second.
 
-    Claim: every reported u lies on v's side of s, that is, v <= s implies
-    v <= u <= s and v >= s implies s <= u <= v.  So at least r + 1 values u
-    are <= s and at least T - r are >= s, and known[r] = s at the end.
-    Proof, by induction over the repetitions: if the claim holds for the
-    values known so far, floor <= s, since T - r known values above s would
-    come from T - r maxima above s, leaving at most r maxima <= s; and
-    likewise ceiling >= s.  Then lo >= ceiling gives s <= u = lo <= v,
-    lo == hi gives u = v, and hi <= floor gives v <= u = hi <= s.  A solve
-    in [f, c] with floor <= f = max(floor, lo) <= c = min(ceiling, hi) <=
-    ceiling reports max(v, f) when v < c, which is v unless f = floor > v,
-    a floor clamp; or a value in [c, v], which is v when c = hi >= v and
-    otherwise lies in [ceiling, v].  Either way u stays on v's side of s.
-    A repeated prefix reuses u, which has the same v.  The claim holds only
-    for exact solves: under node or time limits the floor and ceiling are
-    no longer proven and the answer is a heuristic, as an unbracketed one
-    would be.
+    A prefix drawn by several repetitions is solved once per query: the
+    others enter its solution in their records, as their own solve would,
+    and its interval in caps[i] and leaves[i], which settles them.  Under
+    node or time limits an inexact result pins its repetition, for this
+    query, at the value returned, clamped into its interval; the answer is
+    then a heuristic, and the ledger's guarantee_void says so.
     """
 
     def __init__(
@@ -611,11 +602,13 @@ class XorOracle(NeighborOracle):
         self.c = config.c
         self.solver = solver or MapSolver()
         # per repetition, filled on the first query: the system, its chain
-        # of prefix cosets (`gf2.prefix_coset`), caps and leaves
+        # of prefix cosets (`gf2.prefix_coset`), caps, leaves, and whether
+        # its first row is one no other repetition draws
         self._systems: list[gf2.Gf2System] = []
         self._chains: list[list[gf2.Coset]] = []
         self._caps: list[list[float]] = []
         self._leaves: list[list[float]] = []
+        self._lone: list[bool] = []
 
     def _compute(self, i: int) -> float:
         reps = self.config.repetitions(self.n)
@@ -625,45 +618,76 @@ class XorOracle(NeighborOracle):
             self._chains = [[free] for _ in range(reps)]
             self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
             self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
+            heads = Counter((s.rows[:1], s.rhs[:1]) for s in self._systems)
+            self._lone = [heads[s.rows[:1], s.rhs[:1]] == 1 for s in self._systems]
         # lower middle for even counts: never overestimates the median
         r = (reps - 1) // 2
-        above = reps - r  # how many of the T values are at or above s
-        known: list[float] = []
-        solved: dict[tuple, tuple[MapResult, float]] = {}
-        for t in range(reps):
-            k = len(known)
-            floor = known[k - above] if k >= above else NEG_INF
-            ceiling = known[r] if k > r else math.inf
-            bisect.insort(known, self._report(i, t, floor, ceiling, solved))
-        return known[r]
+        lows = [max(leaves[i:]) for leaves in self._leaves]
+        highs = [min(caps[: i + 1]) for caps in self._caps]
+        los, his = sorted(lows), sorted(highs)
+        shared: dict[tuple, tuple[MapResult, float, float, float]] = {}
+        # descending hi_t; the sort is stable, so ties keep ascending t
+        for t in sorted(range(reps), key=highs.__getitem__, reverse=True):
+            s_lo, s_hi = los[r], his[r]
+            if s_lo == s_hi:
+                break
+            lo, hi = lows[t], highs[t]
+            if lo == hi or hi <= s_lo or lo >= s_hi:
+                continue
+            new_lo, new_hi = self._settle(i, t, lo, hi, s_lo, s_hi, shared)
+            del los[bisect.bisect_left(los, lo)]
+            bisect.insort(los, new_lo)
+            del his[bisect.bisect_left(his, hi)]
+            bisect.insort(his, new_hi)
+        return los[r]
 
-    def _report(self, i: int, t: int, floor: float, ceiling: float, solved: dict) -> float:
-        """The value repetition t reports at index i in [floor, ceiling]; see the class docstring."""
-        caps, leaves = self._caps[t], self._leaves[t]
-        lo, hi = max(leaves[i:]), min(caps[: i + 1])
-        if lo >= ceiling or lo == hi:
-            return lo
-        if hi <= floor:
-            return hi
+    def interval(self, t: int, i: int) -> tuple[float, float]:
+        """[lo_t, hi_t], repetition t's proven interval on v_{i,t} from its records."""
+        return max(self._leaves[t][i:]), min(self._caps[t][: i + 1])
+
+    def _settle(
+        self, i: int, t: int, lo: float, hi: float, s_lo: float, s_hi: float, shared: dict
+    ) -> tuple[float, float]:
+        """Repetition t's interval, [lo, hi] before, once its prefix is solved in [s_lo, s_hi].
+
+        Only leaves[d >= i] and caps[i] change, so the new interval is the
+        old one tightened by the values entered; see the class docstring.
+        """
         system = self._systems[t]
-        key = (system.rows[:i], system.rhs[:i])
-        hit = solved.get(key)
+        caps, leaves = self._caps[t], self._leaves[t]
+        # a repetition whose first row no other draws shares no prefix but the empty one
+        key = t if i and self._lone[t] else (system.rows[:i], system.rhs[:i])
+        hit = shared.get(key)
         if hit is None:
-            prefix = gf2.prefix_coset(self._chains[t], system, i)
-            top = min(ceiling, hi)
-            result = map_solve(self.model, prefix, self.solver, floor=max(floor, lo), ceiling=top)
-            self.ledger.record_solve(result.exact)
-            hit = solved[key] = (result, top)
-        result, top = hit
+            top = min(s_hi, hi)
+            result = self._solve(i, t, max(s_lo, lo), top)
+        else:
+            result, top, a, b = hit
         value, x = result.log_value, result.assignment
         if x is not None:  # a solution of rows 0..d-1, d its first violated row
             d = i
             while d < self.n and (system.rows[d] & x).bit_count() & 1 == system.rhs[d]:
                 d += 1
             leaves[d] = max(leaves[d], value)
-        if result.exact and (x is None or value < top):
-            caps[i] = min(caps[i], value)
-        return value
+            lo = max(lo, value)
+        if not result.exact:
+            lo = hi = min(max(value, lo), hi)
+        else:
+            if x is None or value < top:
+                caps[i] = hi = min(hi, value)
+            if hit is not None:  # the interval the prefix's solve left holds v here too
+                leaves[i] = max(leaves[i], a)
+                caps[i] = min(caps[i], b)
+                lo, hi = max(lo, a), min(hi, b)
+        shared[key] = (result, top, lo, hi)
+        return lo, hi
+
+    def _solve(self, i: int, t: int, floor: float, ceiling: float) -> MapResult:
+        """Repetition t's prefix i solved in [floor, ceiling] on its chained coset, and counted."""
+        prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
+        result = map_solve(self.model, prefix, self.solver, floor=floor, ceiling=ceiling)
+        self.ledger.record_solve(result)
+        return result
 
 
 class NeighborStubOracle(NeighborOracle):

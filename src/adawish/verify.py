@@ -174,12 +174,18 @@ def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
     A group's table must cover its scopes (lo at or below each scope
     variable, mask + 1 entries) and entry k must equal completed(v, k << lo)
     for every k <= mask under `np.array_equal`, with equal sign bits, so
-    -inf and signed-zero entries sit where `completed` puts them.  Groups past
-    the size caps score through `completed` itself and have no table.
+    -inf and signed-zero entries sit where `completed` puts them.  The score
+    table the search reads in `CompiledModel.branch_tables`, a list up to
+    2^FRONTIER_BITS entries and the window's memoryview past that, must
+    match in the same way.  Groups past the size caps score through
+    `completed` itself and have no table.  The detail counts the tables
+    the search reads as lists, so a caller can see that its inputs reached
+    both kinds.
     """
-    tables = 0
+    tables = lists = 0
     for model in models:
         compiled = model.compiled
+        searched = compiled.branch_tables
         for v, (lo, mask, table) in enumerate(compiled.windows):
             if not isinstance(table, memoryview):
                 continue
@@ -189,16 +195,18 @@ def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
             else:  # the masks outgrow int64; completed takes Python ints too
                 ref = [compiled.completed(v, int(k) << lo) for k in keys]
             ref = np.broadcast_to(np.asarray(ref, dtype=float), keys.shape)
-            got = np.array(table)
+            score = searched[v][2]
             covered = all(lo <= min(scope) for scope, _ in compiled.groups[v])
-            if not (
-                covered
-                and np.array_equal(got, ref)
-                and np.array_equal(np.signbit(got), np.signbit(ref))
-            ):
+            if not (covered and all(
+                np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+                for got in (np.array(table), np.array(score))
+            )):
                 return CheckResult("window agreement", False, f"{model.name}: group {v}")
             tables += 1
-    return CheckResult("window agreement", True, f"{tables} window tables over {len(models)} models")
+            lists += isinstance(score, list)
+    return CheckResult(
+        "window agreement", True, f"{tables} window tables over {len(models)} models, {lists} searched as lists"
+    )
 
 
 def check_cost_to_go(models: list[WeightedModel]) -> CheckResult:
@@ -320,22 +328,33 @@ def check_coset(systems: list[gf2.Gf2System], witnesses: dict[int, int | None] |
     )
 
 
-class _ReportLog(XorOracle):
-    """An `XorOracle` that keeps (index, repetition, reported value, whether it searched) per answer."""
+class _SolveLog(XorOracle):
+    """An `XorOracle` that keeps (index, repetition, floor, ceiling, result) per solve.
+
+    It also counts early stops: answers given while a repetition's interval
+    still holds the answer strictly inside, which the one-pass selection
+    leaves only when it stops before the end of its pass.
+    """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
         super().__init__(model, config)
-        self.reports: list[tuple[int, int, float, bool]] = []
+        self.solves: list[tuple[int, int, float, float, MapResult]] = []
+        self.early_stops = 0
 
-    def _report(self, i: int, t: int, floor: float, ceiling: float, solved: dict) -> float:
-        calls = self.ledger.map_calls
-        value = super()._report(i, t, floor, ceiling, solved)
-        self.reports.append((i, t, value, self.ledger.map_calls > calls))
-        return value
+    def _compute(self, i: int) -> float:
+        s = super()._compute(i)
+        intervals = [self.interval(t, i) for t in range(len(self._systems))]
+        self.early_stops += any(lo < s < hi for lo, hi in intervals)
+        return s
+
+    def _solve(self, i: int, t: int, floor: float, ceiling: float) -> MapResult:
+        result = super()._solve(i, t, floor, ceiling)
+        self.solves.append((i, t, floor, ceiling, result))
+        return result
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
-    """`XorOracle`'s chained, bracketed answers are the medians full solves give.
+    """`XorOracle`'s one-pass selection answers the medians full solves give.
 
     For each model, T in reps and master seed, the reference solves every
     distinct prefix P_{i,t} (the first i rows of the t-th system of
@@ -343,17 +362,21 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     `map_solve(model, P_{i,t}).log_value`, and s_i is the lower median of
     v_{i,0..T-1}.  The oracle then runs in three query orders, the `wish`
     sweep, `adawish` bisection at beta = 2 and a full sweep from i = n down
-    to 0, and must answer s_i at every index it queried; every value a
-    repetition reported must lie on its maximum's side of s_i (v <= u <= s_i
-    or s_i <= u <= v); map_calls must not exceed the distinct prefixes of
-    the queried indices; and each full sweep must query all n + 1 indices,
-    with medians that do not increase with i.  The detail counts the
-    answers found with no search, reported values raised above their
-    maximum or lowered below it, infeasible prefixes and ties (a further
-    distinct prefix whose maximum equals a finite s_i), so a caller can
-    see that its inputs reached each case.
+    to 0, and must answer s_i at every index it queried.  Every solve it
+    makes in [floor, ceiling] must be exact and agree with v: infeasible
+    only when v is -inf, no assignment only when v <= floor (the floor
+    returned), a value below ceiling only when it is v, and otherwise a
+    value in [ceiling, v].  After the queries every repetition's interval
+    (`XorOracle.interval`) at every index 0..n must hold its v.  No query
+    may solve one prefix twice, map_calls must not exceed the distinct
+    prefixes of the queried indices, and each full sweep must query all
+    n + 1 indices, with medians that do not increase with i.  The detail
+    counts the repetitions settled with no search, the solves that ended
+    at the floor and at the ceiling, the infeasible ones, ties (a further
+    distinct prefix whose maximum equals a finite s_i) and early stops
+    (`_SolveLog`), so a caller can see that its inputs reached each case.
     """
-    queries = answers = solves = unsearched = raised = lowered = infeasible = ties = 0
+    queries = solves = unsearched = floors = ceilings = infeasible = ties = early = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
         systems = draw_parity_systems(n, n, master, count)
@@ -374,7 +397,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
                 ties += max(0, sum(v == s for v in full.values()) - 1)
         for order in ("wish", "adawish", "descending"):
             where = f"{model.name}, T={count}, master={master}, {order}"
-            oracle = _ReportLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
+            oracle = _SolveLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
             if order == "wish":
                 wish_from_oracle(oracle)
             elif order == "adawish":
@@ -386,15 +409,30 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
             for i, answer in memo.items():
                 if answer != medians[i]:
                     return CheckResult("median bracket", False, f"{where}, i={i}: median moved")
-            for i, t, u, searched in oracle.reports:
-                v, s = maxima[i][t], medians[i]
-                if not (v <= u <= s or s <= u <= v):
-                    detail = f"{where}, i={i}, t={t}: reported {u} for maximum {v}, median {s}"
+            prefixes = [(i, systems[t].rows[:i], systems[t].rhs[:i]) for i, t, *_ in oracle.solves]
+            if len(set(prefixes)) < len(prefixes):
+                return CheckResult("median bracket", False, f"{where}: a prefix solved twice in one query")
+            for i, t, floor, ceiling, result in oracle.solves:
+                v, u = maxima[i][t], result.log_value
+                if not result.feasible:
+                    agrees = v == u == NEG_INF
+                    infeasible += 1
+                elif result.assignment is None:
+                    agrees = v <= floor == u
+                    floors += 1
+                elif u < ceiling:
+                    agrees = u == v
+                else:
+                    agrees = ceiling <= u <= v
+                    ceilings += 1
+                if not (result.exact and agrees):
+                    detail = f"{where}, i={i}, t={t}: solved {u} in [{floor}, {ceiling}] for maximum {v}"
                     return CheckResult("median bracket", False, detail)
-                unsearched += not searched
-                raised += u > v
-                lowered += u < v
-                infeasible += v == NEG_INF
+            for i, t in itertools.product(range(n + 1), range(count)):
+                lo, hi = oracle.interval(t, i)
+                if not lo <= maxima[i][t] <= hi:
+                    detail = f"{where}, i={i}, t={t}: interval [{lo}, {hi}] misses maximum {maxima[i][t]}"
+                    return CheckResult("median bracket", False, detail)
             if oracle.ledger.map_calls > sum(distinct[i] for i in memo):
                 return CheckResult("median bracket", False, f"{where}: more solves than distinct prefixes")
             if order != "adawish":
@@ -403,13 +441,15 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
                 if any(memo[i] < memo[i + 1] for i in range(n)):
                     return CheckResult("median bracket", False, f"{where}: sweep medians increase")
             queries += len(memo)
-            answers += len(oracle.reports)
             solves += oracle.ledger.map_calls
+            unsearched += len(memo) * count - oracle.ledger.map_calls
+            early += oracle.early_stops
     return CheckResult(
         "median bracket",
         True,
-        f"{queries} queries, {answers} answers, {solves} solves: {unsearched} with no search,"
-        f" {raised} raised, {lowered} lowered, {infeasible} infeasible, {ties} ties",
+        f"{queries} queries, {solves} solves: {unsearched} repetitions with no search,"
+        f" {floors} at the floor, {ceilings} at the ceiling, {infeasible} infeasible, {ties} ties,"
+        f" {early} early stops",
     )
 
 
@@ -642,7 +682,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     checks = [
         check_coset(*coset_systems(seed=13)),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
-        check_window_agreement(models),
+        check_window_agreement(models + benchmark_models(max_n)),
         check_cost_to_go(models + benchmark_models(max_n)),
         check_sandwich(models),
         check_schedules(models),

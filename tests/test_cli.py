@@ -5,7 +5,9 @@ import math
 import pytest
 
 from adawish.cli import main, parse_gen_spec, read_curve_csv
+from adawish.estimator import adawish_estimate
 from adawish.model import exact_log_partition, exact_quantiles, parse_uai, serialize_uai
+from adawish.oracle import OracleConfig
 
 FIXTURE = "MARKOV\n2\n2 2\n1\n2 0 1\n4\n1 2 3 4\n"
 
@@ -116,6 +118,21 @@ class TestEstimate:
         printed = parse_report(out)
         assert rows[0]["log10_w_estimate"] == printed["log10_w_estimate"]
         assert float(rows[0]["log10_w_estimate"]) == float(printed["log10_w_estimate"])
+
+    def test_search_nodes_reported(self, capsys, tmp_path):
+        # the ledger's sum of MapResult.nodes, printed and written as a column
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run_cli(
+            capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4", "--oracle", "neighbor",
+            "--c", "2", "--T", "3", "--seed", "5", "--csv", str(out_csv),
+        )
+        assert code == 0
+        with open(out_csv) as fh:
+            (row,) = csv.DictReader(fh)
+        config = OracleConfig(kind="neighbor", c=2, T=3, master_seed=5)
+        ledger = adawish_estimate(parse_gen_spec("grid:2x3:w=0.5:seed=4"), config, 2.0).ledger
+        assert ledger.search_nodes > ledger.map_calls > 0
+        assert int(row["search_nodes"]) == int(parse_report(out)["search_nodes"]) == ledger.search_nodes
 
     def test_seed_comes_from_the_flag_only(self, capsys, monkeypatch):
         # the environment is not read: --seed alone sets the master seed

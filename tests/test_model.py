@@ -10,6 +10,7 @@ from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, U
 from adawish.logspace import LN2, NEG_INF
 from adawish.model import (
     BLOCK_BITS,
+    FRONTIER_BITS,
     WINDOW_BUDGET,
     WINDOW_ENTRIES,
     Factor,
@@ -29,6 +30,7 @@ from adawish.verify import (
     benchmark_models,
     check_cost_to_go,
     check_enumeration_agreement,
+    check_solver_agreement,
     check_window_agreement,
     model_zoo,
 )
@@ -465,6 +467,21 @@ class TestBranchTables:
             WeightedModel(3, (Factor((0, 2), [NEG_INF] * 4),), name="no assignment has weight"),
         ]
         result = check_cost_to_go(model_zoo(40, 14, 7) + benchmark_models(16) + edge_cases)
+        assert result.passed, result.detail
+
+    def test_list_and_memoryview_tables_agree(self):
+        # clique 14's windows reach 2^15 entries, so its search reads lists
+        # up to 2^FRONTIER_BITS entries and memoryviews past them; every
+        # table of the grid is a list
+        clique, grid = parse_gen_spec("clique:n=14:w=0.1:seed=0"), parse_gen_spec("grid:3x4:w=1.0:seed=2")
+        kinds = [type(score) for _, _, score, _ in clique.compiled.branch_tables]
+        assert kinds == [list] * FRONTIER_BITS + [memoryview] * (14 - FRONTIER_BITS)
+        assert all(type(bound) is type(score) for _, _, score, bound in clique.compiled.branch_tables)
+        assert {type(score) for _, _, score, _ in grid.compiled.branch_tables} == {list}
+        for check in (check_window_agreement, check_cost_to_go):
+            result = check([clique, grid])
+            assert result.passed, result.detail
+        result = check_solver_agreement([clique, grid], 60, 5)
         assert result.passed, result.detail
 
     def test_grid_bounds_are_tighter_than_bound_tail(self):

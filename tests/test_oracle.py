@@ -205,17 +205,32 @@ class TestMapSolve:
             gf2.row_reduce(reference)
 
     @pytest.mark.parametrize(
-        "coset",
-        [gf2.Coset(4, 0, 0, ()), gf2.Coset(4, 0, 1 << 7, (1, 2, 4, 8)), gf2.Coset(4, 0, -1, (1, 2, 4, 8))],
-        ids=["no-nulls", "x0-outside", "x0-negative"],
+        "fields",
+        [
+            (4, 0, 0, ()),
+            (4, 0, 1 << 7, (1, 2, 4, 8)),
+            (4, 0, -1, (1, 2, 4, 8)),
+            (4, 0, 0, (1, 2, 4, 8 | 1 << 9)),
+            (4, 0, 0, (1, 2 | 1, 4, 8)),
+            (4, 0, 0, (1, 2, 4 | 2, 8)),
+            (4, 1, 0, (1, 2, None, 0)),
+            (4, 1, 8, (1, 2, None, 8)),
+        ],
+        ids=[
+            "no-nulls", "x0-outside", "x0-negative", "null-outside", "null-below-its-slot",
+            "null-on-free-slot", "null-zero", "x0-on-free-slot",
+        ],
     )
-    def test_malformed_coset_rejected(self, coset):
+    def test_malformed_coset_rejected(self, fields):
         # the search would index past nulls, or return an assignment
-        # outside the model's variables
+        # outside the model's variables or outside the coset; a Coset is
+        # checked where it is built, so no solve can be handed one
         model = gen_grid_ising(2, 2, coupling_w=1.0, seed=0)
         with pytest.raises(StructuralError, match="^coset's x0 or null vectors do not fit its 4 columns$"):
-            map_solve(model, coset)
+            map_solve(model, gf2.Coset(*fields))
         assert not map_solve(model, gf2.Coset(4, 1, None, ())).feasible
+        with pytest.raises(StructuralError, match="^an inconsistent coset has no null vectors$"):
+            gf2.Coset(4, 1, None, (1, 2, 4, 8))
 
     def test_empty_bracket_rejected(self):
         model = gen_grid_ising(2, 2, coupling_w=1.0, seed=0)
@@ -417,12 +432,18 @@ class TestXorQuery:
     @pytest.mark.parametrize("T", [1, 5, 30])
     @pytest.mark.parametrize(
         "model",
-        [gen_grid_ising(3, 3, coupling_w=1.0, seed=4), gen_clique_ising(8, coupling_w=0.1, seed=4)],
-        ids=["grid3x3", "clique8"],
+        [
+            gen_grid_ising(3, 3, coupling_w=1.0, seed=4),
+            gen_clique_ising(8, coupling_w=0.1, seed=4),
+            gen_clique_ising(4, coupling_w=0.1, seed=4),
+        ],
+        ids=["grid3x3", "clique8", "clique4"],
     )
     def test_answers_match_per_repetition_reference(self, model, T):
         # the reference solves every repetition's prefix at every index in
-        # full; the answers do not depend on query order, the solve count may
+        # full; the answers do not depend on query order, the solve count may.
+        # On four variables many repetitions draw the same first rows, so
+        # prefixes past the empty one are shared and must be solved once
         result = check_median_bracket([model], reps=(T,), masters=(17,))
         assert result.passed, result.detail
 
@@ -433,9 +454,21 @@ class TestXorQuery:
         # equal to the median, and i = n draws inconsistent systems
         result = check_median_bracket([parse_gen_spec(spec)], reps=(1, 2, 5, 10, 30), masters=range(3))
         assert result.passed, result.detail
-        cases = r"(\d+) (?:with no search|raised|lowered|infeasible|ties)"
+        cases = r"(\d+) (?:repetitions with no search|at the floor|at the ceiling|infeasible|ties|early stops)"
         counts = re.findall(cases, result.detail)
-        assert len(counts) == 5 and min(int(k) for k in counts) > 0, result.detail
+        assert len(counts) == 6 and min(int(k) for k in counts) > 0, result.detail
+
+    def test_node_limited_sweep_answers_every_index(self):
+        # each limited solve pins its repetition at the value it returned,
+        # so every query still ends; the answers are then heuristic, and
+        # the ledger says so
+        model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
+        config = OracleConfig(kind="neighbor", c=2, T=10, master_seed=3)
+        oracle = make_oracle(model, config, MapSolver(node_limit=1))
+        answers = [oracle.query(i) for i in range(model.n + 1)]
+        assert oracle.ledger.distinct_queries == model.n + 1
+        assert oracle.ledger.guarantee_void and oracle.ledger.map_calls > 0
+        assert not any(math.isnan(a) for a in answers)
 
     def test_median_sandwich_mostly_holds(self):
         # scaled-down coverage check (grid 2x5, c = 2, T = 30, 40 seeds, 0.8
