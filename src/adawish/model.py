@@ -37,10 +37,12 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   their groups straight into its destination, a slice of the caller's
   table (`log_weight_table`) or one reused buffer, so a yielded block is
   valid only until the next one is drawn.  The sums of untabled and high
-  groups alternate between the two rows of one scratch array; nothing is
-  allocated per step.  `exact_log_partition` reduces block by block in a
-  fixed order, so its result is bit-reproducible, and `exact_quantiles`
-  sorts the table in place;
+  groups alternate between the two rows of one scratch array, allocated
+  only when some group has such a sum; nothing is allocated per step.
+  `exact_log_partition` reduces block by block in a fixed order, so its
+  result is bit-reproducible, and `exact_quantiles` selects b_n .. b_0
+  from the table in place by halving selection, each partition on the
+  upper half the last one left, with no sort and no copy;
 - branch-and-bound MAP reads the windows through
   `CompiledModel.branch_tables`, which pairs each window with a cost-to-go
   table read at the same key: a bound on the groups after v that no leaf
@@ -295,7 +297,9 @@ class CompiledModel:
         indexes the axes of variables >= b with them, and adds groups b..n-1
         into its destination.  Group sums run from 0.0 in factor order
         through the two rows of one scratch array in turn, as the window
-        tables do.  The additions are those of `log_weight`, in its order, so
+        tables do; the array is allocated only when some group is summed
+        here, so a table whose groups all read windows costs no more than
+        itself.  The additions are those of `log_weight`, in its order, so
         every block equals `log_weights_at` over its bitmasks bit for bit.
 
         With `out` (length 2^n) every block is written into its slice of
@@ -309,7 +313,8 @@ class CompiledModel:
             for v, group in enumerate(self.groups)
             if v >= b or not isinstance(windows[v][2], memoryview)
         }
-        scratch = np.empty((2, 1 << b))  # two rows, so they never overlap
+        # two rows, so they never overlap; none when every group reads its window
+        scratch = np.empty((2, 1 << b)) if frames else None
         low = out if out is not None and b == n else np.empty(1 << b)
         low[0] = self.const
         for v in range(b):
@@ -453,10 +458,39 @@ def exact_log_partition(model: WeightedModel) -> float:
 
 
 def exact_quantiles(model: WeightedModel) -> QuantileCurve:
-    """The 2^i-th largest log-weight for i = 0..n (n <= 24)."""
-    table = log_weight_table(model)
-    table.sort()  # ascending: the 2^i-th largest sits at 2^n - 2^i
-    return QuantileCurve(model.n, table[(1 << model.n) - (1 << np.arange(model.n + 1))])
+    """The 2^i-th largest log-weight for i = 0..n (n <= 24).
+
+    b_i is read from the table `log_weight_table` returns by halving
+    selection (`_select_quantiles`), in place: each value is an entry of the
+    table, the one an ascending sort would put at 2^n - 2^i, so the curve
+    equals the sorted readout bit for bit, at about 2 * 2^n element visits
+    instead of the sort's 2^n * n.
+    """
+    return QuantileCurve(model.n, _select_quantiles(log_weight_table(model)))
+
+
+def _select_quantiles(table: np.ndarray) -> np.ndarray:
+    """The 2^i-th largest of 2^n floats for i = 0..n, selected in place.
+
+    The top 2^(i+1) entries hold the table's 2^i-th largest.  Partitioning
+    them at k = 2^(i+1) - 2^i (Hoare's FIND, CACM 1961; numpy's introselect)
+    puts it at k and the 2^i - 1 entries at or above it after k, so b_i is
+    read at k and the next step partitions the view from k on, half the
+    size.  The first step leaves the minimum, b_n, in the lower half.  Only
+    views are taken, so the table is permuted and nothing is copied.  Equal
+    entries are equal bit for bit as long as the table holds no -0.0 (a
+    log-weight sum starts from 0.0, so it never does) and no NaN.
+    """
+    n = table.size.bit_length() - 1
+    values = np.empty(n + 1)
+    rest = table
+    for i in range(n - 1, -1, -1):
+        k = rest.size - (1 << i)
+        rest.partition(k)
+        values[i] = rest[k]
+        rest = rest[k:]
+    values[n] = table[: (table.size + 1) // 2].min()
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -143,14 +143,16 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
 
 
 def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckResult:
-    """`CompiledModel.blocks` and `exact_log_partition` match the per-point evaluator exactly.
+    """The enumeration helpers match the per-point evaluator exactly.
 
-    For each width the concatenated blocks, each copied before the next is
-    drawn (the blocks share one buffer), and the table that `blocks` fills
-    through `out=` must both equal `log_weights_at` over every bitmask under
-    `np.array_equal` (so -inf entries sit at the same positions), and
-    `exact_log_partition` must equal the log-sum-exp of that reference's
-    per-block log-sum-exps.
+    For each width the concatenated blocks of `CompiledModel.blocks`, each
+    copied before the next is drawn (the blocks share one buffer), and the
+    table that `blocks` fills through `out=` must both equal `log_weights_at`
+    over every bitmask under `np.array_equal` (so -inf entries sit at the
+    same positions).  `exact_log_partition` must equal the log-sum-exp of
+    that reference's per-block log-sum-exps, and `exact_quantiles` must read
+    the reference sorted ascending at 2^n - 2^i for i = 0..n, with equal
+    sign bits, so its selection is the sort bit for bit.
     """
     for model in models:
         ref = log_weights_at(model, np.arange(1 << model.n))
@@ -165,6 +167,10 @@ def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckRes
         partials = [log_sum_exp(ref[s : s + _ENUM_BLOCK]) for s in range(0, ref.size, _ENUM_BLOCK)]
         if exact_log_partition(model) != log_sum_exp(partials):
             return CheckResult("enumeration agreement", False, f"{model.name}: exact_log_partition")
+        got = exact_quantiles(model).log_values
+        want = np.sort(ref)[ref.size - (1 << np.arange(model.n + 1))]
+        if not (np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))):
+            return CheckResult("enumeration agreement", False, f"{model.name}: exact_quantiles")
     return CheckResult("enumeration agreement", True, f"{len(models)} models x widths {tuple(widths)}")
 
 

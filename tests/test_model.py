@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from adawish.model import (
     parse_uai,
     serialize_uai,
 )
-from adawish.model import _group_sum
+from adawish.model import _group_sum, _select_quantiles
 from adawish.verify import (
     benchmark_models,
     check_cost_to_go,
@@ -328,6 +329,7 @@ class TestExactReferences:
                 ),
                 name="unsorted scopes and zero weights",
             ),
+            signed_entries_model(rng),
         ]
         result = check_enumeration_agreement(model_zoo(40, 14, 7) + edge_cases, (3, 8, 18))
         assert result.passed, result.detail
@@ -424,6 +426,90 @@ def wide_group_model() -> WeightedModel:
     rng = np.random.default_rng(9)
     factors = (Factor((19, 0), rng.normal(size=4)), Factor((3, 2), rng.normal(size=4)))
     return WeightedModel(20, factors, name="a group wider than the per-group cap")
+
+
+def hexes(values: np.ndarray) -> list[str]:
+    return [v.hex() for v in values.tolist()]
+
+
+def sorted_readout(table: np.ndarray) -> list[str]:
+    """float.hex of the ascending sort of a 2^n table read at 2^n - 2^i, i = 0..n."""
+    ranks = table.size - (1 << np.arange(table.size.bit_length()))
+    return hexes(np.sort(table)[ranks])
+
+
+@st.composite
+def tables_with_repeats(draw) -> np.ndarray:
+    """2^n floats (n <= 7) drawn from a pool of at most four values.
+
+    x + 0.0 turns -0.0 into 0.0: the two tie, so a sort and a selection may
+    read either, and a log-weight table holds no -0.0.
+    """
+    n = draw(st.integers(0, 7))
+    value = st.floats(allow_nan=False).map(lambda x: x + 0.0) | st.just(NEG_INF)
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1 << n, max_size=1 << n))
+    return np.array(picks)
+
+
+class TestQuantileSelection:
+    """`exact_quantiles` selects what a full sort of the table reads, bit for bit.
+
+    The model zoo and clique 20 reach the selection through
+    `check_enumeration_agreement` (TestExactReferences), and grid 4x5 and
+    clique 20 through their pinned curves, which a full sort produced.
+    """
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            WeightedModel(0, (), name="n=0"),
+            WeightedModel(1, (Factor((0,), np.log([1.0, 3.0])),), name="n=1"),
+            WeightedModel(2, (Factor((0, 1), np.log([8.0, 4.0, 2.0, 1.0])),), name="n=2"),
+            WeightedModel(2, (Factor((1, 0), [0.5, -1.0, 0.5, 2.0]),), name="n=2 with a tie"),
+            WeightedModel(7, (), name="all ties"),
+            WeightedModel(
+                5,
+                (Factor((3, 1), [0.0, NEG_INF, 1.5, NEG_INF]), Factor((4,), [-2.0, 0.5])),
+                name="-inf entries",
+            ),
+            WeightedModel(4, (Factor((2,), [NEG_INF, NEG_INF]),), name="all -inf"),
+        ],
+        ids=lambda m: m.name,
+    )
+    def test_matches_sort_on_edge_cases(self, model):
+        assert hexes(exact_quantiles(model).log_values) == sorted_readout(log_weight_table(model))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_with_repeats())
+    def test_selection_matches_sort_on_tables_with_repeats(self, table):
+        want, entries = sorted_readout(table), np.sort(table)
+        assert hexes(_select_quantiles(table)) == want
+        assert np.array_equal(np.sort(table), entries)  # permuted in place, nothing lost
+
+    def test_enumeration_check_catches_a_wrong_selection(self, monkeypatch):
+        # one rank too low at every i, a smaller value wherever the two ranks do not tie
+        def off_by_one(model):
+            table = np.sort(log_weight_table(model))
+            ranks = np.maximum(table.size - (1 << np.arange(model.n + 1)) - 1, 0)
+            return QuantileCurve(model.n, table[ranks])
+
+        monkeypatch.setattr("adawish.verify.exact_quantiles", off_by_one)
+        result = check_enumeration_agreement(model_zoo(3, 10, 7), (BLOCK_BITS,))
+        assert not result.passed and result.detail.endswith("exact_quantiles")
+
+    def test_selection_makes_no_second_table(self):
+        # every group of grid 4x4 reads its window, so `blocks` needs no
+        # scratch and the 2^16 table should be all that the call holds
+        model = parse_gen_spec("grid:4x4:w=1.0:seed=0")
+        exact_quantiles(model)  # builds the window tables, which the model keeps
+        tracemalloc.start()
+        try:
+            exact_quantiles(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (1 << 16)
 
 
 class TestWindows:
