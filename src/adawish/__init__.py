@@ -44,7 +44,6 @@ from .optbench import (
 )
 from .oracle import (
     MapResult,
-    MapSolver,
     OracleConfig,
     QueryLedger,
     make_oracle,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidSize, ParseError, StructuralError, TooLarge
 from .estimator import adawish_estimate, wish_estimate
-from .logspace import LN10
+from .logspace import LN10, NEG_INF
 from .model import (
     ENUMERATION_LIMIT,
     QuantileCurve,
@@ -36,7 +37,7 @@ from .model import (
     serialize_uai,
 )
 from .optbench import compute_opt, segment_bounds
-from .oracle import MapSolver, OracleConfig
+from .oracle import OracleConfig
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -101,32 +102,31 @@ def _oracle_config(args) -> OracleConfig:
         alpha=args.alpha,
         gamma=args.gamma,
         master_seed=args.seed,
+        node_limit=args.node_limit,
+        time_limit=args.map_timeout,
     )
-
-
-def _solver(args) -> MapSolver:
-    return MapSolver(node_limit=args.node_limit, time_limit=args.map_timeout)
 
 
 def _run_schedule(model, args):
     config = _oracle_config(args)
-    solver = _solver(args)
     start = time.monotonic()
     if args.schedule == "wish":
-        result = wish_estimate(model, config, solver)
+        result = wish_estimate(model, config)
     else:
-        result = adawish_estimate(model, config, args.beta, solver)
+        result = adawish_estimate(model, config, args.beta)
     wall = time.monotonic() - start
     return result, wall
 
 
 def _report(model, args, result, wall) -> dict:
     """The run's report, keyed by CSV column in column order."""
+    log10_estimate = result.log_w / LN10
     log10_exact = None
     log10_err = None
     if args.auto_exact and model.n <= ENUMERATION_LIMIT:
         log10_exact = exact_log_partition(model) / LN10
-        log10_err = abs(result.log_w / LN10 - log10_exact)
+        # equal values err by 0, both -inf (W = 0) included, where the difference is NaN
+        log10_err = 0.0 if log10_estimate == log10_exact else abs(log10_estimate - log10_exact)
     if result.guarantee.proven:
         guarantee = f"proven(kappa={result.guarantee.kappa:.6g},delta={result.guarantee.delta:g})"
     else:
@@ -143,7 +143,7 @@ def _report(model, args, result, wall) -> dict:
         "delta": args.delta if neighbor else None,
         "gamma": args.gamma if args.oracle == "pointwise" else None,
         "seed": args.seed,
-        "log10_w_estimate": result.log_w / LN10,
+        "log10_w_estimate": log10_estimate,
         "log10_w_exact": log10_exact,
         "log10_error": log10_err,
         "distinct_queries": result.ledger.distinct_queries,
@@ -203,6 +203,11 @@ def read_curve_csv(path: str) -> QuantileCurve:
     return QuantileCurve(len(pairs) - 1, np.array([v for _, v in pairs]))
 
 
+def _log10_bound(log_value: float) -> float | None:
+    """A bound on log W as log10 for the JSON line; -inf (W = 0) is null, as JSON has no infinity."""
+    return None if log_value == NEG_INF else log_value / LN10
+
+
 def cmd_opt(args) -> int:
     curve = read_curve_csv(args.curve)
     methods = [args.method] if args.method != "both" else ["greedy", "exhaustive"]
@@ -215,9 +220,9 @@ def cmd_opt(args) -> int:
             "opt_size": result.opt_size,
             "query_indices": list(result.query_indices),
             "certified_global": result.certified_global,
-            "log10_lower": lo / LN10,
-            "log10_upper": up / LN10,
-        }))
+            "log10_lower": _log10_bound(lo),
+            "log10_upper": _log10_bound(up),
+        }, allow_nan=False))
     return 0
 
 
@@ -246,9 +251,8 @@ def cmd_bench(args) -> int:
     exit_code = 0
     for model in _expand_suite(args.suite):
         config = _oracle_config(args)
-        solver = _solver(args)
-        full = wish_estimate(model, config, solver)
-        adaptive = adawish_estimate(model, config, args.beta, solver)
+        full = wish_estimate(model, config)
+        adaptive = adawish_estimate(model, config, args.beta)
         wq = full.ledger.distinct_queries
         aq = adaptive.ledger.distinct_queries
         savings = 100.0 * (1.0 - aq / wq)
@@ -275,6 +279,7 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache  # one parser per process, however many times `main` runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adawish",

@@ -18,13 +18,7 @@ import numpy as np
 from .errors import StructuralError
 from .logspace import LN2, log_sum_exp
 from .model import QuantileCurve, WeightedModel
-from .oracle import (
-    MapSolver,
-    OracleConfig,
-    QuantileOracle,
-    QueryLedger,
-    make_oracle,
-)
+from .oracle import OracleConfig, QuantileOracle, QueryLedger, make_oracle
 
 
 def sandwich_bounds(curve: QuantileCurve) -> tuple[float, float]:
@@ -60,7 +54,6 @@ class EstimateResult:
     quantiles: np.ndarray  # log b~_0 .. b~_n as assembled
     ledger: QueryLedger
     schedule: str  # "wish" | "adawish"
-    oracle_kind: str
     guarantee: Guarantee
     beta: float | None = None
 
@@ -125,20 +118,18 @@ def search(
     search(oracle, beta, m, r, out, depth + 1)
 
 
+def _result(oracle: QuantileOracle, schedule: str, q: np.ndarray, beta: float | None) -> EstimateResult:
+    """The estimate assembled from the quantiles q, with the oracle's ledger and guarantee."""
+    return EstimateResult(assemble_log_estimate(q), q, oracle.ledger, schedule, _guarantee(oracle, beta), beta)
+
+
 def wish_from_oracle(oracle: QuantileOracle) -> EstimateResult:
     """Query every index 0..n and assemble the estimate."""
     n = oracle.n
     q = np.empty(n + 1, dtype=float)
     for i in range(n + 1):
         q[i] = oracle.query(i)
-    return EstimateResult(
-        log_w=assemble_log_estimate(q),
-        quantiles=q,
-        ledger=oracle.ledger,
-        schedule="wish",
-        oracle_kind=oracle.kind,
-        guarantee=_guarantee(oracle, None),
-    )
+    return _result(oracle, "wish", q, None)
 
 
 def adawish_from_oracle(oracle: QuantileOracle, beta: float) -> EstimateResult:
@@ -153,29 +144,12 @@ def adawish_from_oracle(oracle: QuantileOracle, beta: float) -> EstimateResult:
         q[0] = oracle.query(0)
     else:
         search(oracle, beta, 0, n, q)
-    return EstimateResult(
-        log_w=assemble_log_estimate(q),
-        quantiles=q,
-        ledger=oracle.ledger,
-        schedule="adawish",
-        oracle_kind=oracle.kind,
-        guarantee=_guarantee(oracle, beta),
-        beta=beta,
-    )
+    return _result(oracle, "adawish", q, beta)
 
 
-def wish_estimate(
-    model: WeightedModel,
-    config: OracleConfig,
-    solver: MapSolver | None = None,
-) -> EstimateResult:
-    return wish_from_oracle(make_oracle(model, config, solver))
+def wish_estimate(model: WeightedModel, config: OracleConfig) -> EstimateResult:
+    return wish_from_oracle(make_oracle(model, config))
 
 
-def adawish_estimate(
-    model: WeightedModel,
-    config: OracleConfig,
-    beta: float,
-    solver: MapSolver | None = None,
-) -> EstimateResult:
-    return adawish_from_oracle(make_oracle(model, config, solver), beta)
+def adawish_estimate(model: WeightedModel, config: OracleConfig, beta: float) -> EstimateResult:
+    return adawish_from_oracle(make_oracle(model, config), beta)

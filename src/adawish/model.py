@@ -91,7 +91,7 @@ class Factor:
             raise StructuralError(
                 f"table size {table.size} does not match scope arity {len(self.scope)}"
             )
-        if np.any(np.isnan(table)) or np.any(table == np.inf):
+        if not (table < np.inf).all():  # False at NaN and +inf; -inf passes
             raise StructuralError("factor entries must be finite or -inf")
 
 
@@ -421,6 +421,8 @@ class QuantileCurve:
             raise StructuralError(f"curve over n={self.n} needs {self.n + 1} values, got {vals.shape}")
         if np.any(np.isnan(vals)):
             raise StructuralError("curve values must not be NaN")
+        if np.any(vals == np.inf):
+            raise StructuralError("curve values must be finite or -inf")
         if np.any(vals[:-1] < vals[1:]):
             raise StructuralError("curve values must be non-increasing")
 

@@ -18,7 +18,8 @@ carries a full solution: a free variable branches with one XOR of its null
 vector, which also flips the pivots above it that it forces, and a pivot
 is already set, so scoring it is the one lookup.  A solve may be asked a
 bracketed question [floor, ceiling]: the incumbent starts at floor, and
-the search ends at the first leaf that reaches ceiling.
+the search ends at the first leaf that reaches ceiling.  A node or a time
+limit, passed as keywords, ends a search early with its incumbent.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
 constrained maxima under random (A, d) pairs with i rows.  Repetition t
 draws one n-row pair on the first query, and query i takes its first i
@@ -37,11 +38,14 @@ rows of one bounded-uint8 draw from `rng_from(master_seed, n)`, and
 `sample_parity_system` draws one pair from a caller's generator; both pack
 their bits through one helper, which turns every row of a batch into a
 Python int in one call.  `make_oracle` binds a model to any configured
-oracle kind; `synthetic_oracle` wraps a known quantile curve.
+oracle kind; `OracleConfig` is the whole configuration, from c, T, delta
+and the master seed to the limits of each MAP solve.  `synthetic_oracle`
+wraps a known quantile curve.
 
-All oracles answer through a QueryLedger that memoises by query index, so a
-repeated query is never recomputed and the number of distinct queries can be
-audited afterwards, beside the MAP solves and the search nodes they took.
+Each oracle makes its own QueryLedger, `oracle.ledger`, which memoises by
+query index, so a repeated query is never recomputed and the number of
+distinct queries can be audited afterwards, beside the MAP solves and the
+search nodes they took.
 """
 
 from __future__ import annotations
@@ -67,42 +71,26 @@ from .seeds import mix64, rng_from, unit_from
 # MAP solving
 
 
-@dataclass(frozen=True)
-class MapSolver:
-    """Optional limits on the branch-and-bound search of one MAP solve.
-
-    The search is exact whenever it finishes within the limits; otherwise the
-    incumbent is returned and the result is flagged inexact (a lower bound on
-    the true maximum).  time_limit is in seconds per solve.  A limit, when
-    given, must be positive: node_limit an integer >= 1, time_limit > 0.
-
-    The limits are checked when a node is popped, not at every node, so a
-    limited solve runs on to the end of the dive it is in: it may overrun
-    node_limit by one dive, at most 2n nodes over n variables (two children
-    at each free variable).  The time limit is checked at the first pop
-    after every 1,024 nodes.  A popped node that can no longer beat the
-    incumbent is dropped before the limits are looked at, so a search whose
-    every remaining node is pruned ends exact.
-    """
-
-    node_limit: int | None = None
-    time_limit: float | None = None
-
-    def __post_init__(self):
-        if self.node_limit is not None:
-            object.__setattr__(self, "node_limit", _count("node_limit", self.node_limit))
-            if self.node_limit < 1:
-                raise StructuralError("node_limit must be >= 1")
-        if self.time_limit is not None and not self.time_limit > 0.0:
-            raise StructuralError("time_limit must be > 0")
-
-
 def _count(name: str, value) -> int:
     """The one check of a caller's integer: numpy integers and bools pass as int, all else raises."""
     try:
         return operator.index(value)
     except TypeError:
         raise StructuralError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_limits(node_limit, time_limit) -> int | None:
+    """The one check of a solve's limits: node_limit an integer >= 1, time_limit > 0, or None.
+
+    Returns node_limit as an int, so a numpy integer passes as one.
+    """
+    if node_limit is not None:
+        node_limit = _count("node_limit", node_limit)
+        if node_limit < 1:
+            raise StructuralError("node_limit must be >= 1")
+    if time_limit is not None and not time_limit > 0.0:
+        raise StructuralError("time_limit must be > 0")
+    return node_limit
 
 
 def _check_gamma(gamma: float) -> None:
@@ -308,10 +296,11 @@ def check_columns(system, model: WeightedModel) -> None:
 def map_solve(
     model: WeightedModel,
     system: gf2.Gf2System | gf2.Coset,
-    solver: MapSolver | None = None,
     *,
     floor: float = NEG_INF,
     ceiling: float = math.inf,
+    node_limit: int | None = None,
+    time_limit: float | None = None,
 ) -> MapResult:
     """max log w(x) subject to the parity system; empty systems mean unconstrained.
 
@@ -337,19 +326,29 @@ def map_solve(
     assignment is a solution worth exactly the value.  An inconsistent
     system is infeasible at -inf whatever the bracket.  `XorOracle` asks
     each solve only what its lower median needs.
+
+    node_limit and time_limit (seconds), when given, limit the search: an
+    integer >= 1 and a number > 0 (`_check_limits`).  A search that
+    finishes within them is exact; otherwise the incumbent is returned and
+    the result is flagged inexact, a lower bound on what was asked.  The
+    limits are checked when a node is popped, not at every node, so a
+    limited solve runs on to the end of the dive it is in: it may overrun
+    node_limit by one dive, at most 2n nodes over n variables (two children
+    at each free variable).  The clock is read at the first pop after every
+    1,024 nodes.  A popped node that can no longer beat the incumbent is
+    dropped before the limits are looked at, so a search whose every
+    remaining node is pruned ends exact.
     """
     if not isinstance(system, (gf2.Gf2System, gf2.Coset)):
         raise StructuralError(f"expected a Gf2System or a Coset, got {type(system).__name__}")
     check_columns(system, model)
     if not floor <= ceiling:
         raise StructuralError(f"bracket [{floor}, {ceiling}] is empty")
-    solver = solver or MapSolver()
+    node_limit = _check_limits(node_limit, time_limit)
     coset = system if isinstance(system, gf2.Coset) else gf2.coset(system.cols, system.rows, system.rhs)
     if coset.x0 is None:
         return MapResult(NEG_INF, None, True, False)
-    return _solve_branch_and_bound(
-        model, coset.x0, coset.nulls, solver.node_limit, solver.time_limit, floor, ceiling
-    )
+    return _solve_branch_and_bound(model, coset.x0, coset.nulls, node_limit, time_limit, floor, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,10 @@ class OracleConfig:
 
     kind "exact" reads the true quantile curve (n <= 24); "pointwise" is the
     exact value under a deterministic multiplicative jitter within
-    [1/gamma, gamma]; "neighbor" runs the randomized XOR query.
+    [1/gamma, gamma]; "neighbor" runs the randomized XOR query, whose
+    constrained MAP solves `map_solve` runs under node_limit and time_limit
+    (seconds per solve; None is unlimited).  A solve cut short by either
+    voids the estimate's guarantee.
     """
 
     kind: str = "neighbor"
@@ -372,6 +374,8 @@ class OracleConfig:
     alpha: float | None = None
     gamma: float = 1.0
     master_seed: int = 0
+    node_limit: int | None = None
+    time_limit: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", _count("c", self.c))
@@ -389,6 +393,7 @@ class OracleConfig:
             _check_slack(self.c)
         if self.T is not None and self.T < 1:
             raise StructuralError("T must be >= 1")
+        object.__setattr__(self, "node_limit", _check_limits(self.node_limit, self.time_limit))
 
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
@@ -408,12 +413,13 @@ class OracleConfig:
 
 @dataclass
 class QueryLedger:
-    """Memo table plus counters for auditing oracle traffic.
+    """Memo table plus counters for auditing oracle traffic; one per oracle, `oracle.ledger`.
 
     distinct_queries is the number of indices computed, one memo entry each;
     repeat accesses are cache hits.  map_calls counts actual MAP solver
     invocations and search_nodes sums their `MapResult.nodes`.
-    guarantee_void flips when any solve came back inexact.
+    guarantee_void flips when any solve came back inexact, cut short by
+    `OracleConfig.node_limit` or `time_limit`.
     """
 
     memo: dict[int, float] = field(default_factory=dict)
@@ -457,9 +463,9 @@ class QuantileOracle:
 
     kind = "abstract"
 
-    def __init__(self, n: int, ledger: QueryLedger | None = None):
+    def __init__(self, n: int):
         self.n = n
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
 
     def _compute(self, i: int) -> float:
         raise NotImplementedError
@@ -484,8 +490,8 @@ class QuantileOracle:
 class ExactCurveOracle(QuantileOracle):
     kind = "exact"
 
-    def __init__(self, curve: QuantileCurve, ledger: QueryLedger | None = None):
-        super().__init__(curve.n, ledger)
+    def __init__(self, curve: QuantileCurve):
+        super().__init__(curve.n)
         self.curve = curve
 
     def _compute(self, i: int) -> float:
@@ -497,15 +503,9 @@ class PointwiseCurveOracle(QuantileOracle):
 
     kind = "pointwise"
 
-    def __init__(
-        self,
-        curve: QuantileCurve,
-        gamma: float,
-        master_seed: int = 0,
-        ledger: QueryLedger | None = None,
-    ):
+    def __init__(self, curve: QuantileCurve, gamma: float, master_seed: int = 0):
         _check_gamma(gamma)
-        super().__init__(curve.n, ledger)
+        super().__init__(curve.n)
         self.curve = curve
         self.gamma = gamma
         self.master_seed = _count("master_seed", master_seed)
@@ -589,18 +589,11 @@ class XorOracle(NeighborOracle):
     then a heuristic, and the ledger's guarantee_void says so.
     """
 
-    def __init__(
-        self,
-        model: WeightedModel,
-        config: OracleConfig,
-        solver: MapSolver | None = None,
-        ledger: QueryLedger | None = None,
-    ):
-        super().__init__(model.n, ledger)
+    def __init__(self, model: WeightedModel, config: OracleConfig):
+        super().__init__(model.n)
         self.model = model
         self.config = config
         self.c = config.c
-        self.solver = solver or MapSolver()
         # per repetition, filled on the first query: the system, its chain
         # of prefix cosets (`gf2.prefix_coset`), caps, leaves, and whether
         # its first row is one no other repetition draws
@@ -685,7 +678,11 @@ class XorOracle(NeighborOracle):
     def _solve(self, i: int, t: int, floor: float, ceiling: float) -> MapResult:
         """Repetition t's prefix i solved in [floor, ceiling] on its chained coset, and counted."""
         prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
-        result = map_solve(self.model, prefix, self.solver, floor=floor, ceiling=ceiling)
+        config = self.config
+        result = map_solve(
+            self.model, prefix, floor=floor, ceiling=ceiling,
+            node_limit=config.node_limit, time_limit=config.time_limit,
+        )
         self.ledger.record_solve(result)
         return result
 
@@ -708,13 +705,12 @@ class NeighborStubOracle(NeighborOracle):
         c: int,
         policy: str = "seeded",
         master_seed: int = 0,
-        ledger: QueryLedger | None = None,
     ):
         if policy not in self.policies:
             raise StructuralError(f"unknown policy {policy!r}")
         c = _count("c", c)
         _check_slack(c)
-        super().__init__(curve.n, ledger)
+        super().__init__(curve.n)
         self.curve = curve
         self.c = c
         self.policy = policy
@@ -743,31 +739,23 @@ def synthetic_oracle(
     c: int = 2,
     policy: str = "seeded",
     seed: int = 0,
-    ledger: QueryLedger | None = None,
 ) -> QuantileOracle:
     """Wrap a known curve as an oracle so schedules can run without a model."""
     if kind == "exact":
-        return ExactCurveOracle(curve, ledger)
+        return ExactCurveOracle(curve)
     if kind == "pointwise":
-        return PointwiseCurveOracle(curve, gamma, seed, ledger)
+        return PointwiseCurveOracle(curve, gamma, seed)
     if kind == "neighbor-stub":
-        return NeighborStubOracle(curve, c, policy, seed, ledger)
+        return NeighborStubOracle(curve, c, policy, seed)
     raise StructuralError(f"unknown synthetic oracle kind {kind!r}")
 
 
-def make_oracle(
-    model: WeightedModel,
-    config: OracleConfig,
-    solver: MapSolver | None = None,
-    ledger: QueryLedger | None = None,
-) -> QuantileOracle:
+def make_oracle(model: WeightedModel, config: OracleConfig) -> QuantileOracle:
     """Bind a model to the configured oracle kind.
 
     Exact and pointwise kinds enumerate the true quantile curve up front and
     are therefore limited to n <= 24.
     """
     if config.kind == "neighbor":
-        return XorOracle(model, config, solver, ledger)
-    return synthetic_oracle(
-        exact_quantiles(model), config.kind, config.gamma, seed=config.master_seed, ledger=ledger
-    )
+        return XorOracle(model, config)
+    return synthetic_oracle(exact_quantiles(model), config.kind, config.gamma, seed=config.master_seed)

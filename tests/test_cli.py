@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from adawish.cli import main, parse_gen_spec, read_curve_csv
+from adawish.cli import build_parser, main, parse_gen_spec, read_curve_csv
 from adawish.estimator import adawish_estimate
 from adawish.model import exact_log_partition, exact_quantiles, parse_uai, serialize_uai
 from adawish.oracle import OracleConfig
@@ -147,6 +147,21 @@ class TestEstimate:
         assert report["seed"] == "5"
         assert report["log10_w_estimate"] == parse_report(out)["log10_w_estimate"]
 
+    def test_zero_partition_function_errs_by_zero(self, capsys, tmp_path):
+        # W = 0: estimate and exact value are both -inf, whose difference is NaN
+        path = tmp_path / "zero.uai"
+        path.write_text("MARKOV\n1\n2\n1\n1 0\n2\n0 0\n")
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run_cli(
+            capsys, "estimate", "--model", str(path), "--oracle", "exact", "--csv", str(out_csv),
+        )
+        assert code == 0
+        with open(out_csv) as fh:
+            (row,) = csv.DictReader(fh)
+        for report in (parse_report(out), row):
+            assert report["log10_w_estimate"] == report["log10_w_exact"] == "-inf"
+            assert report["log10_error"] == "0"
+
     def test_neither_model_nor_gen_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "estimate")
         assert code == 1
@@ -249,6 +264,28 @@ class TestOptCommand:
         assert err.strip() == f"error: {path}: {message}"
         assert out == ""
 
+    def test_infinite_curve_value_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("index,log10_value\n0,inf\n1,0\n")
+        code, out, err = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "2")
+        assert code == 1
+        assert err.strip() == "error: curve values must be finite or -inf"
+        assert out == ""
+
+    def test_zero_curve_writes_null_bounds(self, capsys, tmp_path):
+        # W = 0 puts both bounds at -inf, which JSON cannot write as a number
+        path = tmp_path / "zero.csv"
+        path.write_text("index,log10_value\n" + "".join(f"{i},-inf\n" for i in range(5)))
+        code, out, _ = run_cli(capsys, "opt", "--curve", str(path), "--kappa", "2", "--method", "both")
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = [json.loads(line, parse_constant=refuse) for line in out.strip().splitlines()]
+        assert len(lines) == 2
+        assert all(entry["log10_lower"] is None and entry["log10_upper"] is None for entry in lines)
+
     def test_infinite_kappa_exits_one(self, capsys, tmp_path):
         # json.dumps would write it as Infinity, which is not JSON
         path = tmp_path / "flat.csv"
@@ -304,6 +341,10 @@ class TestBench:
         assert err.strip() == "error: empty seed range seeds=3..1"
         assert out == ""
         assert not out_csv.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestVerifyCommand:

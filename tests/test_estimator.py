@@ -24,7 +24,7 @@ from adawish.model import (
     gen_grid_ising,
 )
 from adawish.optbench import gen_geometric_curve, gen_kvalued_curve, synthetic_oracle
-from adawish.oracle import MapSolver, OracleConfig, QueryLedger
+from adawish.oracle import OracleConfig
 from adawish.verify import check_adversarial_stub, check_regret, check_sandwich, check_schedules
 
 
@@ -79,7 +79,7 @@ class TestFullSweep:
         slack = math.log(2.0)
         for s in range(seeds):
             config = OracleConfig(kind="neighbor", c=c, T=30, alpha=0.1, master_seed=s)
-            result = wish_estimate(model, config, MapSolver())
+            result = wish_estimate(model, config)
             if abs(result.log_w - log_w) <= 2 * c * LN2 + slack:
                 hits += 1
             assert result.guarantee.proven
@@ -167,11 +167,10 @@ class TestAdaptive:
 class TestSearch:
     def test_adjacent_interval_queries_both_endpoints(self):
         curve = gen_geometric_curve(1, 2.0)
-        ledger = QueryLedger()
-        oracle = synthetic_oracle(curve, "exact", ledger=ledger)
+        oracle = synthetic_oracle(curve, "exact")
         out = np.full(2, np.nan)
         search(oracle, 2.0, 0, 1, out)
-        assert ledger.distinct_queries == 2
+        assert oracle.ledger.distinct_queries == 2
         assert out[0] == pytest.approx(curve[0])
         assert out[1] == pytest.approx(curve[1])
 
@@ -186,10 +185,9 @@ class TestSearch:
         # ratio 2 per index beats beta=1.5 over any gap, so the recursion
         # bottoms out everywhere and the query set matches the full sweep
         curve = gen_geometric_curve(8, 2.0)
-        ledger = QueryLedger()
-        oracle = synthetic_oracle(curve, "exact", ledger=ledger)
+        oracle = synthetic_oracle(curve, "exact")
         result = adawish_from_oracle(oracle, beta=1.5)
-        assert ledger.queried_indices() == set(range(9))
+        assert oracle.ledger.queried_indices() == set(range(9))
         sweep = wish_from_oracle(synthetic_oracle(curve, "exact"))
         assert result.log_w == pytest.approx(sweep.log_w, abs=1e-12)
 
@@ -232,8 +230,8 @@ class TestGuarantee:
 
     def test_incumbent_only_voids_guarantee(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=1)
-        config = OracleConfig(kind="neighbor", c=2, T=3, master_seed=3)
-        result = adawish_estimate(model, config, beta=2.0, solver=MapSolver(node_limit=4))
+        config = OracleConfig(kind="neighbor", c=2, T=3, master_seed=3, node_limit=4)
+        result = adawish_estimate(model, config, beta=2.0)
         assert result.ledger.guarantee_void
         assert not result.guarantee.proven
 

@@ -607,6 +607,13 @@ class TestQuantileCurve:
         with pytest.raises(StructuralError, match="^curve values must not be NaN$"):
             QuantileCurve(2, np.array([0.0, math.nan, -1.0]))
 
+    def test_rejects_plus_inf_and_keeps_minus_inf(self):
+        # +inf is no weight, as in a factor; -inf is a zero weight
+        for values in ([math.inf, 0.0], [math.inf, math.inf]):
+            with pytest.raises(StructuralError, match="^curve values must be finite or -inf$"):
+                QuantileCurve(1, np.array(values))
+        assert QuantileCurve(2, np.array([0.0, -math.inf, -math.inf]))[1] == -math.inf
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
     def test_sorted_values_always_accepted(self, values):

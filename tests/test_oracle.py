@@ -21,11 +21,9 @@ from adawish.model import (
 )
 from adawish.oracle import (
     ExactCurveOracle,
-    MapSolver,
     NeighborStubOracle,
     OracleConfig,
     PointwiseCurveOracle,
-    QueryLedger,
     draw_parity_systems,
     make_oracle,
     map_solve,
@@ -66,7 +64,7 @@ class TestMapSolve:
         model = gen_grid_ising(2, 5, coupling_w=1.2, seed=seed)
         system = sample_parity_system(10, 4, rng)
         a = reference_map(model, system)
-        b = map_solve(model, system, MapSolver())
+        b = map_solve(model, system)
         assert a.log_value == pytest.approx(b.log_value, abs=1e-9)
         assert a.feasible == b.feasible
 
@@ -74,7 +72,7 @@ class TestMapSolve:
         rng = np.random.default_rng(77)
         model = random_factor_model(8, rng)
         system = sample_parity_system(8, 3, rng)
-        result = map_solve(model, system, MapSolver())
+        result = map_solve(model, system)
         table = log_weight_table(model)
         sols = [x for x in range(256) if gf2.satisfies(system, x)]
         assert result.log_value == pytest.approx(max(table[x] for x in sols), abs=1e-12)
@@ -116,7 +114,7 @@ class TestMapSolve:
                     {"floor": v - 0.5, "ceiling": v + 0.5},
                     {"ceiling": v - 0.5},
                     {"floor": v + 0.5},
-                    {"solver": MapSolver(node_limit=3)},
+                    {"node_limit": 3},
                 ):
                     assert map_solve(model, coset, **kwargs) == map_solve(model, prefix, **kwargs)
 
@@ -125,7 +123,7 @@ class TestMapSolve:
         # the unlimited search takes 33 nodes; the first dive ends at 17 on
         # a leaf below the optimum
         system = sample_parity_system(model.n, 2, np.random.default_rng(0))
-        result = map_solve(model, system, MapSolver(node_limit=5))
+        result = map_solve(model, system, node_limit=5)
         assert not result.exact
         exact = map_solve(model, system)
         assert exact.nodes == 33 and result.nodes == 17
@@ -140,7 +138,7 @@ class TestMapSolve:
         for m in range(model.n + 1):
             system = sample_parity_system(model.n, m, rng)
             for limit in (1, 5, 20):
-                limited = map_solve(model, system, MapSolver(node_limit=limit))
+                limited = map_solve(model, system, node_limit=limit)
                 assert limited.nodes <= limit + 2 * model.n
                 if limited.assignment is not None:
                     assert gf2.satisfies(system, limited.assignment)
@@ -153,7 +151,7 @@ class TestMapSolve:
         system = sample_parity_system(model.n, 12, np.random.default_rng(0))
         unlimited = map_solve(model, system)
         assert unlimited.nodes == 9799
-        assert map_solve(model, system, MapSolver(time_limit=3600.0)) == unlimited
+        assert map_solve(model, system, time_limit=3600.0) == unlimited
 
     @pytest.mark.parametrize("limit", [5, 19])
     def test_node_limit_after_the_last_useful_node_stays_exact(self, limit):
@@ -161,7 +159,7 @@ class TestMapSolve:
         # on the stack is pruned when popped, so the limit cuts nothing
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
         free = gf2.Gf2System(9, (), ())
-        limited = map_solve(model, free, MapSolver(node_limit=limit))
+        limited = map_solve(model, free, node_limit=limit)
         assert limited == map_solve(model, free)
         assert limited.exact and limited.nodes == 19
 
@@ -172,13 +170,13 @@ class TestMapSolve:
         model = WeightedModel(n, tuple(Factor((v, v + 1), rng.normal(size=4)) for v in range(n - 1)))
         # parity rows over the whole chain keep the search past its node limit
         system = sample_parity_system(n, 20, rng)
-        result = map_solve(model, system, MapSolver(node_limit=20_000))
+        result = map_solve(model, system, node_limit=20_000)
         assert result.feasible and not result.exact
         assert result.log_value == log_weight(model, result.assignment)
         assert gf2.satisfies(system, result.assignment)
         # unconstrained, the cost-to-go bound leads straight to the optimum
         # and prunes every sibling on the way
-        free = map_solve(model, gf2.Gf2System(n, (), ()), MapSolver(node_limit=20_000))
+        free = map_solve(model, gf2.Gf2System(n, (), ()), node_limit=20_000)
         assert free.exact and free.nodes <= 2 * n + 1
 
     @pytest.mark.parametrize("seed", range(4))
@@ -265,7 +263,7 @@ class TestMapSolve:
     def test_small_coset_search_branches_only_free_variables(self, k):
         system, coset = self._small_coset_instance()
         model = random_factor_model(30, np.random.default_rng(k))
-        result = map_solve(model, system, MapSolver(node_limit=(30 + 1) << (30 - 28)))
+        result = map_solve(model, system, node_limit=(30 + 1) << (30 - 28))
         assert result.exact and result.feasible
         assert result.assignment in coset
         assert result.log_value == max(log_weight(model, x) for x in coset)
@@ -299,7 +297,7 @@ class TestMapSolve:
         sols = [x for x in points if gf2.satisfies(system, x)]
         best = max((ref[x] for x in sols), default=NEG_INF)
         a = reference_map(model, system)
-        b = map_solve(model, system, MapSolver())
+        b = map_solve(model, system)
         assert a.feasible == b.feasible == bool(sols)
         assert a.exact and b.exact
         coset = gf2.coset(n, system.rows, system.rhs)
@@ -399,8 +397,8 @@ class TestXorQuery:
     def test_memoization(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         config = OracleConfig(kind="neighbor", c=2, T=5, master_seed=9)
-        ledger = QueryLedger()
-        oracle = make_oracle(model, config, ledger=ledger)
+        oracle = make_oracle(model, config)
+        ledger = oracle.ledger
         first = oracle.query(3)
         calls = ledger.map_calls
         second = oracle.query(3)
@@ -463,8 +461,8 @@ class TestXorQuery:
         # so every query still ends; the answers are then heuristic, and
         # the ledger says so
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
-        config = OracleConfig(kind="neighbor", c=2, T=10, master_seed=3)
-        oracle = make_oracle(model, config, MapSolver(node_limit=1))
+        config = OracleConfig(kind="neighbor", c=2, T=10, master_seed=3, node_limit=1)
+        oracle = make_oracle(model, config)
         answers = [oracle.query(i) for i in range(model.n + 1)]
         assert oracle.ledger.distinct_queries == model.n + 1
         assert oracle.ledger.guarantee_void and oracle.ledger.map_calls > 0
@@ -598,16 +596,22 @@ class TestOracleDispatch:
             OracleConfig(gamma=math.nan)
         with pytest.raises(StructuralError):
             PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=math.nan)
-        for limits in (
-            {"node_limit": 0},
-            {"node_limit": 5.5},  # was accepted and never fired
-            {"node_limit": "5"},
-            {"time_limit": 0.0},
-            {"time_limit": math.nan},
+        # one check of the limits, in the config and in `map_solve` alike
+        model = WeightedModel(2, ())
+        free = gf2.Gf2System(2, (), ())
+        for limits, message in (
+            ({"node_limit": 0}, "node_limit must be >= 1"),
+            ({"node_limit": 5.5}, "node_limit must be an integer, got 5.5"),  # was accepted and never fired
+            ({"node_limit": "5"}, "node_limit must be an integer, got '5'"),
+            ({"time_limit": 0.0}, "time_limit must be > 0"),
+            ({"time_limit": math.nan}, "time_limit must be > 0"),
         ):
-            with pytest.raises(StructuralError):
-                MapSolver(**limits)
-        assert type(MapSolver(node_limit=np.int64(5)).node_limit) is int
+            with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+                OracleConfig(**limits)
+            with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+                map_solve(model, free, **limits)
+        assert type(OracleConfig(node_limit=np.int64(5)).node_limit) is int
+        assert map_solve(model, free, node_limit=np.int64(5)) == map_solve(model, free)
 
 
 class TestNeighborStub:
@@ -662,8 +666,8 @@ class TestNeighborStub:
 class TestLedger:
     def test_budget_never_exceeds_index_range(self):
         curve = gen_geometric_curve(16, 2.0)
-        ledger = QueryLedger()
-        oracle = ExactCurveOracle(curve, ledger)
+        oracle = ExactCurveOracle(curve)
+        ledger = oracle.ledger
         for i in list(range(17)) * 3:
             oracle.query(i)
         assert ledger.distinct_queries == 17
@@ -676,7 +680,6 @@ class TestLedger:
             oracle.query(5)
 
     def test_trace_records_depth(self):
-        ledger = QueryLedger()
-        oracle = PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=1.5, ledger=ledger)
+        oracle = PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=1.5)
         oracle.query(2, depth=3)
-        assert ledger.trace == [(2, 3, pytest.approx(oracle.query(2)))]
+        assert oracle.ledger.trace == [(2, 3, pytest.approx(oracle.query(2)))]
