@@ -192,11 +192,17 @@ def cmd_quantiles(args) -> int:
 
 
 def read_curve_csv(path: str) -> QuantileCurve:
+    """The curve in an index,log10_value CSV; a malformed file raises ParseError naming it and the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "index" not in reader.fieldnames or "log10_value" not in reader.fieldnames:
             raise ParseError(f"{path}: expected header with index,log10_value columns")
-        pairs = [(int(row["index"]), float(row["log10_value"]) * LN10) for row in reader]
+        pairs = []
+        for row in reader:
+            try:  # a missing field reads as None
+                pairs.append((int(row["index"]), float(row["log10_value"]) * LN10))
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: line {reader.line_num}: missing or non-numeric field") from None
     pairs.sort()
     if not pairs or [i for i, _ in pairs] != list(range(len(pairs))):
         raise ParseError(f"{path}: indices must be 0..n without gaps")

@@ -5,15 +5,17 @@ single word-wise XOR however many variables there are.  Systems represent
 parity constraints A*x = d (mod 2); a system with zero rows is valid and means
 "unconstrained".  A `Coset` is a system's solution set, its one form here:
 the solution x0 with every free variable at 0, and one null vector per free
-variable; the MAP solver searches it.  A Coset built by hand is checked to
-be in that form; the builders below skip the check.  `extend` adds one row
-to a coset in one pass over its null vectors, and `coset` folds it over a
-system's rows, so a longer prefix of a system costs one step per row
-(`prefix_coset`).
-The pivots are the rows' highest bits after reduction.  `row_reduce`
-builds the same coset by Gauss-Jordan elimination, the independent
-reference for `coset`.  `as_mask` turns an assignment into a bitmask for
-`evaluate`, `satisfies` and `model.log_weight`.
+variable; the MAP solver searches it.  Two systems of one row count with
+one solution set have equal cosets, so a coset names its solution set.  A
+Coset built by hand is checked to be in that form; the builders below skip
+the check.  `row_reduce` builds a system's coset from scratch by
+Gauss-Jordan elimination; the pivots are the rows' highest bits after
+reduction.  `extend` adds one row to a coset in one pass over its null
+vectors, the one incremental step, so a longer prefix of a system costs
+one step per row (`prefix_coset`).  The two share no step, and each is
+the other's witness (`verify.check_coset`).  `as_mask` turns an
+assignment into a bitmask for `evaluate`, `satisfies` and
+`model.log_weight`.
 """
 
 from __future__ import annotations
@@ -116,13 +118,13 @@ class Coset(namedtuple("Coset", ("cols", "m", "x0", "nulls"))):
     are pivots above v.  nulls[p] is None at a pivot p.  The solutions are
     x0 XOR any sum of null vectors.  An inconsistent system has x0 None
     and nulls ().  x0 and nulls depend only on the solution set, so two
-    systems with one solution set have them equal.
+    systems with one solution set have them equal, and two with m rows
+    each have equal cosets.
 
     Building a Coset by hand checks that form in O(cols) and raises
     StructuralError where it fails, so `map_solve` can trust every Coset
-    it is given.  `extend`, `coset` and `row_reduce` build theirs in that
-    form and skip the check (`_trusted`), so a chained solve pays nothing
-    for it.
+    it is given.  `extend` and `row_reduce` build theirs in that form and
+    skip the check (`_trusted`), so a chained solve pays nothing for it.
     """
 
     __slots__ = ()
@@ -197,21 +199,6 @@ def extend(coset: Coset, row: int, b: int) -> Coset:
     return _trusted(cols, m + 1, x0 ^ top if flip else x0, tuple(new))
 
 
-def coset(cols: int, rows: Sequence[int], rhs: Sequence[int]) -> Coset:
-    """The system's solution set: `extend` folded over its rows.
-
-    The fold starts from the unconstrained coset, every variable free and
-    x0 = 0, so the coset of a prefix extended by the remaining rows is the
-    coset of the whole system; `prefix_coset` keeps those steps.  The rows
-    are not validated: they must lie inside cols columns, as a
-    `Gf2System`'s do.
-    """
-    got = _trusted(cols, 0, 0, tuple(1 << v for v in range(cols)))
-    for row, b in zip(rows, rhs):
-        got = extend(got, row, b)
-    return got
-
-
 def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
     """The coset of the system's first i rows, kept in chain.
 
@@ -226,7 +213,7 @@ def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
 
 
 def row_reduce(system: Gf2System) -> Coset:
-    """The system's `Coset` by Gauss-Jordan elimination: the reference for `coset`.
+    """The system's `Coset` by Gauss-Jordan elimination: the one from-scratch builder.
 
     Takes a `Gf2System` only; anything else, a `Coset` included, raises
     StructuralError.  Each row is inserted into a basis keyed by its highest
@@ -235,7 +222,8 @@ def row_reduce(system: Gf2System) -> Coset:
     ascending pivot order then clears every lower pivot from each row.  x0
     sets each pivot to its row's rhs bit, and the null vector of a free
     column f sets f and every pivot whose row holds f.  No step is shared
-    with `extend`, so `verify.check_coset` holds this as its witness.
+    with `extend`, so `verify.check_coset` holds each as the other's
+    witness.
     """
     if not isinstance(system, Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")

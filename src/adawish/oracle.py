@@ -33,11 +33,13 @@ value can no longer move the answer; it ends when the bracket closes, and
 the answer is the one full solves give (the proof is in `XorOracle`).
 Each repetition keeps the cosets of its prefixes in a chain, each one
 row's elimination step (`gf2.extend`) from the one before, so no solve
-re-eliminates a prefix.  `draw_parity_systems` draws the T pairs as the
-rows of one bounded-uint8 draw from `rng_from(master_seed, n)`, and
-`sample_parity_system` draws one pair from a caller's generator; both pack
-their bits through one helper, which turns every row of a batch into a
-Python int in one call.  `make_oracle` binds a model to any configured
+re-eliminates a prefix.  A solve's answer depends only on the prefix's
+solution set, which its coset names, so a solution set several
+repetitions' prefixes share is solved once per query.
+`draw_parity_systems` draws the T pairs as the rows of one bounded-uint8
+draw from `rng_from(master_seed, n)`, and `sample_parity_system` draws one
+pair from a caller's generator; both pack their bits through one helper,
+which turns every row of a batch into a Python int in one call.  `make_oracle` binds a model to any configured
 oracle kind; `OracleConfig` is the whole configuration, from c, T, delta
 and the master seed to the limits of each MAP solve.  `synthetic_oracle`
 wraps a known quantile curve.
@@ -54,7 +56,6 @@ import bisect
 import math
 import operator
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -204,7 +205,7 @@ def _solve_branch_and_bound(
     floor: float,
     ceiling: float,
 ) -> MapResult:
-    """Depth-first search over variables 0..n-1 of the coset (x0, nulls) (`gf2.coset`).
+    """Depth-first search over variables 0..n-1 of the coset (x0, nulls) (`gf2.Coset`).
 
     A node at variable v carries a full solution x: its free variables
     below v are decided, those from v up are 0, and every pivot holds the
@@ -308,12 +309,12 @@ def map_solve(
     bounds never fall below a leaf they cover, rounding included
     (`CompiledModel.branch_tables`).  Among equal maxima the assignment is
     the first one the search meets.  nodes counts the root and every child
-    made, pruned ones included.  The search runs on the system's
-    `gf2.coset`, or on a coset passed in its place, as `XorOracle` passes
-    each prefix's from its chain, or `gf2.row_reduce` gives; an
-    inconsistent one makes the result infeasible.  Only a `Gf2System` or a
-    `gf2.Coset`, each validated when it was built, is accepted, over one
-    column per model variable (`check_columns`): anything else raises
+    made, pruned ones included.  The search runs on the system's coset,
+    built by `gf2.row_reduce`, or on a coset passed in its place, as
+    `XorOracle` passes each prefix's from its chain; an inconsistent one
+    makes the result infeasible.  Only a `Gf2System` or a `gf2.Coset`,
+    each validated when it was built, is accepted, over one column per
+    model variable (`check_columns`): anything else raises
     StructuralError.
 
     floor <= ceiling bracket the question asked; the defaults, -inf and
@@ -345,7 +346,7 @@ def map_solve(
     if not floor <= ceiling:
         raise StructuralError(f"bracket [{floor}, {ceiling}] is empty")
     node_limit = _check_limits(node_limit, time_limit)
-    coset = system if isinstance(system, gf2.Coset) else gf2.coset(system.cols, system.rows, system.rhs)
+    coset = system if isinstance(system, gf2.Coset) else gf2.row_reduce(system)
     if coset.x0 is None:
         return MapResult(NEG_INF, None, True, False)
     return _solve_branch_and_bound(model, coset.x0, coset.nulls, node_limit, time_limit, floor, ceiling)
@@ -543,7 +544,7 @@ class XorOracle(NeighborOracle):
     t-th; query i reads its first i rows and rhs bits, the prefix system
     P_{i,t}.  A solve runs on P_{i,t}'s coset, read from repetition t's
     chain of prefix cosets (`gf2.prefix_coset`), which is extended one row
-    at a time, and only as far as the highest index solved.  The answer is
+    at a time, and only as far as the highest index settled.  The answer is
     the lower median s, the (r + 1)-th smallest, r = (T - 1) // 2, of the T
     maxima v_{i,t} = max log w over the solutions S_{i,t} of P_{i,t}, so
     each answer is a pure function of (master_seed, i, T) and does not
@@ -581,12 +582,16 @@ class XorOracle(NeighborOracle):
     would have hi_t < S_hi or lo_t > S_lo, but at most r can have the
     first and at most T - r - 1 the second.
 
-    A prefix drawn by several repetitions is solved once per query: the
-    others enter its solution in their records, as their own solve would,
-    and its interval in caps[i] and leaves[i], which settles them.  Under
-    node or time limits an inexact result pins its repetition, for this
-    query, at the value returned, clamped into its interval; the answer is
-    then a heuristic, and the ledger's guarantee_void says so.
+    A solution set several repetitions' prefixes share, inconsistent ones
+    included, is solved once per query, keyed by its coset: equal solution
+    sets of i rows give equal cosets, and a solve's result, and the
+    interval its repetition's records prove, hold for the solution set and
+    not for the rows.  The others enter its solution in their records, as
+    their own solve would, and its interval in caps[i] and leaves[i],
+    which settles them.  Under node or time limits an inexact result pins
+    its repetition, for this query, at the value returned, clamped into
+    its interval; the answer is then a heuristic, and the ledger's
+    guarantee_void says so.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
@@ -595,30 +600,26 @@ class XorOracle(NeighborOracle):
         self.config = config
         self.c = config.c
         # per repetition, filled on the first query: the system, its chain
-        # of prefix cosets (`gf2.prefix_coset`), caps, leaves, and whether
-        # its first row is one no other repetition draws
+        # of prefix cosets (`gf2.prefix_coset`), caps and leaves
         self._systems: list[gf2.Gf2System] = []
         self._chains: list[list[gf2.Coset]] = []
         self._caps: list[list[float]] = []
         self._leaves: list[list[float]] = []
-        self._lone: list[bool] = []
 
     def _compute(self, i: int) -> float:
         reps = self.config.repetitions(self.n)
         if not self._systems:
             self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, reps)
-            free = gf2.coset(self.n, (), ())
+            free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
             self._chains = [[free] for _ in range(reps)]
             self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
             self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
-            heads = Counter((s.rows[:1], s.rhs[:1]) for s in self._systems)
-            self._lone = [heads[s.rows[:1], s.rhs[:1]] == 1 for s in self._systems]
         # lower middle for even counts: never overestimates the median
         r = (reps - 1) // 2
         lows = [max(leaves[i:]) for leaves in self._leaves]
         highs = [min(caps[: i + 1]) for caps in self._caps]
         los, his = sorted(lows), sorted(highs)
-        shared: dict[tuple, tuple[MapResult, float, float, float]] = {}
+        shared: dict[gf2.Coset, tuple[MapResult, float, float, float]] = {}
         # descending hi_t; the sort is stable, so ties keep ascending t
         for t in sorted(range(reps), key=highs.__getitem__, reverse=True):
             s_lo, s_hi = los[r], his[r]
@@ -648,12 +649,11 @@ class XorOracle(NeighborOracle):
         """
         system = self._systems[t]
         caps, leaves = self._caps[t], self._leaves[t]
-        # a repetition whose first row no other draws shares no prefix but the empty one
-        key = t if i and self._lone[t] else (system.rows[:i], system.rhs[:i])
-        hit = shared.get(key)
+        prefix = gf2.prefix_coset(self._chains[t], system, i)
+        hit = shared.get(prefix)
         if hit is None:
             top = min(s_hi, hi)
-            result = self._solve(i, t, max(s_lo, lo), top)
+            result = self._solve(prefix, max(s_lo, lo), top)
         else:
             result, top, a, b = hit
         value, x = result.log_value, result.assignment
@@ -672,12 +672,11 @@ class XorOracle(NeighborOracle):
                 leaves[i] = max(leaves[i], a)
                 caps[i] = min(caps[i], b)
                 lo, hi = max(lo, a), min(hi, b)
-        shared[key] = (result, top, lo, hi)
+        shared[prefix] = (result, top, lo, hi)
         return lo, hi
 
-    def _solve(self, i: int, t: int, floor: float, ceiling: float) -> MapResult:
-        """Repetition t's prefix i solved in [floor, ceiling] on its chained coset, and counted."""
-        prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
+    def _solve(self, prefix: gf2.Coset, floor: float, ceiling: float) -> MapResult:
+        """A prefix's chained coset solved in [floor, ceiling], and counted."""
         config = self.config
         result = map_solve(
             self.model, prefix, floor=floor, ceiling=ceiling,

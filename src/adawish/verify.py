@@ -8,8 +8,9 @@ the fast level keeps models at n <= 12 and finishes in seconds; the full
 level raises sizes to n <= 16 and adds the statistical checks (hash
 uniformity, randomized query coverage).  The references the checks and the
 test suite share live here too: the model zoo, the curve and parity-system
-suites, and `reference_map`, the coset enumeration that `map_solve` is
-compared against.
+suites, and `reference_map`, the enumeration of `gf2.row_reduce`'s coset
+that `map_solve` is compared against.  `row_reduce` and the chain of
+`gf2.extend` steps are each other's witness (`check_coset`).
 """
 
 from __future__ import annotations
@@ -113,12 +114,12 @@ def reference_map(model: WeightedModel, system: gf2.Gf2System) -> MapResult:
     """Constrained MAP by enumerating the solution coset: the reference for `map_solve`.
 
     Exact; takes up to 24 free variables (n - rank) over at most 62 variables.
-    The coset is `gf2.coset`'s (x0, nulls), which `check_coset` proves is the
-    solution set.  The system must have one column per model variable, as
-    in `map_solve`.
+    The coset is `gf2.row_reduce`'s (x0, nulls), which `check_coset` proves
+    is the solution set.  The system must have one column per model
+    variable, as in `map_solve`.
     """
     check_columns(system, model)
-    got = gf2.coset(system.cols, system.rows, system.rhs)
+    got = gf2.row_reduce(system)
     if got.x0 is None:
         return MapResult(NEG_INF, None, exact=True, feasible=False)
     basis = [vec for vec in got.nulls if vec is not None]
@@ -272,35 +273,35 @@ def coset_systems(seed: int) -> tuple[list[gf2.Gf2System], dict[int, int | None]
 
 
 def check_coset(systems: list[gf2.Gf2System], witnesses: dict[int, int | None] | None = None) -> CheckResult:
-    """`gf2.coset` gives each system's solution set: the coset `gf2.row_reduce` gives.
+    """`gf2.row_reduce` and the chain of `gf2.extend` steps give each system's solution set.
 
-    Every system of at most BRUTE_COLS columns is also enumerated: x0 and
-    the null vectors must span exactly the solutions found, and an
-    inconsistent system must have none.  Wider, x0 must solve the system
-    and each null vector its homogeneous form.  At every width, a system t
-    with witnesses[t] None must have x0 None, and one with a solution there
-    must hold it.  Each prefix of each system is also read from a chain
-    (`gf2.prefix_coset`), as `XorOracle` reads it, and must equal
-    `gf2.coset` of that prefix built from scratch.  The detail counts the
-    prefixes compared, with how many were inconsistent, the witnesses of
-    each kind, and the enumerated systems that are consistent of full rank
-    (rank m), consistent and rank-deficient, and inconsistent, so a caller
-    can see that its inputs reached each case.
+    Each prefix of each system is read from a chain (`gf2.prefix_coset`),
+    as `XorOracle` reads it, started from the unconstrained coset built by
+    hand, and must equal `gf2.row_reduce` of that prefix system: the two
+    share no step, so each is the other's witness.  The whole system's
+    coset is then checked against the solutions.  Every system of at most
+    BRUTE_COLS columns is enumerated: x0 and the null vectors must span
+    exactly the solutions found, and an inconsistent system must have none.
+    Wider, x0 must solve the system and each null vector its homogeneous
+    form.  At every width, a system t with witnesses[t] None must have x0
+    None, and one with a solution there must hold it.  The detail counts
+    the prefixes compared, with how many were inconsistent, the witnesses
+    of each kind, and the enumerated systems that are consistent of full
+    rank (rank m), consistent and rank-deficient, and inconsistent, so a
+    caller can see that its inputs reached each case.
     """
     witnesses = witnesses or {}
     enumerated = dict.fromkeys(("full rank", "rank-deficient", "inconsistent"), 0)
     prefixes = broken = 0
     for t, system in enumerate(systems):
         cols, rows, rhs = system.cols, system.rows, system.rhs
-        chain = [gf2.coset(cols, (), ())]
+        chain = [gf2.Coset(cols, 0, 0, [1 << v for v in range(cols)])]
         for k in range(system.m + 1):
-            got = gf2.coset(cols, rows[:k], rhs[:k])  # the whole system's at k = m
+            got = gf2.row_reduce(gf2.Gf2System(cols, rows[:k], rhs[:k]))  # the whole system's at k = m
             if gf2.prefix_coset(chain, system, k) != got:
-                return CheckResult("gf2 coset", False, f"system {t}: chained coset of prefix {k} differs")
+                return CheckResult("gf2 coset", False, f"system {t}: chained prefix {k} differs from row_reduce")
             prefixes += 1
             broken += got.x0 is None
-        if got != gf2.row_reduce(system):
-            return CheckResult("gf2 coset", False, f"system {t}: differs from row_reduce")
         x0 = got.x0
         free = [(v, vec) for v, vec in enumerate(got.nulls) if vec is not None]
         if t in witnesses:  # a solution's free bits pick the one point of the coset it must be
@@ -335,7 +336,7 @@ def check_coset(systems: list[gf2.Gf2System], witnesses: dict[int, int | None] |
 
 
 class _SolveLog(XorOracle):
-    """An `XorOracle` that keeps (index, repetition, floor, ceiling, result) per solve.
+    """An `XorOracle` that keeps (prefix coset, floor, ceiling, result) per solve.
 
     It also counts early stops: answers given while a repetition's interval
     still holds the answer strictly inside, which the one-pass selection
@@ -344,7 +345,7 @@ class _SolveLog(XorOracle):
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
         super().__init__(model, config)
-        self.solves: list[tuple[int, int, float, float, MapResult]] = []
+        self.solves: list[tuple[gf2.Coset, float, float, MapResult]] = []
         self.early_stops = 0
 
     def _compute(self, i: int) -> float:
@@ -353,54 +354,52 @@ class _SolveLog(XorOracle):
         self.early_stops += any(lo < s < hi for lo, hi in intervals)
         return s
 
-    def _solve(self, i: int, t: int, floor: float, ceiling: float) -> MapResult:
-        result = super()._solve(i, t, floor, ceiling)
-        self.solves.append((i, t, floor, ceiling, result))
+    def _solve(self, prefix: gf2.Coset, floor: float, ceiling: float) -> MapResult:
+        result = super()._solve(prefix, floor, ceiling)
+        self.solves.append((prefix, floor, ceiling, result))
         return result
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
     """`XorOracle`'s one-pass selection answers the medians full solves give.
 
-    For each model, T in reps and master seed, the reference solves every
-    distinct prefix P_{i,t} (the first i rows of the t-th system of
-    `draw_parity_systems(n, n, master, T)`) with no bracket: v_{i,t} =
-    `map_solve(model, P_{i,t}).log_value`, and s_i is the lower median of
-    v_{i,0..T-1}.  The oracle then runs in three query orders, the `wish`
-    sweep, `adawish` bisection at beta = 2 and a full sweep from i = n down
-    to 0, and must answer s_i at every index it queried.  Every solve it
-    makes in [floor, ceiling] must be exact and agree with v: infeasible
-    only when v is -inf, no assignment only when v <= floor (the floor
-    returned), a value below ceiling only when it is v, and otherwise a
-    value in [ceiling, v].  After the queries every repetition's interval
-    (`XorOracle.interval`) at every index 0..n must hold its v.  No query
-    may solve one prefix twice, map_calls must not exceed the distinct
-    prefixes of the queried indices, and each full sweep must query all
-    n + 1 indices, with medians that do not increase with i.  The detail
-    counts the repetitions settled with no search, the solves that ended
-    at the floor and at the ceiling, the infeasible ones, ties (a further
-    distinct prefix whose maximum equals a finite s_i) and early stops
-    (`_SolveLog`), so a caller can see that its inputs reached each case.
+    For each model, T in reps and master seed, the reference names each
+    prefix P_{i,t} (the first i rows of the t-th system of
+    `draw_parity_systems(n, n, master, T)`) by its coset,
+    `gf2.row_reduce(P_{i,t})`, and solves each distinct one with no
+    bracket: v_{i,t} is its `map_solve` value, and s_i is the lower median
+    of v_{i,0..T-1}.  The oracle then runs in three query orders, the
+    `wish` sweep, `adawish` bisection at beta = 2 and a full sweep from
+    i = n down to 0, and must answer s_i at every index it queried.  Every
+    solve it makes in [floor, ceiling] must be on a prefix's coset, exact,
+    and agree with its v: infeasible only when v is -inf, no assignment
+    only when v <= floor (the floor returned), a value below ceiling only
+    when it is v, and otherwise a value in [ceiling, v].  After the
+    queries every repetition's interval (`XorOracle.interval`) at every
+    index 0..n must hold its v.  No query may solve one coset twice,
+    map_calls must not exceed the distinct cosets of the queried indices,
+    and each full sweep must query all n + 1 indices, with medians that do
+    not increase with i.  The detail counts the repetitions settled with
+    no search, the solves that ended at the floor and at the ceiling, the
+    infeasible ones, ties (a further distinct coset whose maximum equals a
+    finite s_i) and early stops (`_SolveLog`), so a caller can see that
+    its inputs reached each case.
     """
     queries = solves = unsearched = floors = ceilings = infeasible = ties = early = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
         systems = draw_parity_systems(n, n, master, count)
+        full: list[dict[gf2.Coset, float]] = []  # per index, v of each distinct prefix coset
         maxima: list[list[float]] = []  # v_{i,t}
         medians: list[float] = []
-        distinct: list[int] = []
         for i in range(n + 1):
-            full: dict[tuple, float] = {}
-            for system in systems:
-                key = (system.rows[:i], system.rhs[:i])
-                if key not in full:
-                    full[key] = map_solve(model, gf2.Gf2System(n, *key)).log_value
-            maxima.append([full[system.rows[:i], system.rhs[:i]] for system in systems])
+            prefixes = [gf2.row_reduce(gf2.Gf2System(n, s.rows[:i], s.rhs[:i])) for s in systems]
+            full.append({prefix: map_solve(model, prefix).log_value for prefix in dict.fromkeys(prefixes)})
+            maxima.append([full[i][prefix] for prefix in prefixes])
             s = sorted(maxima[i])[(count - 1) // 2]
             medians.append(s)
-            distinct.append(len(full))
             if s > NEG_INF:
-                ties += max(0, sum(v == s for v in full.values()) - 1)
+                ties += max(0, sum(v == s for v in full[i].values()) - 1)
         for order in ("wish", "adawish", "descending"):
             where = f"{model.name}, T={count}, master={master}, {order}"
             oracle = _SolveLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
@@ -415,11 +414,14 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
             for i, answer in memo.items():
                 if answer != medians[i]:
                     return CheckResult("median bracket", False, f"{where}, i={i}: median moved")
-            prefixes = [(i, systems[t].rows[:i], systems[t].rhs[:i]) for i, t, *_ in oracle.solves]
-            if len(set(prefixes)) < len(prefixes):
+            solved = [prefix for prefix, *_ in oracle.solves]
+            if len(set(solved)) < len(solved):  # a coset's m is its query's index
                 return CheckResult("median bracket", False, f"{where}: a prefix solved twice in one query")
-            for i, t, floor, ceiling, result in oracle.solves:
-                v, u = maxima[i][t], result.log_value
+            for prefix, floor, ceiling, result in oracle.solves:
+                i = prefix.m
+                if prefix not in full[i]:
+                    return CheckResult("median bracket", False, f"{where}, i={i}: solved a coset no prefix has")
+                v, u = full[i][prefix], result.log_value
                 if not result.feasible:
                     agrees = v == u == NEG_INF
                     infeasible += 1
@@ -432,14 +434,14 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
                     agrees = ceiling <= u <= v
                     ceilings += 1
                 if not (result.exact and agrees):
-                    detail = f"{where}, i={i}, t={t}: solved {u} in [{floor}, {ceiling}] for maximum {v}"
+                    detail = f"{where}, i={i}: solved {u} in [{floor}, {ceiling}] for maximum {v}"
                     return CheckResult("median bracket", False, detail)
             for i, t in itertools.product(range(n + 1), range(count)):
                 lo, hi = oracle.interval(t, i)
                 if not lo <= maxima[i][t] <= hi:
                     detail = f"{where}, i={i}, t={t}: interval [{lo}, {hi}] misses maximum {maxima[i][t]}"
                     return CheckResult("median bracket", False, detail)
-            if oracle.ledger.map_calls > sum(distinct[i] for i in memo):
+            if oracle.ledger.map_calls > sum(len(full[i]) for i in memo):
                 return CheckResult("median bracket", False, f"{where}: more solves than distinct prefixes")
             if order != "adawish":
                 if oracle.ledger.distinct_queries != n + 1:

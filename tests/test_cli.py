@@ -253,8 +253,11 @@ class TestOptCommand:
         [
             ("i,value\n0,0.0\n1,0.0\n", "expected header with index,log10_value columns"),
             ("index,log10_value\n0,0.0\n2,0.0\n", "indices must be 0..n without gaps"),
+            ("index,log10_value\n0,1.0\n1\n", "line 3: missing or non-numeric field"),
+            ("index,log10_value\n0,1.0\n1,abc\n", "line 3: missing or non-numeric field"),
+            ("index,log10_value\n0.5,1.0\n", "line 2: missing or non-numeric field"),
         ],
-        ids=["bad-header", "index-gap"],
+        ids=["bad-header", "index-gap", "missing-field", "non-numeric-value", "non-integer-index"],
     )
     def test_malformed_curve_exits_one(self, capsys, tmp_path, text, message):
         path = tmp_path / "curve.csv"

@@ -242,14 +242,14 @@ class TestPinnedEstimates:
     # any change to how systems are drawn, reduced or solved that alters an
     # answer shows here
     PINNED = {
-        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6acab37a5c2efp+4", 13, 191),
-        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6acab37a5c2efp+4", 13, 228),
-        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.66e16c79661a2p+4", 13, 190),
-        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.66e16c79661a2p+4", 13, 244),
-        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.bbca42fe1d76bp+2", 13, 180),
-        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 189),
-        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 174),
-        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 188),
+        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6acab37a5c2efp+4", 13, 184),
+        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6acab37a5c2efp+4", 13, 214),
+        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.66e16c79661a2p+4", 13, 181),
+        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.66e16c79661a2p+4", 13, 224),
+        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.bbca42fe1d76bp+2", 13, 173),
+        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 175),
+        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 164),
+        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 168),
     }
 
     @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))

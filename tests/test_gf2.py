@@ -119,21 +119,22 @@ class TestRowReduce:
         # the third row is the XOR of the first two: with the matching rhs
         # the solutions stay, with the other one there are none, and every
         # row after that leaves the system inconsistent
-        start = gf2.coset(4, (0b0011, 0b0110), (1, 0))
+        start = gf2.row_reduce(gf2.Gf2System(4, (0b0011, 0b0110), (1, 0)))
         kept = gf2.extend(start, 0b0101, 1)
         assert kept == start._replace(m=3)
         empty = gf2.extend(start, 0b0101, 0)
         assert empty == gf2.Coset(4, 3, None, ())
         assert gf2.extend(empty, 0b1000, 1) == gf2.Coset(4, 4, None, ())
-        assert gf2.coset(4, (0b0011, 0b0110, 0b0101, 0b1000), (1, 0, 0, 1)) == gf2.Coset(4, 4, None, ())
+        system = gf2.Gf2System(4, (0b0011, 0b0110, 0b0101, 0b1000), (1, 0, 0, 1))
+        assert gf2.row_reduce(system) == gf2.Coset(4, 4, None, ())
 
     def test_chain_extends_only_as_far_as_asked(self):
         system = gf2.Gf2System(5, (0b00011, 0b00110, 0b11000), (1, 0, 1))
-        chain = [gf2.coset(5, (), ())]
-        assert gf2.prefix_coset(chain, system, 2) == gf2.coset(5, system.rows[:2], system.rhs[:2])
+        chain = [gf2.row_reduce(gf2.Gf2System(5, (), ()))]
+        assert gf2.prefix_coset(chain, system, 2) == gf2.row_reduce(gf2.Gf2System(5, system.rows[:2], system.rhs[:2]))
         assert len(chain) == 3
         assert gf2.prefix_coset(chain, system, 1) is chain[1]
-        assert gf2.prefix_coset(chain, system, 3) == gf2.coset(5, system.rows, system.rhs)
+        assert gf2.prefix_coset(chain, system, 3) == gf2.row_reduce(system)
         assert len(chain) == 4
 
     @settings(max_examples=200, deadline=None)
@@ -202,7 +203,7 @@ class TestRowReduce:
         assert gf2.row_reduce(system) == gf2.Coset(3, 2, 0b110, (0b011, None, None))
         assert map_solve(model, gf2.Gf2System(3, (np.int64(3),), (0,))).feasible
         wide = gf2.Gf2System(70, tuple(np.uint64(1) << np.uint64(v) for v in range(64)), (np.int64(1),) * 64)
-        assert gf2.coset(70, wide.rows, wide.rhs).x0 == (1 << 64) - 1
+        assert gf2.row_reduce(wide).x0 == (1 << 64) - 1
 
     @pytest.mark.parametrize("row", [1.0, "1", None], ids=["float", "str", "none"])
     def test_non_integer_row_rejected(self, row):
@@ -211,7 +212,8 @@ class TestRowReduce:
 
     def test_inconsistent_system_has_no_particular_solution(self):
         system = gf2.Gf2System(2, (0b11, 0b11), (0, 1))
-        assert gf2.row_reduce(system) == gf2.Coset(2, 2, None, ()) == gf2.coset(2, system.rows, system.rhs)
+        chain = [gf2.row_reduce(gf2.Gf2System(2, (), ()))]
+        assert gf2.row_reduce(system) == gf2.Coset(2, 2, None, ()) == gf2.prefix_coset(chain, system, 2)
 
 
 class TestEvaluate:

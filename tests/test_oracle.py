@@ -83,7 +83,7 @@ class TestMapSolve:
         with pytest.raises(StructuralError):
             map_solve(model, gf2.Gf2System(5, (), ()))
         with pytest.raises(StructuralError, match="^system over 5 columns, model has 4 variables$"):
-            map_solve(model, gf2.coset(5, (), ()))
+            map_solve(model, gf2.row_reduce(gf2.Gf2System(5, (), ())))
 
     def test_reference_rejects_a_dimension_mismatch(self):
         # a solution over more columns than the model has variables would be
@@ -103,7 +103,7 @@ class TestMapSolve:
         for model in model_zoo(20, 14, seed=99):
             n = model.n
             system = sample_parity_system(n, n + 2, rng)
-            chain = [gf2.coset(n, (), ())]
+            chain = [gf2.row_reduce(gf2.Gf2System(n, (), ()))]
             for i in range(n + 3):
                 prefix = gf2.Gf2System(n, system.rows[:i], system.rhs[:i])
                 coset = gf2.prefix_coset(chain, system, i)
@@ -246,7 +246,7 @@ class TestMapSolve:
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
         system = sample_parity_system(30, 28, np.random.default_rng(0))
-        got = gf2.coset(system.cols, system.rows, system.rhs)
+        got = gf2.row_reduce(system)
         p = got.x0
         u, w = (vec for vec in got.nulls if vec is not None)
         return system, {p, p ^ u, p ^ w, p ^ u ^ w}
@@ -300,7 +300,7 @@ class TestMapSolve:
         b = map_solve(model, system)
         assert a.feasible == b.feasible == bool(sols)
         assert a.exact and b.exact
-        coset = gf2.coset(n, system.rows, system.rhs)
+        coset = gf2.row_reduce(system)
         if coset.x0 is not None:
             assert b.nodes <= (n + 1) << sum(vec is not None for vec in coset.nulls)
         assert a.log_value == b.log_value == pytest.approx(best, abs=1e-12)
