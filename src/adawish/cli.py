@@ -107,18 +107,7 @@ def _oracle_config(args) -> OracleConfig:
     )
 
 
-def _run_schedule(model, args):
-    config = _oracle_config(args)
-    start = time.monotonic()
-    if args.schedule == "wish":
-        result = wish_estimate(model, config)
-    else:
-        result = adawish_estimate(model, config, args.beta)
-    wall = time.monotonic() - start
-    return result, wall
-
-
-def _report(model, args, result, wall) -> dict:
+def _report(model, args, config, result, wall) -> dict:
     """The run's report, keyed by CSV column in column order."""
     log10_estimate = result.log_w / LN10
     log10_exact = None
@@ -139,7 +128,7 @@ def _report(model, args, result, wall) -> dict:
         "oracle": args.oracle,
         "beta": result.beta,
         "c": args.c if neighbor else None,
-        "T": _oracle_config(args).repetitions(model.n) if neighbor else None,
+        "T": config.repetitions(model.n) if neighbor else None,
         "delta": args.delta if neighbor else None,
         "gamma": args.gamma if args.oracle == "pointwise" else None,
         "seed": args.seed,
@@ -156,8 +145,14 @@ def _report(model, args, result, wall) -> dict:
 
 def cmd_estimate(args) -> int:
     model = _load_model(args)
-    result, wall = _run_schedule(model, args)
-    report = {column: _fmt(value) for column, value in _report(model, args, result, wall).items()}
+    config = _oracle_config(args)
+    start = time.monotonic()
+    if args.schedule == "wish":
+        result = wish_estimate(model, config)
+    else:
+        result = adawish_estimate(model, config, args.beta)
+    wall = time.monotonic() - start
+    report = {column: _fmt(value) for column, value in _report(model, args, config, result, wall).items()}
     for column, value in report.items():
         print(f"{column}: {value}")
     if args.csv:
@@ -199,6 +194,8 @@ def read_curve_csv(path: str) -> QuantileCurve:
             raise ParseError(f"{path}: expected header with index,log10_value columns")
         pairs = []
         for row in reader:
+            if None in row:  # fields past the header's are filed under None
+                raise ParseError(f"{path}: line {reader.line_num}: more fields than the header")
             try:  # a missing field reads as None
                 pairs.append((int(row["index"]), float(row["log10_value"]) * LN10))
             except (TypeError, ValueError):
@@ -353,8 +350,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, StructuralError, TooLarge, InvalidSize, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ParseError, StructuralError, TooLarge, InvalidSize, ValueError, MemoryError) as exc:
+        # e.g. a T whose parity systems do not fit; numpy names the allocation, a bare MemoryError nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

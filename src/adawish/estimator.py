@@ -6,11 +6,14 @@ every index 0..n; the adaptive schedule recursively bisects [0, n] and stops
 early on any interval whose endpoint estimates are within a factor beta,
 filling the interior with the right endpoint's lower bound.  With the
 memoising ledger the adaptive query set is always a subset of the sweep's.
+The guarantee is the failure probability the oracle states, with kappa =
+2^(2c) for neighbor slack c, times beta for the adaptive schedule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +66,13 @@ class EstimateResult:
 
 
 def _guarantee(oracle: QuantileOracle, beta: float | None) -> Guarantee:
-    # Only the randomized neighbor oracle carries the probabilistic contract,
-    # only when every solve finished to optimality, and only with the failure
-    # probability its T repetitions buy: delta_T = exp(-alpha T / ln n), the
-    # rate `OracleConfig.repetitions` inverts to pick T from delta.
-    config = getattr(oracle, "config", None)
-    n = oracle.n
-    if oracle.kind != "neighbor" or config is None or oracle.ledger.guarantee_void or n < 2:
+    delta = oracle.failure_probability()
+    if delta is None:
         return Guarantee(proven=False)
-    try:
-        alpha = config.resolved_alpha()
-    except StructuralError:  # no concentration rate known for this c
-        return Guarantee(proven=False)
-    delta = math.exp(-alpha * config.repetitions(n) / math.log(n))
-    if not delta < 1.0:
-        return Guarantee(proven=False)
-    factor = 2.0 ** (2 * config.c)
+    factor = 2.0 ** (2 * oracle.c) if 2 * oracle.c < sys.float_info.max_exp else math.inf
     kappa = factor * beta if beta is not None else factor
+    if kappa == math.inf:  # a kappa that overflows a float proves nothing
+        return Guarantee(proven=False)
     return Guarantee(proven=True, kappa=kappa, delta=delta)
 
 
@@ -96,16 +89,16 @@ def search(
     Adjacent endpoints are point queries.  Otherwise the interval is probed
     with an upper bound at l and a lower bound at r; if they are within a
     factor beta the whole interior inherits the right endpoint's value, else
-    the interval is split at floor((l + r) / 2).
+    the interval is split at floor((l + r) / 2); depth counts the splits above.
     """
     if not 0 <= l < r <= oracle.n:
         raise StructuralError(f"bad interval ({l}, {r}) for n={oracle.n}")
     if r == l + 1:
-        out[l] = oracle.query(l, depth)
-        out[r] = oracle.query(r, depth)
+        out[l] = oracle.query(l)
+        out[r] = oracle.query(r)
         return
-    bl = oracle.upper(l, depth)
-    br = oracle.lower(r, depth)
+    bl = oracle.upper(l)
+    br = oracle.lower(r)
     out[l] = bl
     out[r] = br
     # log-domain flatness test; -inf endpoints fall out naturally: a zero

@@ -39,15 +39,16 @@ repetitions' prefixes share is solved once per query.
 `draw_parity_systems` draws the T pairs as the rows of one bounded-uint8
 draw from `rng_from(master_seed, n)`, and `sample_parity_system` draws one
 pair from a caller's generator; both pack their bits through one helper,
-which turns every row of a batch into a Python int in one call.  `make_oracle` binds a model to any configured
-oracle kind; `OracleConfig` is the whole configuration, from c, T, delta
-and the master seed to the limits of each MAP solve.  `synthetic_oracle`
-wraps a known quantile curve.
+which turns every row of a batch into a Python int in one call.
+`make_oracle` binds a model to any configured oracle kind; `OracleConfig`
+is the whole configuration, from c, T, delta and the master seed to the
+limits of each MAP solve.  `synthetic_oracle` wraps a known quantile curve.
 
-Each oracle makes its own QueryLedger, `oracle.ledger`, which memoises by
-query index, so a repeated query is never recomputed and the number of
-distinct queries can be audited afterwards, beside the MAP solves and the
-search nodes they took.
+A query takes an index alone.  Each oracle makes its own QueryLedger,
+`oracle.ledger`, which memoises by query index, so a repeated query is
+never recomputed and the number of distinct queries can be audited
+afterwards, beside the MAP solves and the search nodes they took.  Each
+oracle states what its answers prove (`failure_probability`).
 """
 
 from __future__ import annotations
@@ -365,7 +366,8 @@ class OracleConfig:
     [1/gamma, gamma]; "neighbor" runs the randomized XOR query, whose
     constrained MAP solves `map_solve` runs under node_limit and time_limit
     (seconds per solve; None is unlimited).  A solve cut short by either
-    voids the estimate's guarantee.
+    voids the estimate's guarantee.  T defaults from delta and alpha
+    (`repetitions`), which the XOR oracle resolves once, when built.
     """
 
     kind: str = "neighbor"
@@ -396,20 +398,29 @@ class OracleConfig:
             raise StructuralError("T must be >= 1")
         object.__setattr__(self, "node_limit", _check_limits(self.node_limit, self.time_limit))
 
-    def resolved_alpha(self) -> float:
+    def concentration_rate(self) -> float | None:
+        """alpha, the one given or the default 0.078 known for c = 5; None when no rate is known."""
         if self.alpha is not None:
             return self.alpha
-        if self.c == 5:
-            return 0.078
-        raise StructuralError(f"no default alpha for c={self.c}; pass alpha explicitly")
+        return 0.078 if self.c == 5 else None
 
     def repetitions(self, n: int) -> int:
-        """T, or its default ceil(ln(1/delta)/alpha * ln n) once n is known."""
+        """T, or its default ceil(ln(1/delta)/alpha * ln n) once n is known.
+
+        StructuralError when no alpha is known or the default is not finite.
+        """
         if self.T is not None:
             return self.T
         if n < 2:
             return 1
-        return math.ceil(math.log(1.0 / self.delta) / self.resolved_alpha() * math.log(n))
+        alpha = self.concentration_rate()
+        if alpha is None:
+            raise StructuralError(f"no default alpha for c={self.c}; pass alpha explicitly")
+        reps = -math.log(self.delta) / alpha * math.log(n)
+        if reps == math.inf:
+            detail = f"delta={self.delta:g}, alpha={alpha:g}"
+            raise StructuralError(f"the default T for {detail} is not finite; pass --T")
+        return math.ceil(reps)
 
 
 @dataclass
@@ -427,7 +438,6 @@ class QueryLedger:
     map_calls: int = 0
     search_nodes: int = 0
     cache_hits: int = 0
-    trace: list[tuple[int, int, float]] = field(default_factory=list)
     guarantee_void: bool = False
 
     def record_solve(self, result: MapResult) -> None:
@@ -436,23 +446,9 @@ class QueryLedger:
         if not result.exact:
             self.guarantee_void = True
 
-    def lookup(self, index: int) -> float | None:
-        if index in self.memo:
-            self.cache_hits += 1
-            return self.memo[index]
-        return None
-
-    def record(self, index: int, value: float, depth: int) -> float:
-        self.memo[index] = value
-        self.trace.append((index, depth, value))
-        return value
-
     @property
     def distinct_queries(self) -> int:
         return len(self.memo)
-
-    def queried_indices(self) -> set[int]:
-        return set(self.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +458,6 @@ class QueryLedger:
 class QuantileOracle:
     """Base: memoised point queries plus index-appropriate lower/upper reads."""
 
-    kind = "abstract"
-
     def __init__(self, n: int):
         self.n = n
         self.ledger = QueryLedger()
@@ -471,26 +465,30 @@ class QuantileOracle:
     def _compute(self, i: int) -> float:
         raise NotImplementedError
 
-    def query(self, i: int, depth: int = 0) -> float:
+    def failure_probability(self) -> float | None:
+        """The probability that the estimate misses its factor bound; None when nothing is proven."""
+        return None
+
+    def query(self, i: int) -> float:
         if type(i) is not int:  # np.int64 and bool become int; 1.5 is refused
             i = _count("query index", i)
         if not 0 <= i <= self.n:
             raise StructuralError(f"query index {i} outside 0..{self.n}")
-        hit = self.ledger.lookup(i)
-        if hit is not None:
-            return hit
-        return self.ledger.record(i, self._compute(i), depth)
+        ledger = self.ledger
+        if i in ledger.memo:
+            ledger.cache_hits += 1
+            return ledger.memo[i]
+        value = ledger.memo[i] = self._compute(i)
+        return value
 
-    def lower(self, i: int, depth: int = 0) -> float:
-        return self.query(i, depth)
+    def lower(self, i: int) -> float:
+        return self.query(i)
 
-    def upper(self, i: int, depth: int = 0) -> float:
-        return self.query(i, depth)
+    def upper(self, i: int) -> float:
+        return self.query(i)
 
 
 class ExactCurveOracle(QuantileOracle):
-    kind = "exact"
-
     def __init__(self, curve: QuantileCurve):
         super().__init__(curve.n)
         self.curve = curve
@@ -501,8 +499,6 @@ class ExactCurveOracle(QuantileOracle):
 
 class PointwiseCurveOracle(QuantileOracle):
     """Exact quantile scaled by a deterministic per-index factor in [1/gamma, gamma]."""
-
-    kind = "pointwise"
 
     def __init__(self, curve: QuantileCurve, gamma: float, master_seed: int = 0):
         _check_gamma(gamma)
@@ -516,24 +512,23 @@ class PointwiseCurveOracle(QuantileOracle):
         u = 2.0 * unit_from(self.master_seed, 0x9077, i) - 1.0
         return self.curve[i] + u * self._log_gamma
 
-    def lower(self, i: int, depth: int = 0) -> float:
-        return self.query(i, depth) - self._log_gamma
+    def lower(self, i: int) -> float:
+        return self.query(i) - self._log_gamma
 
-    def upper(self, i: int, depth: int = 0) -> float:
-        return self.query(i, depth) + self._log_gamma
+    def upper(self, i: int) -> float:
+        return self.query(i) + self._log_gamma
 
 
 class NeighborOracle(QuantileOracle):
-    """Base of the neighbor kind: lower/upper shift the index by c, clamped to 0..n."""
+    """Base of the neighbor oracles: lower/upper shift the index by c, clamped to 0..n."""
 
-    kind = "neighbor"
     c: int
 
-    def lower(self, i: int, depth: int = 0) -> float:
-        return self.query(min(i + self.c, self.n), depth)
+    def lower(self, i: int) -> float:
+        return self.query(min(i + self.c, self.n))
 
-    def upper(self, i: int, depth: int = 0) -> float:
-        return self.query(max(i - self.c, 0), depth)
+    def upper(self, i: int) -> float:
+        return self.query(max(i - self.c, 0))
 
 
 class XorOracle(NeighborOracle):
@@ -599,6 +594,7 @@ class XorOracle(NeighborOracle):
         self.model = model
         self.config = config
         self.c = config.c
+        self.T = config.repetitions(model.n)
         # per repetition, filled on the first query: the system, its chain
         # of prefix cosets (`gf2.prefix_coset`), caps and leaves
         self._systems: list[gf2.Gf2System] = []
@@ -606,22 +602,32 @@ class XorOracle(NeighborOracle):
         self._caps: list[list[float]] = []
         self._leaves: list[list[float]] = []
 
+    def failure_probability(self) -> float | None:
+        """delta_T = exp(-alpha T / ln n), what the T repetitions buy.
+
+        None after an inexact solve, at n < 2, with no alpha known, or when delta_T >= 1.
+        """
+        alpha = self.config.concentration_rate()
+        if self.ledger.guarantee_void or self.n < 2 or alpha is None:
+            return None
+        delta = math.exp(-alpha * self.T / math.log(self.n))
+        return delta if delta < 1.0 else None
+
     def _compute(self, i: int) -> float:
-        reps = self.config.repetitions(self.n)
         if not self._systems:
-            self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, reps)
+            self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, self.T)
             free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
-            self._chains = [[free] for _ in range(reps)]
-            self._caps = [[math.inf] * (self.n + 1) for _ in range(reps)]
-            self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(reps)]
+            self._chains = [[free] for _ in range(self.T)]
+            self._caps = [[math.inf] * (self.n + 1) for _ in range(self.T)]
+            self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(self.T)]
         # lower middle for even counts: never overestimates the median
-        r = (reps - 1) // 2
+        r = (self.T - 1) // 2
         lows = [max(leaves[i:]) for leaves in self._leaves]
         highs = [min(caps[: i + 1]) for caps in self._caps]
         los, his = sorted(lows), sorted(highs)
         shared: dict[gf2.Coset, tuple[MapResult, float, float, float]] = {}
         # descending hi_t; the sort is stable, so ties keep ascending t
-        for t in sorted(range(reps), key=highs.__getitem__, reverse=True):
+        for t in sorted(range(self.T), key=highs.__getitem__, reverse=True):
             s_lo, s_hi = los[r], his[r]
             if s_lo == s_hi:
                 break

@@ -350,7 +350,7 @@ class _SolveLog(XorOracle):
 
     def _compute(self, i: int) -> float:
         s = super()._compute(i)
-        intervals = [self.interval(t, i) for t in range(len(self._systems))]
+        intervals = [self.interval(t, i) for t in range(self.T)]
         self.early_stops += any(lo < s < hi for lo, hi in intervals)
         return s
 
@@ -463,7 +463,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
 
 def _within_budget(ledger, n: int) -> bool:
     """At most n + 1 distinct queries, all inside 0..n."""
-    return ledger.distinct_queries <= n + 1 and ledger.queried_indices() <= set(range(n + 1))
+    return ledger.distinct_queries <= n + 1 and set(ledger.memo) <= set(range(n + 1))
 
 
 def check_sandwich(models: list[WeightedModel]) -> CheckResult:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import shlex
 
 import pytest
 
@@ -9,6 +11,7 @@ from adawish.estimator import adawish_estimate
 from adawish.model import exact_log_partition, exact_quantiles, parse_uai, serialize_uai
 from adawish.oracle import OracleConfig
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 FIXTURE = "MARKOV\n2\n2 2\n1\n2 0 1\n4\n1 2 3 4\n"
 
 
@@ -81,10 +84,11 @@ class TestEstimate:
             (("--T", "3", "--node-limit", "0"), "node_limit must be >= 1"),
             (("--T", "3", "--map-timeout", "0"), "time_limit must be > 0"),
             (("--T", "3", "--map-timeout", "nan"), "time_limit must be > 0"),
+            (("--alpha", "1e-320"), "the default T for delta=0.01, alpha=9.99989e-321 is not finite; pass --T"),
         ],
         ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "gamma-nan", "gamma-inf",
              "beta-nan", "beta-inf",
-             "node-limit-0", "map-timeout-0", "map-timeout-nan"],
+             "node-limit-0", "map-timeout-0", "map-timeout-nan", "alpha-tiny"],
     )
     def test_invalid_parameter_exits_one(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -103,6 +107,44 @@ class TestEstimate:
         )
         assert code == 2
         assert "heuristic" in parse_report(out)["guarantee"]
+
+    def test_overflowing_kappa_is_heuristic(self, capsys):
+        # 2^(2c) overflows a float at c = 600, and a kappa that overflows proves nothing
+        code, out, _ = run_cli(
+            capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
+            "--c", "600", "--alpha", "0.1", "--T", "1",
+        )
+        assert code == 0
+        report = parse_report(out)
+        assert report["c"] == "600"
+        assert report["guarantee"] == "heuristic"
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        # as a T too large for its parity systems would; nothing is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.46 TiB for an array")
+
+        monkeypatch.setattr("adawish.cli.wish_estimate", exhausted)
+        code, out, err = run_cli(
+            capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
+            "--schedule", "wish", "--T", "100000000000",
+        )
+        assert code == 1
+        assert err.strip() == "error: Unable to allocate 8.46 TiB for an array"
+        assert out == ""
+
+    def test_no_auto_exact_leaves_the_exact_columns_empty(self, capsys, tmp_path):
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run_cli(
+            capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4", "--oracle", "exact",
+            "--no-auto-exact", "--csv", str(out_csv),
+        )
+        assert code == 0
+        with open(out_csv) as fh:
+            (row,) = csv.DictReader(fh)
+        for report in (parse_report(out), row):
+            assert report["log10_w_exact"] == report["log10_error"] == ""
+            assert float(report["log10_w_estimate"]) > 0.0
 
     def test_csv_report_round_trips(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"
@@ -256,8 +298,10 @@ class TestOptCommand:
             ("index,log10_value\n0,1.0\n1\n", "line 3: missing or non-numeric field"),
             ("index,log10_value\n0,1.0\n1,abc\n", "line 3: missing or non-numeric field"),
             ("index,log10_value\n0.5,1.0\n", "line 2: missing or non-numeric field"),
+            ("index,log10_value\n0,1,7\n1,0\n", "line 2: more fields than the header"),
         ],
-        ids=["bad-header", "index-gap", "missing-field", "non-numeric-value", "non-integer-index"],
+        ids=["bad-header", "index-gap", "missing-field", "non-numeric-value", "non-integer-index",
+             "extra-field"],
     )
     def test_malformed_curve_exits_one(self, capsys, tmp_path, text, message):
         path = tmp_path / "curve.csv"
@@ -348,6 +392,23 @@ class TestBench:
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of every `adawish ...` line in README's CLI block, continuations joined."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("adawish ")]
+
+
+def test_readme_cli_examples_parse():
+    # parsed only, nothing runs; argparse exits on an unknown flag or choice
+    examples = readme_cli_examples()
+    assert len(examples) == 7
+    for argv in examples:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 class TestVerifyCommand:

@@ -187,7 +187,7 @@ class TestSearch:
         curve = gen_geometric_curve(8, 2.0)
         oracle = synthetic_oracle(curve, "exact")
         result = adawish_from_oracle(oracle, beta=1.5)
-        assert oracle.ledger.queried_indices() == set(range(9))
+        assert set(oracle.ledger.memo) == set(range(9))
         sweep = wish_from_oracle(synthetic_oracle(curve, "exact"))
         assert result.log_w == pytest.approx(sweep.log_w, abs=1e-12)
 
@@ -227,6 +227,15 @@ class TestGuarantee:
         result = wish_estimate(WeightedModel(n, ()), config)
         assert result.guarantee.proven == (delta is not None)
         assert result.guarantee.delta == delta
+
+    @pytest.mark.parametrize("c, beta", [(600, None), (512, None), (511, 4.0)], ids=["c-600", "c-512", "beta"])
+    def test_overflowing_kappa_proves_nothing(self, c, beta):
+        # 2^(2c) overflows a float from c = 512 on, and 2^1022 * 4 overflows the product
+        config = OracleConfig(kind="neighbor", c=c, T=1, alpha=0.1)
+        model = WeightedModel(9, ())
+        result = wish_estimate(model, config) if beta is None else adawish_estimate(model, config, beta)
+        assert not result.guarantee.proven
+        assert result.guarantee.kappa is None
 
     def test_incumbent_only_voids_guarantee(self):
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=1)

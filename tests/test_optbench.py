@@ -16,6 +16,7 @@ from adawish.optbench import (
     segment_bounds,
     synthetic_oracle,
 )
+from adawish.oracle import ExactCurveOracle, NeighborStubOracle, PointwiseCurveOracle
 from adawish.verify import check_adversarial_pair, check_regret, curve_mix
 
 
@@ -249,8 +250,8 @@ class TestCurveGenerators:
 
     def test_synthetic_oracle_kinds(self):
         curve = gen_geometric_curve(6, 1.5)
-        assert synthetic_oracle(curve, "exact").kind == "exact"
-        assert synthetic_oracle(curve, "pointwise", gamma=2.0).kind == "pointwise"
-        assert synthetic_oracle(curve, "neighbor-stub", c=2).kind == "neighbor"
+        assert type(synthetic_oracle(curve, "exact")) is ExactCurveOracle
+        assert type(synthetic_oracle(curve, "pointwise", gamma=2.0)) is PointwiseCurveOracle
+        assert type(synthetic_oracle(curve, "neighbor-stub", c=2)) is NeighborStubOracle
         with pytest.raises(StructuralError):
             synthetic_oracle(curve, "tarot")

@@ -415,8 +415,8 @@ class TestXorQuery:
                 oracle.query(bad)
         assert oracle.query(np.int64(3)) == oracle.query(3)
         assert oracle.query(True) == oracle.query(1)
-        assert oracle.ledger.queried_indices() == {1, 3}
-        assert all(type(i) is int for i in oracle.ledger.queried_indices())
+        assert set(oracle.ledger.memo) == {1, 3}
+        assert all(type(i) is int for i in oracle.ledger.memo)
 
     def test_deterministic_and_order_free(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
@@ -466,6 +466,7 @@ class TestXorQuery:
         answers = [oracle.query(i) for i in range(model.n + 1)]
         assert oracle.ledger.distinct_queries == model.n + 1
         assert oracle.ledger.guarantee_void and oracle.ledger.map_calls > 0
+        assert oracle.failure_probability() is None
         assert not any(math.isnan(a) for a in answers)
 
     def test_median_sandwich_mostly_holds(self):
@@ -512,6 +513,40 @@ class TestXorQuery:
         with pytest.raises(StructuralError):
             config.repetitions(16)
 
+    def test_unknown_alpha_without_T_fails_when_built(self):
+        model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
+        with pytest.raises(StructuralError, match="^no default alpha for c=3; pass alpha explicitly$"):
+            make_oracle(model, OracleConfig(kind="neighbor", c=3))
+
+    def test_default_repetitions_at_tiny_delta(self):
+        # 1/delta overflows to inf at delta = 1e-320; -ln(delta) does not
+        config = OracleConfig(kind="neighbor", c=5, delta=1e-320)
+        assert config.repetitions(9) == math.ceil(-math.log(1e-320) / 0.078 * math.log(9))
+
+    def test_default_repetitions_not_finite_raises(self):
+        config = OracleConfig(kind="neighbor", c=2, alpha=1e-320)
+        with pytest.raises(StructuralError, match="is not finite; pass --T$"):
+            config.repetitions(9)
+        assert OracleConfig(kind="neighbor", c=2, alpha=1e-320, T=4).repetitions(9) == 4
+
+    def test_failure_probability_is_what_T_buys(self):
+        model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=5, alpha=0.5))
+        assert oracle.T == 5
+        assert oracle.failure_probability() == math.exp(-0.5 * 5 / math.log(6))
+        oracle = make_oracle(model, OracleConfig(kind="neighbor"))
+        assert oracle.T == OracleConfig().repetitions(6)
+        assert oracle.failure_probability() == math.exp(-0.078 * oracle.T / math.log(6))
+        assert oracle.failure_probability() <= 0.01
+        # no rate known for c = 2 without alpha
+        assert make_oracle(model, OracleConfig(kind="neighbor", c=2, T=5)).failure_probability() is None
+
+    def test_curve_oracles_prove_nothing(self):
+        curve = gen_geometric_curve(6, 1.5)
+        for oracle in (ExactCurveOracle(curve), PointwiseCurveOracle(curve, 2.0), NeighborStubOracle(curve, 2)):
+            oracle.query(3)
+            assert oracle.failure_probability() is None
+
 
 class TestOracleDispatch:
     def test_exact_kind_reads_the_curve(self):
@@ -545,10 +580,10 @@ class TestOracleDispatch:
         n = model.n
         oracle = make_oracle(model, config)
         oracle.upper(2)
-        assert oracle.ledger.queried_indices() == {0}
+        assert set(oracle.ledger.memo) == {0}
         oracle = make_oracle(model, config)
         oracle.lower(n - 1)
-        assert oracle.ledger.queried_indices() == {n}
+        assert set(oracle.ledger.memo) == {n}
 
     def test_default_repetitions_below_two_variables(self):
         # ln n is 0 or undefined there, so the default T is 1
@@ -672,14 +707,9 @@ class TestLedger:
             oracle.query(i)
         assert ledger.distinct_queries == 17
         assert ledger.cache_hits == 34
-        assert ledger.queried_indices() <= set(range(17))
+        assert set(ledger.memo) <= set(range(17))
 
     def test_out_of_range_query_rejected(self):
         oracle = ExactCurveOracle(gen_geometric_curve(4, 2.0))
         with pytest.raises(StructuralError):
             oracle.query(5)
-
-    def test_trace_records_depth(self):
-        oracle = PointwiseCurveOracle(gen_geometric_curve(4, 2.0), gamma=1.5)
-        oracle.query(2, depth=3)
-        assert oracle.ledger.trace == [(2, 3, pytest.approx(oracle.query(2)))]
