@@ -129,7 +129,7 @@ def _report(model, args, config, result, wall) -> dict:
         "beta": result.beta,
         "c": args.c if neighbor else None,
         "T": config.repetitions(model.n) if neighbor else None,
-        "delta": args.delta if neighbor else None,
+        "delta": args.delta if neighbor and args.T is None else None,  # a given T ignores --delta
         "gamma": args.gamma if args.oracle == "pointwise" else None,
         "seed": args.seed,
         "log10_w_estimate": log10_estimate,

@@ -34,7 +34,8 @@ def log_sum_exp(terms: Iterable[float]) -> float:
     if not np.isfinite(top[0]):
         return float(top[0])
     is_top = arr == top
-    shifted = np.exp(arr - top)
+    shifted = arr - top
+    np.exp(shifted, out=shifted)
     shifted[is_top] = 0.0
     m = np.array([float(np.count_nonzero(is_top))])
     s = shifted.sum(keepdims=True)

@@ -19,26 +19,25 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
 - `CompiledModel.windows` holds one lookup table per group v over the bit
   window lo_v..v that its factors read (lo_v the lowest scope variable in
   the group, or lower, down to the frontier of the cost-to-go table after
-  v).  It is built on first use: the group's factors are framed on the
-  window's axes and summed by broadcasting, each step only over the axes
-  seen so far, then the sum is broadcast to the full window.  Each entry
-  equals `completed(v, x)` bit for bit at every x in its window, so the
-  search scores a node with one shift, one mask and one index.  A group
-  whose table would pass WINDOW_ENTRIES (2^16) or the model's
+  v).  It is built on first use by doubling: each factor is added over
+  the bits read so far, on one axis per run of bits that the running sum
+  and the factor read alike, so a step costs a few numpy calls however
+  wide the window, and the last step writes the window itself.  Each
+  entry equals `completed(v, x)` bit for bit at every x in its window, so
+  the search scores a node with one shift, one mask and one index.  A
+  group whose table would pass WINDOW_ENTRIES (2^16) or the model's
   WINDOW_BUDGET (2^20 entries, 8 MB) scores through `completed` in its
   place.  Each group is summed once per model, and its table serves both
   evaluators below;
 - `CompiledModel.blocks`, behind the enumeration helpers
   (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
-  builds the table of all 2^n log-weights by broadcasting, in place: a
-  prefix table over the low variables doubles by one variable per group in
-  one preallocated buffer, adding the group's window table where it has
-  one, and each block of 2^18 entries fixes the high variables and adds
-  their groups straight into its destination, a slice of the caller's
-  table (`log_weight_table`) or one reused buffer, so a yielded block is
-  valid only until the next one is drawn.  The sums of untabled and high
-  groups alternate between the two rows of one scratch array, allocated
-  only when some group has such a sum; nothing is allocated per step.
+  builds the table of all 2^n log-weights in place: a prefix table over
+  the low variables doubles by one variable per group in one buffer,
+  adding the group's window table where it has one, and each block of
+  2^18 entries fixes the high variables and adds their groups straight
+  into its destination, a slice of the caller's table or one reused
+  buffer, so a yielded block is valid only until the next one is drawn.
+  Nothing is allocated per step.
   `exact_log_partition` reduces block by block in a fixed order, so its
   result is bit-reproducible, and `exact_quantiles` selects b_n .. b_0
   from the table in place by halving selection, each partition on the
@@ -82,16 +81,16 @@ class Factor:
     log_table: np.ndarray  # flat, length 2^len(scope), last scope var fastest
 
     def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(int(v) for v in self.scope))
+        scope = tuple(map(int, self.scope))
         table = np.asarray(self.log_table, dtype=float)
+        object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "log_table", table)
-        if len(set(self.scope)) != len(self.scope):
-            raise StructuralError(f"duplicate variable in scope {self.scope}")
-        if table.ndim != 1 or table.size != 1 << len(self.scope):
-            raise StructuralError(
-                f"table size {table.size} does not match scope arity {len(self.scope)}"
-            )
-        if not (table < np.inf).all():  # False at NaN and +inf; -inf passes
+        if len(set(scope)) != len(scope):
+            raise StructuralError(f"duplicate variable in scope {scope}")
+        if table.ndim != 1 or table.size != 1 << len(scope):
+            raise StructuralError(f"table size {table.size} does not match scope arity {len(scope)}")
+        # a float sum below +inf rules NaN and +inf out; only one that overflows needs the max
+        if not (sum(table.tolist()) < np.inf or table.max() < np.inf):
             raise StructuralError("factor entries must be finite or -inf")
 
 
@@ -106,7 +105,7 @@ class WeightedModel:
         if self.n < 0:
             raise StructuralError("negative variable count")
         for f in self.factors:
-            if any(v < 0 or v >= self.n for v in f.scope):
+            if f.scope and not (0 <= min(f.scope) and max(f.scope) < self.n):
                 raise StructuralError(f"scope {f.scope} outside {self.n} variables")
 
     @cached_property
@@ -139,8 +138,8 @@ class CompiledModel:
                 const += float(f.log_table[0])
         bound_tail = [0.0] * (n + 1)
         reach = [n] * (n + 1)
-        for v in range(n - 1, -1, -1):
-            bound_tail[v] = bound_tail[v + 1] + sum(float(np.max(t)) for _, t in groups[v])
+        for v in range(n - 1, -1, -1):  # a table holds no NaN, so max over its floats is np.max
+            bound_tail[v] = bound_tail[v + 1] + sum(max(t.tolist()) for _, t in groups[v])
             reach[v] = min([v, reach[v + 1]] + [min(scope) for scope, _ in groups[v]])
         self.n = n
         self.const = const
@@ -177,12 +176,11 @@ class CompiledModel:
         lowered to reach[v + 1] when that frontier of `branch_tables` is
         tabled, so one key reads both tables.  The table is a float64
         `memoryview` over the w = v - lo + 1 window bits, in bitmask order.
-        It is the group's sum as `blocks` forms it, on the window's axes:
-        `_group_sum` of the factors framed on axes v..lo, from 0.0 in factor
-        order, broadcast to the full window.  Those are the additions of
-        `completed`, so every entry equals it bit for bit.  A group whose
-        table would exceed WINDOW_ENTRIES, or the WINDOW_BUDGET left by
-        groups 0..v-1, gets (0, -1, a view that calls `completed`) instead.
+        It is `_group_sum` of the group's factors, from 0.0 in factor order,
+        its last step spread straight over the window.  Those are the
+        additions of `completed`, so every entry equals it bit for bit.  A
+        group whose table would exceed WINDOW_ENTRIES, or the WINDOW_BUDGET
+        left by groups 0..v-1, gets (0, -1, a view that calls `completed`).
         """
         windows = []
         budget = WINDOW_BUDGET
@@ -196,10 +194,10 @@ class CompiledModel:
                 windows.append((0, -1, _Completed(self, v)))
                 continue
             budget -= size
-            frames = [_frame(scope, table, v, lo) for scope, table in group]
-            table = np.empty((2,) * (v - lo + 1))
-            np.copyto(table, _group_sum(frames, (2,) + (1,) * (v - lo), scratch))
-            windows.append((lo, size - 1, memoryview(table.reshape(-1))))
+            table = np.zeros(size)  # what an empty group sums to
+            terms = [_term(scope, t) for scope, t in group]
+            _group_sum(terms, 1 << v, scratch, table, (2 << v) - (1 << lo))
+            windows.append((lo, size - 1, memoryview(table)))
         return tuple(windows)
 
     @cached_property
@@ -255,52 +253,50 @@ class CompiledModel:
             after = heights[k + 1].reshape((2,) * (width - below) + (1,) * below)
             heights[k] = (window + after).max(axis=0).reshape(-1)
 
-        largest = [abs(self.const)]
-        for (_, _, score), group in zip(windows, self.groups):
-            if isinstance(score, memoryview):
-                magnitude = np.abs(np.asarray(score))
-                largest.append(float(magnitude[np.isfinite(magnitude)].max(initial=0.0)))
-            else:
-                largest.extend(2.0 * float(np.abs(t[np.isfinite(t)]).max(initial=0.0)) for _, t in group)
-        m = 2 * n + 4
-        mu = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF) * math.fsum(largest)
+        mu = 0.0  # H[n] + mu = mu never falls below bound_tail[n] = 0: only an H[k < n] needs mu
+        if n and heights[n - 1] is not None:
+            largest = [abs(self.const)]
+            for (_, _, score), group in zip(windows, self.groups):
+                if isinstance(score, memoryview):
+                    magnitude = np.abs(np.asarray(score))
+                    largest.append(float(magnitude[np.isfinite(magnitude)].max(initial=0.0)))
+                else:
+                    largest.extend(2.0 * float(np.abs(t[np.isfinite(t)]).max(initial=0.0)) for _, t in group)
+            m = 2 * n + 4
+            mu = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF) * math.fsum(largest)
 
         tables = []
         for v, (lo, mask, score) in enumerate(windows):
             if not isinstance(score, memoryview):
                 tables.append((lo, mask, score, _Uniform(tail[v + 1])))
                 continue
-            bound = np.broadcast_to(np.float64(tail[v + 1]), (mask + 1,))
+            bound = None
             height = heights[v + 1]
             if height is not None and reach[v + 1] >= lo:
                 inflated = height + mu  # -inf + mu stays -inf
-                if np.any(inflated < tail[v + 1]):
+                if (inflated < tail[v + 1]).any():
                     bound = np.repeat(inflated, 1 << (reach[v + 1] - lo))
             if mask < 1 << FRONTIER_BITS:  # a list hands back the floats it holds
-                tables.append((lo, mask, score.tolist(), bound.tolist()))
+                bound = [tail[v + 1]] * (mask + 1) if bound is None else bound.tolist()
+                tables.append((lo, mask, score.tolist(), bound))
             else:  # a memoryview builds a float per lookup, but costs no conversion
+                bound = np.broadcast_to(tail[v + 1], mask + 1) if bound is None else bound
                 tables.append((lo, mask, score, memoryview(bound)))
         return tuple(tables)
 
     def blocks(self, bits: int, out: np.ndarray | None = None):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
-        b = min(n, bits).  Each factor table becomes an array with one axis
-        per variable v..0 (highest first): length 2 on its scope, 1 elsewhere,
-        so adding it broadcasts over the variables it does not read.  The
-        prefix table over variables 0..b-1 lives in one 2^b buffer and doubles
-        by one variable per group v: the x_v = 1 half is written first as the
-        old half plus group v's sum at x_v = 1, then the sum at x_v = 0 is
-        added into the old half in place.  A prefix group with a table in
-        `windows` reads that table as its sum, on axes v..lo; only the others
-        are framed and summed here.  Each block then fixes the high bits h,
-        indexes the axes of variables >= b with them, and adds groups b..n-1
-        into its destination.  Group sums run from 0.0 in factor order
-        through the two rows of one scratch array in turn, as the window
-        tables do; the array is allocated only when some group is summed
-        here, so a table whose groups all read windows costs no more than
-        itself.  The additions are those of `log_weight`, in its order, so
-        every block equals `log_weights_at` over its bitmasks bit for bit.
+        b = min(n, bits).  The prefix table over variables 0..b-1 lives in
+        one 2^b buffer and doubles by one variable per group v: the x_v = 1
+        half is written first as the old half plus group v's sum at x_v = 1,
+        then the sum at x_v = 0 is added into the old half in place.  A
+        prefix group reads its table in `windows` as its sum where it has
+        one; the others are summed here (`_group_sum`, through the two rows
+        of one scratch array, allocated only then).  Each block then fixes
+        the high bits h in the factors of groups b..n-1 and adds their sums
+        into its destination.  The additions are those of `log_weight`, in
+        its order, so every block equals `log_weights_at` bit for bit.
 
         With `out` (length 2^n) every block is written into its slice of
         `out` and the slice is yielded.  Without it the blocks share one
@@ -308,56 +304,80 @@ class CompiledModel:
         """
         n, b = self.n, min(self.n, bits)
         windows = self.windows
-        frames = {
-            v: [_frame(scope, table, v) for scope, table in group]
+        terms = {
+            v: [_term(scope, table) for scope, table in group]
             for v, group in enumerate(self.groups)
             if v >= b or not isinstance(windows[v][2], memoryview)
         }
         # two rows, so they never overlap; none when every group reads its window
-        scratch = np.empty((2, 1 << b)) if frames else None
+        scratch = np.empty((2, 1 << b)) if terms else None
         low = out if out is not None and b == n else np.empty(1 << b)
         low[0] = self.const
         for v in range(b):
-            if v in frames:
-                total = _group_sum(frames[v], (2,) + (1,) * v, scratch)
+            if v in terms:
+                have, total = _group_sum(terms[v], 1 << v, scratch)
             else:
-                lo, _, table = windows[v]
-                total = np.asarray(table).reshape((2,) * (v - lo + 1) + (1,) * lo)
-            old = low[: 1 << v].reshape((2,) * v)
-            np.add(old, total[1], out=low[1 << v : 2 << v].reshape((2,) * v))
-            np.add(old, total[0], out=old)
+                lo, mask, table = windows[v]
+                have, total = mask << lo, np.asarray(table)
+            have ^= 1 << v  # v is the top bit: the x_v = 1 half is the upper half
+            full, _, part = _axes((1 << v) - 1, (1 << v) - 1, have)
+            old = low[: 1 << v].reshape(full)
+            np.add(old, total[total.size // 2 :].reshape(part), out=low[1 << v : 2 << v].reshape(full))
+            np.add(old, total[: total.size // 2].reshape(part), out=old)
         if b == n:
             yield low
             return
-        axes = (2,) * b
+        every = (1 << b) - 1
         reused = np.empty(1 << b) if out is None else None
         for h in range(1 << (n - b)):
             dst = reused if out is None else out[h << b : (h + 1) << b]
             src = low
             for v in range(b, n):
-                terms = []
-                for t in frames[v]:  # a length-1 axis masks its bit of h to index 0
-                    high = tuple((h >> (v - b - j)) & (t.shape[j] - 1) for j in range(v - b + 1))
-                    terms.append(t[high])
-                np.add(src.reshape(axes), _group_sum(terms, (1,) * b, scratch), out=dst.reshape(axes))
+                have, total = _group_sum([_fix(term, h, b) for term in terms[v]], 0, scratch)
+                full, _, part = _axes(every, every, have)
+                np.add(src.reshape(full), total.reshape(part), out=dst.reshape(full))
                 src = dst
             yield dst
 
 
-def _group_sum(terms, shape: tuple[int, ...], scratch) -> np.ndarray:
-    """0.0 plus each term in order, written into the two scratch rows in turn.
+def _group_sum(terms, have: int, scratch, out: np.ndarray | None = None, bits: int = 0):
+    """(bits, sum): 0.0 plus each (mask, table) term in order, over the bits they read and `have`.
 
-    All shapes have one axis per variable, of length 1 or 2.  The running
-    sum starts as zeros of `shape` in scratch[0] and broadcasts to the union
-    of the shapes so far; step k writes scratch[k % 2], so each step reads
-    one row and writes the other.
+    A table over a bit set (an int mask) is a flat array over those bits in
+    bitmask order.  The sum starts as zeros over `have` in scratch[0]; step
+    k writes scratch[k % 2], reading the other row, or, with `out` (a table
+    over `bits`, which holds them all), the last step writes `out`.
     """
-    total = scratch[0][: math.prod(shape)].reshape(shape)
+    total = scratch[0][: 1 << have.bit_count()]
     total.fill(0.0)
-    for k, t in enumerate(terms, start=1):
-        shape = tuple(map(max, shape, t.shape))
-        total = np.add(total, t, out=scratch[k & 1][: math.prod(shape)].reshape(shape))
-    return total
+    for k, (mask, table) in enumerate(terms, start=1):
+        last = out is not None and k == len(terms)
+        union = bits if last else have | mask
+        dest = out if last else scratch[k & 1][: 1 << union.bit_count()]
+        full, part, own = _axes(union, have, mask)
+        np.add(total.reshape(part), table.reshape(own), out=dest.reshape(full))
+        have, total = union, dest
+    return have, total
+
+
+def _axes(bits: int, a: int, b: int) -> tuple[list[int], list[int], list[int]]:
+    """Shapes that line tables over the bit sets a, b inside `bits` up with one over `bits`.
+
+    Each run of bits that lie in the same ones of a and b is one axis, so
+    numpy's per-call cost stays low however many variables a table spans.
+    """
+    full, over_a, over_b = [], [], []
+    while bits:
+        top = bits.bit_length()
+        in_a, in_b = a >> (top - 1) & 1, b >> (top - 1) & 1
+        same = (a if in_a else ~a) & (b if in_b else ~b)
+        low = (bits & ~same & ((1 << top) - 1)).bit_length()  # the run is bits low..top-1
+        length = 1 << (bits >> low).bit_count()
+        full.append(length)
+        over_a.append(length if in_a else 1)
+        over_b.append(length if in_b else 1)
+        bits &= (1 << low) - 1
+    return full, over_a, over_b
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -394,13 +414,17 @@ class _Completed:
         return total
 
 
-def _frame(scope: tuple[int, ...], table: np.ndarray, v: int, lo: int = 0) -> np.ndarray:
-    """The table on axes for variables v..lo: length 2 on the scope, 1 elsewhere."""
-    order = sorted(range(len(scope)), key=lambda i: -scope[i])
-    shape = [1] * (v - lo + 1)
-    for u in scope:
-        shape[v - u] = 2
-    return table.reshape((2,) * len(scope)).transpose(order).reshape(shape)
+def _term(scope: tuple[int, ...], table: np.ndarray) -> tuple[int, np.ndarray]:
+    """A factor as (its scope as a bit mask, its table with one axis per scope variable, highest first)."""
+    order = sorted(range(len(scope)), key=scope.__getitem__, reverse=True)
+    return sum(map((1).__lshift__, scope)), table.reshape((2,) * len(scope)).transpose(order)
+
+
+def _fix(term: tuple[int, np.ndarray], h: int, b: int) -> tuple[int, np.ndarray]:
+    """The term with each variable b + j it reads fixed to bit j of h, on its leading axes."""
+    mask, table = term
+    high = range((mask >> b).bit_length() - 1, -1, -1)
+    return mask & ((1 << b) - 1), table[tuple(h >> j & 1 for j in high if mask >> b + j & 1)]
 
 
 @dataclass(frozen=True)
@@ -628,25 +652,23 @@ def gen_clique_ising(n: int, coupling_w: float = 0.1, seed: int = 0) -> Weighted
         raise InvalidSize(f"clique model needs n >= 4, got {n}")
     _check_coupling(coupling_w)
     rng = np.random.default_rng(seed)
-    coupling = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coupling[(i, j)] = rng.uniform(0.0, coupling_w * math.sqrt(j - i))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # one draw per pair, in order: the values and the generator state of scalar draws
+    coupling = rng.uniform(0.0, [coupling_w * math.sqrt(j - i) for i, j in pairs]).tolist()
     chain_len = int(0.3 * n)
     for _ in range(2):
         if chain_len < 2:
             break
-        tour = rng.permutation(n)[:chain_len]
-        strengths = rng.uniform(0.0, 100.0 * coupling_w, size=chain_len)
+        tour = rng.permutation(n)[:chain_len].tolist()
+        strengths = rng.uniform(0.0, 100.0 * coupling_w, size=chain_len).tolist()
         for k in range(chain_len):
-            a, b = int(tour[k]), int(tour[(k + 1) % chain_len])
+            a, b = tour[k], tour[(k + 1) % chain_len]
             # chain of length 2 closes onto a single doubled edge
-            key = (min(a, b), max(a, b))
-            coupling[key] += strengths[k]
-    factors = []
-    for (i, j), w_ij in sorted(coupling.items()):
-        table = np.array([0.0, 0.0, 0.0, -w_ij])
-        factors.append(Factor((i, j), table))
+            i, j = min(a, b), max(a, b)
+            coupling[i * (2 * n - i - 1) // 2 + j - i - 1] += strengths[k]
+    tables = np.zeros((len(pairs), 4))
+    tables[:, 3] = np.negative(coupling)
+    factors = [Factor(pair, table) for pair, table in zip(pairs, tables)]
     return WeightedModel(n, tuple(factors), name=f"clique-n{n}-w{coupling_w}-s{seed}")
 
 
@@ -669,28 +691,18 @@ def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> We
     n = rows * cols
     var = lambda r, c: r * cols + c
     fields = rng.uniform(-0.1, 0.1, size=n)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append(((r, c), (r, c + 1), rng.uniform(-coupling_w, coupling_w)))
-            if r + 1 < rows:
-                edges.append(((r, c), (r + 1, c), rng.uniform(-coupling_w, coupling_w)))
+    steps = ((0, 1), (1, 0))  # right edge, then down edge
+    edges = [((r, c), (r + dr, c + dc)) for r in range(rows) for c in range(cols) for dr, dc in steps
+             if r + dr < rows and c + dc < cols]
+    # one draw per edge, in order: the values and the generator state of scalar draws
+    strengths = rng.uniform(-coupling_w, coupling_w, size=len(edges))
     box_r, box_c = math.ceil(rows / 2), math.ceil(cols / 2)
     r0 = int(rng.integers(0, rows - box_r + 1))
     c0 = int(rng.integers(0, cols - box_c + 1))
     inside = lambda rc: r0 <= rc[0] < r0 + box_r and c0 <= rc[1] < c0 + box_c
-
-    factors = []
-    for i in range(n):
-        f_i = float(fields[i])
-        factors.append(Factor((i,), np.array([-f_i, +f_i])))
-    for a, b, w_ab in edges:
-        w_ab = float(w_ab) * (10.0 if inside(a) and inside(b) else 1.0)
-        i, j = var(*a), var(*b)
-        # s_i * s_j = +1 when the stored bits agree
-        table = np.array([+w_ab, -w_ab, -w_ab, +w_ab])
-        factors.append(Factor((i, j), table))
-    return WeightedModel(
-        n, tuple(factors), name=f"grid-{rows}x{cols}-w{coupling_w}-s{seed}"
-    )
+    scale = [10.0 if inside(a) and inside(b) else 1.0 for a, b in edges]
+    # s_i * s_j = +1 when the stored bits agree
+    couplings = np.multiply.outer(np.multiply(strengths, scale), [1.0, -1.0, -1.0, 1.0])
+    factors = [Factor((i,), table) for i, table in enumerate(np.stack((-fields, fields), axis=1))]
+    factors += [Factor((var(*a), var(*b)), table) for (a, b), table in zip(edges, couplings)]
+    return WeightedModel(n, tuple(factors), name=f"grid-{rows}x{cols}-w{coupling_w}-s{seed}")

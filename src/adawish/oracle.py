@@ -21,21 +21,12 @@ bracketed question [floor, ceiling]: the incumbent starts at floor, and
 the search ends at the first leaf that reaches ceiling.  A node or a time
 limit, passed as keywords, ends a search early with its incumbent.
 `XorOracle` estimates the 2^i-th largest weight as the median of T
-constrained maxima under random (A, d) pairs with i rows.  Repetition t
-draws one n-row pair on the first query, and query i takes its first i
-rows, so within a repetition the solution sets nest as i grows and every
-index solved bounds the maximum at every other.  So each repetition holds
-a proven interval on its maximum, and the lower median lies between the
-same order statistic of the intervals' lower ends and of their upper
-ends.  The query visits the repetitions once and solves only those whose
-interval straddles that bracket, each inside it, so a solve stops once its
-value can no longer move the answer; it ends when the bracket closes, and
-the answer is the one full solves give (the proof is in `XorOracle`).
-Each repetition keeps the cosets of its prefixes in a chain, each one
-row's elimination step (`gf2.extend`) from the one before, so no solve
-re-eliminates a prefix.  A solve's answer depends only on the prefix's
-solution set, which its coset names, so a solution set several
-repetitions' prefixes share is solved once per query.
+constrained maxima under random (A, d) pairs with i rows, nested across
+indices within a repetition, so each repetition holds a proven interval
+on its maximum.  A query solves only the repetitions whose interval
+straddles the bracket the intervals put on the median, each inside it,
+and a solution set several repetitions' prefixes share once; the proof
+is in `XorOracle`.
 `draw_parity_systems` draws the T pairs as the rows of one bounded-uint8
 draw from `rng_from(master_seed, n)`, and `sample_parity_system` draws one
 pair from a caller's generator; both pack their bits through one helper,
@@ -575,7 +566,9 @@ class XorOracle(NeighborOracle):
     value below the ceiling makes lo_t = hi_t, and a ceiling stop leaves
     lo_t at or above it.  Were S_lo < S_hi after the pass, each repetition
     would have hi_t < S_hi or lo_t > S_lo, but at most r can have the
-    first and at most T - r - 1 the second.
+    first and at most T - r - 1 the second.  A settle moves its bounds in
+    the sorted ends past only the ones between their old and new values,
+    so a query whose repetitions all settle to one value is linear in T.
 
     A solution set several repetitions' prefixes share, inconsistent ones
     included, is solved once per query, keyed by its coset: equal solution
@@ -635,10 +628,15 @@ class XorOracle(NeighborOracle):
             if lo == hi or hi <= s_lo or lo >= s_hi:
                 continue
             new_lo, new_hi = self._settle(i, t, lo, hi, s_lo, s_hi, shared)
-            del los[bisect.bisect_left(los, lo)]
-            bisect.insort(los, new_lo)
-            del his[bisect.bisect_left(his, hi)]
-            bisect.insort(his, new_hi)
+            # move each bound past only the ones between its old and new value
+            if new_lo != lo:  # lower ends rise
+                k, j = bisect.bisect_right(los, lo) - 1, bisect.bisect_left(los, new_lo)
+                los[k : j - 1] = los[k + 1 : j]
+                los[j - 1] = new_lo
+            if new_hi != hi:  # upper ends fall
+                k, j = bisect.bisect_left(his, hi), bisect.bisect_right(his, new_hi)
+                his[j + 1 : k + 1] = his[j:k]
+                his[j] = new_hi
         return los[r]
 
     def interval(self, t: int, i: int) -> tuple[float, float]:

@@ -65,6 +65,18 @@ class TestEstimate:
         delta = math.exp(-0.1 * 1 / math.log(9))
         assert report["guarantee"] == f"proven(kappa=32,delta={delta:g})"
 
+    def test_delta_column_is_empty_when_T_is_given(self, capsys, tmp_path):
+        # a given T ignores --delta, so the column must not show it beside
+        # the delta the guarantee proves
+        argv = ["estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--c", "2", "--alpha", "0.1"]
+        for extra, delta in ((["--T", "1"], ""), ([], "0.01")):
+            path = tmp_path / "report.csv"
+            code, out, _ = run_cli(capsys, *argv, *extra, "--csv", str(path))
+            assert code == 0
+            assert parse_report(out)["delta"] == delta
+            with open(path, newline="") as fh:
+                assert next(csv.DictReader(fh))["delta"] == delta
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--model", "/nonexistent/path.uai")
         assert code == 1

@@ -247,28 +247,44 @@ class TestGuarantee:
 
 class TestPinnedEstimates:
     # (spec, master seed, schedule) -> (log_w as float.hex, distinct_queries,
-    # map_calls) under the neighbor oracle at c = 2, T = 30 and beta = 2:
-    # any change to how systems are drawn, reduced or solved that alters an
-    # answer shows here
+    # map_calls, search_nodes) under the neighbor oracle at c = 2, beta = 2
+    # and the spec's T (the benchmark's: 30 at n = 12, 5 at n = 16): any
+    # change to how systems are drawn, reduced or solved that alters an
+    # answer shows here, and any change to a bound table as a node count
+    REPETITIONS = {
+        "grid:3x4:w=1.0:seed=2": 30,
+        "clique:n=12:w=0.1:seed=0": 30,
+        "grid:4x4:w=1.0:seed=0": 5,
+        "clique:n=16:w=0.1:seed=0": 5,
+    }
     PINNED = {
-        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6acab37a5c2efp+4", 13, 184),
-        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6acab37a5c2efp+4", 13, 214),
-        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.66e16c79661a2p+4", 13, 181),
-        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.66e16c79661a2p+4", 13, 224),
-        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.bbca42fe1d76bp+2", 13, 173),
-        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 175),
-        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 164),
-        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 168),
+        ("grid:3x4:w=1.0:seed=2", 0, "wish"): ("0x1.6acab37a5c2efp+4", 13, 184, 8101),
+        ("grid:3x4:w=1.0:seed=2", 0, "adawish"): ("0x1.6acab37a5c2efp+4", 13, 214, 8608),
+        ("grid:3x4:w=1.0:seed=2", 1, "wish"): ("0x1.66e16c79661a2p+4", 13, 181, 9947),
+        ("grid:3x4:w=1.0:seed=2", 1, "adawish"): ("0x1.66e16c79661a2p+4", 13, 224, 10955),
+        ("clique:n=12:w=0.1:seed=0", 0, "wish"): ("0x1.bbca42fe1d76bp+2", 13, 173, 11053),
+        ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 175, 10361),
+        ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 164, 11877),
+        ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 168, 11438),
+        ("grid:4x4:w=1.0:seed=0", 0, "wish"): ("0x1.29ef0e1d2dd28p+5", 17, 44, 6361),
+        ("grid:4x4:w=1.0:seed=0", 0, "adawish"): ("0x1.29ef0e1d2dd28p+5", 17, 55, 6763),
+        ("grid:4x4:w=1.0:seed=0", 1, "wish"): ("0x1.23281f2411c9fp+5", 17, 43, 7353),
+        ("grid:4x4:w=1.0:seed=0", 1, "adawish"): ("0x1.23281f2411c9fp+5", 17, 52, 7496),
+        ("clique:n=16:w=0.1:seed=0", 0, "wish"): ("0x1.270fda162c633p+3", 17, 37, 4712),
+        ("clique:n=16:w=0.1:seed=0", 0, "adawish"): ("0x1.26f48fc15d373p+3", 11, 36, 4661),
+        ("clique:n=16:w=0.1:seed=0", 1, "wish"): ("0x1.08913f8b9e1c8p+3", 17, 34, 6282),
+        ("clique:n=16:w=0.1:seed=0", 1, "adawish"): ("0x1.087cd7bd91849p+3", 14, 39, 6554),
     }
 
     @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))
     def test_estimate_is_pinned(self, spec, master, schedule):
         model = parse_gen_spec(spec)
-        config = OracleConfig(kind="neighbor", c=2, T=30, master_seed=master)
+        config = OracleConfig(kind="neighbor", c=2, T=self.REPETITIONS[spec], master_seed=master)
         if schedule == "wish":
             result = wish_estimate(model, config)
         else:
             result = adawish_estimate(model, config, 2.0)
-        log_w, distinct, calls = self.PINNED[spec, master, schedule]
-        got = (result.log_w, result.ledger.distinct_queries, result.ledger.map_calls)
-        assert got == (float.fromhex(log_w), distinct, calls)
+        log_w, distinct, calls, nodes = self.PINNED[spec, master, schedule]
+        ledger = result.ledger
+        got = (result.log_w, ledger.distinct_queries, ledger.map_calls, ledger.search_nodes)
+        assert got == (float.fromhex(log_w), distinct, calls, nodes)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -86,6 +87,13 @@ class TestModelValidation:
     def test_bad_factor_rejected(self, scope, table, message):
         with pytest.raises(StructuralError, match=f"^{message}$"):
             Factor(scope, np.array(table))
+
+    def test_finite_entries_pass_even_when_their_sum_overflows(self):
+        # the cheap check sums the entries; an overflowing sum falls back to the max
+        table = np.array([1e308, 1e308, NEG_INF, 0.0])
+        assert Factor((0, 1), table).log_table is table
+        with pytest.raises(StructuralError, match="^factor entries must be finite or -inf$"):
+            Factor((0, 1), np.array([1e308, 1e308, math.inf, 0.0]))
 
     def test_bad_model_rejected(self):
         with pytest.raises(StructuralError, match="^negative variable count$"):
@@ -219,6 +227,27 @@ class TestGenerators:
     def test_grid_partition_matches_plain_sum(self):
         model = gen_grid_ising(3, 3, coupling_w=0.5, seed=2)
         assert exact_log_partition(model) == pytest.approx(mp_log_partition(model), abs=1e-9)
+
+    # sha256 (first 32 hex digits) of every factor's repr(scope) and
+    # log_table.tobytes(), in order, on the benchmark instances: the draws
+    # of one call per array give the values and the generator state of one
+    # call per coupling, and the clique's chains read that state
+    PINNED_DIGESTS = {
+        "grid:3x4:w=1.0:seed=2": "c50d6d594b623d882f7041038ba44519",
+        "clique:n=12:w=0.1:seed=0": "51eddd388110e621e06af9521ff88ff3",
+        "grid:4x4:w=1.0:seed=0": "078bc9febed06eed280d7e479daf377e",
+        "clique:n=16:w=0.1:seed=0": "e45ffa208cbe4417007a97e2ae7679a4",
+        "grid:4x5:w=1.0:seed=0": "df4a7e6585ec45f39e59355deef6e8bd",
+        "clique:n=20:w=0.1:seed=0": "601f48ae1d38ac4084ab3d3794a775bc",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_DIGESTS))
+    def test_generator_is_pinned(self, spec):
+        digest = hashlib.sha256()
+        for f in parse_gen_spec(spec).factors:
+            digest.update(repr(f.scope).encode())
+            digest.update(f.log_table.tobytes())
+        assert digest.hexdigest()[:32] == self.PINNED_DIGESTS[spec]
 
     def test_deterministic_under_seed(self):
         a = gen_grid_ising(3, 4, 0.8, seed=11)
@@ -375,7 +404,7 @@ class TestExactReferences:
 
     def test_blocks_read_window_tables_and_sum_untabled_prefix_groups(self):
         # a prefix group's sum comes from its window table when it has one
-        # and is framed and summed otherwise: on clique n = 20 groups 0..15
+        # and is summed here otherwise: on clique n = 20 groups 0..15
         # are tabled, 16 and 17 pass WINDOW_ENTRIES, and 18 and 19 are high
         model = parse_gen_spec("clique:n=20:w=0.1:seed=0")
         tabled = [isinstance(table, memoryview) for _, _, table in model.compiled.windows]
@@ -387,13 +416,29 @@ class TestExactReferences:
         # numpy would still add correctly into an overlapping out= (it copies
         # the input first), so only where each step lands shows the two
         # scratch rows alternate
+        # terms on the axes of bits 2, 1, 0 (length 1 where a term does not
+        # read the bit), handed over as (bit mask, table on its own bits)
         rng = np.random.default_rng(4)
         terms = [rng.normal(size=shape) for shape in [(2, 2, 1), (2, 1, 2), (2, 2, 2)]]
+        masks = [0b110, 0b101, 0b111]
+        own = [(mask, t.reshape((2,) * mask.bit_count())) for mask, t in zip(masks, terms)]
         scratch = np.full((2, 8), np.nan)
-        total = _group_sum(terms, (2, 1, 1), scratch)
-        assert np.array_equal(total, np.zeros((2, 1, 1)) + terms[0] + terms[1] + terms[2])
+        have, total = _group_sum(own, 0b100, scratch)
+        assert have == 0b111
+        assert np.array_equal(total.reshape(2, 2, 2), np.zeros((2, 1, 1)) + terms[0] + terms[1] + terms[2])
         assert np.shares_memory(total, scratch[1]) and not np.shares_memory(total, scratch[0])
         assert np.array_equal(scratch[0].reshape(2, 2, 2), np.zeros((2, 1, 1)) + terms[0] + terms[1])
+
+    def test_group_sum_writes_its_last_step_into_the_destination(self):
+        # the last step spreads over a bit no term reads (bit 1) and never
+        # lands in scratch, which keeps the steps before it
+        table = np.array([1.0, -2.0, 0.5, 4.0])  # scope (0, 2): bit 0 most significant
+        scratch = np.full((2, 8), np.nan)
+        out = np.full(8, np.nan)
+        _group_sum([(0b101, table.reshape(2, 2).T)], 0b100, scratch, out, 0b111)
+        expected = [table[2 * (x & 1) + (x >> 2)] for x in range(8)]
+        assert np.array_equal(out, 0.0 + np.array(expected))
+        assert np.isnan(scratch[1]).all() and np.isnan(scratch[0][2:]).all()
 
     def test_table_matches_scalar_reference(self):
         rng = np.random.default_rng(3)

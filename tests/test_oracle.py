@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -393,6 +394,22 @@ class TestXorQuery:
         # at i near n a bucket can be empty; stay below that regime
         for i in range(7):
             assert oracle.query(i) == 0.0
+
+    def test_shared_solution_set_settles_in_linear_time(self):
+        # every prefix of a 0-variable model is one solution set: one solve,
+        # then half the repetitions settle from it; deleting and re-inserting
+        # each settled bound shifted every sorted bound after it, O(T^2) in
+        # all: 11 times the cost of drawing the T systems at T = 10^5, where
+        # moving it past only the bounds between its values costs about 2.5
+        T = 100_000
+        began = time.perf_counter()
+        draw_parity_systems(0, 0, 0, T)
+        drawn = time.perf_counter() - began
+        oracle = make_oracle(WeightedModel(0, ()), OracleConfig(kind="neighbor", c=2, T=T, master_seed=0))
+        began = time.perf_counter()
+        assert oracle.query(0) == 0.0
+        assert time.perf_counter() - began < 6 * drawn
+        assert oracle.ledger.map_calls == 1
 
     def test_memoization(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
