@@ -17,12 +17,13 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 import time
 
 import numpy as np
 
-from .errors import InvalidSize, ParseError, StructuralError, TooLarge
+from .errors import ParseError, StructuralError
 from .estimator import adawish_estimate, wish_estimate
 from .logspace import LN10, NEG_INF
 from .model import (
@@ -57,31 +58,45 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def parse_gen_spec(spec: str) -> WeightedModel:
-    """Colon-delimited generator spec, e.g. grid:3x3:w=0.5:seed=2 or clique:n=10:w=0.1:seed=7."""
-    parts = spec.split(":")
-    kind = parts[0]
-    kv: dict[str, str] = {}
-    shape = None
-    for part in parts[1:]:
-        if "=" in part:
-            key, val = part.split("=", 1)
+_SPEC_KEYS = {"grid": ("w", "seed"), "clique": ("n", "w", "seed")}
+
+
+def _spec_fields(spec: str, extra: tuple[str, ...] = ()) -> tuple[str, str | None, dict[str, str]]:
+    """(kind, RxC shape or None, key -> value) of a spec; extra names keys beyond the kind's.
+
+    Only a grid takes a shape.  A fragment the kind does not read, a second
+    shape and a repeated key raise StructuralError naming the fragment.
+    """
+    kind, *parts = spec.split(":")
+    if kind not in _SPEC_KEYS:
+        raise StructuralError(f"unknown generator kind {kind!r}")
+    keys = _SPEC_KEYS[kind] + extra
+    shape, kv = None, {}
+    for part in parts:
+        key, eq, val = part.partition("=")
+        if eq and key in kv:
+            raise StructuralError(f"spec fragment {part!r} repeats {key}=")
+        if eq and key in keys:
             kv[key] = val
-        elif "x" in part and shape is None:
+        elif kind == "grid" and shape is None and re.fullmatch(r"[0-9]+x[0-9]+", part):
             shape = part
         else:
             raise StructuralError(f"cannot parse spec fragment {part!r}")
+    return kind, shape, kv
+
+
+def parse_gen_spec(spec: str) -> WeightedModel:
+    """Colon-delimited generator spec, e.g. grid:3x3:w=0.5:seed=2 or clique:n=10:w=0.1:seed=7."""
+    kind, shape, kv = _spec_fields(spec)
     seed = int(kv.get("seed", "0"))
     if kind == "grid":
         if shape is None:
             raise StructuralError("grid spec needs a RxC shape, e.g. grid:3x3")
         rows, cols = (int(x) for x in shape.split("x"))
         return gen_grid_ising(rows, cols, coupling_w=float(kv.get("w", "1.0")), seed=seed)
-    if kind == "clique":
-        if "n" not in kv:
-            raise StructuralError("clique spec needs n=, e.g. clique:n=10")
-        return gen_clique_ising(int(kv["n"]), coupling_w=float(kv.get("w", "0.1")), seed=seed)
-    raise StructuralError(f"unknown generator kind {kind!r}")
+    if "n" not in kv:
+        raise StructuralError("clique spec needs n=, e.g. clique:n=10")
+    return gen_clique_ising(int(kv["n"]), coupling_w=float(kv.get("w", "0.1")), seed=seed)
 
 
 def _load_model(args) -> WeightedModel:
@@ -99,7 +114,6 @@ def _oracle_config(args) -> OracleConfig:
         c=args.c,
         T=args.T,
         delta=args.delta,
-        alpha=args.alpha,
         gamma=args.gamma,
         master_seed=args.seed,
         node_limit=args.node_limit,
@@ -230,21 +244,18 @@ def cmd_opt(args) -> int:
 
 
 def _expand_suite(spec: str):
-    """Suite spec = generator spec with seeds=a..b, e.g. grid:4x4:w=1.0:seeds=0..9."""
-    parts = spec.split(":")
-    seed_range = None
-    rest = []
-    for part in parts:
-        if part.startswith("seeds="):
-            lo, _, hi = part[len("seeds="):].partition("..")
-            seed_range = range(int(lo), int(hi) + 1)
-            if not seed_range:
-                raise StructuralError(f"empty seed range seeds={lo}..{hi}")
-        else:
-            rest.append(part)
-    if seed_range is None:
-        seed_range = range(0, 1)
-    base = ":".join(rest)
+    """Suite spec = generator spec with seeds=a..b in place of seed=, e.g. grid:4x4:w=1.0:seeds=0..9."""
+    *_, kv = _spec_fields(spec, ("seeds",))
+    if "seeds" not in kv:
+        yield parse_gen_spec(spec)
+        return
+    if "seed" in kv:
+        raise StructuralError(f"spec fragment 'seed={kv['seed']}' cannot go with seeds=")
+    lo, _, hi = kv["seeds"].partition("..")
+    seed_range = range(int(lo), int(hi) + 1)
+    if not seed_range:
+        raise StructuralError(f"empty seed range seeds={lo}..{hi}")
+    base = ":".join(part for part in spec.split(":") if not part.startswith("seeds="))
     for seed in seed_range:
         yield parse_gen_spec(f"{base}:seed={seed}")
 
@@ -291,16 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--model", help="UAI model file")
-        p.add_argument("--gen", help="generator spec, e.g. grid:3x3:w=0.5:seed=2")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--model", help="UAI model file")
+        source.add_argument("--gen", help="generator spec, e.g. grid:3x3:w=0.5:seed=2")
 
     def add_oracle_args(p):
         p.add_argument("--oracle", choices=("exact", "pointwise", "neighbor"), default="neighbor")
         p.add_argument("--beta", type=float, default=2.0, help="adaptive stop factor (> 1)")
         p.add_argument("--c", type=int, default=5, help="neighbor slack in quantile indices")
-        p.add_argument("--T", type=int, default=None, help="repetitions per query (default from delta/alpha)")
+        p.add_argument("--T", type=int, default=None, help="repetitions per query (default from delta at c=5)")
         p.add_argument("--delta", type=float, default=0.01, help="failure probability")
-        p.add_argument("--alpha", type=float, default=None, help="concentration rate (default 0.078 for c=5)")
         p.add_argument("--gamma", type=float, default=1.0, help="pointwise ratio >= 1")
         p.add_argument("--seed", type=int, default=0, help="master seed of the XOR and pointwise oracles")
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
@@ -350,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, StructuralError, TooLarge, InvalidSize, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # e.g. a T whose parity systems do not fit; numpy names the allocation, a bare MemoryError nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ The guarantee is the failure probability the oracle states, with kappa =
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,7 @@ def _guarantee(oracle: QuantileOracle, beta: float | None) -> Guarantee:
     delta = oracle.failure_probability()
     if delta is None:
         return Guarantee(proven=False)
-    factor = 2.0 ** (2 * oracle.c) if 2 * oracle.c < sys.float_info.max_exp else math.inf
-    kappa = factor * beta if beta is not None else factor
+    kappa = 2.0 ** (2 * oracle.c) * (beta if beta is not None else 1.0)
     if kappa == math.inf:  # a kappa that overflows a float proves nothing
         return Guarantee(proven=False)
     return Guarantee(proven=True, kappa=kappa, delta=delta)

@@ -239,7 +239,9 @@ class CompiledModel:
         mu = gamma_{2n+4} G covers with about u G to spare, enough for the
         roundings in computing mu itself.  An untabled group counts twice the
         sum of its factors' largest finite |entry|.  -inf entries of H stay
-        -inf: every completion through them scores -inf.
+        -inf: every completion through them scores -inf.  A const of -inf is
+        left out of G: every leaf then scores -inf, and any bound is
+        admissible.
         """
         n, reach, windows, tail = self.n, self.reach, self.windows, self.bound_tail
         heights: list[np.ndarray | None] = [None] * (n + 1)
@@ -255,7 +257,7 @@ class CompiledModel:
 
         mu = 0.0  # H[n] + mu = mu never falls below bound_tail[n] = 0: only an H[k < n] needs mu
         if n and heights[n - 1] is not None:
-            largest = [abs(self.const)]
+            largest = [abs(self.const)] if self.const > NEG_INF else []
             for (_, _, score), group in zip(windows, self.groups):
                 if isinstance(score, memoryview):
                     magnitude = np.abs(np.asarray(score))

@@ -124,6 +124,8 @@ def _repair(curve: QuantileCurve, b: list[int], kappa: float) -> list[int]:
 
 
 def _exhaustive_opt(curve: QuantileCurve, kappa: float) -> list[int] | None:
+    if curve.n == 0:  # {0} certifies a one-point curve
+        return [0]
     log_k = math.log(kappa)
     interior = range(1, curve.n)
     for size in range(2, curve.n + 2):

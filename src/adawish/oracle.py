@@ -27,10 +27,9 @@ on its maximum.  A query solves only the repetitions whose interval
 straddles the bracket the intervals put on the median, each inside it,
 and a solution set several repetitions' prefixes share once; the proof
 is in `XorOracle`.
-`draw_parity_systems` draws the T pairs as the rows of one bounded-uint8
-draw from `rng_from(master_seed, n)`, and `sample_parity_system` draws one
-pair from a caller's generator; both pack their bits through one helper,
-which turns every row of a batch into a Python int in one call.
+`sample_parity_system` draws any number of pairs as the rows of one
+bounded-uint8 draw from a caller's generator; the XOR oracle draws its T
+pairs from `rng_from(master_seed, n)`.
 `make_oracle` binds a model to any configured oracle kind; `OracleConfig`
 is the whole configuration, from c, T, delta and the master seed to the
 limits of each MAP solve.  `synthetic_oracle` wraps a known quantile curve.
@@ -120,72 +119,38 @@ class MapResult(NamedTuple):
     nodes: int = 0
 
 
-def _draw_bytes(n: int, m: int) -> tuple[int, int]:
-    """(pad, pad + m): where a system's rhs starts in its draw, and the draw's length.
+def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) -> list[gf2.Gf2System]:
+    """reps uniform m x n 0/1 constraint matrices, each with a uniform right-hand side.
 
-    pad is m*n rounded up to a multiple of 4, so the rhs starts on a fresh
-    32-bit word of the generator, as in the two-call draw.
-    """
-    pad = -(-m * n // 4) * 4
-    return pad, pad + m
-
-
-def _pack_systems(n: int, m: int, draws: np.ndarray) -> list[gf2.Gf2System]:
-    """The systems in an (S, pad + m) array of 0/1 draws, one system per row.
-
-    Row r of a system is bits r*n .. r*n + n - 1 of its draw, bit v first;
-    the rhs is bits pad .. pad + m - 1.  Each row is packed into whole
-    little-endian 64-bit words, so one `tolist` turns every row into Python
-    ints; words are joined in Python only when n > 64.
-    """
-    pad, _ = _draw_bytes(n, m)
-    count = len(draws)
-    words = max(1, -(-n // 64))
-    packed = np.zeros((count, m, 8 * words), dtype=np.uint8)
-    bits = draws[:, : m * n].reshape(count, m, n)
-    packed[:, :, : -(-n // 8)] = np.packbits(bits, axis=2, bitorder="little")
-    word = packed.view("<u8")  # (count, m, words), word j holding bits 64j..
-    if words == 1:
-        rows = word[:, :, 0].tolist()
-    else:  # join each row's words as Python ints
-        rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
-    return [gf2.Gf2System(n, r, b) for r, b in zip(rows, draws[:, pad:].tolist())]
-
-
-def sample_parity_system(n: int, m: int, rng: np.random.Generator) -> gf2.Gf2System:
-    """Uniform m x n 0/1 constraint matrix and uniform right-hand side.
-
-    The matrix and the right-hand side come from one bounded-uint8 draw of
-    pad + m bytes, pad = m*n rounded up to a multiple of 4: rows from the
-    first m*n bytes, rhs from the last m.  numpy fills such a draw four bytes
-    to each fresh 32-bit word and drops the unused bytes of the last word, so
-    drawing the matrix and then the rhs in two calls consumes the same words
-    and yields the same bits; the padding is exactly the bytes the first of
-    those calls would drop.  Systems and the generator's state afterwards are
-    therefore those of the two-call draw.
-    """
-    if min(n, m) < 0:
-        raise StructuralError(f"negative size: n={n}, m={m}")
-    if m == 0:
-        return gf2.Gf2System(n, (), ())
-    draw = rng.integers(0, 2, size=_draw_bytes(n, m)[1], dtype=np.uint8)
-    return _pack_systems(n, m, draw[None])[0]
-
-
-def draw_parity_systems(n: int, m: int, master_seed: int, reps: int) -> list[gf2.Gf2System]:
-    """reps uniform m-row systems over n columns, drawn from `rng_from(master_seed, m)`.
-
-    System t is row t of one (reps, pad + m) bounded-uint8 draw, laid out as
-    in `sample_parity_system`.  The generator fills the draw row by row, so
-    system t does not depend on reps: a draw of k systems is the first k of
-    any longer one.
+    System t is row t of one (reps, pad + m) bounded-uint8 draw from rng,
+    pad = m*n rounded up to a multiple of 4: row r of its matrix is bytes
+    r*n .. r*n + n - 1 of the row, bit v first, and its rhs the last m
+    bytes.  numpy fills such a draw row by row, four bytes to each fresh
+    32-bit word, and drops the unused bytes of the last word, so system t
+    does not depend on reps: a draw of k systems is the first k of any
+    longer one.  A draw of one system consumes the same words and yields
+    the same bits as drawing the matrix and then the rhs in two calls; the
+    padding is exactly the bytes the first of those calls would drop.  With
+    m = 0 nothing is drawn.  Each matrix row is packed into whole
+    little-endian 64-bit words, so one `tolist` turns every row of the
+    batch into a Python int; words are joined in Python only when n > 64.
     """
     if min(n, m, reps) < 0:
         raise StructuralError(f"negative size: n={n}, m={m}, reps={reps}")
     if m == 0:
         return [gf2.Gf2System(n, (), ()) for _ in range(reps)]
-    draws = rng_from(master_seed, m).integers(0, 2, size=(reps, _draw_bytes(n, m)[1]), dtype=np.uint8)
-    return _pack_systems(n, m, draws)
+    pad = -(-m * n // 4) * 4
+    draws = rng.integers(0, 2, size=(reps, pad + m), dtype=np.uint8)
+    words = max(1, -(-n // 64))
+    packed = np.zeros((reps, m, 8 * words), dtype=np.uint8)
+    bits = draws[:, : m * n].reshape(reps, m, n)
+    packed[:, :, : -(-n // 8)] = np.packbits(bits, axis=2, bitorder="little")
+    word = packed.view("<u8")  # (reps, m, words), word j holding bits 64j..
+    if words == 1:
+        rows = word[:, :, 0].tolist()
+    else:  # join each row's words as Python ints
+        rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
+    return [gf2.Gf2System(n, r, b) for r, b in zip(rows, draws[:, pad:].tolist())]
 
 
 def _solve_branch_and_bound(
@@ -357,15 +322,15 @@ class OracleConfig:
     [1/gamma, gamma]; "neighbor" runs the randomized XOR query, whose
     constrained MAP solves `map_solve` runs under node_limit and time_limit
     (seconds per solve; None is unlimited).  A solve cut short by either
-    voids the estimate's guarantee.  T defaults from delta and alpha
-    (`repetitions`), which the XOR oracle resolves once, when built.
+    voids the estimate's guarantee.  T defaults from delta and the
+    concentration rate (`repetitions`), which the XOR oracle resolves once,
+    when built.
     """
 
     kind: str = "neighbor"
     c: int = 5
     T: int | None = None
     delta: float = 0.01
-    alpha: float | None = None
     gamma: float = 1.0
     master_seed: int = 0
     node_limit: int | None = None
@@ -380,8 +345,6 @@ class OracleConfig:
             raise StructuralError(f"unknown oracle kind {self.kind!r}")
         if not 0.0 < self.delta < 1.0:
             raise StructuralError("delta must be in (0, 1)")
-        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
-            raise StructuralError("alpha must be finite and > 0")
         _check_gamma(self.gamma)
         if self.kind == "neighbor":
             _check_slack(self.c)
@@ -390,15 +353,13 @@ class OracleConfig:
         object.__setattr__(self, "node_limit", _check_limits(self.node_limit, self.time_limit))
 
     def concentration_rate(self) -> float | None:
-        """alpha, the one given or the default 0.078 known for c = 5; None when no rate is known."""
-        if self.alpha is not None:
-            return self.alpha
+        """alpha, the paper's 0.078 at c = 5; None at any other c, where no rate is known."""
         return 0.078 if self.c == 5 else None
 
     def repetitions(self, n: int) -> int:
         """T, or its default ceil(ln(1/delta)/alpha * ln n) once n is known.
 
-        StructuralError when no alpha is known or the default is not finite.
+        StructuralError when T is not given and no alpha is known.
         """
         if self.T is not None:
             return self.T
@@ -406,12 +367,8 @@ class OracleConfig:
             return 1
         alpha = self.concentration_rate()
         if alpha is None:
-            raise StructuralError(f"no default alpha for c={self.c}; pass alpha explicitly")
-        reps = -math.log(self.delta) / alpha * math.log(n)
-        if reps == math.inf:
-            detail = f"delta={self.delta:g}, alpha={alpha:g}"
-            raise StructuralError(f"the default T for {detail} is not finite; pass --T")
-        return math.ceil(reps)
+            raise StructuralError(f"no concentration rate known for c={self.c}; pass --T")
+        return math.ceil(-math.log(self.delta) / alpha * math.log(n))
 
 
 @dataclass
@@ -526,15 +483,16 @@ class XorOracle(NeighborOracle):
     """Randomized constrained-MAP median over nested parity systems.
 
     The first query draws the T n-row systems in one call,
-    `draw_parity_systems(n, n, master_seed, T)`, and repetition t keeps the
-    t-th; query i reads its first i rows and rhs bits, the prefix system
-    P_{i,t}.  A solve runs on P_{i,t}'s coset, read from repetition t's
-    chain of prefix cosets (`gf2.prefix_coset`), which is extended one row
-    at a time, and only as far as the highest index settled.  The answer is
-    the lower median s, the (r + 1)-th smallest, r = (T - 1) // 2, of the T
-    maxima v_{i,t} = max log w over the solutions S_{i,t} of P_{i,t}, so
-    each answer is a pure function of (master_seed, i, T) and does not
-    depend on query order; how many solves it takes (map_calls) does.
+    `sample_parity_system(n, n, rng_from(master_seed, n), T)`, and
+    repetition t keeps the t-th; query i reads its first i rows and rhs
+    bits, the prefix system P_{i,t}.  A solve runs on P_{i,t}'s coset, read
+    from repetition t's chain of prefix cosets (`gf2.prefix_coset`), which
+    is extended one row at a time, and only as far as the highest index
+    settled.  The answer is the lower median s, the (r + 1)-th smallest,
+    r = (T - 1) // 2, of the T maxima v_{i,t} = max log w over the
+    solutions S_{i,t} of P_{i,t}, so each answer is a pure function of
+    (master_seed, i, T) and does not depend on query order; how many solves
+    it takes (map_calls) does.
 
     Guarantee.  The first i rows of a uniform n-row system with a uniform
     rhs are a uniform i-row system with a uniform rhs, so each index's T
@@ -598,17 +556,16 @@ class XorOracle(NeighborOracle):
     def failure_probability(self) -> float | None:
         """delta_T = exp(-alpha T / ln n), what the T repetitions buy.
 
-        None after an inexact solve, at n < 2, with no alpha known, or when delta_T >= 1.
+        None after an inexact solve, at n < 2, or with no alpha known.
         """
         alpha = self.config.concentration_rate()
         if self.ledger.guarantee_void or self.n < 2 or alpha is None:
             return None
-        delta = math.exp(-alpha * self.T / math.log(self.n))
-        return delta if delta < 1.0 else None
+        return math.exp(-alpha * self.T / math.log(self.n))
 
     def _compute(self, i: int) -> float:
         if not self._systems:
-            self._systems = draw_parity_systems(self.n, self.n, self.config.master_seed, self.T)
+            self._systems = sample_parity_system(self.n, self.n, rng_from(self.config.master_seed, self.n), self.T)
             free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
             self._chains = [[free] for _ in range(self.T)]
             self._caps = [[math.inf] * (self.n + 1) for _ in range(self.T)]

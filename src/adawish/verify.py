@@ -54,7 +54,6 @@ from .oracle import (
     OracleConfig,
     XorOracle,
     check_columns,
-    draw_parity_systems,
     map_solve,
     sample_parity_system,
 )
@@ -258,7 +257,7 @@ def coset_systems(seed: int) -> tuple[list[gf2.Gf2System], dict[int, int | None]
     systems, witnesses = [], {}
     for n in (0, 1, 3, 6, 10, 65, 100):
         for m in sorted({0, 1, n // 2, n, n + 2}):
-            system = sample_parity_system(n, m, rng)
+            [system] = sample_parity_system(n, m, rng, 1)
             systems.append(system)
             if m >= 2:
                 rows, rhs = system.rows, system.rhs
@@ -365,7 +364,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
 
     For each model, T in reps and master seed, the reference names each
     prefix P_{i,t} (the first i rows of the t-th system of
-    `draw_parity_systems(n, n, master, T)`) by its coset,
+    `sample_parity_system(n, n, rng_from(master, n), T)`) by its coset,
     `gf2.row_reduce(P_{i,t})`, and solves each distinct one with no
     bracket: v_{i,t} is its `map_solve` value, and s_i is the lower median
     of v_{i,0..T-1}.  The oracle then runs in three query orders, the
@@ -388,7 +387,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     queries = solves = unsearched = floors = ceilings = infeasible = ties = early = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
-        systems = draw_parity_systems(n, n, master, count)
+        systems = sample_parity_system(n, n, rng_from(master, n), count)
         full: list[dict[gf2.Coset, float]] = []  # per index, v of each distinct prefix coset
         maxima: list[list[float]] = []  # v_{i,t}
         medians: list[float] = []
@@ -604,7 +603,7 @@ def check_solver_agreement(models: list[WeightedModel], trials: int, seed: int) 
     for t in range(trials):
         model = models[t % len(models)]
         m = int(rng.integers(0, model.n + 3))
-        system = sample_parity_system(model.n, m, rng)
+        [system] = sample_parity_system(model.n, m, rng, 1)
         a = reference_map(model, system)
         b = map_solve(model, system)
         same = a.log_value == b.log_value or abs(a.log_value - b.log_value) <= 1e-12
@@ -629,7 +628,7 @@ def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
     rng = rng_from(seed, 0xA5)
     counts = np.zeros((1 << m, 1 << m), dtype=np.int64)
     for _ in range(samples):
-        system = sample_parity_system(n, m, rng)
+        [system] = sample_parity_system(n, m, rng, 1)
         d = gf2.as_mask(system.rhs, m)
         h1 = gf2.evaluate(system, x1) ^ d
         h2 = gf2.evaluate(system, x2) ^ d

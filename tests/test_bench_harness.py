@@ -111,3 +111,22 @@ def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
     metrics = tracing.layer_metrics(tracer, estimates, {"opt_size": 0})
     assert metrics["oracle.map_solve.calls"] == sum(e.map_calls for e in estimates) / len(estimates)
     assert all(metrics[f"oracle.map_solve.band{b}.nodes"] > 0 for b in range(tracing.BANDS))
+
+
+def test_traced_xor_shallow_round_sees_each_parity_draw(harness, tmp_path):
+    # each estimate builds one `XorOracle`, which draws its T systems in one
+    # call of `adawish.oracle.sample_parity_system`, the name the tracer spans
+    tracing, workloads = harness
+    workload = workloads.XorShallow(3, str(tmp_path))
+    workload.setup()
+    workload.prepare()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload.setup()
+        estimates = workload.run_round(0)
+    finally:
+        tracer.remove()
+    draws = tracer.arrays()["name_id"] == tracer._codes["oracle.sample_parity_system"]
+    assert len(estimates) == 4
+    assert draws.sum() == len(estimates)

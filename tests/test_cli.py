@@ -46,7 +46,7 @@ class TestEstimate:
         path.write_text(FIXTURE)
         code, out, _ = run_cli(
             capsys, "estimate", "--model", str(path), "--schedule", "wish",
-            "--oracle", "neighbor", "--c", "5", "--delta", "0.01", "--alpha", "0.078",
+            "--oracle", "neighbor", "--c", "5", "--delta", "0.01",
         )
         assert code == 0
         report = parse_report(out)
@@ -57,18 +57,18 @@ class TestEstimate:
     def test_guarantee_reports_the_delta_T_buys(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
-            "--c", "2", "--alpha", "0.1", "--T", "1",
+            "--c", "5", "--T", "1",
         )
         assert code == 0
         report = parse_report(out)
         assert report["T"] == "1"
-        delta = math.exp(-0.1 * 1 / math.log(9))
-        assert report["guarantee"] == f"proven(kappa=32,delta={delta:g})"
+        delta = math.exp(-0.078 * 1 / math.log(9))
+        assert report["guarantee"] == f"proven(kappa=2048,delta={delta:g})"
 
     def test_delta_column_is_empty_when_T_is_given(self, capsys, tmp_path):
         # a given T ignores --delta, so the column must not show it beside
         # the delta the guarantee proves
-        argv = ["estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--c", "2", "--alpha", "0.1"]
+        argv = ["estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--c", "5"]
         for extra, delta in ((["--T", "1"], ""), ([], "0.01")):
             path = tmp_path / "report.csv"
             code, out, _ = run_cli(capsys, *argv, *extra, "--csv", str(path))
@@ -85,10 +85,6 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--alpha", "0"), "alpha must be finite and > 0"),
-            (("--alpha", "-1"), "alpha must be finite and > 0"),
-            (("--alpha", "nan"), "alpha must be finite and > 0"),
-            (("--alpha", "inf", "--T", "3"), "alpha must be finite and > 0"),
             (("--oracle", "pointwise", "--gamma", "nan"), "gamma must be >= 1"),
             (("--oracle", "pointwise", "--gamma", "inf"), "gamma must be finite"),
             (("--T", "3", "--beta", "nan"), "beta must be > 1"),
@@ -96,11 +92,10 @@ class TestEstimate:
             (("--T", "3", "--node-limit", "0"), "node_limit must be >= 1"),
             (("--T", "3", "--map-timeout", "0"), "time_limit must be > 0"),
             (("--T", "3", "--map-timeout", "nan"), "time_limit must be > 0"),
-            (("--alpha", "1e-320"), "the default T for delta=0.01, alpha=9.99989e-321 is not finite; pass --T"),
+            ((), "no concentration rate known for c=2; pass --T"),
         ],
-        ids=["alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "gamma-nan", "gamma-inf",
-             "beta-nan", "beta-inf",
-             "node-limit-0", "map-timeout-0", "map-timeout-nan", "alpha-tiny"],
+        ids=["gamma-nan", "gamma-inf", "beta-nan", "beta-inf",
+             "node-limit-0", "map-timeout-0", "map-timeout-nan", "no-rate"],
     )
     def test_invalid_parameter_exits_one(self, capsys, flags, message):
         code, out, err = run_cli(
@@ -121,14 +116,14 @@ class TestEstimate:
         assert "heuristic" in parse_report(out)["guarantee"]
 
     def test_overflowing_kappa_is_heuristic(self, capsys):
-        # 2^(2c) overflows a float at c = 600, and a kappa that overflows proves nothing
+        # 2^(2c) * beta overflows a float at c = 5 and beta = 1e306, and a kappa that overflows proves nothing
         code, out, _ = run_cli(
             capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=0", "--oracle", "neighbor",
-            "--c", "600", "--alpha", "0.1", "--T", "1",
+            "--c", "5", "--T", "1", "--beta", "1e306",
         )
         assert code == 0
         report = parse_report(out)
-        assert report["c"] == "600"
+        assert report["beta"] == "1e+306"
         assert report["guarantee"] == "heuristic"
 
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
@@ -222,6 +217,15 @@ class TestEstimate:
         assert err.strip() == "error: provide --model FILE or --gen SPEC"
         assert out == ""
 
+    def test_model_and_gen_are_exclusive(self, capsys, tmp_path):
+        # the spec was dropped silently in favour of the file
+        path = tmp_path / "fixture.uai"
+        path.write_text(FIXTURE)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--model", str(path), "--gen", "grid:2x2", "--oracle", "exact"])
+        assert exc.value.code == 2
+        assert "argument --gen: not allowed with argument --model" in capsys.readouterr().err
+
 
 class TestGenAndQuantiles:
     def test_gen_writes_parseable_uai(self, capsys, tmp_path):
@@ -264,8 +268,18 @@ class TestGenAndQuantiles:
             ("grid:3x3:bogus", "cannot parse spec fragment 'bogus'"),
             ("grid:w=1.0", "grid spec needs a RxC shape, e.g. grid:3x3"),
             ("clique:w=0.1", "clique spec needs n=, e.g. clique:n=10"),
+            # each of these ran before, with a value the spec did not ask for
+            ("grid:3x3:W=0.5:seed=2", "cannot parse spec fragment 'W=0.5'"),
+            ("grid:3x3:sed=2", "cannot parse spec fragment 'sed=2'"),
+            ("grid:3x3:seed=1:seed=2", "spec fragment 'seed=2' repeats seed="),
+            ("grid:3x3:n=4", "cannot parse spec fragment 'n=4'"),
+            ("clique:3x3:n=4", "cannot parse spec fragment '3x3'"),
+            ("grid:3x3:seeds=0..1", "cannot parse spec fragment 'seeds=0..1'"),
+            # and this one failed unpacking the shape
+            ("grid:3x3x3", "cannot parse spec fragment '3x3x3'"),
         ],
-        ids=["bad-fragment", "grid-without-shape", "clique-without-n"],
+        ids=["bad-fragment", "grid-without-shape", "clique-without-n", "unknown-key", "misspelt-key",
+             "repeated-key", "clique-key-on-grid", "shape-on-clique", "suite-key-on-model", "three-dims"],
     )
     def test_malformed_spec_exits_one(self, capsys, spec, message):
         code, out, err = run_cli(capsys, "gen", "--spec", spec)
@@ -381,6 +395,27 @@ class TestBench:
             (row,) = list(csv.DictReader(fh))
         assert row["instance"] == parse_gen_spec("grid:2x2:w=1.0:seed=0").name
         assert out.startswith(f"{row['instance']}: full=5 ")
+
+    def test_suite_without_seeds_runs_its_seed(self, capsys):
+        # the suite ran seed 0 whatever seed= it named
+        code, out, _ = run_cli(capsys, "bench", "--suite", "grid:2x2:w=1.0:seed=3", "--oracle", "exact")
+        assert code == 0
+        assert out.startswith(f"{parse_gen_spec('grid:2x2:w=1.0:seed=3').name}: full=5 ")
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ("grid:3x3:w=1.0:seed=4:seeds=0..1", "spec fragment 'seed=4' cannot go with seeds="),
+            ("grid:3x3:seeds=0..1:seeds=2..3", "spec fragment 'seeds=2..3' repeats seeds="),
+            ("grid:3x3:sed=4:seeds=0..1", "cannot parse spec fragment 'sed=4'"),
+        ],
+        ids=["seed-and-seeds", "repeated-seeds", "misspelt-key"],
+    )
+    def test_malformed_suite_exits_one(self, capsys, suite, message):
+        code, out, err = run_cli(capsys, "bench", "--suite", suite, "--oracle", "exact")
+        assert code == 1
+        assert err.strip() == f"error: {message}"
+        assert out == ""
 
     def test_guarantee_void_exits_two(self, capsys):
         code, out, _ = run_cli(

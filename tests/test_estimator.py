@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -78,13 +79,11 @@ class TestFullSweep:
         c, hits, seeds = 2, 0, 20
         slack = math.log(2.0)
         for s in range(seeds):
-            config = OracleConfig(kind="neighbor", c=c, T=30, alpha=0.1, master_seed=s)
+            config = OracleConfig(kind="neighbor", c=c, T=30, master_seed=s)
             result = wish_estimate(model, config)
             if abs(result.log_w - log_w) <= 2 * c * LN2 + slack:
                 hits += 1
-            assert result.guarantee.proven
-            assert result.guarantee.kappa == pytest.approx(2.0 ** (2 * c))
-            assert result.guarantee.delta == math.exp(-0.1 * 30 / math.log(10))
+            assert not result.guarantee.proven  # no concentration rate is known at c = 2
         assert hits >= 0.9 * seeds
 
 
@@ -205,35 +204,36 @@ class TestGuarantee:
 
     def test_neighbor_guarantee_carries_kappa(self):
         model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
-        config = OracleConfig(kind="neighbor", c=2, T=5, delta=0.05, alpha=0.5, master_seed=3)
+        config = OracleConfig(kind="neighbor", c=5, T=5, delta=0.05, master_seed=3)
         result = adawish_estimate(model, config, beta=2.0)
         assert result.guarantee.proven
-        assert result.guarantee.kappa == pytest.approx(2.0 ** 4 * 2.0)
-        assert result.guarantee.delta == math.exp(-0.5 * 5 / math.log(6))
+        assert result.guarantee.kappa == 2.0 ** 10 * 2.0
+        assert result.guarantee.delta == math.exp(-0.078 * 5 / math.log(6))
 
     @pytest.mark.parametrize(
-        "n, c, T, alpha, delta",
+        "n, c, T, delta",
         [
-            (9, 2, 1, 0.1, math.exp(-0.1 / math.log(9))),  # T = 1 buys far less than delta = 0.01
+            (9, 5, 1, math.exp(-0.078 / math.log(9))),  # T = 1 buys far less than delta = 0.01
             # the default T = ceil(ln(1/0.01) / 0.078 * ln 9) buys delta_T just under 0.01
-            (9, 5, None, None, math.exp(-0.078 * math.ceil(math.log(100) / 0.078 * math.log(9)) / math.log(9))),
-            (9, 2, 5, None, None),  # no concentration rate known for c = 2
-            (9, 2, 5, 1e-300, None),  # delta_T rounds to 1 and proves nothing
-            (1, 2, 5, 0.1, None),  # ln n = 0 at n = 1
+            (9, 5, None, math.exp(-0.078 * math.ceil(math.log(100) / 0.078 * math.log(9)) / math.log(9))),
+            (9, 2, 5, None),  # no concentration rate known for c = 2
+            (1, 5, 5, None),  # ln n = 0 at n = 1
         ],
+        ids=["T-1", "default-T", "no-rate", "n-1"],
     )
-    def test_delta_is_what_T_buys(self, n, c, T, alpha, delta):
-        config = OracleConfig(kind="neighbor", c=c, T=T, alpha=alpha)
+    def test_delta_is_what_T_buys(self, n, c, T, delta):
+        config = OracleConfig(kind="neighbor", c=c, T=T)
         result = wish_estimate(WeightedModel(n, ()), config)
         assert result.guarantee.proven == (delta is not None)
         assert result.guarantee.delta == delta
 
-    @pytest.mark.parametrize("c, beta", [(600, None), (512, None), (511, 4.0)], ids=["c-600", "c-512", "beta"])
-    def test_overflowing_kappa_proves_nothing(self, c, beta):
-        # 2^(2c) overflows a float from c = 512 on, and 2^1022 * 4 overflows the product
-        config = OracleConfig(kind="neighbor", c=c, T=1, alpha=0.1)
+    @pytest.mark.parametrize("beta", [2.0 ** 1014, sys.float_info.max], ids=["beta", "largest-beta"])
+    def test_overflowing_kappa_proves_nothing(self, beta):
+        # kappa = 2^(2c) * beta = 2^10 * beta overflows a float from beta = 2^1014 on
+        config = OracleConfig(kind="neighbor", c=5, T=1)
         model = WeightedModel(9, ())
-        result = wish_estimate(model, config) if beta is None else adawish_estimate(model, config, beta)
+        assert adawish_estimate(model, config, 2.0 ** 1013).guarantee.kappa == 2.0 ** 1023
+        result = adawish_estimate(model, config, beta)
         assert not result.guarantee.proven
         assert result.guarantee.kappa is None
 

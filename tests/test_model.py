@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adawish import gf2
 from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from adawish.logspace import LN2, NEG_INF
@@ -28,6 +29,7 @@ from adawish.model import (
     serialize_uai,
 )
 from adawish.model import _group_sum, _select_quantiles
+from adawish.oracle import map_solve
 from adawish.verify import (
     benchmark_models,
     check_cost_to_go,
@@ -599,6 +601,19 @@ class TestBranchTables:
         ]
         result = check_cost_to_go(model_zoo(40, 14, 7) + benchmark_models(16) + edge_cases)
         assert result.passed, result.detail
+
+    def test_minus_inf_constant_builds_without_warning(self):
+        # a scope-less factor of weight 0 made mu infinite, and H + mu warned
+        # (an error here) at every -inf entry of H; every leaf is -inf
+        model = WeightedModel(3, (
+            Factor((), [NEG_INF]),
+            Factor((0, 1), [0.0, NEG_INF, 1.0, 2.0]),
+            Factor((1, 2), [0.0, 1.0, NEG_INF, NEG_INF]),
+        ))
+        result = map_solve(model, gf2.Gf2System(3, (), ()))
+        assert (result.log_value, result.assignment, result.exact, result.feasible) == (NEG_INF, None, True, True)
+        check = check_cost_to_go([model])
+        assert check.passed, check.detail
 
     def test_list_and_memoryview_tables_agree(self):
         # clique 14's windows reach 2^15 entries, so its search reads lists

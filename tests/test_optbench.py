@@ -70,6 +70,13 @@ class TestComputeOpt:
             assert result.query_indices == (0, 16)
             assert result.opt_size == 2
 
+    def test_one_point_curve_needs_index_zero(self):
+        # exhaustive search started at two indices and raised on n = 0
+        curve = QuantileCurve(0, [1.0])
+        for method in ("greedy", "exhaustive"):
+            result = compute_opt(curve, 2.0, method)
+            assert (result.query_indices, result.opt_size) == ((0,), 1)
+
     def test_geometric_ratio_two_needs_every_index(self):
         curve = gen_geometric_curve(8, 2.0)
         result = compute_opt(curve, kappa=2.0, method="greedy")

@@ -25,7 +25,6 @@ from adawish.oracle import (
     NeighborStubOracle,
     OracleConfig,
     PointwiseCurveOracle,
-    draw_parity_systems,
     make_oracle,
     map_solve,
     sample_parity_system,
@@ -63,7 +62,7 @@ class TestMapSolve:
     def test_branch_and_bound_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         model = gen_grid_ising(2, 5, coupling_w=1.2, seed=seed)
-        system = sample_parity_system(10, 4, rng)
+        [system] = sample_parity_system(10, 4, rng, 1)
         a = reference_map(model, system)
         b = map_solve(model, system)
         assert a.log_value == pytest.approx(b.log_value, abs=1e-9)
@@ -72,7 +71,7 @@ class TestMapSolve:
     def test_constrained_max_matches_table_scan(self):
         rng = np.random.default_rng(77)
         model = random_factor_model(8, rng)
-        system = sample_parity_system(8, 3, rng)
+        [system] = sample_parity_system(8, 3, rng, 1)
         result = map_solve(model, system)
         table = log_weight_table(model)
         sols = [x for x in range(256) if gf2.satisfies(system, x)]
@@ -103,7 +102,7 @@ class TestMapSolve:
         rng = np.random.default_rng(99)
         for model in model_zoo(20, 14, seed=99):
             n = model.n
-            system = sample_parity_system(n, n + 2, rng)
+            [system] = sample_parity_system(n, n + 2, rng, 1)
             chain = [gf2.row_reduce(gf2.Gf2System(n, (), ()))]
             for i in range(n + 3):
                 prefix = gf2.Gf2System(n, system.rows[:i], system.rhs[:i])
@@ -123,7 +122,7 @@ class TestMapSolve:
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
         # the unlimited search takes 33 nodes; the first dive ends at 17 on
         # a leaf below the optimum
-        system = sample_parity_system(model.n, 2, np.random.default_rng(0))
+        [system] = sample_parity_system(model.n, 2, np.random.default_rng(0), 1)
         result = map_solve(model, system, node_limit=5)
         assert not result.exact
         exact = map_solve(model, system)
@@ -137,7 +136,7 @@ class TestMapSolve:
         # most one dive: two children at each of the n variables
         rng = np.random.default_rng(5)
         for m in range(model.n + 1):
-            system = sample_parity_system(model.n, m, rng)
+            [system] = sample_parity_system(model.n, m, rng, 1)
             for limit in (1, 5, 20):
                 limited = map_solve(model, system, node_limit=limit)
                 assert limited.nodes <= limit + 2 * model.n
@@ -149,7 +148,7 @@ class TestMapSolve:
         # the deadline is looked at every 1,024 nodes; this solve takes
         # 9,799, so the check is re-armed several times before it ends
         model = gen_grid_ising(5, 5, coupling_w=1.0, seed=0)
-        system = sample_parity_system(model.n, 12, np.random.default_rng(0))
+        [system] = sample_parity_system(model.n, 12, np.random.default_rng(0), 1)
         unlimited = map_solve(model, system)
         assert unlimited.nodes == 9799
         assert map_solve(model, system, time_limit=3600.0) == unlimited
@@ -170,7 +169,7 @@ class TestMapSolve:
         rng = np.random.default_rng(0)
         model = WeightedModel(n, tuple(Factor((v, v + 1), rng.normal(size=4)) for v in range(n - 1)))
         # parity rows over the whole chain keep the search past its node limit
-        system = sample_parity_system(n, 20, rng)
+        [system] = sample_parity_system(n, 20, rng, 1)
         result = map_solve(model, system, node_limit=20_000)
         assert result.feasible and not result.exact
         assert result.log_value == log_weight(model, result.assignment)
@@ -187,7 +186,7 @@ class TestMapSolve:
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=seed)
         rng = np.random.default_rng(seed)
         for m in range(model.n + 3):
-            system = sample_parity_system(model.n, m, rng)
+            [system] = sample_parity_system(model.n, m, rng, 1)
             assert map_solve(model, gf2.row_reduce(system)) == map_solve(model, system)
 
     def test_only_parity_systems_are_solved(self):
@@ -246,7 +245,7 @@ class TestMapSolve:
     def _small_coset_instance():
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
-        system = sample_parity_system(30, 28, np.random.default_rng(0))
+        [system] = sample_parity_system(30, 28, np.random.default_rng(0), 1)
         got = gf2.row_reduce(system)
         p = got.x0
         u, w = (vec for vec in got.nulls if vec is not None)
@@ -286,7 +285,7 @@ class TestMapSolve:
             for f in random_factor_model(n, rng).factors
         )
         model = WeightedModel(n, factors)
-        system = sample_parity_system(n, m, rng)
+        [system] = sample_parity_system(n, m, rng, 1)
 
         points = range(1 << n)
         ref = [ref_log_weight(model, [(x >> v) & 1 for v in range(n)]) for x in points]
@@ -351,33 +350,29 @@ class TestParitySampling:
         for seed in range(3):
             for m in range(n + 3):
                 rng = rng_from(seed, n, m)
-                system = sample_parity_system(n, m, rng)
+                [system] = sample_parity_system(n, m, rng, 1)
                 ref = rng_from(seed, n, m)
                 matrix = ref.integers(0, 2, size=m * n, dtype=np.uint8)
                 bits = np.concatenate([matrix, ref.integers(0, 2, size=m, dtype=np.uint8)])
                 assert system == self._packed(n, m, bits, m * n)
                 assert rng.bit_generator.state == ref.bit_generator.state
-        # a batch is one (reps, pad + m) draw of `rng_from(master, m)`, one
-        # system per row with its rhs from byte pad = m*n rounded up to a
-        # multiple of 4; row t does not depend on reps
+        # a batch is one (reps, pad + m) draw of the generator, one system
+        # per row with its rhs from byte pad = m*n rounded up to a multiple
+        # of 4; row t does not depend on reps
         for master in (-7, 1 << 64, (1 << 70) + 3):
             for m in range(n + 3):
                 pad = -(-m * n // 4) * 4
                 bits = rng_from(master, m).integers(0, 2, size=(3, pad + m), dtype=np.uint8)
-                batch = draw_parity_systems(n, m, master, 3)
+                batch = sample_parity_system(n, m, rng_from(master, m), 3)
                 assert batch == [self._packed(n, m, row, pad) for row in bits]
-                assert draw_parity_systems(n, m, master, 1) == batch[:1]
-                assert draw_parity_systems(n, m, master, 5)[:3] == batch
+                assert sample_parity_system(n, m, rng_from(master, m), 1) == batch[:1]
+                assert sample_parity_system(n, m, rng_from(master, m), 5)[:3] == batch
 
     def test_negative_sizes_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(StructuralError):
-            sample_parity_system(4, -1, rng)
-        with pytest.raises(StructuralError):
-            sample_parity_system(-1, 2, rng)
-        for n, m, reps in ((4, 2, -1), (4, -1, 3), (-1, 2, 3)):
+        for n, m, reps in ((4, 2, -1), (4, -1, 1), (-1, 2, 1), (4, -1, 3), (-1, 2, 3)):
             with pytest.raises(StructuralError):
-                draw_parity_systems(n, m, 0, reps)
+                sample_parity_system(n, m, rng, reps)
 
 
 class TestXorQuery:
@@ -403,7 +398,7 @@ class TestXorQuery:
         # moving it past only the bounds between its values costs about 2.5
         T = 100_000
         began = time.perf_counter()
-        draw_parity_systems(0, 0, 0, T)
+        sample_parity_system(0, 0, rng_from(0, 0), T)
         drawn = time.perf_counter() - began
         oracle = make_oracle(WeightedModel(0, ()), OracleConfig(kind="neighbor", c=2, T=T, master_seed=0))
         began = time.perf_counter()
@@ -502,7 +497,7 @@ class TestXorQuery:
         # pruning shows here even when every maximum stays the same
         model = parse_gen_spec(spec)
         results = [
-            map_solve(model, sample_parity_system(model.n, i, rng_from(master, i, t)))
+            map_solve(model, sample_parity_system(model.n, i, rng_from(master, i, t), 1)[0])
             for master in range(3)
             for i in range(model.n + 1)
             for t in range(10)
@@ -520,7 +515,7 @@ class TestXorQuery:
         assert "branch_tables" in vars(model.compiled)
 
     def test_repetition_default_formula(self):
-        config = OracleConfig(kind="neighbor", c=5, delta=0.01, alpha=0.078)
+        config = OracleConfig(kind="neighbor", c=5, delta=0.01)
         n = 20
         assert config.repetitions(n) == math.ceil(math.log(100.0) / 0.078 * math.log(n))
         assert OracleConfig(kind="neighbor", T=13).repetitions(n) == 13
@@ -532,7 +527,7 @@ class TestXorQuery:
 
     def test_unknown_alpha_without_T_fails_when_built(self):
         model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
-        with pytest.raises(StructuralError, match="^no default alpha for c=3; pass alpha explicitly$"):
+        with pytest.raises(StructuralError, match="^no concentration rate known for c=3; pass --T$"):
             make_oracle(model, OracleConfig(kind="neighbor", c=3))
 
     def test_default_repetitions_at_tiny_delta(self):
@@ -540,22 +535,16 @@ class TestXorQuery:
         config = OracleConfig(kind="neighbor", c=5, delta=1e-320)
         assert config.repetitions(9) == math.ceil(-math.log(1e-320) / 0.078 * math.log(9))
 
-    def test_default_repetitions_not_finite_raises(self):
-        config = OracleConfig(kind="neighbor", c=2, alpha=1e-320)
-        with pytest.raises(StructuralError, match="is not finite; pass --T$"):
-            config.repetitions(9)
-        assert OracleConfig(kind="neighbor", c=2, alpha=1e-320, T=4).repetitions(9) == 4
-
     def test_failure_probability_is_what_T_buys(self):
         model = gen_grid_ising(2, 3, coupling_w=0.5, seed=2)
-        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=5, alpha=0.5))
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=5, T=5))
         assert oracle.T == 5
-        assert oracle.failure_probability() == math.exp(-0.5 * 5 / math.log(6))
+        assert oracle.failure_probability() == math.exp(-0.078 * 5 / math.log(6))
         oracle = make_oracle(model, OracleConfig(kind="neighbor"))
         assert oracle.T == OracleConfig().repetitions(6)
         assert oracle.failure_probability() == math.exp(-0.078 * oracle.T / math.log(6))
         assert oracle.failure_probability() <= 0.01
-        # no rate known for c = 2 without alpha
+        # no rate known for c = 2
         assert make_oracle(model, OracleConfig(kind="neighbor", c=2, T=5)).failure_probability() is None
 
     def test_curve_oracles_prove_nothing(self):
@@ -631,11 +620,6 @@ class TestOracleDispatch:
         config = OracleConfig(T=np.int64(3), master_seed=np.int64(-2), c=np.int64(3))
         assert (config.T, config.master_seed, config.c) == (3, -2, 3)
         assert all(type(v) is int for v in (config.T, config.master_seed, config.c))
-
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-    def test_alpha_must_be_finite_and_positive(self, alpha):
-        with pytest.raises(StructuralError):
-            OracleConfig(alpha=alpha)
 
     def test_infinite_gamma_rejected(self):
         with pytest.raises(StructuralError, match="gamma must be finite"):
