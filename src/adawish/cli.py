@@ -6,8 +6,8 @@ for a curve CSV), bench (query-count comparison across instances), verify
 (invariant self-checks).  Reported magnitudes are log10 to match the usual
 partition-function plots; internal math is natural log throughout.
 
-Exit codes: 0 success, 1 error, 2 finished without a guarantee (some MAP
-solve hit its limits).
+Exit codes: 0 success, 1 error (a refused command line included), 2
+finished without a guarantee (some MAP solve hit its limits).
 """
 
 from __future__ import annotations
@@ -85,18 +85,39 @@ def _spec_fields(spec: str, extra: tuple[str, ...] = ()) -> tuple[str, str | Non
     return kind, shape, kv
 
 
+def _seed(text: str) -> int:
+    """A seed: a non-negative integer, as numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(text)
+    return seed
+
+
+_SPEC_VALUES = {"n": (int, "an integer"), "w": (float, "a number"), "seed": (_seed, "a non-negative integer")}
+
+
+def _spec_value(key: str, text: str):
+    """text, a spec's value of key, converted; a value that does not convert raises naming its fragment."""
+    convert, what = _SPEC_VALUES[key]
+    try:
+        return convert(text)
+    except ValueError:
+        fragment = f"{key}={text}"
+        raise StructuralError(f"spec fragment {fragment!r} needs {what}") from None
+
+
 def parse_gen_spec(spec: str) -> WeightedModel:
     """Colon-delimited generator spec, e.g. grid:3x3:w=0.5:seed=2 or clique:n=10:w=0.1:seed=7."""
     kind, shape, kv = _spec_fields(spec)
-    seed = int(kv.get("seed", "0"))
+    seed = _spec_value("seed", kv.get("seed", "0"))
     if kind == "grid":
         if shape is None:
             raise StructuralError("grid spec needs a RxC shape, e.g. grid:3x3")
         rows, cols = (int(x) for x in shape.split("x"))
-        return gen_grid_ising(rows, cols, coupling_w=float(kv.get("w", "1.0")), seed=seed)
+        return gen_grid_ising(rows, cols, coupling_w=_spec_value("w", kv.get("w", "1.0")), seed=seed)
     if "n" not in kv:
         raise StructuralError("clique spec needs n=, e.g. clique:n=10")
-    return gen_clique_ising(int(kv["n"]), coupling_w=float(kv.get("w", "0.1")), seed=seed)
+    return gen_clique_ising(_spec_value("n", kv["n"]), coupling_w=_spec_value("w", kv.get("w", "0.1")), seed=seed)
 
 
 def _load_model(args) -> WeightedModel:
@@ -252,7 +273,11 @@ def _expand_suite(spec: str):
     if "seed" in kv:
         raise StructuralError(f"spec fragment 'seed={kv['seed']}' cannot go with seeds=")
     lo, _, hi = kv["seeds"].partition("..")
-    seed_range = range(int(lo), int(hi) + 1)
+    try:
+        seed_range = range(_seed(lo), _seed(hi) + 1)
+    except ValueError:
+        fragment = f"seeds={kv['seeds']}"
+        raise StructuralError(f"spec fragment {fragment!r} needs a range a..b of non-negative integers") from None
     if not seed_range:
         raise StructuralError(f"empty seed range seeds={lo}..{hi}")
     base = ":".join(part for part in spec.split(":") if not part.startswith("seeds="))
@@ -293,9 +318,21 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the code of every refused input.
+
+    argparse exits 2, the code this CLI keeps for a run that finished
+    without a guarantee.  Subcommand parsers are built as this class too.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # one parser per process, however many times `main` runs
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adawish",
         description="Estimate the total weight of binary models via quantile queries.",
     )

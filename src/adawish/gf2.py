@@ -109,6 +109,15 @@ class Gf2System:
         return len(self.rows)
 
 
+def _trusted_system(cols: int, rows: tuple[int, ...], rhs: tuple[int, ...]) -> Gf2System:
+    """A Gf2System of rows already inside cols bits and rhs bits already 0 or 1, built with no check."""
+    system = object.__new__(Gf2System)
+    object.__setattr__(system, "cols", cols)
+    object.__setattr__(system, "rows", rows)
+    object.__setattr__(system, "rhs", rhs)
+    return system
+
+
 class Coset(namedtuple("Coset", ("cols", "m", "x0", "nulls"))):
     """The solution set of an m-row parity system over cols columns.
 
@@ -139,9 +148,12 @@ class Coset(namedtuple("Coset", ("cols", "m", "x0", "nulls"))):
         return cls(*iterable)
 
 
+_new = tuple.__new__
+
+
 def _trusted(cols: int, m: int, x0: int | None, nulls: tuple) -> Coset:
     """A Coset of fields already in its form, built with no check."""
-    return tuple.__new__(Coset, (cols, m, x0, nulls))
+    return _new(Coset, (cols, m, x0, nulls))
 
 
 def _check_coset(got: Coset) -> None:
@@ -183,20 +195,21 @@ def extend(coset: Coset, row: int, b: int) -> Coset:
     row is not validated: it must lie inside cols columns.
     """
     cols, m, x0, nulls = coset
+    # each result is a Coset's tuple built in place, as `_trusted` builds one
     if x0 is None:
-        return _trusted(cols, m + 1, None, ())
+        return _new(Coset, (cols, m + 1, None, ()))
     # a null vector is never 0, so None is the only falsy entry
     odd = [u for u, vec in enumerate(nulls) if vec and (row & vec).bit_count() & 1]
     flip = (row & x0).bit_count() & 1 != b
     if not odd:
-        return _trusted(cols, m + 1, None, ()) if flip else _trusted(cols, m + 1, x0, nulls)
+        return _new(Coset, (cols, m + 1, None, ()) if flip else (cols, m + 1, x0, nulls))
     p = odd.pop()
     top = nulls[p]
     new = list(nulls)
     new[p] = None
     for u in odd:
         new[u] ^= top
-    return _trusted(cols, m + 1, x0 ^ top if flip else x0, tuple(new))
+    return _new(Coset, (cols, m + 1, x0 ^ top if flip else x0, tuple(new)))
 
 
 def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
@@ -206,9 +219,11 @@ def prefix_coset(chain: list[Coset], system: Gf2System, i: int) -> Coset:
     one; the chain is extended one row at a time as far as i, so each
     prefix is eliminated once, from its shorter prefix.
     """
-    while len(chain) <= i:
-        k = len(chain) - 1
-        chain.append(extend(chain[k], system.rows[k], system.rhs[k]))
+    rows, rhs = system.rows, system.rhs
+    coset = chain[-1]
+    for k in range(len(chain) - 1, i):
+        coset = extend(coset, rows[k], rhs[k])
+        chain.append(coset)
     return chain[i]
 
 

@@ -119,6 +119,11 @@ class MapResult(NamedTuple):
     nodes: int = 0
 
 
+def _result(fields: tuple) -> MapResult:
+    """A MapResult of all five fields in order, built with no argument parsing."""
+    return tuple.__new__(MapResult, fields)
+
+
 def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) -> list[gf2.Gf2System]:
     """reps uniform m x n 0/1 constraint matrices, each with a uniform right-hand side.
 
@@ -134,11 +139,13 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) ->
     m = 0 nothing is drawn.  Each matrix row is packed into whole
     little-endian 64-bit words, so one `tolist` turns every row of the
     batch into a Python int; words are joined in Python only when n > 64.
+    The packed rows lie inside n bits and the rhs bytes are 0 or 1, so the
+    systems are built with no second check (`gf2._trusted_system`).
     """
     if min(n, m, reps) < 0:
         raise StructuralError(f"negative size: n={n}, m={m}, reps={reps}")
     if m == 0:
-        return [gf2.Gf2System(n, (), ()) for _ in range(reps)]
+        return [gf2._trusted_system(n, (), ()) for _ in range(reps)]
     pad = -(-m * n // 4) * 4
     draws = rng.integers(0, 2, size=(reps, pad + m), dtype=np.uint8)
     words = max(1, -(-n // 64))
@@ -150,7 +157,7 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) ->
         rows = word[:, :, 0].tolist()
     else:  # join each row's words as Python ints
         rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
-    return [gf2.Gf2System(n, r, b) for r, b in zip(rows, draws[:, pad:].tolist())]
+    return [gf2._trusted_system(n, tuple(r), tuple(b)) for r, b in zip(rows, draws[:, pad:].tolist())]
 
 
 def _solve_branch_and_bound(
@@ -181,10 +188,13 @@ def _solve_branch_and_bound(
     nodes = 1  # the root; every child is counted when it is made
     exhausted = False
     # the limits are looked at on a pop once nodes reaches `check`: from
-    # node_limit on, and every 1,024 nodes under a deadline
-    stop = node_limit if node_limit is not None else 1 << 62
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
-    check = min(stop, 0x400) if deadline is not None else stop
+    # node_limit on, and every 1,024 nodes under a deadline; with neither,
+    # never
+    check = stop = node_limit if node_limit is not None else 1 << 62
+    deadline = None
+    if time_limit is not None:
+        deadline = time.monotonic() + time_limit
+        check = min(stop, 0x400)
     # (variable, solution, score of the groups below the variable, score
     # plus the bound on the groups still to score)
     stack = [(0, x0, compiled.const, compiled.const + compiled.bound_tail[0])]
@@ -238,7 +248,7 @@ def _solve_branch_and_bound(
                     g, f = g0, f0
             v += 1
 
-    return MapResult(best, best_assign, not exhausted, True, nodes)
+    return _result((best, best_assign, not exhausted, True, nodes))
 
 
 def check_columns(system, model: WeightedModel) -> None:
@@ -297,16 +307,19 @@ def map_solve(
     dropped before the limits are looked at, so a search whose every
     remaining node is pruned ends exact.
     """
-    if not isinstance(system, (gf2.Gf2System, gf2.Coset)):
+    # a chained coset, the oracle's every solve, passes with one type test
+    if type(system) is not gf2.Coset and not isinstance(system, (gf2.Gf2System, gf2.Coset)):
         raise StructuralError(f"expected a Gf2System or a Coset, got {type(system).__name__}")
-    check_columns(system, model)
+    if system.cols != model.n:
+        check_columns(system, model)  # raises, naming both counts
     if not floor <= ceiling:
         raise StructuralError(f"bracket [{floor}, {ceiling}] is empty")
-    node_limit = _check_limits(node_limit, time_limit)
-    coset = system if isinstance(system, gf2.Coset) else gf2.row_reduce(system)
-    if coset.x0 is None:
-        return MapResult(NEG_INF, None, True, False)
-    return _solve_branch_and_bound(model, coset.x0, coset.nulls, node_limit, time_limit, floor, ceiling)
+    if node_limit is not None or time_limit is not None:
+        node_limit = _check_limits(node_limit, time_limit)
+    _, _, x0, nulls = system if isinstance(system, gf2.Coset) else gf2.row_reduce(system)
+    if x0 is None:
+        return _result((NEG_INF, None, True, False, 0))
+    return _solve_branch_and_bound(model, x0, nulls, node_limit, time_limit, floor, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +414,21 @@ class QueryLedger:
 
 # ---------------------------------------------------------------------------
 # Quantile oracles
+
+
+def _record_leaf(lo_run: list[float], d: int, value: float) -> None:
+    """A leaf worth value at d (`XorOracle`): lo_run[j] rises to value at j = d, d - 1, ... while below it."""
+    while d >= 0 and lo_run[d] < value:
+        lo_run[d] = value
+        d -= 1
+
+
+def _record_cap(hi_run: list[float], i: int, value: float) -> None:
+    """A cap worth value at i (`XorOracle`): hi_run[j] falls to value at j = i, i + 1, ... while above it."""
+    n = len(hi_run)
+    while i < n and hi_run[i] > value:
+        hi_run[i] = value
+        i += 1
 
 
 class QuantileOracle:
@@ -502,42 +530,50 @@ class XorOracle(NeighborOracle):
     nesting changes, is never used.
 
     Intervals.  Adding rows only removes solutions, S_{i+1,t} is a subset
-    of S_{i,t}, so v_{i+1,t} <= v_{i,t}.  Per repetition the oracle keeps
-    proven bounds over 0..n: caps[j] >= v_{j,t} and leaves[d] <= v_{d,t}
-    (inf and -inf until proven), so v_{i,t} lies in [lo_t, hi_t], lo_t =
-    max(leaves[i:]) and hi_t = min(caps[:i + 1]).  A solve in [floor,
-    ceiling] (`map_solve`) tightens them: any assignment it returns is a
-    solution, entered in leaves at its first violated row; an exact result
-    with no assignment proves v <= floor, and an exact value below ceiling
-    is v, either entered in caps[i]; a ceiling stop or a limited search
-    proves no cap.  An inconsistent prefix gets caps[i] = -inf, which every
-    longer prefix of t inherits.
+    of S_{i,t}, so v_{i+1,t} <= v_{i,t}.  A leaf worth x at d, a solution
+    of the first d rows, proves v_{j,t} >= x at every j <= d, and a cap
+    worth x at i proves v_{j,t} <= x at every j >= i.  Per repetition the
+    oracle keeps what its records prove as two running bounds over 0..n:
+    lo_run[j], the highest leaf at j or above, and hi_run[j], the lowest
+    cap at j or below (-inf and inf until proven).  So v_{i,t} lies in
+    [lo_t, hi_t] = [lo_run[i], hi_run[i]], read by index.  Both are
+    non-increasing in j, and a record walks only while it tightens one: a
+    leaf at d raises lo_run[d], lo_run[d - 1], ... until one is already at
+    least as high, and a cap at i lowers hi_run[i], hi_run[i + 1], ...
+    until one is already at most as low.  A solve in [floor, ceiling]
+    (`map_solve`) records: any assignment it returns is a solution, a leaf
+    at its first violated row; an exact result with no assignment proves v
+    <= floor, and an exact value below ceiling is v, either a cap at i; a
+    ceiling stop or a limited search proves no cap.  An inconsistent prefix
+    caps i at -inf, and so every longer prefix of t.
 
     Selection.  s lies in [S_lo, S_hi], the (r + 1)-th smallest lo_t and
-    hi_t.  The query visits the repetitions once, in descending hi_t, and
-    solves each that straddles the bracket (lo_t < hi_t, hi_t > S_lo and
-    lo_t < S_hi) in [max(S_lo, lo_t), min(S_hi, hi_t)]; it answers S_lo
+    hi_t.  A query answers S_lo at once when S_lo == S_hi.  Otherwise it
+    visits the repetitions that straddle the bracket (lo_t < hi_t, hi_t >
+    S_lo and lo_t < S_hi) once, in descending hi_t, and solves each that
+    still straddles in [max(S_lo, lo_t), min(S_hi, hi_t)]; it answers S_lo
     once S_lo == S_hi.  One pass is enough: bounds only tighten, so S_lo
     only rises and S_hi only falls, and a repetition that stops straddling
-    never straddles again.  An exact solve ends its repetition's
-    straddling: no leaf above the floor leaves hi_t at or below it, a
-    value below the ceiling makes lo_t = hi_t, and a ceiling stop leaves
-    lo_t at or above it.  Were S_lo < S_hi after the pass, each repetition
-    would have hi_t < S_hi or lo_t > S_lo, but at most r can have the
-    first and at most T - r - 1 the second.  A settle moves its bounds in
-    the sorted ends past only the ones between their old and new values,
-    so a query whose repetitions all settle to one value is linear in T.
+    never straddles again, so one that does not straddle at the start is
+    never visited.  An exact solve ends its repetition's straddling: no
+    leaf above the floor leaves hi_t at or below it, a value below the
+    ceiling makes lo_t = hi_t, and a ceiling stop leaves lo_t at or above
+    it.  Were S_lo < S_hi after the pass, each repetition would have hi_t <
+    S_hi or lo_t > S_lo, but at most r can have the first and at most T - r
+    - 1 the second.  A settle moves its bounds in the sorted ends past only
+    the ones between their old and new values, so a query whose
+    repetitions all settle to one value is linear in T.
 
     A solution set several repetitions' prefixes share, inconsistent ones
     included, is solved once per query, keyed by its coset: equal solution
     sets of i rows give equal cosets, and a solve's result, and the
     interval its repetition's records prove, hold for the solution set and
-    not for the rows.  The others enter its solution in their records, as
-    their own solve would, and its interval in caps[i] and leaves[i],
-    which settles them.  Under node or time limits an inexact result pins
-    its repetition, for this query, at the value returned, clamped into
-    its interval; the answer is then a heuristic, and the ledger's
-    guarantee_void says so.
+    not for the rows.  The others record its solution, as their own solve
+    would, and its interval as a leaf and a cap at i, which settles them.
+    Under node or time limits an inexact result pins its repetition, for
+    this query, at the value returned, clamped into its interval, and
+    records only its solution; the answer is then a heuristic, and the
+    ledger's guarantee_void says so.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
@@ -547,11 +583,11 @@ class XorOracle(NeighborOracle):
         self.c = config.c
         self.T = config.repetitions(model.n)
         # per repetition, filled on the first query: the system, its chain
-        # of prefix cosets (`gf2.prefix_coset`), caps and leaves
+        # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run
         self._systems: list[gf2.Gf2System] = []
         self._chains: list[list[gf2.Coset]] = []
-        self._caps: list[list[float]] = []
-        self._leaves: list[list[float]] = []
+        self._lo: list[list[float]] = []
+        self._hi: list[list[float]] = []
 
     def failure_probability(self) -> float | None:
         """delta_T = exp(-alpha T / ln n), what the T repetitions buy.
@@ -564,25 +600,31 @@ class XorOracle(NeighborOracle):
         return math.exp(-alpha * self.T / math.log(self.n))
 
     def _compute(self, i: int) -> float:
+        T = self.T
         if not self._systems:
-            self._systems = sample_parity_system(self.n, self.n, rng_from(self.config.master_seed, self.n), self.T)
+            self._systems = sample_parity_system(self.n, self.n, rng_from(self.config.master_seed, self.n), T)
             free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
-            self._chains = [[free] for _ in range(self.T)]
-            self._caps = [[math.inf] * (self.n + 1) for _ in range(self.T)]
-            self._leaves = [[NEG_INF] * (self.n + 1) for _ in range(self.T)]
+            self._chains = [[free] for _ in range(T)]
+            self._lo = [[NEG_INF] * (self.n + 1) for _ in range(T)]
+            self._hi = [[math.inf] * (self.n + 1) for _ in range(T)]
         # lower middle for even counts: never overestimates the median
-        r = (self.T - 1) // 2
-        lows = [max(leaves[i:]) for leaves in self._leaves]
-        highs = [min(caps[: i + 1]) for caps in self._caps]
+        r = (T - 1) // 2
+        lows = [lo_run[i] for lo_run in self._lo]
+        highs = [hi_run[i] for hi_run in self._hi]
         los, his = sorted(lows), sorted(highs)
-        shared: dict[gf2.Coset, tuple[MapResult, float, float, float]] = {}
+        s_lo, s_hi = los[r], his[r]
+        if s_lo == s_hi:
+            return s_lo
         # descending hi_t; the sort is stable, so ties keep ascending t
-        for t in sorted(range(self.T), key=highs.__getitem__, reverse=True):
+        visit = [t for t in range(T) if lows[t] < highs[t] and highs[t] > s_lo and lows[t] < s_hi]
+        visit.sort(key=highs.__getitem__, reverse=True)
+        shared: dict[gf2.Coset, tuple[MapResult, float, float, float]] = {}
+        for t in visit:
             s_lo, s_hi = los[r], his[r]
             if s_lo == s_hi:
                 break
             lo, hi = lows[t], highs[t]
-            if lo == hi or hi <= s_lo or lo >= s_hi:
+            if hi <= s_lo or lo >= s_hi:
                 continue
             new_lo, new_hi = self._settle(i, t, lo, hi, s_lo, s_hi, shared)
             # move each bound past only the ones between its old and new value
@@ -597,20 +639,20 @@ class XorOracle(NeighborOracle):
         return los[r]
 
     def interval(self, t: int, i: int) -> tuple[float, float]:
-        """[lo_t, hi_t], repetition t's proven interval on v_{i,t} from its records."""
-        return max(self._leaves[t][i:]), min(self._caps[t][: i + 1])
+        """[lo_t, hi_t], repetition t's proven interval on v_{i,t}, read from its running bounds."""
+        return self._lo[t][i], self._hi[t][i]
 
     def _settle(
         self, i: int, t: int, lo: float, hi: float, s_lo: float, s_hi: float, shared: dict
     ) -> tuple[float, float]:
         """Repetition t's interval, [lo, hi] before, once its prefix is solved in [s_lo, s_hi].
 
-        Only leaves[d >= i] and caps[i] change, so the new interval is the
-        old one tightened by the values entered; see the class docstring.
+        The solve's records tighten t's running bounds, and the new
+        interval is read from them at i; see the class docstring.
         """
         system = self._systems[t]
-        caps, leaves = self._caps[t], self._leaves[t]
-        prefix = gf2.prefix_coset(self._chains[t], system, i)
+        chain = self._chains[t]
+        prefix = chain[i] if i < len(chain) else gf2.prefix_coset(chain, system, i)
         hit = shared.get(prefix)
         if hit is None:
             top = min(s_hi, hi)
@@ -618,21 +660,22 @@ class XorOracle(NeighborOracle):
         else:
             result, top, a, b = hit
         value, x = result.log_value, result.assignment
+        lo_run, hi_run = self._lo[t], self._hi[t]
         if x is not None:  # a solution of rows 0..d-1, d its first violated row
+            rows, rhs, n = system.rows, system.rhs, self.n
             d = i
-            while d < self.n and (system.rows[d] & x).bit_count() & 1 == system.rhs[d]:
+            while d < n and (rows[d] & x).bit_count() & 1 == rhs[d]:
                 d += 1
-            leaves[d] = max(leaves[d], value)
-            lo = max(lo, value)
+            _record_leaf(lo_run, d, value)
         if not result.exact:
-            lo = hi = min(max(value, lo), hi)
+            lo = hi = min(max(value, lo_run[i]), hi_run[i])
         else:
             if x is None or value < top:
-                caps[i] = hi = min(hi, value)
+                _record_cap(hi_run, i, value)
             if hit is not None:  # the interval the prefix's solve left holds v here too
-                leaves[i] = max(leaves[i], a)
-                caps[i] = min(caps[i], b)
-                lo, hi = max(lo, a), min(hi, b)
+                _record_leaf(lo_run, i, a)
+                _record_cap(hi_run, i, b)
+            lo, hi = lo_run[i], hi_run[i]
         shared[prefix] = (result, top, lo, hi)
         return lo, hi
 

@@ -375,7 +375,8 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     only when v <= floor (the floor returned), a value below ceiling only
     when it is v, and otherwise a value in [ceiling, v].  After the
     queries every repetition's interval (`XorOracle.interval`) at every
-    index 0..n must hold its v.  No query may solve one coset twice,
+    index 0..n must hold its v, have lo <= hi, and have both ends
+    non-increasing in i, as v_{i,t} is.  No query may solve one coset twice,
     map_calls must not exceed the distinct cosets of the queried indices,
     and each full sweep must query all n + 1 indices, with medians that do
     not increase with i.  The detail counts the repetitions settled with
@@ -440,6 +441,10 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
                 if not lo <= maxima[i][t] <= hi:
                     detail = f"{where}, i={i}, t={t}: interval [{lo}, {hi}] misses maximum {maxima[i][t]}"
                     return CheckResult("median bracket", False, detail)
+                lo_next, hi_next = oracle.interval(t, min(i + 1, n))
+                if not (lo <= hi and lo_next <= lo and hi_next <= hi):
+                    detail = f"{where}, i={i}, t={t}: interval [{lo}, {hi}] then [{lo_next}, {hi_next}]"
+                    return CheckResult("median bracket", False, f"{detail}: empty or not monotone")
             if oracle.ledger.map_calls > sum(len(full[i]) for i in memo):
                 return CheckResult("median bracket", False, f"{where}: more solves than distinct prefixes")
             if order != "adawish":

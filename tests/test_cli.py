@@ -223,8 +223,31 @@ class TestEstimate:
         path.write_text(FIXTURE)
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--model", str(path), "--gen", "grid:2x2", "--oracle", "exact"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1  # 2 is kept for a run without a guarantee
         assert "argument --gen: not allowed with argument --model" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--bogus"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: adawish ")
+        assert err.endswith("adawish: error: unrecognized arguments: --bogus\n")
+
+    def test_subcommand_usage_error_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--gen", "grid:2x2", "--T", "many"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: adawish estimate ")
+        assert "adawish estimate: error: argument --T: invalid int value: 'many'" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adawish estimate ")
 
 
 class TestGenAndQuantiles:
@@ -277,9 +300,15 @@ class TestGenAndQuantiles:
             ("grid:3x3:seeds=0..1", "cannot parse spec fragment 'seeds=0..1'"),
             # and this one failed unpacking the shape
             ("grid:3x3x3", "cannot parse spec fragment '3x3x3'"),
+            # these named the conversion, not the fragment
+            ("clique:n=abc", "spec fragment 'n=abc' needs an integer"),
+            ("clique:n=5:w=abc", "spec fragment 'w=abc' needs a number"),
+            ("grid:2x2:seed=-5", "spec fragment 'seed=-5' needs a non-negative integer"),
+            ("grid:2x2:seed=1.5", "spec fragment 'seed=1.5' needs a non-negative integer"),
         ],
         ids=["bad-fragment", "grid-without-shape", "clique-without-n", "unknown-key", "misspelt-key",
-             "repeated-key", "clique-key-on-grid", "shape-on-clique", "suite-key-on-model", "three-dims"],
+             "repeated-key", "clique-key-on-grid", "shape-on-clique", "suite-key-on-model", "three-dims",
+             "n-not-integer", "w-not-number", "negative-seed", "seed-not-integer"],
     )
     def test_malformed_spec_exits_one(self, capsys, spec, message):
         code, out, err = run_cli(capsys, "gen", "--spec", spec)
@@ -408,8 +437,11 @@ class TestBench:
             ("grid:3x3:w=1.0:seed=4:seeds=0..1", "spec fragment 'seed=4' cannot go with seeds="),
             ("grid:3x3:seeds=0..1:seeds=2..3", "spec fragment 'seeds=2..3' repeats seeds="),
             ("grid:3x3:sed=4:seeds=0..1", "cannot parse spec fragment 'sed=4'"),
+            ("grid:2x2:seeds=0..", "spec fragment 'seeds=0..' needs a range a..b of non-negative integers"),
+            ("grid:2x2:seeds=-2..1", "spec fragment 'seeds=-2..1' needs a range a..b of non-negative integers"),
+            ("grid:2x2:w=x:seeds=0..1", "spec fragment 'w=x' needs a number"),
         ],
-        ids=["seed-and-seeds", "repeated-seeds", "misspelt-key"],
+        ids=["seed-and-seeds", "repeated-seeds", "misspelt-key", "open-range", "negative-seed", "w-not-number"],
     )
     def test_malformed_suite_exits_one(self, capsys, suite, message):
         code, out, err = run_cli(capsys, "bench", "--suite", suite, "--oracle", "exact")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from adawish import gf2
 from adawish.cli import parse_gen_spec
 from adawish.errors import StructuralError, TooLarge
+from adawish.estimator import adawish_from_oracle, wish_from_oracle
 from adawish.model import (
     Factor,
     WeightedModel,
@@ -25,6 +27,7 @@ from adawish.oracle import (
     NeighborStubOracle,
     OracleConfig,
     PointwiseCurveOracle,
+    XorOracle,
     make_oracle,
     map_solve,
     sample_parity_system,
@@ -375,7 +378,77 @@ class TestParitySampling:
                 sample_parity_system(n, m, rng, reps)
 
 
+class _SettleLog(XorOracle):
+    """An `XorOracle` that logs each settle: (i, t, the shared entry it read or None, the one it left)."""
+
+    def __init__(self, model, config):
+        super().__init__(model, config)
+        self.settles = []
+
+    def _settle(self, i, t, lo, hi, s_lo, s_hi, shared):
+        prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
+        hit = shared.get(prefix)
+        out = super()._settle(i, t, lo, hi, s_lo, s_hi, shared)
+        self.settles.append((i, t, hit, shared[prefix]))
+        return out
+
+
+def _replayed_records(oracle):
+    """Each repetition's caps and leaves, entered from the settle log one record at a time.
+
+    A returned assignment is a leaf at its first violated row, an exact
+    value below the ceiling or an exact result with no assignment a cap at
+    the query's index, and a shared interval both, at that index.
+    """
+    n = oracle.n
+    caps = [[math.inf] * (n + 1) for _ in range(oracle.T)]
+    leaves = [[NEG_INF] * (n + 1) for _ in range(oracle.T)]
+    for i, t, hit, (result, top, _, _) in oracle.settles:
+        value, x = result.log_value, result.assignment
+        if x is not None:
+            system = oracle._systems[t]
+            violated = (gf2.evaluate(system, x) ^ gf2.as_mask(system.rhs, n)) >> i << i
+            d = (violated & -violated).bit_length() - 1 if violated else n
+            leaves[t][d] = max(leaves[t][d], value)
+        if result.exact:
+            if x is None or value < top:
+                caps[t][i] = min(caps[t][i], value)
+            if hit is not None:
+                leaves[t][i] = max(leaves[t][i], hit[2])
+                caps[t][i] = min(caps[t][i], hit[3])
+    return caps, leaves
+
+
 class TestXorQuery:
+    @pytest.mark.parametrize("T", [1, 2, 5, 30])
+    @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0"])
+    def test_running_bounds_are_the_records_slices(self, spec, T):
+        # lo_run and hi_run are kept by walks; the plain records they stand
+        # for give each interval as max(leaves[i:]) and min(caps[:i + 1])
+        model = parse_gen_spec(spec)
+        n = model.n
+        hits = infeasible = 0
+        for order, master in itertools.product(("wish", "adawish", "descending"), range(2)):
+            oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
+            if order == "wish":
+                wish_from_oracle(oracle)
+            elif order == "adawish":
+                adawish_from_oracle(oracle, 2.0)
+            else:
+                for i in reversed(range(n + 1)):
+                    oracle.query(i)
+            caps, leaves = _replayed_records(oracle)
+            for t, i in itertools.product(range(T), range(n + 1)):
+                assert oracle.interval(t, i) == (max(leaves[t][i:]), min(caps[t][: i + 1])), (order, master, t, i)
+            solved = [hit is None for _, _, hit, _ in oracle.settles]
+            assert oracle.ledger.map_calls == sum(solved)
+            hits += len(solved) - sum(solved)
+            infeasible += sum(not entry[0].feasible for _, _, _, entry in oracle.settles)
+        # repetitions share the unconstrained coset at i = 0, and at i = n
+        # thirty draws leave some prefix inconsistent
+        assert hits > 0 if T > 1 else hits == 0
+        assert infeasible > 0 or T < 30
+
     def test_index_zero_is_unconstrained_map(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
         curve = exact_quantiles(model)
