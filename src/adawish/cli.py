@@ -23,11 +23,10 @@ import time
 
 import numpy as np
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, StructuralError, TooLarge
 from .estimator import adawish_estimate, wish_estimate
 from .logspace import LN10, NEG_INF
 from .model import (
-    ENUMERATION_LIMIT,
     QuantileCurve,
     WeightedModel,
     exact_log_partition,
@@ -147,10 +146,14 @@ def _report(model, args, config, result, wall) -> dict:
     log10_estimate = result.log_w / LN10
     log10_exact = None
     log10_err = None
-    if args.auto_exact and model.n <= ENUMERATION_LIMIT:
-        log10_exact = exact_log_partition(model) / LN10
-        # equal values err by 0, both -inf (W = 0) included, where the difference is NaN
-        log10_err = 0.0 if log10_estimate == log10_exact else abs(log10_estimate - log10_exact)
+    if args.auto_exact:
+        try:
+            log10_exact = exact_log_partition(model) / LN10
+        except TooLarge:  # neither the recursion nor the enumeration reaches
+            pass
+        else:
+            # equal values err by 0, both -inf (W = 0) included, where the difference is NaN
+            log10_err = 0.0 if log10_estimate == log10_exact else abs(log10_estimate - log10_exact)
     if result.guarantee.proven:
         guarantee = f"proven(kappa={result.guarantee.kappa:.6g},delta={result.guarantee.delta:g})"
     else:
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--schedule", choices=("wish", "adawish"), default="adawish")
     p_est.add_argument("--csv", help="also write the report to this CSV file, replacing it")
     p_est.add_argument("--no-auto-exact", dest="auto_exact", action="store_false",
-                       help="skip automatic ground truth even when enumerable")
+                       help="skip the exact log Z reference even where it is computable")
     p_est.set_defaults(func=cmd_estimate, auto_exact=True)
 
     p_gen = sub.add_parser("gen", help="write a generated instance as UAI text")

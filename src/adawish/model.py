@@ -30,22 +30,31 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   place.  Each group is summed once per model, and its table serves both
   evaluators below;
 - `CompiledModel.blocks`, behind the enumeration helpers
-  (`exact_log_partition`, `exact_quantiles`, `log_weight_table`, n <= 24),
-  builds the table of all 2^n log-weights in place: a prefix table over
-  the low variables doubles by one variable per group in one buffer,
-  adding the group's window table where it has one, and each block of
+  (`exact_quantiles`, `log_weight_table`, `enumerated_log_partition`,
+  n <= 24), builds the table of all 2^n log-weights in place: a prefix
+  table over the low variables doubles by one variable per group in one
+  buffer, adding the group's window table where it has one, and each block of
   2^18 entries fixes the high variables and adds their groups straight
   into its destination, a slice of the caller's table or one reused
   buffer, so a yielded block is valid only until the next one is drawn.
   Nothing is allocated per step.
-  `exact_log_partition` reduces block by block in a fixed order, so its
-  result is bit-reproducible, and `exact_quantiles` selects b_n .. b_0
+  `enumerated_log_partition` reduces block by block in a fixed order, so
+  its result is bit-reproducible, and `exact_quantiles` selects b_n .. b_0
   from the table in place by halving selection, each partition on the
   upper half the last one left, with no sort and no copy;
+- `CompiledModel.eliminate` is the one backward recursion over the window
+  tables (bucket elimination, Dechter, AIJ 1999), on frontiers of up to
+  FRONTIER_BITS bits.  Reduced by log-sum-exp it gives log Z exactly, up
+  to a stated rounding bound, at O(n 2^w) cost for a widest frontier of w
+  bits (`CompiledModel.log_partition`), so `exact_log_partition` reaches
+  grids far past n = 24 and enumerates only where the recursion stops:
+  at a frontier past FRONTIER_BITS (a clique's spans every earlier
+  variable, so cliques of more than 13 variables) or an untabled window
+  (models past WINDOW_BUDGET);
 - branch-and-bound MAP reads the windows through
   `CompiledModel.branch_tables`, which pairs each window with a cost-to-go
   table read at the same key: a bound on the groups after v that no leaf
-  exceeds, rounding included, from a backward max over the window tables
+  exceeds, rounding included, from the recursion reduced by max
   (bucket elimination used as a search heuristic, Kask & Dechter, AIJ
   2001), built on the first solve.  A pair of tables of at most
   2^FRONTIER_BITS (4,096) entries is held as Python lists, so a lookup
@@ -66,7 +75,7 @@ import numpy as np
 
 from .errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from .gf2 import as_mask
-from .logspace import NEG_INF, log_sum_exp
+from .logspace import LN2, NEG_INF, log_sum_exp
 
 ENUMERATION_LIMIT = 24
 BLOCK_BITS = 18  # enumeration blocks hold 2^18 assignments
@@ -123,8 +132,10 @@ class CompiledModel:
     `log_weight` evaluate at given bitmasks; `windows` gives every group a
     lookup with table[(x >> lo) & mask] == completed(v, x), and
     `branch_tables` adds the cost-to-go bound read at the same key, both
-    built on first use; `blocks` yields the whole table, reading the
-    windows of its prefix groups.
+    built on first use; `eliminate` runs the backward recursion over the
+    windows that both `branch_tables` (by max) and `log_partition` (by
+    log-sum-exp) read; `blocks` yields the whole table, reading the windows
+    of its prefix groups.
     """
 
     def __init__(self, model: WeightedModel):
@@ -200,6 +211,75 @@ class CompiledModel:
             windows.append((lo, size - 1, memoryview(table)))
         return tuple(windows)
 
+    def eliminate(self, op: np.ufunc) -> list[np.ndarray | None]:
+        """H[n] .. H[0], the backward recursion over the window tables, reduced by the ufunc `op`.
+
+        reach[k] is the lowest scope variable of any group >= k (k if none is
+        lower).  H[k] is a table over the frontier bits reach[k]..k-1, in
+        bitmask order: H[n] = 0, and H[k](f) = op over x_k of
+        window_k + H[k+1], by broadcasting, for as long as frontiers span at
+        most FRONTIER_BITS bits and windows are tabled (bucket elimination,
+        Dechter, AIJ 1999).  The H[k] past the first group that fails are
+        None.  Reduced by np.maximum, H[k] is the best score of groups
+        k..n-1 over the completions of each frontier (`branch_tables`); by
+        np.logaddexp, the log of their summed weight (`log_partition`).
+        """
+        n, reach, windows = self.n, self.reach, self.windows
+        heights: list[np.ndarray | None] = [None] * (n + 1)
+        heights[n] = np.zeros(1)
+        for k in range(n - 1, -1, -1):
+            lo, _, score = windows[k]
+            if not isinstance(score, memoryview) or k - reach[k] > FRONTIER_BITS:
+                break
+            width, below = k - reach[k] + 1, reach[k + 1] - reach[k]
+            window = np.asarray(score).reshape((2,) * (k - lo + 1) + (1,) * (lo - reach[k]))
+            after = heights[k + 1].reshape((2,) * (width - below) + (1,) * below)
+            heights[k] = op.reduce(window + after, axis=0).reshape(-1)
+        return heights
+
+    @cached_property
+    def magnitude(self) -> float:
+        """G, the rounding scale of `branch_tables` and `log_partition`.
+
+        |const| (left out when -inf) plus, per group, the largest finite
+        |entry| of its window table, or, for an untabled group, twice the
+        sum of its factors' largest finite |entry|.
+        """
+        largest = [abs(self.const)] if self.const > NEG_INF else []
+        for (_, _, score), group in zip(self.windows, self.groups):
+            if isinstance(score, memoryview):
+                entries = np.abs(np.asarray(score))
+                largest.append(float(entries[np.isfinite(entries)].max(initial=0.0)))
+            else:
+                largest.extend(2.0 * float(np.abs(t[np.isfinite(t)]).max(initial=0.0)) for _, t in group)
+        return math.fsum(largest)
+
+    def log_partition(self) -> tuple[float, float] | None:
+        """(log Z, its rounding bound B) by `eliminate` under np.logaddexp; None where it stops short.
+
+        log Z is const + H[0].  The reference is the exact log-sum-exp of
+        const plus the window entries of each assignment, which equal the
+        evaluators' group sums bit for bit.  Let S = G + n ln 2, G as in
+        `magnitude`.  A finite entry of H[k] is the log of a sum of at most
+        2^(n-k) terms exp(s), |s| <= G, so it and every sum window + H[k+1]
+        lie within S to first order in u = 2^-53.  A step rounds that sum (by
+        u S) and calls numpy's logaddexp(x, y) = max + log1p(exp(-|x - y|)):
+        the subtraction errs by u |x - y| <= 2 u S, which the term's slope,
+        at most 1/2, turns into u S; exp and log1p (within an ulp in glibc)
+        of values in [0, 1] add at most 2u; the last addition errs by u S.
+        Log-sum-exp and addition pass earlier errors on without growth (both
+        are 1-Lipschitz in the max norm), and adding const costs u S more, so
+        the result errs by at most (3n + 1) u S + 2n u, which
+        B = gamma_{4n+2} (S + 1), gamma_m = m u / (1 - m u), covers with
+        (n + 1) u (S + 1) to spare for second-order terms.  -inf entries stay
+        -inf exactly.
+        """
+        heights = self.eliminate(np.logaddexp)
+        if heights[0] is None:
+            return None
+        n = self.n
+        return self.const + float(heights[0][0]), _gamma(4 * n + 2) * (self.magnitude + n * LN2 + 1.0)
+
     @cached_property
     def branch_tables(self) -> tuple[tuple[int, int, object, object], ...]:
         """Per group v, (lo, mask, score, bound): the window of `windows` and B_v.
@@ -214,11 +294,8 @@ class CompiledModel:
         convert.  Both hold the same values, so the search's sums, nodes and
         order are the same either way.
 
-        reach[k] is the lowest scope variable of any group >= k (k if none is
-        lower).  H[k] is a table over the frontier bits reach[k]..k-1, in
-        bitmask order: H[n] = 0, and H[k](f) = max over x_k of
-        window_k + H[k+1], filled backward by broadcasting for as long as
-        frontiers span at most FRONTIER_BITS bits and windows are tabled.
+        H is `eliminate` reduced by max: H[k](f) is the best float sum of
+        groups k..n-1 over the completions of frontier f, where it was built.
         B_v repeats H[v+1] + mu over window v's bits below reach[v + 1].
         Where H[v+1] was not built, or H[v+1] + mu is nowhere below
         bound_tail[v+1] (as on cliques, whose factors are <= 0 with 0 at the
@@ -233,39 +310,18 @@ class CompiledModel:
         (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2),
         gamma_m = m u / (1 - m u), u = 2^-53, and the two roundings of
         g + (H + mu) by u times their results.  Every magnitude involved is at
-        most G (1 + gamma_n), G = |const| + the sum over groups of the largest
-        finite |entry| of its window, so the leaf exceeds g + (H + mu) by at
-        most (2 gamma_n + gamma_n^2 + 3u (1 + gamma_n)) G + 3u mu, which
-        mu = gamma_{2n+4} G covers with about u G to spare, enough for the
-        roundings in computing mu itself.  An untabled group counts twice the
-        sum of its factors' largest finite |entry|.  -inf entries of H stay
-        -inf: every completion through them scores -inf.  A const of -inf is
-        left out of G: every leaf then scores -inf, and any bound is
-        admissible.
+        most G (1 + gamma_n), G as in `magnitude`, so the leaf exceeds
+        g + (H + mu) by at most (2 gamma_n + gamma_n^2 + 3u (1 + gamma_n)) G
+        + 3u mu, which mu = gamma_{2n+4} G covers with about u G to spare,
+        enough for the roundings in computing mu itself.  -inf entries of H
+        stay -inf: every completion through them scores -inf.  A const of
+        -inf, left out of G, makes every leaf score -inf, and any bound is
+        then admissible.
         """
         n, reach, windows, tail = self.n, self.reach, self.windows, self.bound_tail
-        heights: list[np.ndarray | None] = [None] * (n + 1)
-        heights[n] = np.zeros(1)
-        for k in range(n - 1, -1, -1):
-            lo, _, score = windows[k]
-            if not isinstance(score, memoryview) or k - reach[k] > FRONTIER_BITS:
-                break
-            width, below = k - reach[k] + 1, reach[k + 1] - reach[k]
-            window = np.asarray(score).reshape((2,) * (k - lo + 1) + (1,) * (lo - reach[k]))
-            after = heights[k + 1].reshape((2,) * (width - below) + (1,) * below)
-            heights[k] = (window + after).max(axis=0).reshape(-1)
-
-        mu = 0.0  # H[n] + mu = mu never falls below bound_tail[n] = 0: only an H[k < n] needs mu
-        if n and heights[n - 1] is not None:
-            largest = [abs(self.const)] if self.const > NEG_INF else []
-            for (_, _, score), group in zip(windows, self.groups):
-                if isinstance(score, memoryview):
-                    magnitude = np.abs(np.asarray(score))
-                    largest.append(float(magnitude[np.isfinite(magnitude)].max(initial=0.0)))
-                else:
-                    largest.extend(2.0 * float(np.abs(t[np.isfinite(t)]).max(initial=0.0)) for _, t in group)
-            m = 2 * n + 4
-            mu = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF) * math.fsum(largest)
+        heights = self.eliminate(np.maximum)
+        # H[n] + mu = mu never falls below bound_tail[n] = 0: only an H[k < n] needs mu
+        mu = _gamma(2 * n + 4) * self.magnitude if n and heights[n - 1] is not None else 0.0
 
         tables = []
         for v, (lo, mask, score) in enumerate(windows):
@@ -385,6 +441,11 @@ def _axes(bits: int, a: int, b: int) -> tuple[list[int], list[int], list[int]]:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), the relative error bound of m roundings."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
 class _Uniform:
     """A constant behind the indexing of a bound table, for any key."""
 
@@ -481,7 +542,28 @@ def log_weight_table(model: WeightedModel) -> np.ndarray:
 
 
 def exact_log_partition(model: WeightedModel) -> float:
-    """log sum_x w(x) by enumeration: one log-sum-exp per block, then one over those."""
+    """log sum_x w(x), by the backward recursion where it reaches and by enumeration elsewhere.
+
+    Where every group has a window table and every frontier spans at most
+    FRONTIER_BITS bits, `CompiledModel.log_partition` sums at O(n 2^w) cost,
+    w the widest frontier, within B = gamma_{4n+2} (G + n ln 2 + 1) of the
+    exact value (derived there).  Elsewhere -- cliques of more than 13
+    variables, models past WINDOW_BUDGET -- `enumerated_log_partition` reads
+    all 2^n weights, so TooLarge past ENUMERATION_LIMIT.
+    """
+    summed = model.compiled.log_partition()
+    return enumerated_log_partition(model) if summed is None else summed[0]
+
+
+def enumerated_log_partition(model: WeightedModel) -> float:
+    """log sum_x w(x) by enumeration: one log-sum-exp per block, then one over those (n <= 24).
+
+    The per-block order is fixed, so the value is bit-reproducible.  Its
+    error is below the recursion's B: each weight is a sum of n + 1 terms
+    (within gamma_n G), and each of the two log-sum-exps adds a few u S and
+    the relative error of a pairwise sum of at most 2^n terms in [0, 1], so
+    the two paths agree within 2B (`verify.check_partition_agreement`).
+    """
     return log_sum_exp([log_sum_exp(block) for block in _enumerable(model).blocks(BLOCK_BITS)])
 
 

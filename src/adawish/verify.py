@@ -10,7 +10,8 @@ uniformity, randomized query coverage).  The references the checks and the
 test suite share live here too: the model zoo, the curve and parity-system
 suites, and `reference_map`, the enumeration of `gf2.row_reduce`'s coset
 that `map_solve` is compared against.  `row_reduce` and the chain of
-`gf2.extend` steps are each other's witness (`check_coset`).
+`gf2.extend` steps are each other's witness (`check_coset`), and so are the
+backward recursion and the enumeration of log Z (`check_partition_agreement`).
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import numpy as np
 from . import gf2
 from .errors import TooLarge
 from .estimator import adawish_from_oracle, sandwich_bounds, wish_from_oracle
-from .logspace import LN2, NEG_INF, log_sum_exp
+from .logspace import LN2, NEG_INF
 from .model import (
     BLOCK_BITS,
     ENUMERATION_LIMIT,
     Factor,
     QuantileCurve,
     WeightedModel,
+    enumerated_log_partition,
     exact_log_partition,
     exact_quantiles,
     gen_clique_ising,
@@ -149,10 +151,9 @@ def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckRes
     copied before the next is drawn (the blocks share one buffer), and the
     table that `blocks` fills through `out=` must both equal `log_weights_at`
     over every bitmask under `np.array_equal` (so -inf entries sit at the
-    same positions).  `exact_log_partition` must equal the log-sum-exp of
-    that reference's per-block log-sum-exps, and `exact_quantiles` must read
-    the reference sorted ascending at 2^n - 2^i for i = 0..n, with equal
-    sign bits, so its selection is the sort bit for bit.
+    same positions).  `exact_quantiles` must read the reference sorted
+    ascending at 2^n - 2^i for i = 0..n, with equal sign bits, so its
+    selection is the sort bit for bit.
     """
     for model in models:
         ref = log_weights_at(model, np.arange(1 << model.n))
@@ -164,14 +165,36 @@ def check_enumeration_agreement(models: list[WeightedModel], widths) -> CheckRes
                 pass
             if not np.array_equal(filled, ref):
                 return CheckResult("enumeration agreement", False, f"{model.name}: out= fill at width {w}")
-        partials = [log_sum_exp(ref[s : s + _ENUM_BLOCK]) for s in range(0, ref.size, _ENUM_BLOCK)]
-        if exact_log_partition(model) != log_sum_exp(partials):
-            return CheckResult("enumeration agreement", False, f"{model.name}: exact_log_partition")
         got = exact_quantiles(model).log_values
         want = np.sort(ref)[ref.size - (1 << np.arange(model.n + 1))]
         if not (np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))):
             return CheckResult("enumeration agreement", False, f"{model.name}: exact_quantiles")
     return CheckResult("enumeration agreement", True, f"{len(models)} models x widths {tuple(widths)}")
+
+
+def check_partition_agreement(models: list[WeightedModel]) -> CheckResult:
+    """The backward recursion and the enumeration give log Z within twice the recursion's bound.
+
+    Each path is the other's witness: on every model the recursion reaches
+    (`CompiledModel.log_partition`, with its rounding bound B), the
+    enumeration (`enumerated_log_partition`) must be equal or within 2B, as
+    both lie within B of the exact value.  `exact_log_partition` must return
+    the recursion's value where it reaches and the enumeration's elsewhere.
+    The detail counts the models the recursion reached.
+    """
+    reached = 0
+    for model in models:
+        summed = model.compiled.log_partition()
+        enumerated = enumerated_log_partition(model)
+        if summed is not None:
+            reached += 1
+            log_z, bound = summed
+            if not (log_z == enumerated or abs(log_z - enumerated) <= 2.0 * bound):
+                detail = f"{model.name}: recursion {log_z!r} vs enumeration {enumerated!r}, bound {bound:.3g}"
+                return CheckResult("partition agreement", False, detail)
+        if exact_log_partition(model) != (enumerated if summed is None else summed[0]):
+            return CheckResult("partition agreement", False, f"{model.name}: exact_log_partition")
+    return CheckResult("partition agreement", True, f"{reached} of {len(models)} models reached by the recursion")
 
 
 def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
@@ -694,6 +717,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
     checks = [
         check_coset(*coset_systems(seed=13)),
         check_enumeration_agreement(models, (3, BLOCK_BITS)),
+        check_partition_agreement(models + benchmark_models(max_n)),
         check_window_agreement(models + benchmark_models(max_n)),
         check_cost_to_go(models + benchmark_models(max_n)),
         check_sandwich(models),

@@ -511,3 +511,35 @@ class TestAutoExact:
         assert float(report["log10_w_exact"]) == pytest.approx(
             exact_log_partition(model) / math.log(10), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "spec, flags, code",
+        [
+            ("grid:6x6:w=1.0:seed=0", ("--T", "7"), 0),
+            # the node limit keeps the run under a second and voids the guarantee
+            ("grid:10x10:w=1.0:seed=0", ("--T", "3", "--node-limit", "2000"), 2),
+        ],
+    )
+    def test_reference_past_enumeration(self, capsys, spec, flags, code):
+        got, out, _ = run_cli(capsys, "estimate", "--gen", spec, "--c", "5", *flags)
+        assert got == code
+        report = parse_report(out)
+        log10_exact = exact_log_partition(parse_gen_spec(spec)) / math.log(10)
+        assert float(report["log10_w_exact"]) == log10_exact
+        assert float(report["log10_error"]) == abs(float(report["log10_w_estimate"]) - log10_exact)
+
+    def test_no_reference_where_neither_path_reaches(self, capsys):
+        # a clique's frontier spans every earlier variable, and n = 30 is past enumeration
+        code, out, _ = run_cli(capsys, "estimate", "--gen", "clique:n=30:w=0.1:seed=0", "--c", "5", "--T", "1")
+        assert code == 0
+        report = parse_report(out)
+        assert report["log10_w_exact"] == report["log10_error"] == ""
+        assert report["log10_w_estimate"] != ""
+
+    def test_no_auto_exact_past_enumeration(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--gen", "grid:6x6:w=1.0:seed=0", "--c", "5", "--T", "7", "--no-auto-exact",
+        )
+        assert code == 0
+        report = parse_report(out)
+        assert report["log10_w_exact"] == report["log10_error"] == ""

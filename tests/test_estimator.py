@@ -245,6 +245,22 @@ class TestGuarantee:
         assert not result.guarantee.proven
 
 
+class TestAccuracyPastEnumeration:
+    # the exact log Z of these grids comes from the backward recursion, as
+    # no grid past 4x6 can be enumerated; 8x8 takes about a minute at T = 7
+    @pytest.mark.parametrize("schedule", ["wish", "adawish"])
+    @pytest.mark.parametrize("side", [5, 6, 7])
+    def test_estimate_within_kappa_of_exact(self, side, schedule):
+        model = gen_grid_ising(side, side, coupling_w=1.0, seed=0)
+        config = OracleConfig(kind="neighbor", c=5, T=7, master_seed=0)
+        if schedule == "wish":
+            result = wish_estimate(model, config)
+        else:
+            result = adawish_estimate(model, config, 2.0)
+        assert result.guarantee.proven
+        assert abs(result.log_w - exact_log_partition(model)) <= math.log(result.guarantee.kappa)
+
+
 class TestPinnedEstimates:
     # (spec, master seed, schedule) -> (log_w as float.hex, distinct_queries,
     # map_calls, search_nodes) under the neighbor oracle at c = 2, beta = 2

@@ -16,9 +16,11 @@ from adawish.model import (
     FRONTIER_BITS,
     WINDOW_BUDGET,
     WINDOW_ENTRIES,
+    CompiledModel,
     Factor,
     QuantileCurve,
     WeightedModel,
+    enumerated_log_partition,
     exact_log_partition,
     exact_quantiles,
     gen_clique_ising,
@@ -34,6 +36,7 @@ from adawish.verify import (
     benchmark_models,
     check_cost_to_go,
     check_enumeration_agreement,
+    check_partition_agreement,
     check_solver_agreement,
     check_window_agreement,
     model_zoo,
@@ -335,11 +338,17 @@ class TestExactReferences:
             assert np.all(curve.log_values[:-1] >= curve.log_values[1:])
 
     def test_size_guard(self):
-        big = WeightedModel(25, ())
+        # a clique's frontier spans every earlier variable, so past 13 the
+        # recursion stops and n = 25 is past enumeration too
         with pytest.raises(TooLarge):
-            exact_log_partition(big)
+            exact_log_partition(gen_clique_ising(25, coupling_w=0.1, seed=0))
         with pytest.raises(TooLarge):
-            exact_quantiles(big)
+            exact_quantiles(WeightedModel(25, ()))
+
+    def test_recursion_reaches_past_enumeration(self):
+        # every group of a model without factors has a one-bit window and an empty frontier
+        for n in (25, 100):
+            assert exact_log_partition(WeightedModel(n, ())) == pytest.approx(n * LN2, rel=1e-15)
 
     def test_blocks_match_pointwise_evaluator(self):
         # widths 3 and 8 put most variables on the high-variable path, which
@@ -376,6 +385,58 @@ class TestExactReferences:
     )
     def test_partition_pinned_on_benchmark_instances(self, spec, log_w):
         assert exact_log_partition(parse_gen_spec(spec)) == log_w
+
+    # recorded from the backward recursion, which alone reaches these grids
+    @pytest.mark.parametrize(
+        "spec, log_w",
+        [
+            ("grid:6x6:w=1.0:seed=0", 91.24718514286621),
+            ("grid:10x10:w=1.0:seed=0", 256.0867154860274),
+        ],
+    )
+    def test_partition_pinned_past_enumeration(self, spec, log_w):
+        model = parse_gen_spec(spec)
+        assert model.compiled.log_partition() is not None
+        assert exact_log_partition(model) == log_w
+
+    def test_recursion_matches_enumeration_on_the_largest_enumerable_grid(self):
+        # grid 4x6 has n = 24, the enumeration limit: the pins above come
+        # from the path checked here against all 2^24 weights
+        model = parse_gen_spec("grid:4x6:w=1.0:seed=0")
+        log_z, bound = model.compiled.log_partition()
+        enumerated = enumerated_log_partition(model)
+        assert abs(log_z - enumerated) <= 2.0 * bound
+        assert bound < 1e-12
+        assert exact_log_partition(model) == log_z
+
+    def test_recursion_stops_where_a_frontier_or_window_does_not_fit(self):
+        # clique 13's widest frontier is 12 bits, clique 14's 13; grid 12x12 passes WINDOW_BUDGET
+        assert parse_gen_spec("clique:n=13:w=0.1:seed=0").compiled.log_partition() is not None
+        clique, grid = parse_gen_spec("clique:n=14:w=0.1:seed=0"), parse_gen_spec("grid:12x12:w=1.0:seed=0")
+        assert clique.compiled.log_partition() is None and grid.compiled.log_partition() is None
+        assert exact_log_partition(clique) == enumerated_log_partition(clique)
+        with pytest.raises(TooLarge):
+            exact_log_partition(grid)
+
+    def test_partition_agreement_on_the_zoo(self):
+        edge_cases = [
+            WeightedModel(0, (), name="no variables"),
+            WeightedModel(3, (Factor((), [NEG_INF]), Factor((0, 1), [0.0, 1.0, 2.0, 3.0])), name="-inf constant"),
+            WeightedModel(3, (Factor((0, 2), [NEG_INF] * 4),), name="no assignment has weight"),
+            signed_entries_model(np.random.default_rng(8)),
+            wide_group_model(),
+        ]
+        result = check_partition_agreement(model_zoo(40, 16, 7) + benchmark_models(16) + edge_cases)
+        assert result.passed, result.detail
+        reached, total = map(int, result.detail.split()[:3:2])
+        assert 0 < reached < total  # both paths ran
+
+    def test_partition_check_catches_a_wrong_recursion(self, monkeypatch):
+        # a log-sum-exp that drops the smaller term is the max: far past the bound on any grid
+        monkeypatch.setattr(CompiledModel, "log_partition", lambda self: (
+            self.const + float(self.eliminate(np.maximum)[0][0]), 1e-12))
+        result = check_partition_agreement([gen_grid_ising(3, 3, coupling_w=1.0, seed=2)])
+        assert not result.passed and "recursion" in result.detail
 
     @pytest.mark.parametrize("spec", list(PINNED_QUANTILES))
     def test_quantiles_pinned_on_benchmark_instances(self, spec):
