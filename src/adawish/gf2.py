@@ -13,7 +13,12 @@ Gauss-Jordan elimination; the pivots are the rows' highest bits after
 reduction.  `extend` adds one row to a coset in one pass over its null
 vectors, the one incremental step, so a longer prefix of a system costs
 one step per row (`prefix_coset`).  The two share no step, and each is
-the other's witness (`verify.check_coset`).  `as_mask` turns an
+the other's witness (`verify.check_coset`).  `basis_bits`, `span` and
+`violation_codes` list a coset's 2^k points in numpy, for the XOR
+oracle's batched sweep of its deepest indices: a map that is XOR-linear in
+x is spanned from its values at x0 and the null vectors, and a point's
+depth, the first row past the coset's system that it violates, is read
+from the code of the rows it violates.  `as_mask` turns an
 assignment into a bitmask for `evaluate`, `satisfies` and
 `model.log_weight`.
 """
@@ -274,6 +279,73 @@ def row_reduce(system: Gf2System) -> Coset:
         None if basis[f] else sum(1 << p for p in pivots if (basis[p][0] >> f) & 1) | 1 << f for f in range(cols)
     )
     return _trusted(cols, system.m, sum(basis[p][1] << p for p in pivots), tuple(nulls))
+
+
+def _bits(vectors: Sequence[int], cols: int) -> np.ndarray:
+    """(len(vectors), cols) 0/1 uint8: row r holds vectors[r], bit v in column v."""
+    width = -(-cols // 8)
+    raw = b"".join([vec.to_bytes(width, "little") for vec in vectors])
+    packed = np.frombuffer(raw, np.uint8).reshape(len(vectors), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def basis_bits(cosets: Sequence[Coset]) -> np.ndarray:
+    """(len(cosets), k + 1, cols) 0/1 uint8: each coset's x0, then its k null vectors by free variable.
+
+    Every coset must be consistent and have the same k free variables.
+    Point s of a coset, for s in 0 .. 2^k - 1, is x0 XOR the null vectors
+    b whose bit b is set in s; `span` lists any GF(2)-linear image of the
+    points in that order, from the images of these k + 1 rows.  The rows
+    are unpacked from their ints byte by byte, so no n-bit integer array is
+    needed at any width.
+    """
+    cols, _, _, nulls = cosets[0]
+    k = cols - nulls.count(None)
+    vectors = []
+    for coset in cosets:
+        vectors.append(coset.x0)
+        vectors.extend(vec for vec in coset.nulls if vec is not None)
+    return _bits(vectors, cols).reshape(len(cosets), k + 1, cols)
+
+
+def span(images: np.ndarray) -> np.ndarray:
+    """(2^k, ...) from (k + 1, ...): entry s is images[0] XOR images[1 + b] for each bit b set in s.
+
+    Each step doubles the entries listed so far with one XOR, so a map that
+    is XOR-linear in x, given at x0 and at each null vector (`basis_bits`),
+    is listed at all 2^k points of the coset in k numpy calls.
+    """
+    k = len(images) - 1
+    out = np.empty((1 << k,) + images.shape[1:], images.dtype)
+    out[0] = images[0]
+    for b in range(k):
+        np.bitwise_xor(out[: 1 << b], images[1 + b], out=out[1 << b : 2 << b])
+    return out
+
+
+def violation_codes(bits: np.ndarray, systems: Sequence[Gf2System], start: int) -> np.ndarray:
+    """(2^k, len(systems)): per point of each coset, which of rows start..m-1 of its system it violates.
+
+    bits is `basis_bits` of each system's coset of its first start rows, so
+    every point satisfies those rows, and points are listed in `span` order.
+    Bit m - 1 - j of a point's code is set when it violates row j.  So its
+    depth, the first row it violates (m if none), is m minus the code's bit
+    length: the depth is at least j exactly when the code is below
+    2^(m - j).  The code is XOR-linear in the point up to the rhs: its value
+    at each basis row comes from one 0/1 matrix product, the rhs bits are
+    folded into x0's, and `span` lists it at every point.  All systems must
+    have the same row count m, with m - start < 63: the codes are int64.
+    """
+    count, _, cols = bits.shape
+    m = systems[0].m
+    rows = _bits([row for system in systems for row in system.rows[start:]], cols).reshape(count, m - start, cols)
+    # parity(row_j & vec) for each basis row and each row j >= start: the
+    # uint8 product wraps mod 256, which keeps the parity
+    odd = (bits @ rows.transpose(0, 2, 1) & 1).astype(np.int64)
+    place = 1 << np.arange(m - start - 1, -1, -1)
+    images = odd @ place  # (count, k + 1)
+    images[:, 0] ^= np.array([system.rhs[start:] for system in systems], np.int64).reshape(count, m - start) @ place
+    return span(images.T)
 
 
 def evaluate(system, assignment) -> int:

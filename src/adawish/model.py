@@ -47,10 +47,14 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   FRONTIER_BITS bits.  Reduced by log-sum-exp it gives log Z exactly, up
   to a stated rounding bound, at O(n 2^w) cost for a widest frontier of w
   bits (`CompiledModel.log_partition`), so `exact_log_partition` reaches
-  grids far past n = 24 and enumerates only where the recursion stops:
-  at a frontier past FRONTIER_BITS (a clique's spans every earlier
-  variable, so cliques of more than 13 variables) or an untabled window
-  (models past WINDOW_BUDGET);
+  grids far past n = 24.  It enumerates where the recursion would reduce
+  no fewer entries than the 2^n it replaces (a clique's frontier spans
+  every earlier variable, so every clique) or stops: at a frontier past
+  FRONTIER_BITS or an untabled window (models past WINDOW_BUDGET);
+- `CompiledModel.coset_weights` weighs every point of a batch of parity
+  cosets at once, for the XOR oracle's sweep of its deepest indices: it
+  reads the windows, and an untabled group's factors, at keys spanned
+  over each coset (`gf2.span`), so no n-bit integer is formed per point;
 - branch-and-bound MAP reads the windows through
   `CompiledModel.branch_tables`, which pairs each window with a cost-to-go
   table read at the same key: a bound on the groups after v that no leaf
@@ -73,6 +77,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gf2
 from .errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from .gf2 import as_mask
 from .logspace import LN2, NEG_INF, log_sum_exp
@@ -135,7 +140,8 @@ class CompiledModel:
     built on first use; `eliminate` runs the backward recursion over the
     windows that both `branch_tables` (by max) and `log_partition` (by
     log-sum-exp) read; `blocks` yields the whole table, reading the windows
-    of its prefix groups.
+    of its prefix groups; `coset_weights` weighs every point of a batch of
+    cosets, reading the windows too.
     """
 
     def __init__(self, model: WeightedModel):
@@ -342,6 +348,51 @@ class CompiledModel:
                 tables.append((lo, mask, score, memoryview(bound)))
         return tuple(tables)
 
+    def coset_weights(self, bits: np.ndarray) -> np.ndarray:
+        """log w at every point of each coset: (2^k, count) from `gf2.basis_bits` (count, k + 1, n).
+
+        A group's window key, and for an untabled group each factor's table
+        index, is XOR-linear in x: its value at x0 and at each null vector
+        is a row of one integer matrix product, and `gf2.span` lists it at
+        every point.  Each weight is then const plus the window entries in
+        group order, an untabled group summed from 0.0 factor by factor: the
+        additions of `completed` and of the search's leaf, so it equals
+        `log_weight` bit for bit, and the maximum over a coset is the value
+        `oracle.map_solve` finds.
+        """
+        # key c is the sum over the variables it reads of bit u at its place value
+        scopes = []
+        for v, (lo, mask, table) in enumerate(self.windows):
+            if isinstance(table, memoryview):  # bits lo.., lowest first
+                scopes.append(range(lo + mask.bit_length() - 1, lo - 1, -1))
+            else:  # a factor's scope, its first variable most significant
+                scopes.extend(scope for scope, _ in self.groups[v])
+        variables, columns, places = [], [], []
+        for c, scope in enumerate(scopes):
+            variables += scope
+            columns += [c] * len(scope)
+            places += [1 << p for p in range(len(scope) - 1, -1, -1)]
+        weigh = np.zeros((self.n, len(scopes)), np.int32)
+        weigh[variables, columns] = places
+        # (count, k + 1, keys), by an integer product (no BLAS buffer), then
+        # in the smallest type that holds every key, to keep the spanned keys small
+        top = max((len(scope) for scope in scopes), default=0)
+        images = (bits @ weigh).astype(np.min_scalar_type((1 << top) - 1))
+        keys = gf2.span(images.transpose(1, 2, 0))  # (2^k, keys, count)
+        weights = np.full((keys.shape[0], keys.shape[2]), self.const)
+        c = 0
+        for v, (_, _, table) in enumerate(self.windows):
+            if isinstance(table, memoryview):
+                weights += np.take(np.asarray(table), keys[:, c])
+                c += 1
+                continue
+            total = 0.0
+            for _, factor in self.groups[v]:
+                total = total + np.take(factor, keys[:, c])
+                c += 1
+            weights += total
+        return weights
+
     def blocks(self, bits: int, out: np.ndarray | None = None):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
@@ -542,17 +593,25 @@ def log_weight_table(model: WeightedModel) -> np.ndarray:
 
 
 def exact_log_partition(model: WeightedModel) -> float:
-    """log sum_x w(x), by the backward recursion where it reaches and by enumeration elsewhere.
+    """log sum_x w(x), by the backward recursion where it is the cheaper path and by enumeration elsewhere.
 
-    Where every group has a window table and every frontier spans at most
-    FRONTIER_BITS bits, `CompiledModel.log_partition` sums at O(n 2^w) cost,
-    w the widest frontier, within B = gamma_{4n+2} (G + n ln 2 + 1) of the
-    exact value (derived there).  Elsewhere -- cliques of more than 13
-    variables, models past WINDOW_BUDGET -- `enumerated_log_partition` reads
-    all 2^n weights, so TooLarge past ENUMERATION_LIMIT.
+    The recursion (`CompiledModel.log_partition`) reduces one table over
+    bits reach[k]..k per group k, sum_k 2^(k - reach[k] + 1) entries in
+    all, within B = gamma_{4n+2} (G + n ln 2 + 1) of the exact value
+    (derived there).  It is taken where those entries are fewer than the
+    2^n that `enumerated_log_partition` reads and the recursion reaches:
+    every group has a window table and every frontier spans at most
+    FRONTIER_BITS bits.  A clique's frontiers span every earlier variable,
+    so its recursion reduces 2^(n+1) - 2 entries and every clique
+    enumerates, as do models past WINDOW_BUDGET: TooLarge past
+    ENUMERATION_LIMIT.
     """
-    summed = model.compiled.log_partition()
-    return enumerated_log_partition(model) if summed is None else summed[0]
+    compiled = model.compiled
+    if sum(1 << (k - compiled.reach[k] + 1) for k in range(model.n)) < 1 << model.n:
+        summed = compiled.log_partition()
+        if summed is not None:
+            return summed[0]
+    return enumerated_log_partition(model)
 
 
 def enumerated_log_partition(model: WeightedModel) -> float:

@@ -25,8 +25,11 @@ constrained maxima under random (A, d) pairs with i rows, nested across
 indices within a repetition, so each repetition holds a proven interval
 on its maximum.  A query solves only the repetitions whose interval
 straddles the bracket the intervals put on the median, each inside it,
-and a solution set several repetitions' prefixes share once; the proof
-is in `XorOracle`.
+and a solution set several repetitions' prefixes share once.  The
+deepest K indices, whose cosets hold at most 2^K points, are settled with
+no solve: one numpy enumeration of every repetition's coset at n - K,
+T 2^K <= SWEEP_POINTS points in all (`sweep_depth`).  The proofs are in
+`XorOracle`.
 `sample_parity_system` draws any number of pairs as the rows of one
 bounded-uint8 draw from a caller's generator; the XOR oracle draws its T
 pairs from `rng_from(master_seed, n)`.
@@ -58,6 +61,9 @@ from .logspace import NEG_INF
 from .model import QuantileCurve, WeightedModel, exact_quantiles
 from .seeds import mix64, rng_from, unit_from
 
+# points one sweep of `XorOracle` scores, over all its repetitions: K = 8 at
+# T = 30 and K = 10 at T = 5, the depths that measured fastest there
+SWEEP_POINTS = 1 << 13
 
 # ---------------------------------------------------------------------------
 # MAP solving
@@ -158,6 +164,16 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) ->
     else:  # join each row's words as Python ints
         rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
     return [gf2._trusted_system(n, tuple(r), tuple(b)) for r, b in zip(rows, draws[:, pad:].tolist())]
+
+
+def sweep_depth(n: int, T: int) -> int | None:
+    """K, the largest k <= n with T 2^k <= SWEEP_POINTS: how many of the deepest indices `XorOracle` sweeps.
+
+    None when T > SWEEP_POINTS, where there is no sweep.
+    """
+    if T > SWEEP_POINTS:
+        return None
+    return min(n, (SWEEP_POINTS // T).bit_length() - 1)
 
 
 def _solve_branch_and_bound(
@@ -390,7 +406,8 @@ class QueryLedger:
 
     distinct_queries is the number of indices computed, one memo entry each;
     repeat accesses are cache hits.  map_calls counts actual MAP solver
-    invocations and search_nodes sums their `MapResult.nodes`.
+    invocations and search_nodes sums their `MapResult.nodes`, plus the
+    points `XorOracle`'s sweep scored.
     guarantee_void flips when any solve came back inexact, cut short by
     `OracleConfig.node_limit` or `time_limit`.
     """
@@ -574,6 +591,26 @@ class XorOracle(NeighborOracle):
     this query, at the value returned, clamped into its interval, and
     records only its solution; the answer is then a heuristic, and the
     ledger's guarantee_void says so.
+
+    Sweep.  Let K be the largest k <= n with T 2^k <= SWEEP_POINTS
+    (`sweep_depth`) and i0 = n - K (`sweep_from`).  The first query at an
+    index i >= i0 settles indices i0..n of every repetition whose prefix at
+    i0 is inconsistent or of full rank, with no solve.  An inconsistent
+    prefix caps i0 at -inf.  A full-rank prefix's coset holds 2^K points,
+    which are scored at once (`CompiledModel.coset_weights`), and each
+    point's depth, the first row past i0 that it violates, is read from the
+    rows it violates (`gf2.violation_codes`).  The prefixes nest, so
+    S_{j,t} for j >= i0 is the set of points of depth j or more, and v_{j,t}
+    is the largest weight among them.  Each weight is the float sum the
+    search forms at a leaf, so v_{j,t} is what an exact `map_solve` returns,
+    bit for bit.  A point attains it, so v_{j,t} is a leaf at j; it is the
+    maximum, so it is also a cap at j.  lo_run and hi_run therefore become
+    v from i0 on, and the leaf at i0 raises lo_run below it.  A
+    rank-deficient prefix, whose coset holds more than 2^K points, is left
+    to the solver.  The sweep adds the 2^K points of each full-rank prefix
+    to search_nodes; map_calls counts `map_solve` calls alone.  The node and
+    time limits bind `map_solve` alone too: the sweep is always exact.  With
+    T > SWEEP_POINTS there is no sweep.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
@@ -582,6 +619,10 @@ class XorOracle(NeighborOracle):
         self.config = config
         self.c = config.c
         self.T = config.repetitions(model.n)
+        depth = sweep_depth(model.n, self.T)
+        # i0 = n - K, the first index the sweep settles; None when there is no sweep
+        self.sweep_from = None if depth is None else model.n - depth
+        self._swept = False
         # per repetition, filled on the first query: the system, its chain
         # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run
         self._systems: list[gf2.Gf2System] = []
@@ -607,6 +648,8 @@ class XorOracle(NeighborOracle):
             self._chains = [[free] for _ in range(T)]
             self._lo = [[NEG_INF] * (self.n + 1) for _ in range(T)]
             self._hi = [[math.inf] * (self.n + 1) for _ in range(T)]
+        if not self._swept and self.sweep_from is not None and i >= self.sweep_from:
+            self._sweep()
         # lower middle for even counts: never overestimates the median
         r = (T - 1) // 2
         lows = [lo_run[i] for lo_run in self._lo]
@@ -637,6 +680,44 @@ class XorOracle(NeighborOracle):
                 his[j + 1 : k + 1] = his[j:k]
                 his[j] = new_hi
         return los[r]
+
+    def _sweep(self) -> dict[int, list[float]]:
+        """Settle indices i0..n of every repetition whose prefix at i0 is inconsistent or of full rank.
+
+        Returns, per repetition settled, v_{j,t} for j = i0..n, each recorded
+        as a leaf and a cap at j; see the class docstring.
+        """
+        self._swept = True
+        n, i0 = self.n, self.sweep_from
+        settled: dict[int, list[float]] = {}
+        full, cosets = [], []
+        for t, (system, chain) in enumerate(zip(self._systems, self._chains)):
+            prefix = chain[i0] if i0 < len(chain) else gf2.prefix_coset(chain, system, i0)
+            if prefix.x0 is None:
+                settled[t] = [NEG_INF] * (n - i0 + 1)
+            elif prefix.nulls.count(None) == i0:  # rank i0: K free variables
+                full.append(t)
+                cosets.append(prefix)
+        if full:
+            bits = gf2.basis_bits(cosets)
+            weights = self.model.compiled.coset_weights(bits)  # (2^K, len(full))
+            codes = gf2.violation_codes(bits, [self._systems[t] for t in full], i0)
+            # per repetition, the best weight of each code, then of each code
+            # or a lower one: a point solves the first j rows when its code is
+            # below 2^(n - j), so v_{j,t} is read at column 2^(n - j) - 1
+            best = np.full((len(full), 1 << (n - i0)), NEG_INF)
+            rows = np.arange(len(full)) << (n - i0)
+            np.maximum.at(best.reshape(-1), (codes + rows).reshape(-1), weights.reshape(-1))
+            best = np.maximum.accumulate(best, axis=1)[:, [(1 << (n - j)) - 1 for j in range(i0, n + 1)]]
+            settled.update(zip(full, best.tolist()))
+            self.ledger.search_nodes += weights.size
+        for t, values in settled.items():
+            # exact values: lo_run and hi_run become v from i0 on, and the
+            # leaf at i0 raises lo_run below it while it lies below v_{i0,t}
+            lo_run, hi_run = self._lo[t], self._hi[t]
+            lo_run[i0:] = hi_run[i0:] = values
+            _record_leaf(lo_run, i0 - 1, values[0])
+        return settled
 
     def interval(self, t: int, i: int) -> tuple[float, float]:
         """[lo_t, hi_t], repetition t's proven interval on v_{i,t}, read from its running bounds."""

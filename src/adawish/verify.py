@@ -4,14 +4,17 @@ Each check exercises one of the library's core contracts on the inputs it
 is given and returns a (name, passed, detail) row; the test suite calls the
 same checks with its own pinned inputs, so every contract has one
 definition.  `run_checks` builds the suites of the `verify` CLI command:
-the fast level keeps models at n <= 12 and finishes in seconds; the full
-level raises sizes to n <= 16 and adds the statistical checks (hash
-uniformity, randomized query coverage).  The references the checks and the
+the fast level keeps models at n <= 12, but for the sweep check's clique
+25 and grid 33x2 (`sweep_cases`), and finishes in seconds; the full level
+raises sizes to n <= 16 and adds the statistical checks (hash uniformity,
+randomized query coverage).  The references the checks and the
 test suite share live here too: the model zoo, the curve and parity-system
 suites, and `reference_map`, the enumeration of `gf2.row_reduce`'s coset
 that `map_solve` is compared against.  `row_reduce` and the chain of
 `gf2.extend` steps are each other's witness (`check_coset`), and so are the
-backward recursion and the enumeration of log Z (`check_partition_agreement`).
+backward recursion and the enumeration of log Z (`check_partition_agreement`);
+the XOR oracle's batched sweep of its deepest indices answers what
+`map_solve` finds (`check_sweep`).
 """
 
 from __future__ import annotations
@@ -179,12 +182,16 @@ def check_partition_agreement(models: list[WeightedModel]) -> CheckResult:
     (`CompiledModel.log_partition`, with its rounding bound B), the
     enumeration (`enumerated_log_partition`) must be equal or within 2B, as
     both lie within B of the exact value.  `exact_log_partition` must return
-    the recursion's value where it reaches and the enumeration's elsewhere.
-    The detail counts the models the recursion reached.
+    the recursion's value where it reaches and is the cheaper path, the
+    entries it reduces, sum over k of 2^(k - reach[k] + 1), being fewer
+    than the 2^n the enumeration reads, and the enumeration's elsewhere.
+    The detail counts the models the recursion reached and those on which
+    `exact_log_partition` took it.
     """
-    reached = 0
+    reached = taken = 0
     for model in models:
-        summed = model.compiled.log_partition()
+        compiled = model.compiled
+        summed = compiled.log_partition()
         enumerated = enumerated_log_partition(model)
         if summed is not None:
             reached += 1
@@ -192,9 +199,16 @@ def check_partition_agreement(models: list[WeightedModel]) -> CheckResult:
             if not (log_z == enumerated or abs(log_z - enumerated) <= 2.0 * bound):
                 detail = f"{model.name}: recursion {log_z!r} vs enumeration {enumerated!r}, bound {bound:.3g}"
                 return CheckResult("partition agreement", False, detail)
-        if exact_log_partition(model) != (enumerated if summed is None else summed[0]):
+        cheaper = sum(2 ** (k - compiled.reach[k] + 1) for k in range(model.n)) < 2**model.n
+        recursion = summed is not None and cheaper
+        taken += recursion
+        if exact_log_partition(model) != (summed[0] if recursion else enumerated):
             return CheckResult("partition agreement", False, f"{model.name}: exact_log_partition")
-    return CheckResult("partition agreement", True, f"{reached} of {len(models)} models reached by the recursion")
+    return CheckResult(
+        "partition agreement",
+        True,
+        f"{reached} of {len(models)} models reached by the recursion, {taken} of them summed by it",
+    )
 
 
 def check_window_agreement(models: list[WeightedModel]) -> CheckResult:
@@ -369,6 +383,7 @@ class _SolveLog(XorOracle):
         super().__init__(model, config)
         self.solves: list[tuple[gf2.Coset, float, float, MapResult]] = []
         self.early_stops = 0
+        self.swept: dict[int, list[float]] = {}
 
     def _compute(self, i: int) -> float:
         s = super()._compute(i)
@@ -380,6 +395,10 @@ class _SolveLog(XorOracle):
         result = super()._solve(prefix, floor, ceiling)
         self.solves.append((prefix, floor, ceiling, result))
         return result
+
+    def _sweep(self) -> dict[int, list[float]]:
+        self.swept = super()._sweep()
+        return self.swept
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
@@ -405,10 +424,11 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     not increase with i.  The detail counts the repetitions settled with
     no search, the solves that ended at the floor and at the ceiling, the
     infeasible ones, ties (a further distinct coset whose maximum equals a
-    finite s_i) and early stops (`_SolveLog`), so a caller can see that
-    its inputs reached each case.
+    finite s_i), early stops (`_SolveLog`) and the repetitions the oracle's
+    sweep settled (`check_sweep`), so a caller can see that its inputs
+    reached each case.
     """
-    queries = solves = unsearched = floors = ceilings = infeasible = ties = early = 0
+    queries = solves = unsearched = floors = ceilings = infeasible = ties = early = swept = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
         systems = sample_parity_system(n, n, rng_from(master, n), count)
@@ -479,12 +499,73 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
             solves += oracle.ledger.map_calls
             unsearched += len(memo) * count - oracle.ledger.map_calls
             early += oracle.early_stops
+            swept += len(oracle.swept)
     return CheckResult(
         "median bracket",
         True,
         f"{queries} queries, {solves} solves: {unsearched} repetitions with no search,"
         f" {floors} at the floor, {ceilings} at the ceiling, {infeasible} infeasible, {ties} ties,"
-        f" {early} early stops",
+        f" {early} early stops, {swept} repetitions swept",
+    )
+
+
+def check_sweep(cases) -> CheckResult:
+    """`XorOracle`'s sweep settles each repetition at the maxima `map_solve` finds.
+
+    cases holds (model, T, master seeds), T at most `SWEEP_POINTS`.  Each
+    oracle (neighbor kind, c = 2) queries i0 = n - K
+    (`XorOracle.sweep_from`), the first index its sweep settles.  Each
+    repetition's prefix at i0 is reduced anew (`gf2.row_reduce`):
+    one of full rank must be swept and an inconsistent one settled at -inf,
+    and one of lower rank must be left to the solver.  For each settled
+    repetition and each j in i0..n, the sweep's value must equal
+    `map_solve` on `row_reduce` of the first j rows, and the repetition's
+    interval must be [v, v].  Every solve the query made must be on a
+    prefix of more than K free variables, and search_nodes must be the
+    solves' nodes plus 2^K per repetition swept.  The detail counts the
+    repetitions swept, settled inconsistent and left to the solver, and the
+    values compared, with the inconsistent and the rank-deficient prefixes
+    among them, so a caller can see that its inputs reached each case.
+    """
+    swept = inconsistent = left = compared = empty = deficient = 0
+    for model, count, masters in cases:
+        n = model.n
+        for master in masters:
+            where = f"{model.name}, T={count}, master={master}"
+            oracle = _SolveLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
+            i0 = oracle.sweep_from
+            oracle.query(i0)
+            points = 0
+            for t, system in enumerate(oracle._systems):
+                at = gf2.row_reduce(gf2.Gf2System(n, system.rows[:i0], system.rhs[:i0]))
+                rank = at.nulls.count(None)
+                full = at.x0 is not None and rank == i0
+                if (t in oracle.swept) != (at.x0 is None or full):
+                    return CheckResult("sweep", False, f"{where}, t={t}: swept {t in oracle.swept} at rank {rank}")
+                if t not in oracle.swept:
+                    left += 1
+                    continue
+                swept += full
+                inconsistent += not full
+                points += full << (n - i0)
+                for j, value in enumerate(oracle.swept[t], start=i0):
+                    reduced = gf2.row_reduce(gf2.Gf2System(n, system.rows[:j], system.rhs[:j]))
+                    want = map_solve(model, reduced).log_value
+                    if not (value == want and oracle.interval(t, j) == (want, want)):
+                        detail = f"{where}, t={t}, j={j}: swept {value}, interval {oracle.interval(t, j)}, map_solve {want}"
+                        return CheckResult("sweep", False, detail)
+                    compared += 1
+                    empty += reduced.x0 is None
+                    deficient += reduced.x0 is not None and reduced.nulls.count(None) < j
+            if any(n - prefix.nulls.count(None) <= n - i0 for prefix, *_ in oracle.solves):
+                return CheckResult("sweep", False, f"{where}: solved a prefix the sweep settles")
+            if oracle.ledger.search_nodes != points + sum(result.nodes for *_, result in oracle.solves):
+                return CheckResult("sweep", False, f"{where}: search_nodes does not count the swept points")
+    return CheckResult(
+        "sweep",
+        True,
+        f"{swept} repetitions swept, {inconsistent} settled inconsistent, {left} left to the solver;"
+        f" {compared} values compared, {empty} of inconsistent prefixes, {deficient} of rank-deficient ones",
     )
 
 
@@ -709,6 +790,20 @@ def benchmark_models(max_n: int) -> list[WeightedModel]:
     return [m for m in models if m.n <= max_n]
 
 
+def sweep_cases(models: list[WeightedModel], masters=(0,)) -> list:
+    """`check_sweep` cases: each model at T = 5 and 30, clique 25 and grid 33x2.
+
+    Clique 25 scores its groups past variable 15 factor by factor (their
+    windows pass WINDOW_ENTRIES), and at T = 512 (K = 4) its prefixes at
+    i0 include inconsistent and rank-deficient ones; grid 33x2 has n = 66,
+    past one 64-bit word.
+    """
+    cases = [(model, count, masters) for model in models for count in (5, 30)]
+    cases.append((gen_clique_ising(25, coupling_w=0.1, seed=0), 512, masters))
+    cases.append((gen_grid_ising(33, 2, coupling_w=1.0, seed=0), 30, masters))
+    return cases
+
+
 def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"unknown level {level!r}")
@@ -726,7 +821,8 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_adversarial_stub(_stub_curves(10, seed=7)),
         check_adversarial_pair(),
         check_solver_agreement(model_zoo(6, 12, 3), 40, 3),
-        check_median_bracket(benchmark_models(max_n)),
+        check_median_bracket(benchmark_models(max_n), reps=(1, 2, 5, 10, 100)),
+        check_sweep(sweep_cases(models + benchmark_models(max_n), masters=(0,) if level == "fast" else (0, 1))),
     ]
     if level == "full":
         checks.append(check_hash_uniformity())

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from adawish.oracle import sweep_depth
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -96,7 +98,9 @@ def test_xor_deep_rounds_pass_their_gate(harness, tmp_path):
 def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
     # every solve, inconsistent prefixes included, goes through
     # `adawish.oracle.map_solve` with an argument that has .m and .cols, so
-    # the tracer's solve count is the ledgers' and every index band has nodes
+    # the tracer's solve count is the ledgers'.  `XorOracle` sweeps indices
+    # n - K .. n (K = 8 at n = 12, T = 30) with no solve, so each band that
+    # holds an index below n - K has nodes
     tracing, workloads = harness
     workload = workloads.XorShallow(3, str(tmp_path))
     workload.setup()
@@ -110,7 +114,10 @@ def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
         tracer.remove()
     metrics = tracing.layer_metrics(tracer, estimates, {"opt_size": 0})
     assert metrics["oracle.map_solve.calls"] == sum(e.map_calls for e in estimates) / len(estimates)
-    assert all(metrics[f"oracle.map_solve.band{b}.nodes"] > 0 for b in range(tracing.BANDS))
+    n = 12
+    solved = {tracing.band_of(i, n) for i in range(n - sweep_depth(n, workload.T))}
+    assert solved == {0, 1}
+    assert all(metrics[f"oracle.map_solve.band{b}.nodes"] > 0 for b in solved)
 
 
 def test_traced_xor_shallow_round_sees_each_parity_draw(harness, tmp_path):

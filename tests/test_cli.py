@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shlex
 
 import pytest
@@ -107,8 +108,9 @@ class TestEstimate:
         assert out == ""
 
     def test_guarantee_void_exits_two(self, capsys):
+        # T 2^n > SWEEP_POINTS, so the indices below the sweep's are solved under the limit
         code, out, _ = run_cli(
-            capsys, "estimate", "--gen", "grid:3x3:w=1.0:seed=1",
+            capsys, "estimate", "--gen", "grid:4x4:w=1.0:seed=1",
             "--schedule", "adawish", "--oracle", "neighbor", "--c", "2", "--T", "3",
             "--node-limit", "4",
         )
@@ -169,17 +171,19 @@ class TestEstimate:
         assert float(rows[0]["log10_w_estimate"]) == float(printed["log10_w_estimate"])
 
     def test_search_nodes_reported(self, capsys, tmp_path):
-        # the ledger's sum of MapResult.nodes, printed and written as a column
+        # the ledger's sum of MapResult.nodes and of the points the sweep
+        # scored, printed and written as a column; T 2^n > SWEEP_POINTS, so
+        # the indices below the sweep's are solved
         out_csv = tmp_path / "report.csv"
         code, out, _ = run_cli(
-            capsys, "estimate", "--gen", "grid:2x3:w=0.5:seed=4", "--oracle", "neighbor",
+            capsys, "estimate", "--gen", "grid:4x4:w=0.5:seed=4", "--oracle", "neighbor",
             "--c", "2", "--T", "3", "--seed", "5", "--csv", str(out_csv),
         )
         assert code == 0
         with open(out_csv) as fh:
             (row,) = csv.DictReader(fh)
         config = OracleConfig(kind="neighbor", c=2, T=3, master_seed=5)
-        ledger = adawish_estimate(parse_gen_spec("grid:2x3:w=0.5:seed=4"), config, 2.0).ledger
+        ledger = adawish_estimate(parse_gen_spec("grid:4x4:w=0.5:seed=4"), config, 2.0).ledger
         assert ledger.search_nodes > ledger.map_calls > 0
         assert int(row["search_nodes"]) == int(parse_report(out)["search_nodes"]) == ledger.search_nodes
 
@@ -450,12 +454,13 @@ class TestBench:
         assert out == ""
 
     def test_guarantee_void_exits_two(self, capsys):
+        # T 2^n > SWEEP_POINTS, so the indices below the sweep's are solved under the limit
         code, out, _ = run_cli(
-            capsys, "bench", "--suite", "grid:3x3:w=1.0:seeds=1..1", "--oracle", "neighbor",
+            capsys, "bench", "--suite", "grid:4x4:w=1.0:seeds=1..1", "--oracle", "neighbor",
             "--c", "2", "--T", "3", "--node-limit", "4",
         )
         assert code == 2
-        assert "full=10" in out
+        assert "full=17" in out
 
     def test_empty_seed_range_exits_one(self, capsys, tmp_path):
         out_csv = tmp_path / "bench.csv"
@@ -497,6 +502,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "checks passed" in out
         assert "[FAIL]" not in out
+        # each suite reaches every case its check counts
+        for name in ("median bracket", "sweep"):
+            (line,) = [line for line in out.splitlines() if line.startswith(f"[PASS] {name}:")]
+            counts = [int(k) for k in re.findall(r"(\d+) [a-z]", line.split(":", 1)[1])]
+            assert len(counts) >= 6 and min(counts) > 0, line
 
 
 class TestAutoExact:

@@ -216,6 +216,48 @@ class TestRowReduce:
         assert gf2.row_reduce(system) == gf2.Coset(2, 2, None, ()) == gf2.prefix_coset(chain, system, 2)
 
 
+class TestCosetPoints:
+    @pytest.mark.parametrize("cols", [0, 1, 6, 70])
+    def test_span_lists_the_points_and_their_violated_rows(self, cols):
+        # basis_bits and span list each coset's 2^k points as 0/1 rows, and
+        # violation_codes sets bit m - 1 - j of a point's code when it
+        # violates row j >= start; 70 columns span two words
+        rng = np.random.default_rng(cols)
+        m = cols + 2
+        start = max(0, cols - 3)
+        width = (cols + 7) // 8
+        systems = [
+            gf2.Gf2System(
+                cols,
+                tuple(int.from_bytes(rng.bytes(width), "little") & ((1 << cols) - 1) for _ in range(m)),
+                tuple(int(b) for b in rng.integers(0, 2, size=m)),
+            )
+            for _ in range(40)
+        ]
+        prefixes = [gf2.row_reduce(gf2.Gf2System(cols, s.rows[:start], s.rhs[:start])) for s in systems]
+        full = [(s, c) for s, c in zip(systems, prefixes) if c.x0 is not None and c.nulls.count(None) == start]
+        assert len(full) > 1
+        systems, cosets = zip(*full)
+        bits = gf2.basis_bits(cosets)
+        k = cols - start
+        assert bits.shape == (len(cosets), k + 1, cols)
+        points = gf2.span(bits.transpose(1, 0, 2))  # (2^k, count, cols)
+        codes = gf2.violation_codes(bits, systems, start)
+        assert points.shape[:2] == codes.shape == (1 << k, len(cosets))
+        place = [1 << v for v in range(cols)]
+        for t, (system, coset) in enumerate(full):
+            xs = [sum(p for p, b in zip(place, row) if b) for row in points[:, t].tolist()]
+            nulls = [vec for vec in coset.nulls if vec is not None]
+            want = [coset.x0] + [0] * ((1 << k) - 1)
+            for b, vec in enumerate(nulls):
+                want[1 << b : 2 << b] = [x ^ vec for x in want[: 1 << b]]
+            assert xs == want
+            for x, code in zip(xs, codes[:, t].tolist()):
+                violated = gf2.evaluate(system, x) ^ sum(b << j for j, b in enumerate(system.rhs))
+                assert code == sum(1 << (m - 1 - j) for j in range(start, m) if violated >> j & 1)
+                assert violated & ((1 << start) - 1) == 0
+
+
 class TestEvaluate:
     def test_identity_matrix(self):
         system = gf2.Gf2System(3, (0b001, 0b010, 0b100), (0, 0, 0))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adawish import gf2
+from adawish import model as model_module
 from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
 from adawish.logspace import LN2, NEG_INF
@@ -31,7 +33,8 @@ from adawish.model import (
     serialize_uai,
 )
 from adawish.model import _group_sum, _select_quantiles
-from adawish.oracle import map_solve
+from adawish.oracle import map_solve, sample_parity_system
+from adawish.seeds import rng_from
 from adawish.verify import (
     benchmark_models,
     check_cost_to_go,
@@ -338,8 +341,8 @@ class TestExactReferences:
             assert np.all(curve.log_values[:-1] >= curve.log_values[1:])
 
     def test_size_guard(self):
-        # a clique's frontier spans every earlier variable, so past 13 the
-        # recursion stops and n = 25 is past enumeration too
+        # a clique's frontier spans every earlier variable, so a clique
+        # enumerates, and n = 25 is past enumeration
         with pytest.raises(TooLarge):
             exact_log_partition(gen_clique_ising(25, coupling_w=0.1, seed=0))
         with pytest.raises(TooLarge):
@@ -417,6 +420,23 @@ class TestExactReferences:
         assert exact_log_partition(clique) == enumerated_log_partition(clique)
         with pytest.raises(TooLarge):
             exact_log_partition(grid)
+
+    def test_cliques_enumerate(self):
+        # a clique's recursion reduces 2^(n+1) - 2 entries, more than the 2^n
+        # the enumeration reads, so clique 12 enumerates though the recursion reaches it
+        model = parse_gen_spec("clique:n=12:w=0.1:seed=0")
+        assert model.compiled.log_partition() is not None
+        assert exact_log_partition(model) == enumerated_log_partition(model)
+
+    @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "grid:4x4:w=1.0:seed=0"])
+    def test_grids_take_the_recursion(self, spec, monkeypatch):
+        # a grid's frontiers span one row, so its recursion reduces far fewer than 2^n entries
+        def refuse(model):
+            raise AssertionError("enumerated")
+
+        model = parse_gen_spec(spec)
+        monkeypatch.setattr(model_module, "enumerated_log_partition", refuse)
+        assert exact_log_partition(model) == model.compiled.log_partition()[0]
 
     def test_partition_agreement_on_the_zoo(self):
         edge_cases = [
@@ -618,6 +638,34 @@ class TestQuantileSelection:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * (1 << 16)
+
+
+class TestCosetWeights:
+    def test_every_point_weighs_what_log_weight_gives(self):
+        # each group's window key, or an untabled group's factor indices,
+        # spanned over each coset: every weight equals the per-point
+        # evaluator bit for bit, -inf and -0.0 entries included; clique 25
+        # has untabled groups and grid 33x2 66 variables
+        rng = np.random.default_rng(4)
+        models = model_zoo(9, 12, 5) + [
+            signed_entries_model(rng),
+            wide_group_model(),
+            gen_clique_ising(25, coupling_w=0.1, seed=0),
+            gen_grid_ising(33, 2, coupling_w=1.0, seed=0),
+        ]
+        for model in models:
+            n, k = model.n, min(model.n, 5)
+            systems = sample_parity_system(n, n - k, rng_from(0, n), 6)
+            cosets = [c for c in map(gf2.row_reduce, systems) if c.x0 is not None and c.nulls.count(None) == n - k]
+            assert cosets
+            bits = gf2.basis_bits(cosets)
+            weights = model.compiled.coset_weights(bits)
+            points = gf2.span(bits.transpose(1, 0, 2))  # (2^k, count, n) 0/1
+            assert weights.shape == points.shape[:2] == (1 << k, len(cosets))
+            for s, t in itertools.product(range(1 << k), range(len(cosets))):
+                x = sum(1 << v for v in np.flatnonzero(points[s, t]).tolist())
+                want = model.compiled.log_weight(x)
+                assert weights[s, t] == want and np.signbit(weights[s, t]) == np.signbit(want), (model.name, s, t)
 
 
 class TestWindows:

@@ -31,10 +31,18 @@ from adawish.oracle import (
     make_oracle,
     map_solve,
     sample_parity_system,
+    sweep_depth,
 )
 from adawish.optbench import gen_geometric_curve, synthetic_oracle
 from adawish.seeds import rng_from
-from adawish.verify import check_median_bracket, check_xor_coverage, model_zoo, reference_map
+from adawish.verify import (
+    check_median_bracket,
+    check_sweep,
+    check_xor_coverage,
+    model_zoo,
+    reference_map,
+    sweep_cases,
+)
 
 from conftest import random_factor_model, ref_log_weight
 
@@ -379,11 +387,19 @@ class TestParitySampling:
 
 
 class _SettleLog(XorOracle):
-    """An `XorOracle` that logs each settle: (i, t, the shared entry it read or None, the one it left)."""
+    """An `XorOracle` that logs each settle: (i, t, the shared entry it read or None, the one it left).
+
+    It also keeps what its sweep settled, per repetition v_{j,t} for j = i0..n.
+    """
 
     def __init__(self, model, config):
         super().__init__(model, config)
         self.settles = []
+        self.swept = {}
+
+    def _sweep(self):
+        self.swept = super()._sweep()
+        return self.swept
 
     def _settle(self, i, t, lo, hi, s_lo, s_hi, shared):
         prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
@@ -394,15 +410,20 @@ class _SettleLog(XorOracle):
 
 
 def _replayed_records(oracle):
-    """Each repetition's caps and leaves, entered from the settle log one record at a time.
+    """Each repetition's caps and leaves, entered from the sweep and the settle log one record at a time.
 
-    A returned assignment is a leaf at its first violated row, an exact
-    value below the ceiling or an exact result with no assignment a cap at
-    the query's index, and a shared interval both, at that index.
+    Each value v_{j,t} the sweep settled is a leaf and a cap at j.  A
+    returned assignment is a leaf at its first violated row, an exact value
+    below the ceiling or an exact result with no assignment a cap at the
+    query's index, and a shared interval both, at that index.
     """
     n = oracle.n
     caps = [[math.inf] * (n + 1) for _ in range(oracle.T)]
     leaves = [[NEG_INF] * (n + 1) for _ in range(oracle.T)]
+    for t, values in oracle.swept.items():
+        for j, value in enumerate(values, start=oracle.sweep_from):
+            leaves[t][j] = max(leaves[t][j], value)
+            caps[t][j] = min(caps[t][j], value)
     for i, t, hit, (result, top, _, _) in oracle.settles:
         value, x = result.log_value, result.assignment
         if x is not None:
@@ -427,7 +448,7 @@ class TestXorQuery:
         # for give each interval as max(leaves[i:]) and min(caps[:i + 1])
         model = parse_gen_spec(spec)
         n = model.n
-        hits = infeasible = 0
+        hits = swept = 0
         for order, master in itertools.product(("wish", "adawish", "descending"), range(2)):
             oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
             if order == "wish":
@@ -443,11 +464,51 @@ class TestXorQuery:
             solved = [hit is None for _, _, hit, _ in oracle.settles]
             assert oracle.ledger.map_calls == sum(solved)
             hits += len(solved) - sum(solved)
-            infeasible += sum(not entry[0].feasible for _, _, _, entry in oracle.settles)
-        # repetitions share the unconstrained coset at i = 0, and at i = n
-        # thirty draws leave some prefix inconsistent
-        assert hits > 0 if T > 1 else hits == 0
-        assert infeasible > 0 or T < 30
+            swept += len(oracle.swept)
+        # repetitions share the unconstrained coset at i = 0, which lies below
+        # the sweep's first index at T = 5 (K = 10) and T = 30 (K = 8); at
+        # T = 1 and 2 the sweep settles every index
+        assert oracle.sweep_from == (0 if T <= 2 else n - 10 if T == 5 else n - 8)
+        assert hits > 0 if oracle.sweep_from > 0 else hits == 0
+        assert swept == 6 * T
+
+    def test_sweep_depth(self):
+        # K is the largest k <= n with T 2^k <= SWEEP_POINTS = 2^13; past
+        # 2^13 repetitions there is no sweep
+        assert [sweep_depth(12, T) for T in (1, 2, 5, 30, 100, 8192, 8193)] == [12, 12, 10, 8, 6, 0, None]
+        assert sweep_depth(66, 30) == 8 and sweep_depth(0, 1) == 0
+
+    def test_sweep_settles_at_the_maxima_map_solve_finds(self):
+        # zoo models at T = 5 and 30, clique 25 (untabled groups), grid 33x2
+        # (n = 66), no variables at all, and K = 0 (T = 5000), where the
+        # sweep settles index n alone
+        three = WeightedModel(3, (Factor((0, 1), [0.1, -0.4, 0.7, 0.2]), Factor((2,), [0.3, -1.0])), name="three")
+        cases = sweep_cases(model_zoo(6, 12, 3)) + [
+            (WeightedModel(0, (Factor((), [0.5]),), name="no variables"), 3, (0,)),
+            (three, 5000, (0,)),
+        ]
+        result = check_sweep(cases)
+        assert result.passed, result.detail
+        counts = [int(k) for k in re.findall(r"(\d+) [a-z]", result.detail)]
+        assert len(counts) == 6 and min(counts) > 0, result.detail
+
+    def test_sweep_caps_an_inconsistent_prefix_at_minus_inf(self):
+        # at T = 1000 (K = 3) a prefix of n - 3 rows is inconsistent about
+        # once in sixteen draws: the sweep settles it at -inf from i0 on and
+        # proves nothing below i0
+        model = parse_gen_spec("clique:n=12:w=0.1:seed=0")
+        oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=1000, master_seed=0))
+        n, i0 = model.n, oracle.sweep_from
+        assert i0 == n - 3
+        oracle.query(i0)
+        empty = [t for t, values in oracle.swept.items() if values[0] == NEG_INF]
+        assert empty
+        for t in empty:
+            assert gf2.prefix_coset(oracle._chains[t], oracle._systems[t], i0).x0 is None
+            assert oracle.swept[t] == [NEG_INF] * (n - i0 + 1)
+            assert [oracle.interval(t, j) for j in range(i0, n + 1)] == [(NEG_INF, NEG_INF)] * (n - i0 + 1)
+            assert oracle.interval(t, i0 - 1) == (NEG_INF, math.inf)
+            assert not any(s[1] == t for s in oracle.settles)
 
     def test_index_zero_is_unconstrained_map(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
@@ -534,8 +595,10 @@ class TestXorQuery:
     def test_bracketed_medians_match_unbracketed(self, spec):
         # T = 1 solves with no bracket, T = 2 with a ceiling only, even T
         # takes the lower middle; the clique's complement ties give maxima
-        # equal to the median, and i = n draws inconsistent systems
-        result = check_median_bracket([parse_gen_spec(spec)], reps=(1, 2, 5, 10, 30), masters=range(3))
+        # equal to the median.  The sweep settles indices n - K .. n (K = 6
+        # at T = 100), so the solver meets an inconsistent prefix only where
+        # one of rank below n - K is extended, which T = 100 draws
+        result = check_median_bracket([parse_gen_spec(spec)], reps=(1, 2, 5, 10, 30, 100), masters=range(3))
         assert result.passed, result.detail
         cases = r"(\d+) (?:repetitions with no search|at the floor|at the ceiling|infeasible|ties|early stops)"
         counts = re.findall(cases, result.detail)
@@ -579,8 +642,10 @@ class TestXorQuery:
         assert sum(r.nodes for r in results) == nodes
 
     def test_window_tables_built_on_first_solve(self):
-        model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
+        # T 2^n > SWEEP_POINTS, so index 4 lies below the sweep's and is solved
+        model = gen_grid_ising(4, 4, coupling_w=1.0, seed=0)
         oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=3))
+        assert oracle.sweep_from == 5
         assert "windows" not in vars(model.compiled)
         assert "branch_tables" not in vars(model.compiled)
         oracle.query(4)
