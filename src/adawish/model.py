@@ -52,9 +52,16 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   every earlier variable, so every clique) or stops: at a frontier past
   FRONTIER_BITS or an untabled window (models past WINDOW_BUDGET);
 - `CompiledModel.coset_weights` weighs every point of a batch of parity
-  cosets at once, for the XOR oracle's sweep of its deepest indices: it
-  reads the windows, and an untabled group's factors, at keys spanned
-  over each coset (`gf2.span`), so no n-bit integer is formed per point;
+  cosets at once, for the XOR oracle's sweep of its deepest indices.  It
+  reads `CompiledModel.prefix`, a table of const plus groups 0..P-1 over
+  the low P = min(n, PREFIX_BITS) variables, built on first use by the
+  doubling of `blocks` and kept with the model, then the windows of
+  groups P..n-1, and an untabled group's factors, all at keys spanned
+  over each coset (`gf2.span`), so no n-bit integer is formed per point
+  and a point of a model of at most PREFIX_BITS (13) variables costs one
+  lookup.  The key map is built once per model with the prefix.  Only
+  the prefix is merged: it is the running sum's own first P additions,
+  while a merged sum of later groups would reorder them;
 - branch-and-bound MAP reads the windows through
   `CompiledModel.branch_tables`, which pairs each window with a cost-to-go
   table read at the same key: a bound on the groups after v that no leaf
@@ -87,6 +94,7 @@ BLOCK_BITS = 18  # enumeration blocks hold 2^18 assignments
 WINDOW_ENTRIES = 1 << 16  # largest window table of one group
 WINDOW_BUDGET = 1 << 20  # window-table entries per model (8 MB)
 FRONTIER_BITS = 12  # widest frontier of a cost-to-go table
+PREFIX_BITS = 13  # variables of the prefix table that `coset_weights` reads
 
 
 @dataclass(frozen=True)
@@ -139,9 +147,12 @@ class CompiledModel:
     `branch_tables` adds the cost-to-go bound read at the same key, both
     built on first use; `eliminate` runs the backward recursion over the
     windows that both `branch_tables` (by max) and `log_partition` (by
-    log-sum-exp) read; `blocks` yields the whole table, reading the windows
-    of its prefix groups; `coset_weights` weighs every point of a batch of
-    cosets, reading the windows too.
+    log-sum-exp) read; `blocks` yields the whole table, doubling a prefix
+    table over its low variables from the windows of its prefix groups
+    (`_prefix_table`); `prefix` is that table over the low
+    min(n, PREFIX_BITS) variables, built on first use and kept, and
+    `coset_weights` weighs every point of a batch of cosets with one lookup
+    in it plus one per later window.
     """
 
     def __init__(self, model: WeightedModel):
@@ -348,46 +359,78 @@ class CompiledModel:
                 tables.append((lo, mask, score, memoryview(bound)))
         return tuple(tables)
 
-    def coset_weights(self, bits: np.ndarray) -> np.ndarray:
-        """log w at every point of each coset: (2^k, count) from `gf2.basis_bits` (count, k + 1, n).
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """const plus groups 0..P-1 at every assignment of variables 0..P-1, P = min(n, PREFIX_BITS).
 
-        A group's window key, and for an untabled group each factor's table
-        index, is XOR-linear in x: its value at x0 and at each null vector
-        is a row of one integer matrix product, and `gf2.span` lists it at
-        every point.  Each weight is then const plus the window entries in
-        group order, an untabled group summed from 0.0 factor by factor: the
-        additions of `completed` and of the search's leaf, so it equals
-        `log_weight` bit for bit, and the maximum over a coset is the value
-        `oracle.map_solve` finds.
+        A float64 table in bitmask order, built on first use by
+        `_prefix_table`, the doubling that `blocks` runs, and kept with the
+        model: 2^13 entries (64 KB) at most.
         """
-        # key c is the sum over the variables it reads of bit u at its place value
-        scopes = []
-        for v, (lo, mask, table) in enumerate(self.windows):
+        return self._prefix_table(min(self.n, PREFIX_BITS))
+
+    @cached_property
+    def _coset_keys(self) -> tuple[np.ndarray, list, np.dtype]:
+        """(weigh, tables, dtype): the key map of `coset_weights`, built once per model with `prefix`.
+
+        tables holds `prefix`, then per group v >= P its window table, or,
+        for an untabled group, the list of its factors' tables.  Key c, the
+        index into the c-th of those tables, is the sum over the variables
+        it reads of bit u at its place value, weigh[u, c]; dtype is the
+        smallest unsigned type that holds every key.
+        """
+        p = min(self.n, PREFIX_BITS)
+        scopes, tables = [range(p - 1, -1, -1)], [self.prefix]
+        for v in range(p, self.n):
+            lo, mask, table = self.windows[v]
             if isinstance(table, memoryview):  # bits lo.., lowest first
                 scopes.append(range(lo + mask.bit_length() - 1, lo - 1, -1))
+                tables.append(np.asarray(table))
             else:  # a factor's scope, its first variable most significant
                 scopes.extend(scope for scope, _ in self.groups[v])
+                tables.append([factor for _, factor in self.groups[v]])
         variables, columns, places = [], [], []
         for c, scope in enumerate(scopes):
             variables += scope
             columns += [c] * len(scope)
-            places += [1 << p for p in range(len(scope) - 1, -1, -1)]
+            places += [1 << j for j in range(len(scope) - 1, -1, -1)]
         weigh = np.zeros((self.n, len(scopes)), np.int32)
         weigh[variables, columns] = places
+        top = max(len(scope) for scope in scopes)
+        return weigh, tables, np.min_scalar_type((1 << top) - 1)
+
+    def coset_weights(self, bits: np.ndarray) -> np.ndarray:
+        """log w at every point of each coset: (2^k, count) from `gf2.basis_bits` (count, k + 1, n).
+
+        The key into `prefix` (a point's low P bits), each later group's
+        window key, and for an untabled group each factor's table index, is
+        XOR-linear in x: its value at x0 and at each null vector is a row of
+        one integer matrix product, and `gf2.span` lists it at every point.
+        Each weight is then the prefix entry plus the window entries of
+        groups P..n-1 in group order, an untabled group summed from 0.0
+        factor by factor.  The prefix entry is const plus groups 0..P-1
+        summed left to right, so these are the additions of `completed` and
+        of the search's leaf, and each weight equals `log_weight` bit for
+        bit; the maximum over a coset is the value `oracle.map_solve` finds.
+        Only the prefix can be merged into one table this way: a pre-merged
+        sum of later groups would be added to the running total as one
+        term, which changes the float order.  At n <= PREFIX_BITS a point
+        costs one lookup.
+        """
+        weigh, tables, dtype = self._coset_keys
         # (count, k + 1, keys), by an integer product (no BLAS buffer), then
         # in the smallest type that holds every key, to keep the spanned keys small
-        top = max((len(scope) for scope in scopes), default=0)
-        images = (bits @ weigh).astype(np.min_scalar_type((1 << top) - 1))
+        images = (bits @ weigh).astype(dtype)
         keys = gf2.span(images.transpose(1, 2, 0))  # (2^k, keys, count)
-        weights = np.full((keys.shape[0], keys.shape[2]), self.const)
-        c = 0
-        for v, (_, _, table) in enumerate(self.windows):
-            if isinstance(table, memoryview):
-                weights += np.take(np.asarray(table), keys[:, c])
+        weights = np.take(tables[0], keys[:, 0])
+        c = 1
+        for table in tables[1:]:
+            if isinstance(table, np.ndarray):
+                weights += np.take(table, keys[:, c])
                 c += 1
                 continue
             total = 0.0
-            for _, factor in self.groups[v]:
+            for factor in table:
                 total = total + np.take(factor, keys[:, c])
                 c += 1
             weights += total
@@ -396,31 +439,59 @@ class CompiledModel:
     def blocks(self, bits: int, out: np.ndarray | None = None):
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
-        b = min(n, bits).  The prefix table over variables 0..b-1 lives in
-        one 2^b buffer and doubles by one variable per group v: the x_v = 1
-        half is written first as the old half plus group v's sum at x_v = 1,
-        then the sum at x_v = 0 is added into the old half in place.  A
-        prefix group reads its table in `windows` as its sum where it has
-        one; the others are summed here (`_group_sum`, through the two rows
-        of one scratch array, allocated only then).  Each block then fixes
-        the high bits h in the factors of groups b..n-1 and adds their sums
-        into its destination.  The additions are those of `log_weight`, in
-        its order, so every block equals `log_weights_at` bit for bit.
+        b = min(n, bits).  The prefix table over variables 0..b-1 is
+        `_prefix_table`.  Each block then fixes the high bits h in the
+        factors of groups b..n-1 and adds their sums into its destination
+        (`_group_sum`, through the two rows of one scratch array).  The
+        additions are those of `log_weight`, in its order, so every block
+        equals `log_weights_at` bit for bit.
 
         With `out` (length 2^n) every block is written into its slice of
         `out` and the slice is yielded.  Without it the blocks share one
         buffer: a yielded block is valid only until the next iteration.
         """
         n, b = self.n, min(self.n, bits)
+        low = self._prefix_table(b, out if out is not None and b == n else None)
+        if b == n:
+            yield low
+            return
+        terms = {v: [_term(scope, table) for scope, table in self.groups[v]] for v in range(b, n)}
+        scratch = np.empty((2, 1 << b))  # two rows, so they never overlap
+        every = (1 << b) - 1
+        reused = np.empty(1 << b) if out is None else None
+        for h in range(1 << (n - b)):
+            dst = reused if out is None else out[h << b : (h + 1) << b]
+            src = low
+            for v in range(b, n):
+                have, total = _group_sum([_fix(term, h, b) for term in terms[v]], 0, scratch)
+                full, _, part = _axes(every, every, have)
+                np.add(src.reshape(full), total.reshape(part), out=dst.reshape(full))
+                src = dst
+            yield dst
+
+    def _prefix_table(self, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """const plus groups 0..b-1 at all 2^b assignments of variables 0..b-1, in bitmask order.
+
+        The table lives in one 2^b buffer (`out` when given) and doubles by
+        one variable per group v: the x_v = 1 half is written first as the
+        old half plus group v's sum at x_v = 1, then the sum at x_v = 0 is
+        added into the old half in place.  A group reads its table in
+        `windows` as its sum where it has one; the others are summed here
+        (`_group_sum`, through the two rows of one scratch array, allocated
+        only then).  Groups 0..b-1 read only variables below b, and each
+        entry is their left-to-right float sum from const, the additions of
+        `log_weight` up to group b - 1.  Nothing is allocated per step.
+        `blocks` and `prefix` both build their prefix here.
+        """
         windows = self.windows
         terms = {
-            v: [_term(scope, table) for scope, table in group]
-            for v, group in enumerate(self.groups)
-            if v >= b or not isinstance(windows[v][2], memoryview)
+            v: [_term(scope, table) for scope, table in self.groups[v]]
+            for v in range(b)
+            if not isinstance(windows[v][2], memoryview)
         }
         # two rows, so they never overlap; none when every group reads its window
         scratch = np.empty((2, 1 << b)) if terms else None
-        low = out if out is not None and b == n else np.empty(1 << b)
+        low = np.empty(1 << b) if out is None else out
         low[0] = self.const
         for v in range(b):
             if v in terms:
@@ -433,20 +504,7 @@ class CompiledModel:
             old = low[: 1 << v].reshape(full)
             np.add(old, total[total.size // 2 :].reshape(part), out=low[1 << v : 2 << v].reshape(full))
             np.add(old, total[: total.size // 2].reshape(part), out=old)
-        if b == n:
-            yield low
-            return
-        every = (1 << b) - 1
-        reused = np.empty(1 << b) if out is None else None
-        for h in range(1 << (n - b)):
-            dst = reused if out is None else out[h << b : (h + 1) << b]
-            src = low
-            for v in range(b, n):
-                have, total = _group_sum([_fix(term, h, b) for term in terms[v]], 0, scratch)
-                full, _, part = _axes(every, every, have)
-                np.add(src.reshape(full), total.reshape(part), out=dst.reshape(full))
-                src = dst
-            yield dst
+        return low
 
 
 def _group_sum(terms, have: int, scratch, out: np.ndarray | None = None, bits: int = 0):

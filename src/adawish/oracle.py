@@ -62,7 +62,8 @@ from .model import QuantileCurve, WeightedModel, exact_quantiles
 from .seeds import mix64, rng_from, unit_from
 
 # points one sweep of `XorOracle` scores, over all its repetitions: K = 8 at
-# T = 30 and K = 10 at T = 5, the depths that measured fastest there
+# T = 30 and K = 10 at T = 5.  With a point at one prefix lookup, 2^14 and
+# 2^15 measured faster at T = 30 (n = 12) but slower at T = 5 (n = 16)
 SWEEP_POINTS = 1 << 13
 
 # ---------------------------------------------------------------------------
@@ -597,8 +598,10 @@ class XorOracle(NeighborOracle):
     index i >= i0 settles indices i0..n of every repetition whose prefix at
     i0 is inconsistent or of full rank, with no solve.  An inconsistent
     prefix caps i0 at -inf.  A full-rank prefix's coset holds 2^K points,
-    which are scored at once (`CompiledModel.coset_weights`), and each
-    point's depth, the first row past i0 that it violates, is read from the
+    which are scored at once (`CompiledModel.coset_weights`): a point costs
+    one lookup in the model's prefix table over its low PREFIX_BITS (13)
+    variables, kept from the first sweep on, plus one per window of a
+    later group, so one lookup at n <= 13.  Each point's depth, the first row past i0 that it violates, is read from the
     rows it violates (`gf2.violation_codes`).  The prefixes nest, so
     S_{j,t} for j >= i0 is the set of points of depth j or more, and v_{j,t}
     is the largest weight among them.  Each weight is the float sum the

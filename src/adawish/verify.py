@@ -4,8 +4,8 @@ Each check exercises one of the library's core contracts on the inputs it
 is given and returns a (name, passed, detail) row; the test suite calls the
 same checks with its own pinned inputs, so every contract has one
 definition.  `run_checks` builds the suites of the `verify` CLI command:
-the fast level keeps models at n <= 12, but for the sweep check's clique
-25 and grid 33x2 (`sweep_cases`), and finishes in seconds; the full level
+the fast level keeps models at n <= 12, but for the sweep check's grid 3x5,
+clique 25 and grid 33x2 (`sweep_cases`), and finishes in seconds; the full level
 raises sizes to n <= 16 and adds the statistical checks (hash uniformity,
 randomized query coverage).  The references the checks and the
 test suite share live here too: the model zoo, the curve and parity-system
@@ -791,14 +791,16 @@ def benchmark_models(max_n: int) -> list[WeightedModel]:
 
 
 def sweep_cases(models: list[WeightedModel], masters=(0,)) -> list:
-    """`check_sweep` cases: each model at T = 5 and 30, clique 25 and grid 33x2.
+    """`check_sweep` cases: each model and grid 3x5 at T = 5 and 30, clique 25 and grid 33x2.
 
-    Clique 25 scores its groups past variable 15 factor by factor (their
-    windows pass WINDOW_ENTRIES), and at T = 512 (K = 4) its prefixes at
-    i0 include inconsistent and rank-deficient ones; grid 33x2 has n = 66,
-    past one 64-bit word.
+    Grid 3x5 has n = PREFIX_BITS + 2, so its weights read the prefix table
+    and two windows past it.  Clique 25 scores its groups past variable 15
+    factor by factor (their windows pass WINDOW_ENTRIES), and at T = 512
+    (K = 4) its prefixes at i0 include inconsistent and rank-deficient
+    ones; grid 33x2 has n = 66, past one 64-bit word.
     """
-    cases = [(model, count, masters) for model in models for count in (5, 30)]
+    seam = gen_grid_ising(3, 5, coupling_w=1.0, seed=0)
+    cases = [(model, count, masters) for model in models + [seam] for count in (5, 30)]
     cases.append((gen_clique_ising(25, coupling_w=0.1, seed=0), 512, masters))
     cases.append((gen_grid_ising(33, 2, coupling_w=1.0, seed=0), 30, masters))
     return cases

@@ -16,6 +16,7 @@ from adawish.logspace import LN2, NEG_INF
 from adawish.model import (
     BLOCK_BITS,
     FRONTIER_BITS,
+    PREFIX_BITS,
     WINDOW_BUDGET,
     WINDOW_ENTRIES,
     CompiledModel,
@@ -642,12 +643,30 @@ class TestQuantileSelection:
 
 class TestCosetWeights:
     def test_every_point_weighs_what_log_weight_gives(self):
-        # each group's window key, or an untabled group's factor indices,
-        # spanned over each coset: every weight equals the per-point
-        # evaluator bit for bit, -inf and -0.0 entries included; clique 25
-        # has untabled groups and grid 33x2 66 variables
+        # the prefix key, each later group's window key, or an untabled
+        # group's factor indices, spanned over each coset: every weight
+        # equals the per-point evaluator bit for bit, -inf and -0.0 entries
+        # included.  n = 12..15 lie on both sides of the prefix width; the
+        # seam model has -inf and -0.0 entries in a prefix group and a group
+        # past the prefix reading variables below it; clique 25 has
+        # untabled groups and grid 33x2 66 variables
+        assert PREFIX_BITS == 13
         rng = np.random.default_rng(4)
+        signed = [0.5, NEG_INF, -0.0, NEG_INF]
+        seam = WeightedModel(
+            15,
+            tuple(Factor((v, (v + 4) % 15), rng.normal(size=4)) for v in range(15))
+            + (Factor((12, 3), signed), Factor((2, 14, 9), rng.normal(size=8)), Factor((), [-1.5])),
+            name="-inf and -0.0 in a prefix group, a later group reading below the prefix",
+        )
+        zero = WeightedModel(15, seam.factors + (Factor((), [NEG_INF]),), name="const -inf")
         models = model_zoo(9, 12, 5) + [
+            gen_grid_ising(3, 4, coupling_w=1.0, seed=1),
+            gen_clique_ising(13, coupling_w=0.1, seed=1),
+            gen_grid_ising(2, 7, coupling_w=1.0, seed=1),
+            gen_grid_ising(3, 5, coupling_w=1.0, seed=1),
+            seam,
+            zero,
             signed_entries_model(rng),
             wide_group_model(),
             gen_clique_ising(25, coupling_w=0.1, seed=0),
