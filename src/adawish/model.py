@@ -21,8 +21,10 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   the group, or lower, down to the frontier of the cost-to-go table after
   v).  It is built on first use by doubling: each factor is added over
   the bits read so far, on one axis per run of bits that the running sum
-  and the factor read alike, so a step costs a few numpy calls however
-  wide the window, and the last step writes the window itself.  Each
+  and the factor read alike, so a step is one numpy call however wide the
+  window, and the last step writes the window itself.  A pair whose lower
+  variable is new and above the others read so far, as in every group of
+  the generators, takes its axes from the sizes alone.  Each
   entry equals `completed(v, x)` bit for bit at every x in its window, so
   the search scores a node with one shift, one mask and one index.  A
   group whose table would pass WINDOW_ENTRIES (2^16) or the model's
@@ -33,15 +35,18 @@ group summed from 0.0 in factor order -- so they agree to the last bit:
   (`exact_quantiles`, `log_weight_table`, `enumerated_log_partition`,
   n <= 24), builds the table of all 2^n log-weights in place: a prefix
   table over the low variables doubles by one variable per group in one
-  buffer, adding the group's window table where it has one, and each block of
-  2^18 entries fixes the high variables and adds their groups straight
-  into its destination, a slice of the caller's table or one reused
-  buffer, so a yielded block is valid only until the next one is drawn.
-  Nothing is allocated per step.
-  `enumerated_log_partition` reduces block by block in a fixed order, so
-  its result is bit-reproducible, and `exact_quantiles` selects b_n .. b_0
-  from the table in place by halving selection, each partition on the
-  upper half the last one left, with no sort and no copy;
+  buffer, adding the group's window table where it has one, and each block
+  fixes the high variables and adds each of their groups straight into its
+  destination, a slice of the caller's table or one reused buffer, so a
+  yielded block is valid only until the next one is drawn.  A tabled group
+  adds the one row of its window table that the block's high bits select.
+  Nothing is allocated per step.  `enumerated_log_partition` reduces block
+  by block in a fixed order, so its result is bit-reproducible; up to
+  BLOCK_BITS (18) variables, where every group past the prefix is tabled,
+  its blocks are 2^PREFIX_BITS entries over the kept `prefix`, so it
+  builds no 2^n table.  `exact_quantiles` selects b_n .. b_0 from the
+  table in place by halving selection, each partition on the upper half
+  the last one left, with no sort and no copy;
 - `CompiledModel.eliminate` is the one backward recursion over the window
   tables (bucket elimination, Dechter, AIJ 1999), on frontiers of up to
   FRONTIER_BITS bits.  Reduced by log-sum-exp it gives log Z exactly, up
@@ -222,7 +227,7 @@ class CompiledModel:
                 windows.append((0, -1, _Completed(self, v)))
                 continue
             budget -= size
-            table = np.zeros(size)  # what an empty group sums to
+            table = np.empty(size) if group else np.zeros(size)  # the last step writes every entry
             terms = [_term(scope, t) for scope, t in group]
             _group_sum(terms, 1 << v, scratch, table, (2 << v) - (1 << lo))
             windows.append((lo, size - 1, memoryview(table)))
@@ -365,9 +370,12 @@ class CompiledModel:
 
         A float64 table in bitmask order, built on first use by
         `_prefix_table`, the doubling that `blocks` runs, and kept with the
-        model: 2^13 entries (64 KB) at most.
+        model: 2^13 entries (64 KB) at most.  It is read-only, since `blocks`
+        yields it and `coset_weights` reads it for every later batch.
         """
-        return self._prefix_table(min(self.n, PREFIX_BITS))
+        table = self._prefix_table(min(self.n, PREFIX_BITS))
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def _coset_keys(self) -> tuple[np.ndarray, list, np.dtype]:
@@ -440,32 +448,53 @@ class CompiledModel:
         """Yield log w of all 2^n assignments in bitmask order, 2^b at a time.
 
         b = min(n, bits).  The prefix table over variables 0..b-1 is
-        `_prefix_table`.  Each block then fixes the high bits h in the
-        factors of groups b..n-1 and adds their sums into its destination
-        (`_group_sum`, through the two rows of one scratch array).  The
-        additions are those of `log_weight`, in its order, so every block
-        equals `log_weights_at` bit for bit.
+        `prefix` where b is its width, unless `out` must receive it, and
+        `_prefix_table` otherwise.  Each block then fixes the high bits h and
+        adds groups b..n-1 into its destination, each in one numpy call: a
+        tabled group adds the row of its window table that h selects, over
+        the window's bits below b (one entry when the window lies above b),
+        and an untabled group adds its factors fixed at h and summed
+        (`_group_sum`, through the two rows of one scratch array).  Each row
+        entry is the group's sum at its bits (`windows`), so the additions
+        are those of `log_weight`, in its order, and every block equals
+        `log_weights_at` bit for bit.
 
         With `out` (length 2^n) every block is written into its slice of
         `out` and the slice is yielded.  Without it the blocks share one
-        buffer: a yielded block is valid only until the next iteration.
+        buffer: a yielded block is valid only until the next iteration, and
+        it is read-only when it is `prefix` itself (b = n <= PREFIX_BITS).
         """
         n, b = self.n, min(self.n, bits)
-        low = self._prefix_table(b, out if out is not None and b == n else None)
+        if b == min(n, PREFIX_BITS) and (out is None or b < n):
+            low = self.prefix
+        else:
+            low = self._prefix_table(b, out if out is not None and b == n else None)
         if b == n:
             yield low
             return
-        terms = {v: [_term(scope, table) for scope, table in self.groups[v]] for v in range(b, n)}
-        scratch = np.empty((2, 1 << b))  # two rows, so they never overlap
+        rows, terms = {}, {}
+        for v in range(b, n):
+            lo, mask, table = self.windows[v]
+            if isinstance(table, memoryview):
+                k = max(b - lo, 0)  # window bits below b: the row's length is 2^k
+                rows[v] = np.asarray(table).reshape(-1, 1 << k, 1), max(lo, b), mask >> k, 1 << k
+            else:
+                terms[v] = [_term(scope, t) for scope, t in self.groups[v]]
+        scratch = np.empty((2, 1 << b)) if terms else None  # two rows, so they never overlap
         every = (1 << b) - 1
         reused = np.empty(1 << b) if out is None else None
         for h in range(1 << (n - b)):
             dst = reused if out is None else out[h << b : (h + 1) << b]
             src = low
             for v in range(b, n):
-                have, total = _group_sum([_fix(term, h, b) for term in terms[v]], 0, scratch)
-                full, _, part = _axes(every, every, have)
-                np.add(src.reshape(full), total.reshape(part), out=dst.reshape(full))
+                if v in rows:
+                    table, shift, select, length = rows[v]
+                    row = table[(h << b) >> shift & select]  # over bits lo..b-1, or one entry
+                    np.add(src.reshape(length, -1), row, out=dst.reshape(length, -1))
+                else:
+                    have, total = _group_sum([_fix(term, h, b) for term in terms[v]], 0, scratch)
+                    full, _, part = _axes(every, every, have)
+                    np.add(src.reshape(full), total.reshape(part), out=dst.reshape(full))
                 src = dst
             yield dst
 
@@ -475,13 +504,16 @@ class CompiledModel:
         The table lives in one 2^b buffer (`out` when given) and doubles by
         one variable per group v: the x_v = 1 half is written first as the
         old half plus group v's sum at x_v = 1, then the sum at x_v = 0 is
-        added into the old half in place.  A group reads its table in
-        `windows` as its sum where it has one; the others are summed here
+        added into the old half in place.  A tabled group's sum is its window
+        table over bits lo..v, whose halves are added as one row per
+        assignment of bits lo..v-1 over the old half viewed as those rows of
+        2^lo entries, with no run scan.  The others are summed here
         (`_group_sum`, through the two rows of one scratch array, allocated
-        only then).  Groups 0..b-1 read only variables below b, and each
-        entry is their left-to-right float sum from const, the additions of
-        `log_weight` up to group b - 1.  Nothing is allocated per step.
-        `blocks` and `prefix` both build their prefix here.
+        only then) over the bits they read, and lined up by `_axes`.  Groups
+        0..b-1 read only variables below b, and each entry is their
+        left-to-right float sum from const, the additions of `log_weight` up
+        to group b - 1.  Nothing is allocated per step.  `blocks` and
+        `prefix` both build their prefix here.
         """
         windows = self.windows
         terms = {
@@ -496,11 +528,11 @@ class CompiledModel:
         for v in range(b):
             if v in terms:
                 have, total = _group_sum(terms[v], 1 << v, scratch)
+                full, _, part = _axes((1 << v) - 1, (1 << v) - 1, have ^ 1 << v)  # v, the top bit, splits the halves
             else:
-                lo, mask, table = windows[v]
-                have, total = mask << lo, np.asarray(table)
-            have ^= 1 << v  # v is the top bit: the x_v = 1 half is the upper half
-            full, _, part = _axes((1 << v) - 1, (1 << v) - 1, have)
+                lo, _, total = windows[v]
+                full, part = (1 << (v - lo), 1 << lo), (1 << (v - lo), 1)  # bits lo..v-1, spread over 0..lo-1
+                total = np.asarray(total)
             old = low[: 1 << v].reshape(full)
             np.add(old, total[total.size // 2 :].reshape(part), out=low[1 << v : 2 << v].reshape(full))
             np.add(old, total[: total.size // 2].reshape(part), out=old)
@@ -513,16 +545,27 @@ def _group_sum(terms, have: int, scratch, out: np.ndarray | None = None, bits: i
     A table over a bit set (an int mask) is a flat array over those bits in
     bitmask order.  The sum starts as zeros over `have` in scratch[0]; step
     k writes scratch[k % 2], reading the other row, or, with `out` (a table
-    over `bits`, which holds them all), the last step writes `out`.
+    over `bits`, which holds them all), the last step writes `out`.  A step
+    that adds a pair over the sum's top bit and a new bit above the rest,
+    as each factor of a window's group does when its scopes come in
+    ascending order (the generators'), takes its shapes from the sizes
+    alone; any other step lines its tables up by `_axes`.
     """
-    total = scratch[0][: 1 << have.bit_count()]
+    top = 1 << have.bit_length() >> 1  # the group's variable: every term of a window reads it
+    rows = scratch[0], scratch[1]
+    total = rows[0][: 1 << have.bit_count()]
     total.fill(0.0)
+    last = len(terms) if out is not None else 0
     for k, (mask, table) in enumerate(terms, start=1):
-        last = out is not None and k == len(terms)
-        union = bits if last else have | mask
-        dest = out if last else scratch[k & 1][: 1 << union.bit_count()]
-        full, part, own = _axes(union, have, mask)
-        np.add(total.reshape(part), table.reshape(own), out=dest.reshape(full))
+        union = bits if k == last else have | mask
+        dest = out if k == last else rows[k & 1][: 1 << union.bit_count()]
+        new = mask ^ top
+        if mask & top and have ^ top < new and new & (new - 1) == 0 and union == have | mask:
+            # bits top, new, then the rest: the pair's table is (top, new) already
+            np.add(total.reshape(2, 1, -1), table.reshape(2, 2, 1), out=dest.reshape(2, 2, -1))
+        else:
+            full, part, own = _axes(union, have, mask)
+            np.add(total.reshape(part), table.reshape(own), out=dest.reshape(full))
         have, total = union, dest
     return have, total
 
@@ -588,6 +631,12 @@ class _Completed:
 
 def _term(scope: tuple[int, ...], table: np.ndarray) -> tuple[int, np.ndarray]:
     """A factor as (its scope as a bit mask, its table with one axis per scope variable, highest first)."""
+    if len(scope) == 1:
+        return 1 << scope[0], table
+    if len(scope) == 2:  # a pair is read as it is, or transposed: no sort
+        a, b = scope
+        pair = table.reshape(2, 2)
+        return 1 << a | 1 << b, pair if a > b else pair.T
     order = sorted(range(len(scope)), key=scope.__getitem__, reverse=True)
     return sum(map((1).__lshift__, scope)), table.reshape((2,) * len(scope)).transpose(order)
 
@@ -675,13 +724,21 @@ def exact_log_partition(model: WeightedModel) -> float:
 def enumerated_log_partition(model: WeightedModel) -> float:
     """log sum_x w(x) by enumeration: one log-sum-exp per block, then one over those (n <= 24).
 
-    The per-block order is fixed, so the value is bit-reproducible.  Its
-    error is below the recursion's B: each weight is a sum of n + 1 terms
-    (within gamma_n G), and each of the two log-sum-exps adds a few u S and
-    the relative error of a pairwise sum of at most 2^n terms in [0, 1], so
-    the two paths agree within 2B (`verify.check_partition_agreement`).
+    Up to BLOCK_BITS variables, where every group from PREFIX_BITS on has a
+    window table, the blocks are the 2^PREFIX_BITS-entry ones `blocks`
+    forms over the kept `prefix`, each the prefix plus one window row per
+    later group, so no 2^n table is built; elsewhere they hold 2^BLOCK_BITS
+    assignments.  The per-block order is fixed, so the value is
+    bit-reproducible.  Its error is below the recursion's B: each weight is
+    a sum of n + 1 terms (within gamma_n G), and each of the two
+    log-sum-exps adds a few u S and the relative error of a pairwise sum of
+    at most 2^n terms in [0, 1], so the two paths agree within 2B
+    (`verify.check_partition_agreement`), whichever blocks are summed.
     """
-    return log_sum_exp([log_sum_exp(block) for block in _enumerable(model).blocks(BLOCK_BITS)])
+    compiled = _enumerable(model)
+    tabled = all(isinstance(table, memoryview) for _, _, table in compiled.windows[PREFIX_BITS:])
+    bits = PREFIX_BITS if tabled and model.n <= BLOCK_BITS else BLOCK_BITS
+    return log_sum_exp([log_sum_exp(block) for block in compiled.blocks(bits)])
 
 
 def exact_quantiles(model: WeightedModel) -> QuantileCurve:
@@ -833,6 +890,26 @@ def serialize_uai(model: WeightedModel) -> str:
 # draws happen in a fixed documented order from one PCG64 stream.
 
 
+def _trusted_factors(scopes: list[tuple[int, ...]], tables: np.ndarray) -> list[Factor]:
+    """Factors from scopes valid by construction and the rows of one table array, checked as a whole.
+
+    A generator's scopes are tuples of distinct ints, each as long as the
+    log2 of the row length, so `Factor.__post_init__` is skipped; one
+    comparison over the whole array stands for each factor's NaN and +inf
+    check (NaN compares false).  Each table is the row itself, as the
+    checked `Factor` keeps it.
+    """
+    if not (tables < np.inf).all():
+        raise StructuralError("factor entries must be finite or -inf")
+    factors = []
+    for scope, table in zip(scopes, tables):
+        factor = object.__new__(Factor)
+        object.__setattr__(factor, "scope", scope)
+        object.__setattr__(factor, "log_table", table)
+        factors.append(factor)
+    return factors
+
+
 def _check_coupling(coupling_w: float) -> None:
     if not 0.0 <= coupling_w < math.inf:  # NaN fails every comparison
         raise StructuralError("coupling w must be finite and >= 0")
@@ -869,8 +946,7 @@ def gen_clique_ising(n: int, coupling_w: float = 0.1, seed: int = 0) -> Weighted
             coupling[i * (2 * n - i - 1) // 2 + j - i - 1] += strengths[k]
     tables = np.zeros((len(pairs), 4))
     tables[:, 3] = np.negative(coupling)
-    factors = [Factor(pair, table) for pair, table in zip(pairs, tables)]
-    return WeightedModel(n, tuple(factors), name=f"clique-n{n}-w{coupling_w}-s{seed}")
+    return WeightedModel(n, tuple(_trusted_factors(pairs, tables)), name=f"clique-n{n}-w{coupling_w}-s{seed}")
 
 
 def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> WeightedModel:
@@ -904,6 +980,6 @@ def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> We
     scale = [10.0 if inside(a) and inside(b) else 1.0 for a, b in edges]
     # s_i * s_j = +1 when the stored bits agree
     couplings = np.multiply.outer(np.multiply(strengths, scale), [1.0, -1.0, -1.0, 1.0])
-    factors = [Factor((i,), table) for i, table in enumerate(np.stack((-fields, fields), axis=1))]
-    factors += [Factor((var(*a), var(*b)), table) for (a, b), table in zip(edges, couplings)]
+    factors = _trusted_factors([(i,) for i in range(n)], np.stack((-fields, fields), axis=1))
+    factors += _trusted_factors([(var(*a), var(*b)) for a, b in edges], couplings)
     return WeightedModel(n, tuple(factors), name=f"grid-{rows}x{cols}-w{coupling_w}-s{seed}")

@@ -12,7 +12,7 @@ from adawish import gf2
 from adawish import model as model_module
 from adawish.cli import parse_gen_spec
 from adawish.errors import InvalidSize, ParseError, StructuralError, TooLarge, UnsupportedCardinality
-from adawish.logspace import LN2, NEG_INF
+from adawish.logspace import LN2, NEG_INF, log_sum_exp
 from adawish.model import (
     BLOCK_BITS,
     FRONTIER_BITS,
@@ -258,6 +258,26 @@ class TestGenerators:
             digest.update(f.log_table.tobytes())
         assert digest.hexdigest()[:32] == self.PINNED_DIGESTS[spec]
 
+    @pytest.mark.parametrize("spec", sorted(PINNED_DIGESTS) + ["clique:n=4:w=0.1:seed=0", "grid:2x2:w=1.0:seed=0"])
+    def test_generated_factors_equal_their_checked_rebuild(self, spec):
+        # the generators skip Factor's per-factor check; each factor must be
+        # what the checked constructor would have made of its scope and table
+        for f in parse_gen_spec(spec).factors:
+            rebuilt = Factor(f.scope, f.log_table)
+            assert type(f.scope) is tuple and all(type(v) is int for v in f.scope)
+            assert f.scope == rebuilt.scope
+            assert f.log_table.dtype == rebuilt.log_table.dtype and f.log_table.shape == rebuilt.log_table.shape
+            assert f.log_table.tobytes() == rebuilt.log_table.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_generator_builder_refuses_nan_and_plus_inf(self, bad):
+        tables = np.zeros((3, 4))
+        tables[2, 1] = bad
+        with pytest.raises(StructuralError, match="^factor entries must be finite or -inf$"):
+            model_module._trusted_factors([(0, 1), (0, 2), (1, 2)], tables)
+        tables[2, 1] = NEG_INF  # -inf is a zero weight, which a factor may hold
+        assert len(model_module._trusted_factors([(0, 1), (0, 2), (1, 2)], tables)) == 3
+
     def test_deterministic_under_seed(self):
         a = gen_grid_ising(3, 4, 0.8, seed=11)
         b = gen_grid_ising(3, 4, 0.8, seed=11)
@@ -438,6 +458,45 @@ class TestExactReferences:
         model = parse_gen_spec(spec)
         monkeypatch.setattr(model_module, "enumerated_log_partition", refuse)
         assert exact_log_partition(model) == model.compiled.log_partition()[0]
+
+    def test_clique_partition_from_the_prefix_equals_the_one_block_reduction(self):
+        # clique 16 enumerates in 2^PREFIX_BITS blocks over the kept prefix;
+        # its value equals the single 2^16 block's reduction, the pinned one
+        model = parse_gen_spec("clique:n=16:w=0.1:seed=0")
+        one_block = log_sum_exp([log_sum_exp(block) for block in model.compiled.blocks(BLOCK_BITS)])
+        assert enumerated_log_partition(model) == one_block == 7.973747855755184
+        assert "prefix" in model.compiled.__dict__
+
+    def test_prefix_blocks_match_the_evaluator_where_high_windows_start_above_bit_0(self):
+        # grid 4x4's windows of groups 13..15 start at bits 9..11, so each block
+        # adds a row spread over the bits below; its log Z agrees within 2B
+        model = parse_gen_spec("grid:4x4:w=1.0:seed=0")
+        assert [lo for lo, _, _ in model.compiled.windows[PREFIX_BITS:]] == [9, 10, 11]
+        result = check_enumeration_agreement([model, parse_gen_spec("clique:n=15:w=0.1:seed=0")], (PREFIX_BITS,))
+        assert result.passed, result.detail
+        log_z, bound = model.compiled.log_partition()
+        assert abs(enumerated_log_partition(model) - log_z) <= 2.0 * bound
+
+    def test_partition_falls_back_to_block_bits_past_an_untabled_group(self):
+        # clique 17's group 16 spans 2^17 entries, past WINDOW_ENTRIES: one 2^17 block, no prefix
+        model = parse_gen_spec("clique:n=17:w=0.1:seed=0")
+        assert not isinstance(model.compiled.windows[16][2], memoryview)
+        one_block = log_sum_exp([log_sum_exp(block) for block in model.compiled.blocks(BLOCK_BITS)])
+        assert enumerated_log_partition(model) == one_block
+        assert "prefix" not in model.compiled.__dict__
+
+    def test_partition_from_the_prefix_allocates_no_full_table(self):
+        # with the prefix kept (as the sweep leaves it), the enumeration holds
+        # one 2^PREFIX_BITS block and its log-sum-exp temporaries, not 2^16 entries
+        model = parse_gen_spec("clique:n=16:w=0.1:seed=0")
+        model.compiled.prefix
+        tracemalloc.start()
+        try:
+            enumerated_log_partition(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << 16)
 
     def test_partition_agreement_on_the_zoo(self):
         edge_cases = [
