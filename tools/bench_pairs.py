@@ -37,7 +37,6 @@ def _git(checkout: str, *args: str) -> str:
 def describe(checkout: str) -> dict:
     """The checkout's commit, the tree of its src/, and whether its files differ from the commit."""
     return {
-        "path": os.path.abspath(checkout),
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "src_tree": _git(checkout, "rev-parse", "HEAD:src"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
