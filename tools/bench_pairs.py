@@ -26,7 +26,6 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("xor-shallow", "xor-deep", "curve-exact")
 WIN_SHARE = 0.9
 
 
@@ -87,11 +86,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed")
     parser.add_argument("--seconds", type=float, required=True, help="--seconds of every run")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        gated = json.load(fh)["end_to_end"]
+        spec = json.load(fh)
+    gated = spec["end_to_end"]
     sides = {"base": args.base, "change": args.change}
     report = {
         "harness": "perfbench/run.py --trace 0, unchanged in each checkout",
@@ -103,7 +102,7 @@ def main(argv=None) -> int:
         "environment": {"platform": platform.platform(), "cpu_count": os.cpu_count()},
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
