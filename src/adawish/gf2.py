@@ -18,7 +18,9 @@ the other's witness (`verify.check_coset`).  `basis_bits`, `span` and
 oracle's batched sweep of its deepest indices: a map that is XOR-linear in
 x is spanned from its values at x0 and the null vectors, and a point's
 depth, the first row past the coset's system that it violates, is read
-from the code of the rows it violates.  `as_mask` turns an
+from the code of the rows it violates (`code_depths`).  `point_codes`
+codes any list of assignments against every row of each system, for the
+oracle's scan of a model's heaviest assignments.  `as_mask` turns an
 assignment into a bitmask for `evaluate`, `satisfies` and
 `model.log_weight`.
 """
@@ -346,6 +348,37 @@ def violation_codes(bits: np.ndarray, systems: Sequence[Gf2System], start: int) 
     images = odd @ place  # (count, k + 1)
     images[:, 0] ^= np.array([system.rhs[start:] for system in systems], np.int64).reshape(count, m - start) @ place
     return span(images.T)
+
+
+def point_codes(points: np.ndarray, systems: Sequence[Gf2System]) -> np.ndarray:
+    """(len(points), len(systems)): per point, which rows of each system it violates, as `violation_codes` codes them.
+
+    points holds assignments as int64 bitmasks, over systems of at most 62
+    columns.  Bit m - 1 - j of a code is set when the point violates row j,
+    so its depth is `code_depths(codes, m)`.  How many of each row's
+    variables each point sets comes from one 0/1 matrix product, in float64
+    (integers this small are exact, and the product runs in BLAS); its
+    parity XOR the rhs bit is the violation, and one more product packs
+    each system's m bits.  The codes are float64, exact since all systems
+    have the same row count m < 53.
+    """
+    m = systems[0].m
+    shifts = np.arange(systems[0].cols)
+    bits = (points[:, None] >> shifts) & 1  # (P, cols)
+    rows = (np.array([row for system in systems for row in system.rows], np.int64)[:, None] >> shifts) & 1
+    odd = (bits.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.uint8)  # (P, count m)
+    odd ^= np.array([system.rhs for system in systems], np.uint8).reshape(-1)
+    odd &= 1
+    return (odd.reshape(-1, m) @ np.ldexp(1.0, np.arange(m - 1, -1, -1))).reshape(len(points), len(systems))
+
+
+def code_depths(codes: np.ndarray, m: int) -> np.ndarray:
+    """m minus each code's bit length: the first row a point violates of a code over m rows, m if none.
+
+    The bit length is the exponent `np.frexp` gives the code, exact for
+    codes below 2^53.
+    """
+    return m - np.frexp(codes)[1]
 
 
 def evaluate(system, assignment) -> int:

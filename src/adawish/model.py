@@ -378,6 +378,19 @@ class CompiledModel:
         return table
 
     @cached_property
+    def descending(self) -> np.ndarray:
+        """The indices of `prefix` by descending entry, equal entries in ascending index (a stable order).
+
+        Built on first use and kept with the model, as `prefix` is: 2^13
+        entries at most.  At n <= PREFIX_BITS the prefix is the whole weight
+        table, so the order starts at the model's heaviest assignments, which
+        the XOR oracle's scan weighs (`oracle.XorOracle`).  It is read-only.
+        """
+        order = np.argsort(-self.prefix, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def _coset_keys(self) -> tuple[np.ndarray, list, np.dtype]:
         """(weigh, tables, dtype): the key map of `coset_weights`, built once per model with `prefix`.
 
@@ -910,6 +923,21 @@ def _trusted_factors(scopes: list[tuple[int, ...]], tables: np.ndarray) -> list[
     return factors
 
 
+def _trusted_model(n: int, factors: tuple[Factor, ...], name: str) -> WeightedModel:
+    """A WeightedModel whose factor scopes lie inside n variables by construction: no per-factor check.
+
+    The generators build their factors over variables 0..n-1 only
+    (`_trusted_factors`), so `WeightedModel.__post_init__`'s scope check
+    is skipped, as `gf2._trusted_system` skips a system's; hand-built and
+    UAI models keep it.
+    """
+    model = object.__new__(WeightedModel)
+    object.__setattr__(model, "n", n)
+    object.__setattr__(model, "factors", factors)
+    object.__setattr__(model, "name", name)
+    return model
+
+
 def _check_coupling(coupling_w: float) -> None:
     if not 0.0 <= coupling_w < math.inf:  # NaN fails every comparison
         raise StructuralError("coupling w must be finite and >= 0")
@@ -946,7 +974,7 @@ def gen_clique_ising(n: int, coupling_w: float = 0.1, seed: int = 0) -> Weighted
             coupling[i * (2 * n - i - 1) // 2 + j - i - 1] += strengths[k]
     tables = np.zeros((len(pairs), 4))
     tables[:, 3] = np.negative(coupling)
-    return WeightedModel(n, tuple(_trusted_factors(pairs, tables)), name=f"clique-n{n}-w{coupling_w}-s{seed}")
+    return _trusted_model(n, tuple(_trusted_factors(pairs, tables)), f"clique-n{n}-w{coupling_w}-s{seed}")
 
 
 def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> WeightedModel:
@@ -982,4 +1010,4 @@ def gen_grid_ising(rows: int, cols: int, coupling_w: float, seed: int = 0) -> We
     couplings = np.multiply.outer(np.multiply(strengths, scale), [1.0, -1.0, -1.0, 1.0])
     factors = _trusted_factors([(i,) for i in range(n)], np.stack((-fields, fields), axis=1))
     factors += _trusted_factors([(var(*a), var(*b)) for a, b in edges], couplings)
-    return WeightedModel(n, tuple(factors), name=f"grid-{rows}x{cols}-w{coupling_w}-s{seed}")
+    return _trusted_model(n, tuple(factors), f"grid-{rows}x{cols}-w{coupling_w}-s{seed}")

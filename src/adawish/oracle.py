@@ -28,7 +28,10 @@ straddles the bracket the intervals put on the median, each inside it,
 and a solution set several repetitions' prefixes share once.  The
 deepest K indices, whose cosets hold at most 2^K points, are settled with
 no solve: one numpy enumeration of every repetition's coset at n - K,
-T 2^K <= SWEEP_POINTS points in all (`sweep_depth`).  The proofs are in
+T 2^K <= SWEEP_POINTS points in all (`sweep_depth`).  Up to n =
+PREFIX_BITS the indices below n - K are settled from the model's
+2^(n - K + 1) heaviest assignments (the scan): at such an index a
+repetition's maximum is almost always one of them.  The proofs are in
 `XorOracle`.
 `sample_parity_system` draws any number of pairs as the rows of one
 bounded-uint8 draw from a caller's generator; the XOR oracle draws its T
@@ -58,12 +61,14 @@ import numpy as np
 from . import gf2
 from .errors import StructuralError
 from .logspace import NEG_INF
-from .model import QuantileCurve, WeightedModel, exact_quantiles
+from .model import PREFIX_BITS, QuantileCurve, WeightedModel, exact_quantiles
 from .seeds import mix64, rng_from, unit_from
 
 # points one sweep of `XorOracle` scores, over all its repetitions: K = 8 at
-# T = 30 and K = 10 at T = 5.  With a point at one prefix lookup, 2^14 and
-# 2^15 measured faster at T = 30 (n = 12) but slower at T = 5 (n = 16)
+# T = 30 and K = 10 at T = 5.  With the scan, in-process CPU time per
+# estimate (both schedules, medians of 5 runs) at T = 30, n = 12 was 1.03 ms
+# at 2^14 and 1.09 ms at 2^15 against 1.10 ms here, within the host's noise,
+# and at T = 5, n = 16 it was 0.91 and 1.06 ms against 0.84 ms here
 SWEEP_POINTS = 1 << 13
 
 # ---------------------------------------------------------------------------
@@ -408,7 +413,7 @@ class QueryLedger:
     distinct_queries is the number of indices computed, one memo entry each;
     repeat accesses are cache hits.  map_calls counts actual MAP solver
     invocations and search_nodes sums their `MapResult.nodes`, plus the
-    points `XorOracle`'s sweep scored.
+    points `XorOracle`'s sweep and scan weighed.
     guarantee_void flips when any solve came back inexact, cut short by
     `OracleConfig.node_limit` or `time_limit`.
     """
@@ -447,6 +452,20 @@ def _record_cap(hi_run: list[float], i: int, value: float) -> None:
     while i < n and hi_run[i] > value:
         hi_run[i] = value
         i += 1
+
+
+def _suffix_maxima(depths: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """(reps, count): entry [t, j] is the largest weights[p, t] over the points p with depths[p, t] >= j, -inf if none.
+
+    depths is (points, reps) in 0..count-1 and weights broadcasts to it.
+    The maxima per (repetition, depth) are one `np.maximum.at` into a
+    (count, reps) table, and a maximum over depths j and above follows
+    (`XorOracle`'s sweep and scan).
+    """
+    reps = depths.shape[1]
+    best = np.full(count * reps, NEG_INF)
+    np.maximum.at(best, (depths * reps + np.arange(reps)).ravel(), np.broadcast_to(weights, depths.shape).ravel())
+    return np.maximum.accumulate(best.reshape(count, reps)[::-1], axis=0)[::-1].T
 
 
 class QuantileOracle:
@@ -601,19 +620,48 @@ class XorOracle(NeighborOracle):
     which are scored at once (`CompiledModel.coset_weights`): a point costs
     one lookup in the model's prefix table over its low PREFIX_BITS (13)
     variables, kept from the first sweep on, plus one per window of a
-    later group, so one lookup at n <= 13.  Each point's depth, the first row past i0 that it violates, is read from the
-    rows it violates (`gf2.violation_codes`).  The prefixes nest, so
-    S_{j,t} for j >= i0 is the set of points of depth j or more, and v_{j,t}
-    is the largest weight among them.  Each weight is the float sum the
-    search forms at a leaf, so v_{j,t} is what an exact `map_solve` returns,
-    bit for bit.  A point attains it, so v_{j,t} is a leaf at j; it is the
-    maximum, so it is also a cap at j.  lo_run and hi_run therefore become
-    v from i0 on, and the leaf at i0 raises lo_run below it.  A
-    rank-deficient prefix, whose coset holds more than 2^K points, is left
-    to the solver.  The sweep adds the 2^K points of each full-rank prefix
-    to search_nodes; map_calls counts `map_solve` calls alone.  The node and
-    time limits bind `map_solve` alone too: the sweep is always exact.  With
-    T > SWEEP_POINTS there is no sweep.
+    later group, so one lookup at n <= 13.  Each point's depth, the first
+    row past i0 that it violates, is read from the rows it violates
+    (`gf2.violation_codes`).  The prefixes nest, so S_{j,t} for j >= i0 is
+    the set of points of depth j or more, and v_{j,t} is the largest weight
+    among them.  Each weight is the float sum the search forms at a leaf,
+    so v_{j,t} is what an exact `map_solve` returns, bit for bit.  A point
+    attains it, so v_{j,t} is a leaf at j; it is the maximum, so it is also
+    a cap at j.  lo_run and hi_run therefore become v from i0 on, and the
+    leaf at i0 raises lo_run below it.  A rank-deficient prefix, whose
+    coset holds more than 2^K points, is left to the solver.  The sweep
+    adds the 2^K points of each full-rank prefix to search_nodes; map_calls
+    counts `map_solve` calls alone.  The node and time limits bind
+    `map_solve` alone too: the sweep is always exact.  With T >
+    SWEEP_POINTS there is no sweep.
+
+    Scan.  When the prefix table is the whole weight table (n <=
+    PREFIX_BITS) and there is a sweep with i0 >= 1, the first query weighs
+    the model's M = min(2^n, 2^(i0 + 1)) heaviest assignments
+    (`scan_size`): the first M of `CompiledModel.descending`, a stable
+    descending order of the table kept with the model, with one lookup
+    each.  Each point's depth in every repetition, the first row of that
+    repetition's n-row system it violates, is read from the rows it
+    violates (`gf2.point_codes`).  Let x be the first scanned point of
+    depth j or more.  Every assignment heavier than x was scanned and
+    violates one of rows 0..j-1, and each table entry is log w at its
+    assignment bit for bit, so v_{j,t} = log w(x) exactly: a leaf and a cap
+    at j.  Where no scanned point has depth j or more, every solution of
+    the first j rows lies past the first M, so the (M + 1)-th weight caps
+    v_{j,t} (-inf when M = 2^n: no assignment is left).  A scanned weight
+    is at or above the (M + 1)-th, so with the running maximum of the
+    scanned weights of depth j or more as the leaf at j, the cap at j is
+    the larger of the two.  The first query makes no other record, so
+    lo_run and hi_run start as these.  About 2 scanned points reach depth
+    i0 in each repetition, so most repetitions are settled at every index
+    up to i0 and many past it, and the solver is left the few that the
+    scan leaves open.  The scan adds M points per repetition to
+    search_nodes, and it is exact under any limit, as the sweep is.
+
+    The sweep and the scan settle through one reduction (`_suffix_maxima`):
+    the largest weight per repetition and depth, then a maximum over depth
+    j and above, the largest weight of a point that solves the first j
+    rows.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
@@ -626,6 +674,9 @@ class XorOracle(NeighborOracle):
         # i0 = n - K, the first index the sweep settles; None when there is no sweep
         self.sweep_from = None if depth is None else model.n - depth
         self._swept = False
+        # M, how many of the heaviest assignments the first query scans; None when there is no scan
+        i0 = self.sweep_from
+        self.scan_size = 1 << min(model.n, i0 + 1) if i0 and model.n <= PREFIX_BITS else None
         # per repetition, filled on the first query: the system, its chain
         # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run
         self._systems: list[gf2.Gf2System] = []
@@ -649,8 +700,11 @@ class XorOracle(NeighborOracle):
             self._systems = sample_parity_system(self.n, self.n, rng_from(self.config.master_seed, self.n), T)
             free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
             self._chains = [[free] for _ in range(T)]
-            self._lo = [[NEG_INF] * (self.n + 1) for _ in range(T)]
-            self._hi = [[math.inf] * (self.n + 1) for _ in range(T)]
+            if self.scan_size is None:
+                self._lo = [[NEG_INF] * (self.n + 1) for _ in range(T)]
+                self._hi = [[math.inf] * (self.n + 1) for _ in range(T)]
+            else:
+                self._scan()
         if not self._swept and self.sweep_from is not None and i >= self.sweep_from:
             self._sweep()
         # lower middle for even counts: never overestimates the median
@@ -705,13 +759,8 @@ class XorOracle(NeighborOracle):
             bits = gf2.basis_bits(cosets)
             weights = self.model.compiled.coset_weights(bits)  # (2^K, len(full))
             codes = gf2.violation_codes(bits, [self._systems[t] for t in full], i0)
-            # per repetition, the best weight of each code, then of each code
-            # or a lower one: a point solves the first j rows when its code is
-            # below 2^(n - j), so v_{j,t} is read at column 2^(n - j) - 1
-            best = np.full((len(full), 1 << (n - i0)), NEG_INF)
-            rows = np.arange(len(full)) << (n - i0)
-            np.maximum.at(best.reshape(-1), (codes + rows).reshape(-1), weights.reshape(-1))
-            best = np.maximum.accumulate(best, axis=1)[:, [(1 << (n - j)) - 1 for j in range(i0, n + 1)]]
+            # column j - i0: the best weight of depth j or more, v_{j,t}
+            best = _suffix_maxima(gf2.code_depths(codes, n - i0), weights, n - i0 + 1)
             settled.update(zip(full, best.tolist()))
             self.ledger.search_nodes += weights.size
         for t, values in settled.items():
@@ -721,6 +770,27 @@ class XorOracle(NeighborOracle):
             lo_run[i0:] = hi_run[i0:] = values
             _record_leaf(lo_run, i0 - 1, values[0])
         return settled
+
+    def _scan(self) -> tuple[np.ndarray, float]:
+        """The first query's records: what the model's M heaviest assignments prove in every repetition.
+
+        Returns (values, cap): values[t, j] is the heaviest scanned point
+        of depth j or more in repetition t, -inf if none, and cap the
+        (M + 1)-th heaviest weight, -inf when M = 2^n.  A value at or above
+        cap is v_{j,t}; below it, cap bounds v_{j,t}.  So lo_run becomes
+        values[t] and hi_run its maximum with cap; see the class docstring.
+        """
+        compiled = self.model.compiled
+        n, M = self.n, self.scan_size
+        order = compiled.descending[: M + 1]
+        weights = compiled.prefix[order]
+        cap = float(weights[M]) if len(weights) > M else NEG_INF
+        depths = gf2.code_depths(gf2.point_codes(order[:M], self._systems), n)
+        values = _suffix_maxima(depths, weights[:M, None], n + 1)
+        self._lo = values.tolist()
+        self._hi = np.maximum(values, cap).tolist()
+        self.ledger.search_nodes += M * self.T
+        return values, cap
 
     def interval(self, t: int, i: int) -> tuple[float, float]:
         """[lo_t, hi_t], repetition t's proven interval on v_{i,t}, read from its running bounds."""

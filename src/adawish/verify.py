@@ -5,7 +5,9 @@ is given and returns a (name, passed, detail) row; the test suite calls the
 same checks with its own pinned inputs, so every contract has one
 definition.  `run_checks` builds the suites of the `verify` CLI command:
 the fast level keeps models at n <= 12, but for the sweep check's grid 3x5,
-clique 25 and grid 33x2 (`sweep_cases`), and finishes in seconds; the full level
+clique 25 and grid 33x2 (`sweep_cases`) and the median bracket's clique 14,
+whose solves the scan of the heaviest assignments does not replace (it
+runs at n <= 13), and finishes in seconds; the full level
 raises sizes to n <= 16 and adds the statistical checks (hash uniformity,
 randomized query coverage).  The references the checks and the
 test suite share live here too: the model zoo, the curve and parity-system
@@ -13,8 +15,8 @@ suites, and `reference_map`, the enumeration of `gf2.row_reduce`'s coset
 that `map_solve` is compared against.  `row_reduce` and the chain of
 `gf2.extend` steps are each other's witness (`check_coset`), and so are the
 backward recursion and the enumeration of log Z (`check_partition_agreement`);
-the XOR oracle's batched sweep of its deepest indices answers what
-`map_solve` finds (`check_sweep`).
+the XOR oracle's batched sweep of its deepest indices and its scan of the
+model's heaviest assignments answer what `map_solve` finds (`check_sweep`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .logspace import LN2, NEG_INF
 from .model import (
     BLOCK_BITS,
     ENUMERATION_LIMIT,
+    PREFIX_BITS,
     Factor,
     QuantileCurve,
     WeightedModel,
@@ -43,6 +46,7 @@ from .model import (
     gen_clique_ising,
     gen_grid_ising,
     log_weight,
+    log_weight_table,
     log_weights_at,
 )
 from .optbench import (
@@ -384,6 +388,7 @@ class _SolveLog(XorOracle):
         self.solves: list[tuple[gf2.Coset, float, float, MapResult]] = []
         self.early_stops = 0
         self.swept: dict[int, list[float]] = {}
+        self.scanned: tuple[np.ndarray, float] | None = None
 
     def _compute(self, i: int) -> float:
         s = super()._compute(i)
@@ -399,6 +404,10 @@ class _SolveLog(XorOracle):
     def _sweep(self) -> dict[int, list[float]]:
         self.swept = super()._sweep()
         return self.swept
+
+    def _scan(self) -> tuple[np.ndarray, float]:
+        self.scanned = super()._scan()
+        return self.scanned
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
@@ -510,24 +519,32 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
 
 
 def check_sweep(cases) -> CheckResult:
-    """`XorOracle`'s sweep settles each repetition at the maxima `map_solve` finds.
+    """`XorOracle`'s sweep and scan settle each repetition at the maxima `map_solve` finds.
 
     cases holds (model, T, master seeds), T at most `SWEEP_POINTS`.  Each
     oracle (neighbor kind, c = 2) queries i0 = n - K
-    (`XorOracle.sweep_from`), the first index its sweep settles.  Each
-    repetition's prefix at i0 is reduced anew (`gf2.row_reduce`):
-    one of full rank must be swept and an inconsistent one settled at -inf,
-    and one of lower rank must be left to the solver.  For each settled
-    repetition and each j in i0..n, the sweep's value must equal
-    `map_solve` on `row_reduce` of the first j rows, and the repetition's
-    interval must be [v, v].  Every solve the query made must be on a
-    prefix of more than K free variables, and search_nodes must be the
-    solves' nodes plus 2^K per repetition swept.  The detail counts the
-    repetitions swept, settled inconsistent and left to the solver, and the
-    values compared, with the inconsistent and the rank-deficient prefixes
-    among them, so a caller can see that its inputs reached each case.
+    (`XorOracle.sweep_from`), the first index its sweep settles, and the
+    reference v_{j,t} is `map_solve` on `gf2.row_reduce` of repetition t's
+    first j rows.  Sweep: each repetition's prefix at i0 is reduced anew;
+    one of full rank must be swept and an inconsistent one settled at
+    -inf, and one of lower rank must be left to the solver.  For each
+    settled repetition and each j in i0..n, the sweep's value must be
+    v_{j,t}, and the repetition's interval [v, v].  Every solve the query
+    made must be on a prefix of more than K free variables.  Scan: the
+    oracle must scan exactly when n <= PREFIX_BITS and i0 >= 1, M =
+    min(2^n, 2^(i0 + 1)) points, and its cap must be the (M + 1)-th largest
+    of the model's 2^n log-weights, sorted anew (-inf when M = 2^n).  For
+    each repetition and each j in 0..n, a scanned value at or above the
+    cap must be v_{j,t}, and any other must be -inf with the cap at or
+    above v_{j,t}; the interval must hold v_{j,t}.  search_nodes must be
+    the solves' nodes plus 2^K per repetition swept plus M per repetition
+    scanned.  The detail counts the repetitions swept, settled
+    inconsistent and left to the solver, and the values compared, with
+    the inconsistent and the rank-deficient prefixes among them, then the
+    repetitions scanned, their exact values and their caps, so a caller
+    can see that its inputs reached each case.
     """
-    swept = inconsistent = left = compared = empty = deficient = 0
+    swept = inconsistent = left = compared = empty = deficient = scanned = exact = capped = 0
     for model, count, masters in cases:
         n = model.n
         for master in masters:
@@ -535,6 +552,16 @@ def check_sweep(cases) -> CheckResult:
             oracle = _SolveLog(model, OracleConfig(kind="neighbor", c=2, T=count, master_seed=master))
             i0 = oracle.sweep_from
             oracle.query(i0)
+            maxima: dict[tuple[int, int], tuple[gf2.Coset, float]] = {}
+
+            def maximum(t: int, j: int) -> tuple[gf2.Coset, float]:
+                """Repetition t's first j rows reduced anew, and v_{j,t}."""
+                if (t, j) not in maxima:
+                    system = oracle._systems[t]
+                    reduced = gf2.row_reduce(gf2.Gf2System(n, system.rows[:j], system.rhs[:j]))
+                    maxima[t, j] = reduced, map_solve(model, reduced).log_value
+                return maxima[t, j]
+
             points = 0
             for t, system in enumerate(oracle._systems):
                 at = gf2.row_reduce(gf2.Gf2System(n, system.rows[:i0], system.rhs[:i0]))
@@ -549,23 +576,45 @@ def check_sweep(cases) -> CheckResult:
                 inconsistent += not full
                 points += full << (n - i0)
                 for j, value in enumerate(oracle.swept[t], start=i0):
-                    reduced = gf2.row_reduce(gf2.Gf2System(n, system.rows[:j], system.rhs[:j]))
-                    want = map_solve(model, reduced).log_value
+                    reduced, want = maximum(t, j)
                     if not (value == want and oracle.interval(t, j) == (want, want)):
                         detail = f"{where}, t={t}, j={j}: swept {value}, interval {oracle.interval(t, j)}, map_solve {want}"
                         return CheckResult("sweep", False, detail)
                     compared += 1
                     empty += reduced.x0 is None
                     deficient += reduced.x0 is not None and reduced.nulls.count(None) < j
+            size = 1 << min(n, i0 + 1) if n <= PREFIX_BITS and i0 >= 1 else None
+            if oracle.scan_size != size or (oracle.scanned is None) != (size is None):
+                return CheckResult("sweep", False, f"{where}: scanned {oracle.scan_size} points, not {size}")
+            if size is not None:
+                values, cap = oracle.scanned
+                ranked = np.sort(log_weight_table(model))[::-1]
+                if not cap == (ranked[size] if size < ranked.size else NEG_INF):
+                    return CheckResult("sweep", False, f"{where}: scan cap {cap} is not weight {size + 1}")
+                for t, j in itertools.product(range(count), range(n + 1)):
+                    value, want = values[t, j], maximum(t, j)[1]
+                    lo, hi = oracle.interval(t, j)
+                    if value >= cap:
+                        ok = value == want
+                        exact += 1
+                    else:
+                        ok = value == NEG_INF and cap >= want
+                        capped += 1
+                    if not (ok and lo <= want <= hi):
+                        detail = f"{where}, t={t}, j={j}: scanned {value} under cap {cap}, interval [{lo}, {hi}], map_solve {want}"
+                        return CheckResult("sweep", False, detail)
+                scanned += count
+                points += count * size
             if any(n - prefix.nulls.count(None) <= n - i0 for prefix, *_ in oracle.solves):
                 return CheckResult("sweep", False, f"{where}: solved a prefix the sweep settles")
             if oracle.ledger.search_nodes != points + sum(result.nodes for *_, result in oracle.solves):
-                return CheckResult("sweep", False, f"{where}: search_nodes does not count the swept points")
+                return CheckResult("sweep", False, f"{where}: search_nodes does not count the swept and scanned points")
     return CheckResult(
         "sweep",
         True,
         f"{swept} repetitions swept, {inconsistent} settled inconsistent, {left} left to the solver;"
-        f" {compared} values compared, {empty} of inconsistent prefixes, {deficient} of rank-deficient ones",
+        f" {compared} values compared, {empty} of inconsistent prefixes, {deficient} of rank-deficient ones;"
+        f" {scanned} repetitions scanned, {exact} exact values, {capped} caps",
     )
 
 
@@ -791,16 +840,26 @@ def benchmark_models(max_n: int) -> list[WeightedModel]:
 
 
 def sweep_cases(models: list[WeightedModel], masters=(0,)) -> list:
-    """`check_sweep` cases: each model and grid 3x5 at T = 5 and 30, clique 25 and grid 33x2.
+    """`check_sweep` cases: each model, grid 3x5 and two edge models at T = 5 and 30, clique 25 and grid 33x2.
 
     Grid 3x5 has n = PREFIX_BITS + 2, so its weights read the prefix table
-    and two windows past it.  Clique 25 scores its groups past variable 15
-    factor by factor (their windows pass WINDOW_ENTRIES), and at T = 512
-    (K = 4) its prefixes at i0 include inconsistent and rank-deficient
-    ones; grid 33x2 has n = 66, past one 64-bit word.
+    and two windows past it.  The edge models are scanned at T = 30: on
+    "ties" the 256 heaviest assignments share one weight, so the scan's cap
+    equals every weight it scans; on "zeros" only 8 assignments have
+    nonzero weight, so the scan's M = 8 points are all of them and its cap
+    is -inf.  Clique 25 scores its groups past variable 15 factor by factor
+    (their windows pass WINDOW_ENTRIES), and at T = 512 (K = 4) its
+    prefixes at i0 include inconsistent and rank-deficient ones; grid 33x2
+    has n = 66, past one 64-bit word.
     """
     seam = gen_grid_ising(3, 5, coupling_w=1.0, seed=0)
-    cases = [(model, count, masters) for model in models + [seam] for count in (5, 30)]
+    ties = WeightedModel(
+        11, (Factor((0, 1), [0.0, 1.0, 1.0, 0.0]), Factor((4,), [0.0, -0.5]), Factor((7, 9), [0.3, 0.0, 0.0, 0.3])),
+        name="ties",
+    )
+    chain = [Factor((v, v + 1), [0.2 * v, NEG_INF, NEG_INF, -0.1 * v]) for v in range(7)]
+    zeros = WeightedModel(10, (*chain, Factor((8,), [0.0, 0.4]), Factor((9,), [0.1, -0.3])), name="zeros")
+    cases = [(model, count, masters) for model in models + [seam, ties, zeros] for count in (5, 30)]
     cases.append((gen_clique_ising(25, coupling_w=0.1, seed=0), 512, masters))
     cases.append((gen_grid_ising(33, 2, coupling_w=1.0, seed=0), 30, masters))
     return cases
@@ -823,7 +882,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_adversarial_stub(_stub_curves(10, seed=7)),
         check_adversarial_pair(),
         check_solver_agreement(model_zoo(6, 12, 3), 40, 3),
-        check_median_bracket(benchmark_models(max_n), reps=(1, 2, 5, 10, 100)),
+        check_median_bracket(benchmark_models(max_n) + [gen_clique_ising(14, 0.1, seed=0)], reps=(1, 2, 5, 10, 100)),
         check_sweep(sweep_cases(models + benchmark_models(max_n), masters=(0,) if level == "fast" else (0, 1))),
     ]
     if level == "full":

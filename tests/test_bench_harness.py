@@ -99,10 +99,12 @@ def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
     # every solve, inconsistent prefixes included, goes through
     # `adawish.oracle.map_solve` with an argument that has .m and .cols, so
     # the tracer's solve count is the ledgers'.  `XorOracle` sweeps indices
-    # n - K .. n (K = 8 at n = 12, T = 30) with no solve, so each band that
-    # holds an index below n - K has nodes
+    # n - K .. n (K = 8 at T = 30) with no solve, so each band that holds an
+    # index below n - K has nodes.  The workload's n = 12 models are scanned
+    # and leave the solver almost nothing, so the round runs on n = 14 ones
     tracing, workloads = harness
-    workload = workloads.XorShallow(3, str(tmp_path))
+    instances = ("grid:2x7:w=1.0:seed=2", "clique:n=14:w=0.1:seed=0")
+    workload = workloads.XorShallow(3, str(tmp_path), instances=instances)
     workload.setup()
     workload.prepare()
     tracer = tracing.Tracer()
@@ -114,7 +116,7 @@ def test_traced_xor_shallow_round_sees_every_solve(harness, tmp_path):
         tracer.remove()
     metrics = tracing.layer_metrics(tracer, estimates, {"opt_size": 0})
     assert metrics["oracle.map_solve.calls"] == sum(e.map_calls for e in estimates) / len(estimates)
-    n = 12
+    n = 14
     solved = {tracing.band_of(i, n) for i in range(n - sweep_depth(n, workload.T))}
     assert solved == {0, 1}
     assert all(metrics[f"oracle.map_solve.band{b}.nodes"] > 0 for b in solved)

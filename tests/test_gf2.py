@@ -258,6 +258,25 @@ class TestCosetPoints:
                 assert violated & ((1 << start) - 1) == 0
 
 
+    @pytest.mark.parametrize("cols, m", [(1, 1), (6, 6), (13, 13), (20, 9), (62, 40)])
+    def test_point_codes_give_each_point_its_first_violated_row(self, cols, m):
+        # point_codes sets bit m - 1 - j of a point's code when it violates
+        # row j, as violation_codes does, and code_depths reads the first
+        # violated row back, m when none is; 62 columns fill an int64 mask
+        rng = np.random.default_rng(cols)
+        systems = [random_system(rng, cols, m) for _ in range(7)]
+        points = rng.integers(0, 1 << cols, size=50)
+        points[:2] = (0, (1 << cols) - 1)
+        codes = gf2.point_codes(points, systems)
+        assert codes.shape == (50, 7)
+        depths = gf2.code_depths(codes, m)
+        for p, t in np.ndindex(codes.shape):
+            system, x = systems[t], int(points[p])
+            violated = gf2.evaluate(system, x) ^ sum(b << j for j, b in enumerate(system.rhs))
+            assert codes[p, t] == sum(1 << (m - 1 - j) for j in range(m) if violated >> j & 1)
+            assert depths[p, t] == ((violated & -violated).bit_length() - 1 if violated else m)
+
+
 class TestEvaluate:
     def test_identity_matrix(self):
         system = gf2.Gf2System(3, (0b001, 0b010, 0b100), (0, 0, 0))

@@ -269,6 +269,18 @@ class TestGenerators:
             assert f.log_table.dtype == rebuilt.log_table.dtype and f.log_table.shape == rebuilt.log_table.shape
             assert f.log_table.tobytes() == rebuilt.log_table.tobytes()
 
+    @pytest.mark.parametrize("spec", ["clique:n=16:w=0.1:seed=0", "grid:3x4:w=1.0:seed=2"])
+    def test_generated_model_equals_its_checked_rebuild(self, spec):
+        # the generators skip WeightedModel's per-factor scope check; each
+        # model must be what the checked constructor makes of its fields,
+        # and the same factors under too few variables still raise there
+        model = parse_gen_spec(spec)
+        rebuilt = WeightedModel(model.n, model.factors, name=model.name)
+        assert (model.n, model.name) == (rebuilt.n, rebuilt.name)
+        assert type(model.factors) is tuple and model.factors == rebuilt.factors
+        with pytest.raises(StructuralError, match=f"outside {model.n - 1} variables$"):
+            WeightedModel(model.n - 1, model.factors)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_generator_builder_refuses_nan_and_plus_inf(self, bad):
         tables = np.zeros((3, 4))
@@ -744,6 +756,23 @@ class TestCosetWeights:
                 x = sum(1 << v for v in np.flatnonzero(points[s, t]).tolist())
                 want = model.compiled.log_weight(x)
                 assert weights[s, t] == want and np.signbit(weights[s, t]) == np.signbit(want), (model.name, s, t)
+
+
+    def test_descending_order_is_a_stable_sort_of_the_prefix(self):
+        # the scan's order: prefix entries by descending weight, equal ones
+        # (ties, -inf, -0.0 beside 0.0) in ascending index, built on first use
+        # and kept read-only
+        rng = np.random.default_rng(6)
+        ties = WeightedModel(6, (Factor((0, 1), [0.0, 1.0, 1.0, -0.0]), Factor((4,), [NEG_INF, 0.5])), name="ties")
+        for model in (ties, gen_clique_ising(12, 0.1, seed=0), signed_entries_model(rng), gen_grid_ising(2, 7, 1.0, seed=1)):
+            compiled = model.compiled
+            assert "descending" not in compiled.__dict__
+            order = compiled.descending
+            assert compiled.descending is order and not order.flags.writeable
+            prefix = compiled.prefix
+            assert order.size == prefix.size == 1 << min(model.n, PREFIX_BITS)
+            keys = sorted(range(prefix.size), key=lambda x: (-prefix[x], x))
+            assert order.tolist() == keys, model.name
 
 
 class TestWindows:

@@ -389,17 +389,23 @@ class TestParitySampling:
 class _SettleLog(XorOracle):
     """An `XorOracle` that logs each settle: (i, t, the shared entry it read or None, the one it left).
 
-    It also keeps what its sweep settled, per repetition v_{j,t} for j = i0..n.
+    It also keeps what its sweep settled, per repetition v_{j,t} for j =
+    i0..n, and what its scan returned, (values, cap) or None.
     """
 
     def __init__(self, model, config):
         super().__init__(model, config)
         self.settles = []
         self.swept = {}
+        self.scanned = None
 
     def _sweep(self):
         self.swept = super()._sweep()
         return self.swept
+
+    def _scan(self):
+        self.scanned = super()._scan()
+        return self.scanned
 
     def _settle(self, i, t, lo, hi, s_lo, s_hi, shared):
         prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
@@ -410,16 +416,23 @@ class _SettleLog(XorOracle):
 
 
 def _replayed_records(oracle):
-    """Each repetition's caps and leaves, entered from the sweep and the settle log one record at a time.
+    """Each repetition's caps and leaves, entered from the scan, the sweep and the settle log one record at a time.
 
-    Each value v_{j,t} the sweep settled is a leaf and a cap at j.  A
-    returned assignment is a leaf at its first violated row, an exact value
-    below the ceiling or an exact result with no assignment a cap at the
-    query's index, and a shared interval both, at that index.
+    The scan's value at j, the heaviest scanned point of depth j or more,
+    is a leaf at j, and its maximum with the scan's cap a cap at j.  Each
+    value v_{j,t} the sweep settled is a leaf and a cap at j.  A returned
+    assignment is a leaf at its first violated row, an exact value below
+    the ceiling or an exact result with no assignment a cap at the query's
+    index, and a shared interval both, at that index.
     """
     n = oracle.n
     caps = [[math.inf] * (n + 1) for _ in range(oracle.T)]
     leaves = [[NEG_INF] * (n + 1) for _ in range(oracle.T)]
+    if oracle.scanned is not None:
+        values, cap = oracle.scanned
+        for t, j in itertools.product(range(oracle.T), range(n + 1)):
+            leaves[t][j] = max(leaves[t][j], values[t, j])
+            caps[t][j] = min(caps[t][j], max(values[t, j], cap))
     for t, values in oracle.swept.items():
         for j, value in enumerate(values, start=oracle.sweep_from):
             leaves[t][j] = max(leaves[t][j], value)
@@ -442,7 +455,9 @@ def _replayed_records(oracle):
 
 class TestXorQuery:
     @pytest.mark.parametrize("T", [1, 2, 5, 30])
-    @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0"])
+    @pytest.mark.parametrize(
+        "spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0", "clique:n=14:w=0.1:seed=0"]
+    )
     def test_running_bounds_are_the_records_slices(self, spec, T):
         # lo_run and hi_run are kept by walks; the plain records they stand
         # for give each interval as max(leaves[i:]) and min(caps[:i + 1])
@@ -465,11 +480,14 @@ class TestXorQuery:
             assert oracle.ledger.map_calls == sum(solved)
             hits += len(solved) - sum(solved)
             swept += len(oracle.swept)
-        # repetitions share the unconstrained coset at i = 0, which lies below
-        # the sweep's first index at T = 5 (K = 10) and T = 30 (K = 8); at
-        # T = 1 and 2 the sweep settles every index
-        assert oracle.sweep_from == (0 if T <= 2 else n - 10 if T == 5 else n - 8)
-        assert hits > 0 if oracle.sweep_from > 0 else hits == 0
+        # without the scan, repetitions share the unconstrained coset at i = 0,
+        # which lies below the sweep's first index at n = 12, T = 5 (K = 10)
+        # and T = 30 (K = 8), and at n = 14 for every T; at n = 12, T = 1 and 2
+        # the sweep settles every index, and one repetition shares with none.
+        # At n <= 13 the scan settles i = 0
+        assert oracle.sweep_from == max(0, n - {1: 13, 2: 12, 5: 10, 30: 8}[T])
+        if oracle.scan_size is None:
+            assert hits > 0 if oracle.sweep_from > 0 and T > 1 else hits == 0
         assert swept == 6 * T
 
     def test_sweep_depth(self):
@@ -479,9 +497,11 @@ class TestXorQuery:
         assert sweep_depth(66, 30) == 8 and sweep_depth(0, 1) == 0
 
     def test_sweep_settles_at_the_maxima_map_solve_finds(self):
-        # zoo models at T = 5 and 30, clique 25 (untabled groups), grid 33x2
-        # (n = 66), no variables at all, and K = 0 (T = 5000), where the
-        # sweep settles index n alone
+        # zoo models at T = 5 and 30, tied and zero weights, clique 25
+        # (untabled groups), grid 33x2 (n = 66), no variables at all, and K =
+        # 0 (T = 5000), where the sweep settles index n alone and the scan
+        # weighs all 2^3 points; the scan reaches every zoo model of at
+        # least 9 variables at T = 30 and of 11 or more at T = 5
         three = WeightedModel(3, (Factor((0, 1), [0.1, -0.4, 0.7, 0.2]), Factor((2,), [0.3, -1.0])), name="three")
         cases = sweep_cases(model_zoo(6, 12, 3)) + [
             (WeightedModel(0, (Factor((), [0.5]),), name="no variables"), 3, (0,)),
@@ -490,16 +510,17 @@ class TestXorQuery:
         result = check_sweep(cases)
         assert result.passed, result.detail
         counts = [int(k) for k in re.findall(r"(\d+) [a-z]", result.detail)]
-        assert len(counts) == 6 and min(counts) > 0, result.detail
+        assert len(counts) == 9 and min(counts) > 0, result.detail
 
     def test_sweep_caps_an_inconsistent_prefix_at_minus_inf(self):
         # at T = 1000 (K = 3) a prefix of n - 3 rows is inconsistent about
         # once in sixteen draws: the sweep settles it at -inf from i0 on and
-        # proves nothing below i0
-        model = parse_gen_spec("clique:n=12:w=0.1:seed=0")
+        # proves nothing below i0.  At n = 14 there is no scan, which would
+        # prove more below i0
+        model = parse_gen_spec("clique:n=14:w=0.1:seed=0")
         oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=1000, master_seed=0))
         n, i0 = model.n, oracle.sweep_from
-        assert i0 == n - 3
+        assert i0 == n - 3 and oracle.scan_size is None
         oracle.query(i0)
         empty = [t for t, values in oracle.swept.items() if values[0] == NEG_INF]
         assert empty
@@ -509,6 +530,79 @@ class TestXorQuery:
             assert [oracle.interval(t, j) for j in range(i0, n + 1)] == [(NEG_INF, NEG_INF)] * (n - i0 + 1)
             assert oracle.interval(t, i0 - 1) == (NEG_INF, math.inf)
             assert not any(s[1] == t for s in oracle.settles)
+
+    def test_scan_runs_up_to_the_prefix_table_width(self):
+        # at n = 13 the prefix table is the whole weight table, and at T = 30
+        # (K = 8, i0 = 5) the first query weighs the 2^6 heaviest assignments
+        # of every repetition with no solve; at n = 14 it is not, and index 0
+        # is solved
+        scanned = make_oracle(gen_clique_ising(13, 0.1, seed=0), OracleConfig(kind="neighbor", c=2, T=30))
+        assert (scanned.sweep_from, scanned.scan_size) == (5, 64)
+        scanned.query(0)
+        assert (scanned.ledger.map_calls, scanned.ledger.search_nodes) == (0, 30 * 64)
+        solved = make_oracle(gen_clique_ising(14, 0.1, seed=0), OracleConfig(kind="neighbor", c=2, T=30))
+        assert (solved.sweep_from, solved.scan_size) == (6, None)
+        solved.query(0)
+        assert solved.ledger.map_calls == 1 and solved.ledger.search_nodes > 0
+
+    def test_descending_order_is_built_by_the_first_query(self):
+        model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=30))
+        assert "descending" not in model.compiled.__dict__
+        oracle.query(3)
+        assert "descending" in model.compiled.__dict__
+        deep = gen_grid_ising(4, 4, coupling_w=1.0, seed=0)
+        make_oracle(deep, OracleConfig(kind="neighbor", c=2, T=5)).query(3)
+        assert "descending" not in deep.compiled.__dict__
+
+    def test_scan_caps_an_open_repetition_then_solves_it(self):
+        # the 8 heaviest assignments set variables 0..9 to 0 and differ in
+        # 10..12 alone, so a row 0 that reads none of 10..12 and has rhs 1
+        # is violated by all of them: the scan proves only the cap, the 9th
+        # weight (-2.0), at index 1.  At T = 4 (K = 11, i0 = 2) master seed
+        # 116 leaves repetitions 1 and 3 open there, two of four, so the
+        # lower median straddles them and each is solved
+        factors = [Factor((v,), [0.0, -2.0 - 0.1 * v]) for v in range(10)]
+        factors += [Factor((10 + k,), [0.0, -0.01 * (1 << k)]) for k in range(3)]
+        model = WeightedModel(13, tuple(factors), name="top eight")
+        oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=4, master_seed=116))
+        assert (oracle.sweep_from, oracle.scan_size) == (2, 8)
+        oracle.query(0)
+        values, cap = oracle.scanned
+        assert cap == np.sort(log_weight_table(model))[::-1][8] == -2.0
+        assert [t for t in range(4) if values[t, 1] == NEG_INF] == [1, 3]
+        assert [oracle.interval(t, 1) for t in (1, 3)] == [(NEG_INF, cap)] * 2
+        assert oracle.ledger.map_calls == 0
+        answer = oracle.query(1)
+        assert [(i, t) for i, t, _, _ in oracle.settles] == [(1, 1), (1, 3)]
+        assert oracle.ledger.map_calls == 2
+        maxima = []
+        for system in oracle._systems:
+            prefix = gf2.row_reduce(gf2.Gf2System(13, system.rows[:1], system.rhs[:1]))
+            maxima.append(map_solve(model, prefix).log_value)
+        assert answer == sorted(maxima)[1] < cap
+        # each solve left its repetition's interval below the cap, holding its maximum
+        for t in (1, 3):
+            lo, hi = oracle.interval(t, 1)
+            assert lo <= maxima[t] <= hi < cap
+
+    def test_scan_of_every_point_caps_what_it_misses_at_minus_inf(self):
+        # at T = 4096 (K = 1, i0 = n - 1) the scan weighs all 2^n points,
+        # so no weight is left for a cap: where no point reaches depth j,
+        # v_{j,t} is -inf, and every repetition is settled at every index
+        three = WeightedModel(3, (Factor((0, 1), [0.1, -0.4, 0.7, 0.2]), Factor((2,), [0.3, -1.0])), name="three")
+        oracle = _SettleLog(three, OracleConfig(kind="neighbor", c=2, T=4096, master_seed=0))
+        assert (oracle.sweep_from, oracle.scan_size) == (2, 8)
+        oracle.query(0)
+        values, cap = oracle.scanned
+        assert cap == NEG_INF
+        missed = 0
+        for t, j in itertools.product(range(0, 4096, 7), range(4)):
+            system = oracle._systems[t]
+            want = map_solve(three, gf2.Gf2System(3, system.rows[:j], system.rhs[:j])).log_value
+            assert oracle.interval(t, j) == (values[t, j], values[t, j]) == (want, want)
+            missed += want == NEG_INF
+        assert missed > 0 and oracle.ledger.map_calls == 0
 
     def test_index_zero_is_unconstrained_map(self):
         model = gen_grid_ising(2, 3, coupling_w=0.8, seed=1)
@@ -591,13 +685,14 @@ class TestXorQuery:
         result = check_median_bracket([model], reps=(T,), masters=(17,))
         assert result.passed, result.detail
 
-    @pytest.mark.parametrize("spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0"])
+    @pytest.mark.parametrize("spec", ["grid:3x5:w=1.0:seed=2", "clique:n=14:w=0.1:seed=0"])
     def test_bracketed_medians_match_unbracketed(self, spec):
         # T = 1 solves with no bracket, T = 2 with a ceiling only, even T
         # takes the lower middle; the clique's complement ties give maxima
         # equal to the median.  The sweep settles indices n - K .. n (K = 6
         # at T = 100), so the solver meets an inconsistent prefix only where
-        # one of rank below n - K is extended, which T = 100 draws
+        # one of rank below n - K is extended, which T = 100 draws.  Past n
+        # = 13 there is no scan, which would leave the solver few of these
         result = check_median_bracket([parse_gen_spec(spec)], reps=(1, 2, 5, 10, 30, 100), masters=range(3))
         assert result.passed, result.detail
         cases = r"(\d+) (?:repetitions with no search|at the floor|at the ceiling|infeasible|ties|early stops)"
@@ -607,8 +702,9 @@ class TestXorQuery:
     def test_node_limited_sweep_answers_every_index(self):
         # each limited solve pins its repetition at the value it returned,
         # so every query still ends; the answers are then heuristic, and
-        # the ledger says so
-        model = gen_grid_ising(3, 4, coupling_w=1.0, seed=2)
+        # the ledger says so.  At n = 15 there is no scan, which would
+        # leave the solver almost nothing
+        model = gen_grid_ising(3, 5, coupling_w=1.0, seed=2)
         config = OracleConfig(kind="neighbor", c=2, T=10, master_seed=3, node_limit=1)
         oracle = make_oracle(model, config)
         answers = [oracle.query(i) for i in range(model.n + 1)]
