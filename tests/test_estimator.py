@@ -269,8 +269,8 @@ class TestPinnedEstimates:
     # change to how systems are drawn, reduced, swept or solved that alters
     # an answer shows here, and any change to a bound table or to the sweep's
     # reach as a count; search_nodes includes the T 2^K points of each sweep
-    # and the T M points of each scan (at n = 12, T = 30: 7,680 and 960,
-    # and no solve is left)
+    # and the T M points of each scan (at n = 12, T = 30: 7,680 and 960;
+    # the eight n = 12 cells make no solve)
     REPETITIONS = {
         "grid:3x4:w=1.0:seed=2": 30,
         "clique:n=12:w=0.1:seed=0": 30,
