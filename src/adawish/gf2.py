@@ -13,16 +13,16 @@ Gauss-Jordan elimination; the pivots are the rows' highest bits after
 reduction.  `extend` adds one row to a coset in one pass over its null
 vectors, the one incremental step, so a longer prefix of a system costs
 one step per row (`prefix_coset`).  The two share no step, and each is
-the other's witness (`verify.check_coset`).  `basis_bits`, `span` and
-`violation_codes` list a coset's 2^k points in numpy, for the XOR
-oracle's batched sweep of its deepest indices: a map that is XOR-linear in
-x is spanned from its values at x0 and the null vectors, and a point's
-depth, the first row past the coset's system that it violates, is read
-from the code of the rows it violates (`code_depths`).  `point_codes`
-codes any list of assignments against every row of each system, for the
-oracle's scan of a model's heaviest assignments.  `as_mask` turns an
-assignment into a bitmask for `evaluate`, `satisfies` and
-`model.log_weight`.
+the other's witness (`verify.check_coset`).  `basis_bits` and `span`
+list a coset's 2^k points in numpy, for the XOR oracle's batched sweep of
+its deepest indices: a map that is XOR-linear in x is spanned from its
+values at x0 and the null vectors.  `violation_codes` is the one code of
+the rows a point violates, for the sweep's coset points and the scan's
+heaviest assignments alike: in affine coordinates, where a row carries its
+rhs bit and a point a 1 in one more column, a violation is the parity of
+one product.  A point's depth, the first row it violates, is read from
+its code (`code_depths`).  `as_mask` turns an assignment into a bitmask
+for `evaluate`, `satisfies` and `model.log_weight`.
 """
 
 from __future__ import annotations
@@ -292,22 +292,24 @@ def _bits(vectors: Sequence[int], cols: int) -> np.ndarray:
 
 
 def basis_bits(cosets: Sequence[Coset]) -> np.ndarray:
-    """(len(cosets), k + 1, cols) 0/1 uint8: each coset's x0, then its k null vectors by free variable.
+    """(len(cosets), k + 1, cols + 1) 0/1 uint8: each coset's x0, then its k null vectors by free variable, in affine coordinates.
 
     Every coset must be consistent and have the same k free variables.
-    Point s of a coset, for s in 0 .. 2^k - 1, is x0 XOR the null vectors
-    b whose bit b is set in s; `span` lists any GF(2)-linear image of the
-    points in that order, from the images of these k + 1 rows.  The rows
-    are unpacked from their ints byte by byte, so no n-bit integer array is
-    needed at any width.
+    Column cols is the affine one, 1 in x0's row and 0 in each null
+    vector's, so every point carries a 1 there (`violation_codes`).  Point
+    s of a coset, for s in 0 .. 2^k - 1, is x0 XOR the null vectors b whose
+    bit b is set in s; `span` lists any GF(2)-linear image of the points in
+    that order, from the images of these k + 1 rows.  The rows are unpacked
+    from their ints byte by byte, so no n-bit integer array is needed at
+    any width.
     """
     cols, _, _, nulls = cosets[0]
     k = cols - nulls.count(None)
     vectors = []
     for coset in cosets:
-        vectors.append(coset.x0)
+        vectors.append(coset.x0 | 1 << cols)
         vectors.extend(vec for vec in coset.nulls if vec is not None)
-    return _bits(vectors, cols).reshape(len(cosets), k + 1, cols)
+    return _bits(vectors, cols + 1).reshape(len(cosets), k + 1, cols + 1)
 
 
 def span(images: np.ndarray) -> np.ndarray:
@@ -325,51 +327,24 @@ def span(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def violation_codes(bits: np.ndarray, systems: Sequence[Gf2System], start: int) -> np.ndarray:
-    """(2^k, len(systems)): per point of each coset, which of rows start..m-1 of its system it violates.
+def violation_codes(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(P, count): which of its system's m rows each point violates, from points (P or (count, P), cols + 1) and rows (count, m, cols + 1).
 
-    bits is `basis_bits` of each system's coset of its first start rows, so
-    every point satisfies those rows, and points are listed in `span` order.
-    Bit m - 1 - j of a point's code is set when it violates row j.  So its
-    depth, the first row it violates (m if none), is m minus the code's bit
-    length: the depth is at least j exactly when the code is below
-    2^(m - j).  The code is XOR-linear in the point up to the rhs: its value
-    at each basis row comes from one 0/1 matrix product, the rhs bits are
-    folded into x0's, and `span` lists it at every point.  All systems must
-    have the same row count m, with m - start < 63: the codes are int64.
+    Points and rows are 0/1 in affine coordinates: a row carries its rhs
+    bit as column cols and a point a 1 there (`basis_bits`), so a point
+    violates a row exactly when their product is odd, and the rhs needs no
+    case of its own.  Points (P, cols + 1) are coded against every system,
+    and points (count, P, cols + 1) each against its own.  Bit m - 1 - j of
+    a code is set when the point violates row j, so its depth, the first
+    row it violates (m if none), is `code_depths(codes, m)`.  The code is
+    XOR-linear in the affine point, so a coset's codes are spanned from
+    those of x0 and the null vectors (`span`).  The 0/1 product is in
+    float64, exact for integers this small, and runs in BLAS; the codes are
+    int64, which holds m < 63 rows.
     """
-    count, _, cols = bits.shape
-    m = systems[0].m
-    rows = _bits([row for system in systems for row in system.rows[start:]], cols).reshape(count, m - start, cols)
-    # parity(row_j & vec) for each basis row and each row j >= start: the
-    # uint8 product wraps mod 256, which keeps the parity
-    odd = (bits @ rows.transpose(0, 2, 1) & 1).astype(np.int64)
-    place = 1 << np.arange(m - start - 1, -1, -1)
-    images = odd @ place  # (count, k + 1)
-    images[:, 0] ^= np.array([system.rhs[start:] for system in systems], np.int64).reshape(count, m - start) @ place
-    return span(images.T)
-
-
-def point_codes(points: np.ndarray, systems: Sequence[Gf2System]) -> np.ndarray:
-    """(len(points), len(systems)): per point, which rows of each system it violates, as `violation_codes` codes them.
-
-    points holds assignments as int64 bitmasks, over systems of at most 62
-    columns.  Bit m - 1 - j of a code is set when the point violates row j,
-    so its depth is `code_depths(codes, m)`.  How many of each row's
-    variables each point sets comes from one 0/1 matrix product, in float64
-    (integers this small are exact, and the product runs in BLAS); its
-    parity XOR the rhs bit is the violation, and one more product packs
-    each system's m bits.  The codes are float64, exact since all systems
-    have the same row count m < 53.
-    """
-    m = systems[0].m
-    shifts = np.arange(systems[0].cols)
-    bits = (points[:, None] >> shifts) & 1  # (P, cols)
-    rows = (np.array([row for system in systems for row in system.rows], np.int64)[:, None] >> shifts) & 1
-    odd = (bits.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.uint8)  # (P, count m)
-    odd ^= np.array([system.rhs for system in systems], np.uint8).reshape(-1)
-    odd &= 1
-    return (odd.reshape(-1, m) @ np.ldexp(1.0, np.arange(m - 1, -1, -1))).reshape(len(points), len(systems))
+    m = rows.shape[1]
+    odd = np.matmul(points, rows.transpose(0, 2, 1), dtype=np.float64).astype(np.int64) & 1  # (count, P, m)
+    return (odd @ (1 << np.arange(m - 1, -1, -1))).T
 
 
 def code_depths(codes: np.ndarray, m: int) -> np.ndarray:

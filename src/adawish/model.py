@@ -379,14 +379,17 @@ class CompiledModel:
 
     @cached_property
     def descending(self) -> np.ndarray:
-        """The indices of `prefix` by descending entry, equal entries in ascending index (a stable order).
+        """The indices of `prefix` by descending entry, equal entries in any order.
 
         Built on first use and kept with the model, as `prefix` is: 2^13
         entries at most.  At n <= PREFIX_BITS the prefix is the whole weight
         table, so the order starts at the model's heaviest assignments, which
-        the XOR oracle's scan weighs (`oracle.XorOracle`).  It is read-only.
+        the XOR oracle's scan weighs (`oracle.XorOracle`).  The scan takes
+        maxima of the weights it reads and caps with the next one, so any
+        descending order proves the same; an unstable sort is the cheaper.
+        It is read-only.
         """
-        order = np.argsort(-self.prefix, kind="stable")
+        order = np.argsort(-self.prefix)
         order.flags.writeable = False
         return order
 
@@ -421,7 +424,7 @@ class CompiledModel:
         return weigh, tables, np.min_scalar_type((1 << top) - 1)
 
     def coset_weights(self, bits: np.ndarray) -> np.ndarray:
-        """log w at every point of each coset: (2^k, count) from `gf2.basis_bits` (count, k + 1, n).
+        """log w at every point of each coset: (2^k, count) from the point columns of `gf2.basis_bits`, (count, k + 1, n).
 
         The key into `prefix` (a point's low P bits), each later group's
         window key, and for an untabled group each factor's table index, is

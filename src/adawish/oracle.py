@@ -25,14 +25,15 @@ constrained maxima under random (A, d) pairs with i rows, nested across
 indices within a repetition, so each repetition holds a proven interval
 on its maximum.  A query solves only the repetitions whose interval
 straddles the bracket the intervals put on the median, each inside it,
-and a solution set several repetitions' prefixes share once.  The
-deepest K indices, whose cosets hold at most 2^K points, are settled with
-no solve: one numpy enumeration of every repetition's coset at n - K,
-T 2^K <= SWEEP_POINTS points in all (`sweep_depth`).  Up to n =
-PREFIX_BITS the indices below n - K are settled from the model's
-2^(n - K + 1) heaviest assignments (the scan): at such an index a
-repetition's maximum is almost always one of them.  The proofs are in
-`XorOracle`.
+and a solution set several repetitions' prefixes share once.  Before any
+solve, the first query settles what two numpy enumerations prove,
+through one recorder.  Up to n = PREFIX_BITS the indices below n - K are
+settled from the model's 2^(n - K + 1) heaviest assignments (the scan):
+at such an index a repetition's maximum is almost always one of them.
+The deepest K indices, whose cosets hold at most 2^K points, are then
+settled by enumerating every repetition's coset at n - K, T 2^K <=
+SWEEP_POINTS points in all (`sweep_depth`; the sweep).  The proofs are
+in `XorOracle`.
 `sample_parity_system` draws any number of pairs as the rows of one
 bounded-uint8 draw from a caller's generator; the XOR oracle draws its T
 pairs from `rng_from(master_seed, n)`.
@@ -454,20 +455,6 @@ def _record_cap(hi_run: list[float], i: int, value: float) -> None:
         i += 1
 
 
-def _suffix_maxima(depths: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
-    """(reps, count): entry [t, j] is the largest weights[p, t] over the points p with depths[p, t] >= j, -inf if none.
-
-    depths is (points, reps) in 0..count-1 and weights broadcasts to it.
-    The maxima per (repetition, depth) are one `np.maximum.at` into a
-    (count, reps) table, and a maximum over depths j and above follows
-    (`XorOracle`'s sweep and scan).
-    """
-    reps = depths.shape[1]
-    best = np.full(count * reps, NEG_INF)
-    np.maximum.at(best, (depths * reps + np.arange(reps)).ravel(), np.broadcast_to(weights, depths.shape).ravel())
-    return np.maximum.accumulate(best.reshape(count, reps)[::-1], axis=0)[::-1].T
-
-
 class QuantileOracle:
     """Base: memoised point queries plus index-appropriate lower/upper reads."""
 
@@ -612,56 +599,46 @@ class XorOracle(NeighborOracle):
     records only its solution; the answer is then a heuristic, and the
     ledger's guarantee_void says so.
 
-    Sweep.  Let K be the largest k <= n with T 2^k <= SWEEP_POINTS
-    (`sweep_depth`) and i0 = n - K (`sweep_from`).  The first query at an
-    index i >= i0 settles indices i0..n of every repetition whose prefix at
-    i0 is inconsistent or of full rank, with no solve.  An inconsistent
-    prefix caps i0 at -inf.  A full-rank prefix's coset holds 2^K points,
-    which are scored at once (`CompiledModel.coset_weights`): a point costs
-    one lookup in the model's prefix table over its low PREFIX_BITS (13)
-    variables, kept from the first sweep on, plus one per window of a
-    later group, so one lookup at n <= 13.  Each point's depth, the first
-    row past i0 that it violates, is read from the rows it violates
-    (`gf2.violation_codes`).  The prefixes nest, so S_{j,t} for j >= i0 is
-    the set of points of depth j or more, and v_{j,t} is the largest weight
-    among them.  Each weight is the float sum the search forms at a leaf,
-    so v_{j,t} is what an exact `map_solve` returns, bit for bit.  A point
-    attains it, so v_{j,t} is a leaf at j; it is the maximum, so it is also
-    a cap at j.  lo_run and hi_run therefore become v from i0 on, and the
-    leaf at i0 raises lo_run below it.  A rank-deficient prefix, whose
-    coset holds more than 2^K points, is left to the solver.  The sweep
-    adds the 2^K points of each full-rank prefix to search_nodes; map_calls
-    counts `map_solve` calls alone.  The node and time limits bind
-    `map_solve` alone too: the sweep is always exact.  With T >
-    SWEEP_POINTS there is no sweep.
-
-    Scan.  When the prefix table is the whole weight table (n <=
-    PREFIX_BITS) and there is a sweep with i0 >= 1, the first query weighs
-    the model's M = min(2^n, 2^(i0 + 1)) heaviest assignments
-    (`scan_size`): the first M of `CompiledModel.descending`, a stable
-    descending order of the table kept with the model, with one lookup
-    each.  Each point's depth in every repetition, the first row of that
-    repetition's n-row system it violates, is read from the rows it
-    violates (`gf2.point_codes`).  Let x be the first scanned point of
-    depth j or more.  Every assignment heavier than x was scanned and
-    violates one of rows 0..j-1, and each table entry is log w at its
-    assignment bit for bit, so v_{j,t} = log w(x) exactly: a leaf and a cap
-    at j.  Where no scanned point has depth j or more, every solution of
-    the first j rows lies past the first M, so the (M + 1)-th weight caps
-    v_{j,t} (-inf when M = 2^n: no assignment is left).  A scanned weight
-    is at or above the (M + 1)-th, so with the running maximum of the
-    scanned weights of depth j or more as the leaf at j, the cap at j is
-    the larger of the two.  The first query makes no other record, so
-    lo_run and hi_run start as these.  About 2 scanned points reach depth
-    i0 in each repetition, so most repetitions are settled at every index
-    up to i0 and many past it, and the solver is left the few that the
-    scan leaves open.  The scan adds M points per repetition to
-    search_nodes, and it is exact under any limit, as the sweep is.
-
-    The sweep and the scan settle through one reduction (`_suffix_maxima`):
-    the largest weight per repetition and depth, then a maximum over depth
-    j and above, the largest weight of a point that solves the first j
-    rows.
+    Enumeration.  Let K be the largest k <= n with T 2^k <= SWEEP_POINTS
+    (`sweep_depth`) and i0 = n - K (`sweep_from`); with T > SWEEP_POINTS
+    there is no enumeration.  The first query, at any index, settles what
+    two enumerations prove before any solve: the scan, when the prefix table
+    is the whole weight table (n <= PREFIX_BITS) and i0 >= 1, then the
+    sweep.  Each point enumerated is given its depth in a repetition, the
+    first row past a start index that it violates, read from the rows it
+    violates (`gf2.violation_codes`), and both record through one method
+    (`_record`): per repetition, the heaviest point of depth j or more is a
+    leaf at j, and its maximum with a cap is a cap at j.  These replace
+    lo_run and hi_run from the start index on, and the leaf there walks
+    lo_run below it.  The enumerated points are added to search_nodes;
+    map_calls counts `map_solve` calls alone, and the node and time limits
+    bind `map_solve` alone too: both enumerations are always exact.  Each
+    weight is one lookup in the model's prefix table over its low
+    PREFIX_BITS (13) variables, kept from the first enumeration on, plus one
+    per window of a later group, and it is the float sum the search forms at
+    a leaf, so a maximum among them is what an exact `map_solve` returns,
+    bit for bit.  The scan weighs the model's M = min(2^n, 2^(i0 + 1))
+    heaviest assignments (`scan_size`), the first M of
+    `CompiledModel.descending`, against all n rows of every repetition, from
+    index 0, with the (M + 1)-th weight as its cap (-inf when M = 2^n: no
+    assignment is left).  Let x be the heaviest scanned point of depth j or
+    more.  Every unscanned assignment weighs at most the cap, which is at
+    most log w(x), so v_{j,t} = log w(x), a leaf and a cap at j.  Where no
+    scanned point has depth j or more, every solution of the first j rows is
+    unscanned, so the cap caps v_{j,t}.  About 2 scanned points reach depth
+    i0 in each repetition, so most repetitions are settled at every index up
+    to i0 and many past it.  The sweep then settles indices i0..n of every
+    repetition whose prefix at i0 is inconsistent or of full rank, from
+    index i0 with cap -inf.  An inconsistent prefix has no points, which
+    caps i0 and every longer prefix at -inf.  A full-rank prefix's coset
+    holds 2^K points, all scored at once (`CompiledModel.coset_weights`).
+    The prefixes nest, so S_{j,t} for j >= i0 is the set of points of depth
+    j or more, and v_{j,t} is the largest weight among them: a point attains
+    it, a leaf at j, and it is the maximum, a cap at j.  So the sweep's
+    records are exact and replace whatever the scan proved there.  A
+    rank-deficient prefix, whose coset holds more than 2^K points, is left
+    to the solver. Both schedules query index n, so every estimate runs the
+    sweep, and running it first leaves the shallow solves fewer repetitions.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
@@ -673,16 +650,17 @@ class XorOracle(NeighborOracle):
         depth = sweep_depth(model.n, self.T)
         # i0 = n - K, the first index the sweep settles; None when there is no sweep
         self.sweep_from = None if depth is None else model.n - depth
-        self._swept = False
         # M, how many of the heaviest assignments the first query scans; None when there is no scan
         i0 = self.sweep_from
         self.scan_size = 1 << min(model.n, i0 + 1) if i0 and model.n <= PREFIX_BITS else None
         # per repetition, filled on the first query: the system, its chain
-        # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run
+        # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run, and the
+        # (T, n, n + 1) 0/1 rows the scan and the sweep code points against
         self._systems: list[gf2.Gf2System] = []
         self._chains: list[list[gf2.Coset]] = []
         self._lo: list[list[float]] = []
         self._hi: list[list[float]] = []
+        self._rows: np.ndarray | None = None
 
     def failure_probability(self) -> float | None:
         """delta_T = exp(-alpha T / ln n), what the T repetitions buy.
@@ -697,16 +675,7 @@ class XorOracle(NeighborOracle):
     def _compute(self, i: int) -> float:
         T = self.T
         if not self._systems:
-            self._systems = sample_parity_system(self.n, self.n, rng_from(self.config.master_seed, self.n), T)
-            free = gf2.row_reduce(gf2.Gf2System(self.n, (), ()))
-            self._chains = [[free] for _ in range(T)]
-            if self.scan_size is None:
-                self._lo = [[NEG_INF] * (self.n + 1) for _ in range(T)]
-                self._hi = [[math.inf] * (self.n + 1) for _ in range(T)]
-            else:
-                self._scan()
-        if not self._swept and self.sweep_from is not None and i >= self.sweep_from:
-            self._sweep()
+            self._start()
         # lower middle for even counts: never overestimates the median
         r = (T - 1) // 2
         lows = [lo_run[i] for lo_run in self._lo]
@@ -738,59 +707,74 @@ class XorOracle(NeighborOracle):
                 his[j] = new_hi
         return los[r]
 
-    def _sweep(self) -> dict[int, list[float]]:
-        """Settle indices i0..n of every repetition whose prefix at i0 is inconsistent or of full rank.
+    def _start(self) -> None:
+        """The first query's set-up: draw the T systems, start every interval at (-inf, inf), then scan and sweep."""
+        n, T = self.n, self.T
+        self._systems = systems = sample_parity_system(n, n, rng_from(self.config.master_seed, n), T)
+        free = gf2.row_reduce(gf2.Gf2System(n, (), ()))
+        self._chains = [[free] for _ in range(T)]
+        self._lo = [[NEG_INF] * (n + 1) for _ in range(T)]
+        self._hi = [[math.inf] * (n + 1) for _ in range(T)]
+        if self.sweep_from is None:
+            return
+        # the rows in affine coordinates, the rhs bit in column n (`gf2.violation_codes`)
+        affine = [row | b << n for system in systems for row, b in zip(system.rows, system.rhs)]
+        self._rows = gf2._bits(affine, n + 1).reshape(T, n, n + 1)
+        if self.scan_size is not None:
+            self._scan()
+        self._sweep()
 
-        Returns, per repetition settled, v_{j,t} for j = i0..n, each recorded
-        as a leaf and a cap at j; see the class docstring.
-        """
-        self._swept = True
-        n, i0 = self.n, self.sweep_from
-        settled: dict[int, list[float]] = {}
-        full, cosets = [], []
-        for t, (system, chain) in enumerate(zip(self._systems, self._chains)):
-            prefix = chain[i0] if i0 < len(chain) else gf2.prefix_coset(chain, system, i0)
-            if prefix.x0 is None:
-                settled[t] = [NEG_INF] * (n - i0 + 1)
-            elif prefix.nulls.count(None) == i0:  # rank i0: K free variables
-                full.append(t)
-                cosets.append(prefix)
-        if full:
-            bits = gf2.basis_bits(cosets)
-            weights = self.model.compiled.coset_weights(bits)  # (2^K, len(full))
-            codes = gf2.violation_codes(bits, [self._systems[t] for t in full], i0)
-            # column j - i0: the best weight of depth j or more, v_{j,t}
-            best = _suffix_maxima(gf2.code_depths(codes, n - i0), weights, n - i0 + 1)
-            settled.update(zip(full, best.tolist()))
-            self.ledger.search_nodes += weights.size
-        for t, values in settled.items():
-            # exact values: lo_run and hi_run become v from i0 on, and the
-            # leaf at i0 raises lo_run below it while it lies below v_{i0,t}
-            lo_run, hi_run = self._lo[t], self._hi[t]
-            lo_run[i0:] = hi_run[i0:] = values
-            _record_leaf(lo_run, i0 - 1, values[0])
-        return settled
-
-    def _scan(self) -> tuple[np.ndarray, float]:
-        """The first query's records: what the model's M heaviest assignments prove in every repetition.
-
-        Returns (values, cap): values[t, j] is the heaviest scanned point
-        of depth j or more in repetition t, -inf if none, and cap the
-        (M + 1)-th heaviest weight, -inf when M = 2^n.  A value at or above
-        cap is v_{j,t}; below it, cap bounds v_{j,t}.  So lo_run becomes
-        values[t] and hi_run its maximum with cap; see the class docstring.
-        """
+    def _scan(self) -> None:
+        """Record what the model's M heaviest assignments prove in every repetition; see the class docstring."""
         compiled = self.model.compiled
         n, M = self.n, self.scan_size
         order = compiled.descending[: M + 1]
         weights = compiled.prefix[order]
-        cap = float(weights[M]) if len(weights) > M else NEG_INF
-        depths = gf2.code_depths(gf2.point_codes(order[:M], self._systems), n)
-        values = _suffix_maxima(depths, weights[:M, None], n + 1)
-        self._lo = values.tolist()
-        self._hi = np.maximum(values, cap).tolist()
-        self.ledger.search_nodes += M * self.T
-        return values, cap
+        points = ((order[:M, None] | 1 << n) >> np.arange(n + 1) & 1).astype(np.uint8)
+        depths = gf2.code_depths(gf2.violation_codes(points, self._rows), n)
+        self._record(range(self.T), 0, depths, weights[:M, None], float(weights[M]) if M < len(weights) else NEG_INF)
+
+    def _sweep(self) -> None:
+        """Record every repetition whose prefix at i0 is inconsistent or of full rank; see the class docstring."""
+        n, i0 = self.n, self.sweep_from
+        empty, full, cosets = [], [], []
+        for t, (system, chain) in enumerate(zip(self._systems, self._chains)):
+            prefix = gf2.prefix_coset(chain, system, i0)
+            if prefix.x0 is None:
+                empty.append(t)
+            elif prefix.nulls.count(None) == i0:  # rank i0: K free variables
+                full.append(t)
+                cosets.append(prefix)
+        if empty:  # no points: -inf from i0 on
+            nothing = np.empty((0, len(empty)), int)
+            self._record(empty, i0, nothing, nothing, NEG_INF)
+        if full:
+            bits = gf2.basis_bits(cosets)
+            weights = self.model.compiled.coset_weights(bits[:, :, :n])  # (2^K, len(full))
+            codes = gf2.span(gf2.violation_codes(bits, self._rows[full, i0:]))
+            self._record(full, i0, gf2.code_depths(codes, n - i0), weights, NEG_INF)
+
+    def _record(self, reps, start: int, depths: np.ndarray, weights: np.ndarray, cap: float) -> None:
+        """Record an enumeration's points in repetitions reps from index start on.
+
+        depths[p, k] is point p's depth in repetition reps[k], counted from
+        start, and weights, broadcast to depths, its weight.  The heaviest
+        point of depth j or more, -inf if none, is a leaf at j, and its
+        maximum with cap a cap at j: these replace lo_run and hi_run from
+        start on, and the leaf at start walks lo_run below it.  The maxima
+        per repetition and depth are one `np.maximum.at`, and a maximum
+        over deeper depths follows.  The points are added to search_nodes.
+        """
+        count, width = len(reps), self.n - start + 1
+        best = np.full(width * count, NEG_INF)
+        np.maximum.at(best, (depths * count + np.arange(count)).ravel(), np.broadcast_to(weights, depths.shape).ravel())
+        values = np.maximum.accumulate(best.reshape(width, count)[::-1], axis=0)[::-1].T
+        for t, lo, hi in zip(reps, values.tolist(), np.maximum(values, cap).tolist()):
+            lo_run = self._lo[t]
+            lo_run[start:] = lo
+            self._hi[t][start:] = hi
+            _record_leaf(lo_run, start - 1, lo[0])
+        self.ledger.search_nodes += depths.size
 
     def interval(self, t: int, i: int) -> tuple[float, float]:
         """[lo_t, hi_t], repetition t's proven interval on v_{i,t}, read from its running bounds."""

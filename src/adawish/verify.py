@@ -376,19 +376,22 @@ def check_coset(systems: list[gf2.Gf2System], witnesses: dict[int, int | None] |
 
 
 class _SolveLog(XorOracle):
-    """An `XorOracle` that keeps (prefix coset, floor, ceiling, result) per solve.
+    """An `XorOracle` that keeps (prefix coset, floor, ceiling, result) per solve, and (t, start, cap, values) per record.
 
-    It also counts early stops: answers given while a repetition's interval
-    still holds the answer strictly inside, which the one-pass selection
-    leaves only when it stops before the end of its pass.
+    A record is one repetition of an enumeration (`XorOracle._record`):
+    values[j - start] is its heaviest point of depth j or more, -inf if
+    none.  The scan starts at 0 and the sweep at `sweep_from`, >= 1 when
+    there is a scan.  It also counts early stops: answers given while a
+    repetition's interval still holds the answer strictly inside, which
+    the one-pass selection leaves only when it stops before the end of its
+    pass.
     """
 
     def __init__(self, model: WeightedModel, config: OracleConfig):
         super().__init__(model, config)
         self.solves: list[tuple[gf2.Coset, float, float, MapResult]] = []
+        self.records: list[tuple[int, int, float, list[float]]] = []
         self.early_stops = 0
-        self.swept: dict[int, list[float]] = {}
-        self.scanned: tuple[np.ndarray, float] | None = None
 
     def _compute(self, i: int) -> float:
         s = super()._compute(i)
@@ -401,13 +404,9 @@ class _SolveLog(XorOracle):
         self.solves.append((prefix, floor, ceiling, result))
         return result
 
-    def _sweep(self) -> dict[int, list[float]]:
-        self.swept = super()._sweep()
-        return self.swept
-
-    def _scan(self) -> tuple[np.ndarray, float]:
-        self.scanned = super()._scan()
-        return self.scanned
+    def _record(self, reps, start: int, depths: np.ndarray, weights: np.ndarray, cap: float) -> None:
+        super()._record(reps, start, depths, weights, cap)
+        self.records += [(t, start, cap, self._lo[t][start:]) for t in reps]
 
 
 def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), masters=(0, 1)) -> CheckResult:
@@ -508,7 +507,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
             solves += oracle.ledger.map_calls
             unsearched += len(memo) * count - oracle.ledger.map_calls
             early += oracle.early_stops
-            swept += len(oracle.swept)
+            swept += sum(start == oracle.sweep_from for _, start, _, _ in oracle.records)
     return CheckResult(
         "median bracket",
         True,
@@ -525,7 +524,8 @@ def check_sweep(cases) -> CheckResult:
     oracle (neighbor kind, c = 2) queries i0 = n - K
     (`XorOracle.sweep_from`), the first index its sweep settles, and the
     reference v_{j,t} is `map_solve` on `gf2.row_reduce` of repetition t's
-    first j rows.  Sweep: each repetition's prefix at i0 is reduced anew;
+    first j rows.  The scan's and the sweep's values are read from the one
+    recorder's log (`_SolveLog`).  Sweep: each repetition's prefix at i0 is reduced anew;
     one of full rank must be swept and an inconsistent one settled at
     -inf, and one of lower rank must be left to the solver.  For each
     settled repetition and each j in i0..n, the sweep's value must be
@@ -562,20 +562,22 @@ def check_sweep(cases) -> CheckResult:
                     maxima[t, j] = reduced, map_solve(model, reduced).log_value
                 return maxima[t, j]
 
+            swept_values = {t: values for t, start, _, values in oracle.records if start == i0}
+            scanned_records = [record for record in oracle.records if record[1] < i0]
             points = 0
             for t, system in enumerate(oracle._systems):
                 at = gf2.row_reduce(gf2.Gf2System(n, system.rows[:i0], system.rhs[:i0]))
                 rank = at.nulls.count(None)
                 full = at.x0 is not None and rank == i0
-                if (t in oracle.swept) != (at.x0 is None or full):
-                    return CheckResult("sweep", False, f"{where}, t={t}: swept {t in oracle.swept} at rank {rank}")
-                if t not in oracle.swept:
+                if (t in swept_values) != (at.x0 is None or full):
+                    return CheckResult("sweep", False, f"{where}, t={t}: swept {t in swept_values} at rank {rank}")
+                if t not in swept_values:
                     left += 1
                     continue
                 swept += full
                 inconsistent += not full
                 points += full << (n - i0)
-                for j, value in enumerate(oracle.swept[t], start=i0):
+                for j, value in enumerate(swept_values[t], start=i0):
                     reduced, want = maximum(t, j)
                     if not (value == want and oracle.interval(t, j) == (want, want)):
                         detail = f"{where}, t={t}, j={j}: swept {value}, interval {oracle.interval(t, j)}, map_solve {want}"
@@ -584,15 +586,15 @@ def check_sweep(cases) -> CheckResult:
                     empty += reduced.x0 is None
                     deficient += reduced.x0 is not None and reduced.nulls.count(None) < j
             size = 1 << min(n, i0 + 1) if n <= PREFIX_BITS and i0 >= 1 else None
-            if oracle.scan_size != size or (oracle.scanned is None) != (size is None):
+            if oracle.scan_size != size or len(scanned_records) != (0 if size is None else count):
                 return CheckResult("sweep", False, f"{where}: scanned {oracle.scan_size} points, not {size}")
             if size is not None:
-                values, cap = oracle.scanned
                 ranked = np.sort(log_weight_table(model))[::-1]
-                if not cap == (ranked[size] if size < ranked.size else NEG_INF):
-                    return CheckResult("sweep", False, f"{where}: scan cap {cap} is not weight {size + 1}")
-                for t, j in itertools.product(range(count), range(n + 1)):
-                    value, want = values[t, j], maximum(t, j)[1]
+                cap = ranked[size] if size < ranked.size else NEG_INF
+                if {record[2] for record in scanned_records} != {cap}:
+                    return CheckResult("sweep", False, f"{where}: a scan cap is not weight {size + 1}, {cap}")
+                for (t, _, _, values), j in itertools.product(scanned_records, range(n + 1)):
+                    value, want = values[j], maximum(t, j)[1]
                     lo, hi = oracle.interval(t, j)
                     if value >= cap:
                         ok = value == want

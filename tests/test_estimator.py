@@ -286,14 +286,14 @@ class TestPinnedEstimates:
         ("clique:n=12:w=0.1:seed=0", 0, "adawish"): ("0x1.bac3308af2a44p+2", 10, 0, 8640),
         ("clique:n=12:w=0.1:seed=0", 1, "wish"): ("0x1.c2482104a4516p+2", 13, 0, 8640),
         ("clique:n=12:w=0.1:seed=0", 1, "adawish"): ("0x1.c16f9357f79fep+2", 10, 0, 8640),
-        ("grid:4x4:w=1.0:seed=0", 0, "wish"): ("0x1.29ef0e1d2dd28p+5", 17, 19, 7379),
+        ("grid:4x4:w=1.0:seed=0", 0, "wish"): ("0x1.29ef0e1d2dd28p+5", 17, 19, 6868),
         ("grid:4x4:w=1.0:seed=0", 0, "adawish"): ("0x1.29ef0e1d2dd28p+5", 17, 18, 6711),
-        ("grid:4x4:w=1.0:seed=0", 1, "wish"): ("0x1.23281f2411c9fp+5", 17, 13, 6537),
+        ("grid:4x4:w=1.0:seed=0", 1, "wish"): ("0x1.23281f2411c9fp+5", 17, 12, 6238),
         ("grid:4x4:w=1.0:seed=0", 1, "adawish"): ("0x1.23281f2411c9fp+5", 17, 16, 6408),
-        ("clique:n=16:w=0.1:seed=0", 0, "wish"): ("0x1.270fda162c633p+3", 17, 10, 5808),
+        ("clique:n=16:w=0.1:seed=0", 0, "wish"): ("0x1.270fda162c633p+3", 17, 10, 5634),
         ("clique:n=16:w=0.1:seed=0", 0, "adawish"): ("0x1.26f48fc15d373p+3", 11, 1, 5153),
-        ("clique:n=16:w=0.1:seed=0", 1, "wish"): ("0x1.08913f8b9e1c8p+3", 17, 3, 5224),
-        ("clique:n=16:w=0.1:seed=0", 1, "adawish"): ("0x1.087cd7bd91849p+3", 14, 1, 5153),
+        ("clique:n=16:w=0.1:seed=0", 1, "wish"): ("0x1.08913f8b9e1c8p+3", 17, 1, 5121),
+        ("clique:n=16:w=0.1:seed=0", 1, "adawish"): ("0x1.087cd7bd91849p+3", 14, 1, 5121),
     }
 
     @pytest.mark.parametrize("spec, master, schedule", sorted(PINNED))

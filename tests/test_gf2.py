@@ -216,20 +216,31 @@ class TestRowReduce:
         assert gf2.row_reduce(system) == gf2.Coset(2, 2, None, ()) == gf2.prefix_coset(chain, system, 2)
 
 
+def _affine(vectors, cols, last):
+    """0/1 rows of ints, bit v in column v, then column cols holding last[r]."""
+    return np.array([[(vec >> v) & 1 for v in range(cols)] + [b] for vec, b in zip(vectors, last)], np.uint8)
+
+
 class TestCosetPoints:
-    @pytest.mark.parametrize("cols", [0, 1, 6, 70])
+    @pytest.mark.parametrize("cols", [0, 1, 6, 13, 20, 62, 64, 70])
     def test_span_lists_the_points_and_their_violated_rows(self, cols):
-        # basis_bits and span list each coset's 2^k points as 0/1 rows, and
-        # violation_codes sets bit m - 1 - j of a point's code when it
-        # violates row j >= start; 70 columns span two words
+        # basis_bits and span list each coset's 2^k points as affine 0/1
+        # rows, a 1 in column cols, and violation_codes sets bit m - 1 - j
+        # of a point's code when it violates row j of the rows it is given:
+        # rows start.. of each system against its coset's points, from x0
+        # and the null vectors or from every point, and the first 40 rows
+        # of every system against arbitrary points they share, whose first
+        # violated row code_depths reads back; 64 columns fill one word and
+        # 70 span two
         rng = np.random.default_rng(cols)
         m = cols + 2
         start = max(0, cols - 3)
         width = (cols + 7) // 8
+        mask = (1 << cols) - 1
         systems = [
             gf2.Gf2System(
                 cols,
-                tuple(int.from_bytes(rng.bytes(width), "little") & ((1 << cols) - 1) for _ in range(m)),
+                tuple(int.from_bytes(rng.bytes(width), "little") & mask for _ in range(m)),
                 tuple(int(b) for b in rng.integers(0, 2, size=m)),
             )
             for _ in range(40)
@@ -237,44 +248,38 @@ class TestCosetPoints:
         prefixes = [gf2.row_reduce(gf2.Gf2System(cols, s.rows[:start], s.rhs[:start])) for s in systems]
         full = [(s, c) for s, c in zip(systems, prefixes) if c.x0 is not None and c.nulls.count(None) == start]
         assert len(full) > 1
-        systems, cosets = zip(*full)
+        later, cosets = zip(*full)
         bits = gf2.basis_bits(cosets)
         k = cols - start
-        assert bits.shape == (len(cosets), k + 1, cols)
-        points = gf2.span(bits.transpose(1, 0, 2))  # (2^k, count, cols)
-        codes = gf2.violation_codes(bits, systems, start)
+        assert bits.shape == (len(cosets), k + 1, cols + 1)
+        points = gf2.span(bits.transpose(1, 0, 2))  # (2^k, count, cols + 1)
+        assert (points[:, :, cols] == 1).all()
+        rows = np.stack([_affine(s.rows[start:], cols, s.rhs[start:]) for s in later])
+        codes = gf2.span(gf2.violation_codes(bits, rows))
         assert points.shape[:2] == codes.shape == (1 << k, len(cosets))
-        place = [1 << v for v in range(cols)]
+        assert (gf2.violation_codes(points.transpose(1, 0, 2), rows) == codes).all()
         for t, (system, coset) in enumerate(full):
-            xs = [sum(p for p, b in zip(place, row) if b) for row in points[:, t].tolist()]
+            xs = [sum(1 << v for v in np.flatnonzero(row[:cols]).tolist()) for row in points[:, t]]
             nulls = [vec for vec in coset.nulls if vec is not None]
             want = [coset.x0] + [0] * ((1 << k) - 1)
             for b, vec in enumerate(nulls):
                 want[1 << b : 2 << b] = [x ^ vec for x in want[: 1 << b]]
             assert xs == want
             for x, code in zip(xs, codes[:, t].tolist()):
-                violated = gf2.evaluate(system, x) ^ sum(b << j for j, b in enumerate(system.rhs))
+                violated = gf2.evaluate(system, x) ^ gf2.as_mask(system.rhs, m)
                 assert code == sum(1 << (m - 1 - j) for j in range(start, m) if violated >> j & 1)
                 assert violated & ((1 << start) - 1) == 0
-
-
-    @pytest.mark.parametrize("cols, m", [(1, 1), (6, 6), (13, 13), (20, 9), (62, 40)])
-    def test_point_codes_give_each_point_its_first_violated_row(self, cols, m):
-        # point_codes sets bit m - 1 - j of a point's code when it violates
-        # row j, as violation_codes does, and code_depths reads the first
-        # violated row back, m when none is; 62 columns fill an int64 mask
-        rng = np.random.default_rng(cols)
-        systems = [random_system(rng, cols, m) for _ in range(7)]
-        points = rng.integers(0, 1 << cols, size=50)
-        points[:2] = (0, (1 << cols) - 1)
-        codes = gf2.point_codes(points, systems)
-        assert codes.shape == (50, 7)
-        depths = gf2.code_depths(codes, m)
+        top = min(m, 40)
+        xs = [0, mask] + [int.from_bytes(rng.bytes(width), "little") & mask for _ in range(48)]
+        rows = np.stack([_affine(s.rows[:top], cols, s.rhs[:top]) for s in systems])
+        codes = gf2.violation_codes(_affine(xs, cols, [1] * len(xs)), rows)
+        assert codes.shape == (50, 40)
+        depths = gf2.code_depths(codes, top)
         for p, t in np.ndindex(codes.shape):
-            system, x = systems[t], int(points[p])
-            violated = gf2.evaluate(system, x) ^ sum(b << j for j, b in enumerate(system.rhs))
-            assert codes[p, t] == sum(1 << (m - 1 - j) for j in range(m) if violated >> j & 1)
-            assert depths[p, t] == ((violated & -violated).bit_length() - 1 if violated else m)
+            system = systems[t]
+            violated = (gf2.evaluate(system, xs[p]) ^ gf2.as_mask(system.rhs, m)) & ((1 << top) - 1)
+            assert codes[p, t] == sum(1 << (top - 1 - j) for j in range(top) if violated >> j & 1)
+            assert depths[p, t] == ((violated & -violated).bit_length() - 1 if violated else top)
 
 
 class TestEvaluate:

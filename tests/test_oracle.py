@@ -36,6 +36,7 @@ from adawish.oracle import (
 from adawish.optbench import gen_geometric_curve, synthetic_oracle
 from adawish.seeds import rng_from
 from adawish.verify import (
+    _SolveLog,
     check_median_bracket,
     check_sweep,
     check_xor_coverage,
@@ -386,26 +387,12 @@ class TestParitySampling:
                 sample_parity_system(n, m, rng, reps)
 
 
-class _SettleLog(XorOracle):
-    """An `XorOracle` that logs each settle: (i, t, the shared entry it read or None, the one it left).
-
-    It also keeps what its sweep settled, per repetition v_{j,t} for j =
-    i0..n, and what its scan returned, (values, cap) or None.
-    """
+class _SettleLog(_SolveLog):
+    """A `_SolveLog` that also logs each settle: (i, t, the shared entry it read or None, the one it left)."""
 
     def __init__(self, model, config):
         super().__init__(model, config)
         self.settles = []
-        self.swept = {}
-        self.scanned = None
-
-    def _sweep(self):
-        self.swept = super()._sweep()
-        return self.swept
-
-    def _scan(self):
-        self.scanned = super()._scan()
-        return self.scanned
 
     def _settle(self, i, t, lo, hi, s_lo, s_hi, shared):
         prefix = gf2.prefix_coset(self._chains[t], self._systems[t], i)
@@ -415,28 +402,27 @@ class _SettleLog(XorOracle):
         return out
 
 
-def _replayed_records(oracle):
-    """Each repetition's caps and leaves, entered from the scan, the sweep and the settle log one record at a time.
+def _enumerated(oracle, start):
+    """{t: (cap, values)} of the enumeration that recorded from index start: the scan's from 0, the sweep's from i0."""
+    return {t: (cap, values) for t, first, cap, values in oracle.records if first == start}
 
-    The scan's value at j, the heaviest scanned point of depth j or more,
-    is a leaf at j, and its maximum with the scan's cap a cap at j.  Each
-    value v_{j,t} the sweep settled is a leaf and a cap at j.  A returned
-    assignment is a leaf at its first violated row, an exact value below
-    the ceiling or an exact result with no assignment a cap at the query's
-    index, and a shared interval both, at that index.
+
+def _replayed_records(oracle):
+    """Each repetition's caps and leaves, entered from the enumerations' and the settles' logs one record at a time.
+
+    An enumeration's value at j, its heaviest point of depth j or more, is
+    a leaf at j, and its maximum with the enumeration's cap a cap at j.  A
+    returned assignment is a leaf at its first violated row, an exact
+    value below the ceiling or an exact result with no assignment a cap at
+    the query's index, and a shared interval both, at that index.
     """
     n = oracle.n
     caps = [[math.inf] * (n + 1) for _ in range(oracle.T)]
     leaves = [[NEG_INF] * (n + 1) for _ in range(oracle.T)]
-    if oracle.scanned is not None:
-        values, cap = oracle.scanned
-        for t, j in itertools.product(range(oracle.T), range(n + 1)):
-            leaves[t][j] = max(leaves[t][j], values[t, j])
-            caps[t][j] = min(caps[t][j], max(values[t, j], cap))
-    for t, values in oracle.swept.items():
-        for j, value in enumerate(values, start=oracle.sweep_from):
+    for t, start, cap, values in oracle.records:
+        for j, value in enumerate(values, start=start):
             leaves[t][j] = max(leaves[t][j], value)
-            caps[t][j] = min(caps[t][j], value)
+            caps[t][j] = min(caps[t][j], max(value, cap))
     for i, t, hit, (result, top, _, _) in oracle.settles:
         value, x = result.log_value, result.assignment
         if x is not None:
@@ -464,7 +450,7 @@ class TestXorQuery:
         model = parse_gen_spec(spec)
         n = model.n
         hits = swept = 0
-        for order, master in itertools.product(("wish", "adawish", "descending"), range(2)):
+        for order, master in itertools.product(("wish", "adawish", "descending"), (0, 50)):
             oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
             if order == "wish":
                 wish_from_oracle(oracle)
@@ -479,12 +465,16 @@ class TestXorQuery:
             solved = [hit is None for _, _, hit, _ in oracle.settles]
             assert oracle.ledger.map_calls == sum(solved)
             hits += len(solved) - sum(solved)
-            swept += len(oracle.swept)
+            swept += len(_enumerated(oracle, oracle.sweep_from))
         # without the scan, repetitions share the unconstrained coset at i = 0,
         # which lies below the sweep's first index at n = 12, T = 5 (K = 10)
         # and T = 30 (K = 8), and at n = 14 for every T; at n = 12, T = 1 and 2
         # the sweep settles every index, and one repetition shares with none.
-        # At n <= 13 the scan settles i = 0
+        # At n <= 13 the scan settles i = 0.  The sweep runs first, and its
+        # leaf at i0 walks down to i = 0: on clique 14, whose n + 1
+        # assignments of at most one 1 all weigh 0.0, at T = 2 it settles the
+        # second repetition there in most draws, so no solve is shared;
+        # master seed 50 leaves it open
         assert oracle.sweep_from == max(0, n - {1: 13, 2: 12, 5: 10, 30: 8}[T])
         if oracle.scan_size is None:
             assert hits > 0 if oracle.sweep_from > 0 and T > 1 else hits == 0
@@ -522,24 +512,41 @@ class TestXorQuery:
         n, i0 = model.n, oracle.sweep_from
         assert i0 == n - 3 and oracle.scan_size is None
         oracle.query(i0)
-        empty = [t for t, values in oracle.swept.items() if values[0] == NEG_INF]
+        swept = _enumerated(oracle, i0)
+        empty = [t for t, (_, values) in swept.items() if values[0] == NEG_INF]
         assert empty
         for t in empty:
             assert gf2.prefix_coset(oracle._chains[t], oracle._systems[t], i0).x0 is None
-            assert oracle.swept[t] == [NEG_INF] * (n - i0 + 1)
+            assert swept[t] == (NEG_INF, [NEG_INF] * (n - i0 + 1))
             assert [oracle.interval(t, j) for j in range(i0, n + 1)] == [(NEG_INF, NEG_INF)] * (n - i0 + 1)
             assert oracle.interval(t, i0 - 1) == (NEG_INF, math.inf)
             assert not any(s[1] == t for s in oracle.settles)
 
+    def test_first_query_sweeps_at_any_index(self):
+        # the sweep runs on the first query whatever its index: query(0) on
+        # grid 4x4 at T = 5 (K = 10, i0 = 6, no scan at n = 16) already
+        # leaves every swept repetition's interval at n a point, the maximum
+        # map_solve finds there
+        model = gen_grid_ising(4, 4, coupling_w=1.0, seed=0)
+        oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=5, master_seed=0))
+        assert (oracle.sweep_from, oracle.scan_size) == (6, None)
+        oracle.query(0)
+        swept = _enumerated(oracle, 6)
+        assert len(swept) == 5
+        for t in swept:
+            want = map_solve(model, oracle._systems[t]).log_value
+            assert oracle.interval(t, model.n) == (want, want)
+
     def test_scan_runs_up_to_the_prefix_table_width(self):
         # at n = 13 the prefix table is the whole weight table, and at T = 30
         # (K = 8, i0 = 5) the first query weighs the 2^6 heaviest assignments
-        # of every repetition with no solve; at n = 14 it is not, and index 0
+        # of every repetition, then the 2^8 points of each full-rank coset at
+        # i0 (all 30 here), with no solve; at n = 14 it is not, and index 0
         # is solved
         scanned = make_oracle(gen_clique_ising(13, 0.1, seed=0), OracleConfig(kind="neighbor", c=2, T=30))
         assert (scanned.sweep_from, scanned.scan_size) == (5, 64)
         scanned.query(0)
-        assert (scanned.ledger.map_calls, scanned.ledger.search_nodes) == (0, 30 * 64)
+        assert (scanned.ledger.map_calls, scanned.ledger.search_nodes) == (0, 30 * (64 + 256))
         solved = make_oracle(gen_clique_ising(14, 0.1, seed=0), OracleConfig(kind="neighbor", c=2, T=30))
         assert (solved.sweep_from, solved.scan_size) == (6, None)
         solved.query(0)
@@ -560,18 +567,24 @@ class TestXorQuery:
         # 10..12 alone, so a row 0 that reads none of 10..12 and has rhs 1
         # is violated by all of them: the scan proves only the cap, the 9th
         # weight (-2.0), at index 1.  At T = 4 (K = 11, i0 = 2) master seed
-        # 116 leaves repetitions 1 and 3 open there, two of four, so the
-        # lower median straddles them and each is solved
+        # 116 gives repetitions 1 and 3 such a row 0; the sweep's leaf at i0
+        # raises their lower ends to v_{2,t} but leaves them open, two of
+        # four, so the lower median straddles them and each is solved
         factors = [Factor((v,), [0.0, -2.0 - 0.1 * v]) for v in range(10)]
         factors += [Factor((10 + k,), [0.0, -0.01 * (1 << k)]) for k in range(3)]
         model = WeightedModel(13, tuple(factors), name="top eight")
         oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=4, master_seed=116))
         assert (oracle.sweep_from, oracle.scan_size) == (2, 8)
         oracle.query(0)
-        values, cap = oracle.scanned
+        scanned, swept = _enumerated(oracle, 0), _enumerated(oracle, 2)
+        cap = scanned[0][0]
         assert cap == np.sort(log_weight_table(model))[::-1][8] == -2.0
-        assert [t for t in range(4) if values[t, 1] == NEG_INF] == [1, 3]
-        assert [oracle.interval(t, 1) for t in (1, 3)] == [(NEG_INF, cap)] * 2
+        assert {c for c, _ in scanned.values()} == {cap}
+        assert [t for t in range(4) if scanned[t][1][1] == NEG_INF] == [1, 3]
+        assert sorted(swept) == [0, 1, 2, 3]
+        # the scan and the sweep combined: the sweep's v_{2,t} below, the scan's cap above
+        assert [oracle.interval(t, 1) for t in (1, 3)] == [(swept[t][1][0], cap) for t in (1, 3)]
+        assert all(swept[t][1][0] < cap for t in (1, 3))
         assert oracle.ledger.map_calls == 0
         answer = oracle.query(1)
         assert [(i, t) for i, t, _, _ in oracle.settles] == [(1, 1), (1, 3)]
@@ -594,13 +607,14 @@ class TestXorQuery:
         oracle = _SettleLog(three, OracleConfig(kind="neighbor", c=2, T=4096, master_seed=0))
         assert (oracle.sweep_from, oracle.scan_size) == (2, 8)
         oracle.query(0)
-        values, cap = oracle.scanned
-        assert cap == NEG_INF
+        scanned = _enumerated(oracle, 0)
         missed = 0
         for t, j in itertools.product(range(0, 4096, 7), range(4)):
             system = oracle._systems[t]
             want = map_solve(three, gf2.Gf2System(3, system.rows[:j], system.rhs[:j])).log_value
-            assert oracle.interval(t, j) == (values[t, j], values[t, j]) == (want, want)
+            cap, values = scanned[t]
+            assert cap == NEG_INF and values[j] == want
+            assert oracle.interval(t, j) == (want, want)
             missed += want == NEG_INF
         assert missed > 0 and oracle.ledger.map_calls == 0
 
