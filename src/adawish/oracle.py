@@ -637,7 +637,7 @@ class XorOracle(NeighborOracle):
     it, a leaf at j, and it is the maximum, a cap at j.  So the sweep's
     records are exact and replace whatever the scan proved there.  A
     rank-deficient prefix, whose coset holds more than 2^K points, is left
-    to the solver. Both schedules query index n, so every estimate runs the
+    to the solver.  Both schedules query index n, so every estimate runs the
     sweep, and running it first leaves the shallow solves fewer repetitions.
     """
 
@@ -732,7 +732,8 @@ class XorOracle(NeighborOracle):
         weights = compiled.prefix[order]
         points = ((order[:M, None] | 1 << n) >> np.arange(n + 1) & 1).astype(np.uint8)
         depths = gf2.code_depths(gf2.violation_codes(points, self._rows), n)
-        self._record(range(self.T), 0, depths, weights[:M, None], float(weights[M]) if M < len(weights) else NEG_INF)
+        cap = float(weights[M]) if M < len(weights) else NEG_INF  # no weight is left when M = 2^n
+        self._record(range(self.T), 0, depths, weights[:M, None], cap)
 
     def _sweep(self) -> None:
         """Record every repetition whose prefix at i0 is inconsistent or of full rank; see the class docstring."""
