@@ -27,7 +27,6 @@ from adawish.oracle import (
     NeighborStubOracle,
     OracleConfig,
     PointwiseCurveOracle,
-    XorOracle,
     make_oracle,
     map_solve,
     sample_parity_system,
