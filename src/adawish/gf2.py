@@ -10,19 +10,21 @@ one solution set have equal cosets, so a coset names its solution set.  A
 Coset built by hand is checked to be in that form; the builders below skip
 the check.  `row_reduce` builds a system's coset from scratch by
 Gauss-Jordan elimination; the pivots are the rows' highest bits after
-reduction.  `extend` adds one row to a coset in one pass over its null
-vectors, the one incremental step, so a longer prefix of a system costs
-one step per row (`prefix_coset`).  The two share no step, and each is
-the other's witness (`verify.check_coset`).  `basis_bits` and `span`
-list a coset's 2^k points in numpy, for the XOR oracle's batched sweep of
-its deepest indices: a map that is XOR-linear in x is spanned from its
-values at x0 and the null vectors.  `violation_codes` is the one code of
-the rows a point violates, for the sweep's coset points and the scan's
-heaviest assignments alike: in affine coordinates, where a row carries its
-rhs bit and a point a 1 in one more column, a violation is the parity of
-one product.  A point's depth, the first row it violates, is read from
-its code (`code_depths`).  `as_mask` turns an assignment into a bitmask
-for `evaluate`, `satisfies` and `model.log_weight`.
+reduction, and each reduced row's pivot is scattered into the null
+vectors of the free columns it holds.  `extend` adds one row to a coset
+in one pass over its null vectors, the one incremental step, so a longer
+prefix of a system costs one step per row (`prefix_coset`).  The two
+share no step, and each is the other's witness (`verify.check_coset`).
+`basis_bits` and `span` list a coset's 2^k points in numpy, for the XOR
+oracle's batched sweep of its deepest indices: a map that is XOR-linear
+in x is spanned from its values at x0 and the null vectors.
+`violation_codes` is the one code of the rows a point violates, for the
+sweep's coset points and the scan's heaviest assignments alike: in affine
+coordinates, where a row carries its rhs bit and a point a 1 in one more
+column, a violation is the parity of one product.  A point's depth, the
+first row it violates, is read from its code (`code_depths`).  `as_mask`
+turns an assignment into a bitmask for `evaluate`, `satisfies` and
+`model.log_weight`.
 """
 
 from __future__ import annotations
@@ -241,8 +243,10 @@ def row_reduce(system: Gf2System) -> Coset:
     StructuralError.  Each row is inserted into a basis keyed by its highest
     set bit, XORed with the basis row of that bit while it is taken; a row
     that reduces to 0 = 1 leaves no solution.  One back-substitution pass in
-    ascending pivot order then clears every lower pivot from each row.  x0
-    sets each pivot to its row's rhs bit, and the null vector of a free
+    ascending pivot order then clears every lower pivot from each row,
+    which leaves the row's pivot p and free columns alone.  In the same
+    pass x0 takes p at the row's rhs bit, and p is scattered into the null
+    vector of each free column the row holds: the null vector of a free
     column f sets f and every pivot whose row holds f.  No step is shared
     with `extend`, so `verify.check_coset` holds each as the other's
     witness.
@@ -250,45 +254,44 @@ def row_reduce(system: Gf2System) -> Coset:
     if not isinstance(system, Gf2System):
         raise StructuralError(f"expected a Gf2System, got {type(system).__name__}")
     cols = system.cols
-    basis: list[tuple[int, int] | None] = [None] * cols
+    # the basis row and rhs bit of each pivot; bit p of pivots marks pivot p
+    rows, rhs = [0] * cols, [0] * cols
+    pivots = 0
     for row, b in zip(system.rows, system.rhs):
         while row:
             top = row.bit_length() - 1
-            hit = basis[top]
-            if hit is None:
-                basis[top] = (row, b)
+            if not pivots >> top & 1:
+                rows[top], rhs[top] = row, b
+                pivots |= 1 << top
                 break
-            row ^= hit[0]
-            b ^= hit[1]
+            row ^= rows[top]
+            b ^= rhs[top]
         else:  # the row reduced to 0 = b
             if b:
                 return _trusted(cols, system.m, None, ())
-    pivots = [p for p, hit in enumerate(basis) if hit is not None]
-    pivot_bits = sum(1 << p for p in pivots)
-    for p in pivots:
-        row, b = basis[p]
+    nulls = [None if pivots >> f & 1 else 1 << f for f in range(cols)]
+    x0, left = 0, pivots
+    while left:  # ascending pivots
+        bit = left & -left
+        left ^= bit
+        p = bit.bit_length() - 1
+        row, b = rows[p], rhs[p]
         # the rows of lower pivots are final and each holds one pivot, so
         # XORing one in clears that pivot and sets no other
-        lower = (row & pivot_bits) ^ (1 << p)
+        lower = (row & pivots) ^ bit
         while lower:
             q = lower.bit_length() - 1
-            qrow, qb = basis[q]
-            row ^= qrow
-            b ^= qb
+            row ^= rows[q]
+            b ^= rhs[q]
             lower ^= 1 << q
-        basis[p] = (row, b)
-    nulls = (
-        None if basis[f] else sum(1 << p for p in pivots if (basis[p][0] >> f) & 1) | 1 << f for f in range(cols)
-    )
-    return _trusted(cols, system.m, sum(basis[p][1] << p for p in pivots), tuple(nulls))
-
-
-def _bits(vectors: Sequence[int], cols: int) -> np.ndarray:
-    """(len(vectors), cols) 0/1 uint8: row r holds vectors[r], bit v in column v."""
-    width = -(-cols // 8)
-    raw = b"".join([vec.to_bytes(width, "little") for vec in vectors])
-    packed = np.frombuffer(raw, np.uint8).reshape(len(vectors), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+        rows[p], rhs[p] = row, b
+        x0 |= b << p
+        free = row ^ bit
+        while free:
+            f = free.bit_length() - 1
+            nulls[f] |= bit
+            free ^= 1 << f
+    return _trusted(cols, system.m, x0, tuple(nulls))
 
 
 def basis_bits(cosets: Sequence[Coset]) -> np.ndarray:
@@ -309,7 +312,10 @@ def basis_bits(cosets: Sequence[Coset]) -> np.ndarray:
     for coset in cosets:
         vectors.append(coset.x0 | 1 << cols)
         vectors.extend(vec for vec in coset.nulls if vec is not None)
-    return _bits(vectors, cols + 1).reshape(len(cosets), k + 1, cols + 1)
+    width = -(-(cols + 1) // 8)
+    raw = b"".join([vec.to_bytes(width, "little") for vec in vectors])
+    packed = np.frombuffer(raw, np.uint8).reshape(len(cosets), k + 1, width)
+    return np.unpackbits(packed, axis=2, count=cols + 1, bitorder="little")
 
 
 def span(images: np.ndarray) -> np.ndarray:

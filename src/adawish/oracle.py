@@ -35,8 +35,9 @@ settled by enumerating every repetition's coset at n - K, T 2^K <=
 SWEEP_POINTS points in all (`sweep_depth`; the sweep).  The proofs are
 in `XorOracle`.
 `sample_parity_system` draws any number of pairs as the rows of one
-bounded-uint8 draw from a caller's generator; the XOR oracle draws its T
-pairs from `rng_from(master_seed, n)`.
+bounded-uint8 draw from a caller's generator, and hands out that draw's
+bits beside them; the XOR oracle draws its T pairs from
+`rng_from(master_seed, n)`.
 `make_oracle` binds a model to any configured oracle kind; `OracleConfig`
 is the whole configuration, from c, T, delta and the master seed to the
 limits of each MAP solve.  `synthetic_oracle` wraps a known quantile curve.
@@ -137,9 +138,12 @@ def _result(fields: tuple) -> MapResult:
     return tuple.__new__(MapResult, fields)
 
 
-def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) -> list[gf2.Gf2System]:
-    """reps uniform m x n 0/1 constraint matrices, each with a uniform right-hand side.
+def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) -> tuple[list, np.ndarray]:
+    """reps uniform m x n 0/1 constraint matrices, each with a uniform right-hand side, and their bits.
 
+    Returns the reps `gf2.Gf2System`s and their (reps, m, n + 1) 0/1 uint8
+    bits: row r of system t, bit v in column v, then its rhs bit in column
+    n, the affine coordinates of `gf2.violation_codes`.
     System t is row t of one (reps, pad + m) bounded-uint8 draw from rng,
     pad = m*n rounded up to a multiple of 4: row r of its matrix is bytes
     r*n .. r*n + n - 1 of the row, bit v first, and its rhs the last m
@@ -158,19 +162,19 @@ def sample_parity_system(n: int, m: int, rng: np.random.Generator, reps: int) ->
     if min(n, m, reps) < 0:
         raise StructuralError(f"negative size: n={n}, m={m}, reps={reps}")
     if m == 0:
-        return [gf2._trusted_system(n, (), ()) for _ in range(reps)]
+        return [gf2._trusted_system(n, (), ()) for _ in range(reps)], np.zeros((reps, 0, n + 1), np.uint8)
     pad = -(-m * n // 4) * 4
     draws = rng.integers(0, 2, size=(reps, pad + m), dtype=np.uint8)
     words = max(1, -(-n // 64))
     packed = np.zeros((reps, m, 8 * words), dtype=np.uint8)
-    bits = draws[:, : m * n].reshape(reps, m, n)
-    packed[:, :, : -(-n // 8)] = np.packbits(bits, axis=2, bitorder="little")
+    bits = np.concatenate((draws[:, : m * n].reshape(reps, m, n), draws[:, pad:, None]), axis=2)
+    packed[:, :, : -(-n // 8)] = np.packbits(bits[:, :, :n], axis=2, bitorder="little")
     word = packed.view("<u8")  # (reps, m, words), word j holding bits 64j..
     if words == 1:
         rows = word[:, :, 0].tolist()
     else:  # join each row's words as Python ints
         rows = sum(word[:, :, j].astype(object) << (64 * j) for j in range(words)).tolist()
-    return [gf2._trusted_system(n, tuple(r), tuple(b)) for r, b in zip(rows, draws[:, pad:].tolist())]
+    return [gf2._trusted_system(n, tuple(r), tuple(b)) for r, b in zip(rows, draws[:, pad:].tolist())], bits
 
 
 def sweep_depth(n: int, T: int) -> int | None:
@@ -539,8 +543,8 @@ class XorOracle(NeighborOracle):
     repetition t keeps the t-th; query i reads its first i rows and rhs
     bits, the prefix system P_{i,t}.  A solve runs on P_{i,t}'s coset, read
     from repetition t's chain of prefix cosets (`gf2.prefix_coset`), which
-    is extended one row at a time, and only as far as the highest index
-    settled.  The answer is the lower median s, the (r + 1)-th smallest,
+    is extended one row at a time, and only as far as a solve or the sweep
+    reads it.  The answer is the lower median s, the (r + 1)-th smallest,
     r = (T - 1) // 2, of the T maxima v_{i,t} = max log w over the
     solutions S_{i,t} of P_{i,t}, so each answer is a pure function of
     (master_seed, i, T) and does not depend on query order; how many solves
@@ -629,7 +633,11 @@ class XorOracle(NeighborOracle):
     i0 in each repetition, so most repetitions are settled at every index up
     to i0 and many past it.  The sweep then settles indices i0..n of every
     repetition whose prefix at i0 is inconsistent or of full rank, from
-    index i0 with cap -inf.  An inconsistent prefix has no points, which
+    index i0 with cap -inf.  After a scan, which leaves few shallow solves
+    to read the chains, each prefix at i0 is reduced anew (`gf2.row_reduce`)
+    and the chains stay the solver's lazy cache; without one the shallow
+    solves read the chain below i0 again, so the sweep extends it to i0
+    (`gf2.prefix_coset`).  An inconsistent prefix has no points, which
     caps i0 and every longer prefix at -inf.  A full-rank prefix's coset
     holds 2^K points, all scored at once (`CompiledModel.coset_weights`).
     The prefixes nest, so S_{j,t} for j >= i0 is the set of points of depth
@@ -655,7 +663,7 @@ class XorOracle(NeighborOracle):
         self.scan_size = 1 << min(model.n, i0 + 1) if i0 and model.n <= PREFIX_BITS else None
         # per repetition, filled on the first query: the system, its chain
         # of prefix cosets (`gf2.prefix_coset`), lo_run and hi_run, and the
-        # (T, n, n + 1) 0/1 rows the scan and the sweep code points against
+        # draw's (T, n, n + 1) 0/1 rows the scan and the sweep code points against
         self._systems: list[gf2.Gf2System] = []
         self._chains: list[list[gf2.Coset]] = []
         self._lo: list[list[float]] = []
@@ -710,16 +718,13 @@ class XorOracle(NeighborOracle):
     def _start(self) -> None:
         """The first query's set-up: draw the T systems, start every interval at (-inf, inf), then scan and sweep."""
         n, T = self.n, self.T
-        self._systems = systems = sample_parity_system(n, n, rng_from(self.config.master_seed, n), T)
+        self._systems, self._rows = sample_parity_system(n, n, rng_from(self.config.master_seed, n), T)
         free = gf2.row_reduce(gf2.Gf2System(n, (), ()))
         self._chains = [[free] for _ in range(T)]
         self._lo = [[NEG_INF] * (n + 1) for _ in range(T)]
         self._hi = [[math.inf] * (n + 1) for _ in range(T)]
         if self.sweep_from is None:
             return
-        # the rows in affine coordinates, the rhs bit in column n (`gf2.violation_codes`)
-        affine = [row | b << n for system in systems for row, b in zip(system.rows, system.rhs)]
-        self._rows = gf2._bits(affine, n + 1).reshape(T, n, n + 1)
         if self.scan_size is not None:
             self._scan()
         self._sweep()
@@ -738,9 +743,12 @@ class XorOracle(NeighborOracle):
     def _sweep(self) -> None:
         """Record every repetition whose prefix at i0 is inconsistent or of full rank; see the class docstring."""
         n, i0 = self.n, self.sweep_from
+        if self.scan_size is None:  # no scan: the shallow solves read the chains again
+            prefixes = (gf2.prefix_coset(chain, s, i0) for chain, s in zip(self._chains, self._systems))
+        else:
+            prefixes = (gf2.row_reduce(gf2._trusted_system(n, s.rows[:i0], s.rhs[:i0])) for s in self._systems)
         empty, full, cosets = [], [], []
-        for t, (system, chain) in enumerate(zip(self._systems, self._chains)):
-            prefix = gf2.prefix_coset(chain, system, i0)
+        for t, prefix in enumerate(prefixes):
             if prefix.x0 is None:
                 empty.append(t)
             elif prefix.nulls.count(None) == i0:  # rank i0: K free variables

@@ -298,7 +298,7 @@ def coset_systems(seed: int) -> tuple[list[gf2.Gf2System], dict[int, int | None]
     systems, witnesses = [], {}
     for n in (0, 1, 3, 6, 10, 65, 100):
         for m in sorted({0, 1, n // 2, n, n + 2}):
-            [system] = sample_parity_system(n, m, rng, 1)
+            [system], _ = sample_parity_system(n, m, rng, 1)
             systems.append(system)
             if m >= 2:
                 rows, rhs = system.rows, system.rhs
@@ -439,7 +439,7 @@ def check_median_bracket(models: list[WeightedModel], reps=(1, 2, 5, 10), master
     queries = solves = unsearched = floors = ceilings = infeasible = ties = early = swept = 0
     for model, count, master in itertools.product(models, reps, masters):
         n = model.n
-        systems = sample_parity_system(n, n, rng_from(master, n), count)
+        systems, _ = sample_parity_system(n, n, rng_from(master, n), count)
         full: list[dict[gf2.Coset, float]] = []  # per index, v of each distinct prefix coset
         maxima: list[list[float]] = []  # v_{i,t}
         medians: list[float] = []
@@ -763,7 +763,7 @@ def check_solver_agreement(models: list[WeightedModel], trials: int, seed: int) 
     for t in range(trials):
         model = models[t % len(models)]
         m = int(rng.integers(0, model.n + 3))
-        [system] = sample_parity_system(model.n, m, rng, 1)
+        [system], _ = sample_parity_system(model.n, m, rng, 1)
         a = reference_map(model, system)
         b = map_solve(model, system)
         same = a.log_value == b.log_value or abs(a.log_value - b.log_value) <= 1e-12
@@ -788,7 +788,7 @@ def check_hash_uniformity(samples: int = 20000, seed: int = 17) -> CheckResult:
     rng = rng_from(seed, 0xA5)
     counts = np.zeros((1 << m, 1 << m), dtype=np.int64)
     for _ in range(samples):
-        [system] = sample_parity_system(n, m, rng, 1)
+        [system], _ = sample_parity_system(n, m, rng, 1)
         d = gf2.as_mask(system.rhs, m)
         h1 = gf2.evaluate(system, x1) ^ d
         h2 = gf2.evaluate(system, x2) ^ d

@@ -745,7 +745,7 @@ class TestCosetWeights:
         ]
         for model in models:
             n, k = model.n, min(model.n, 5)
-            systems = sample_parity_system(n, n - k, rng_from(0, n), 6)
+            systems, _ = sample_parity_system(n, n - k, rng_from(0, n), 6)
             cosets = [c for c in map(gf2.row_reduce, systems) if c.x0 is not None and c.nulls.count(None) == n - k]
             assert cosets
             bits = gf2.basis_bits(cosets)[:, :, :n]  # the point columns, without the affine one

@@ -73,7 +73,7 @@ class TestMapSolve:
     def test_branch_and_bound_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         model = gen_grid_ising(2, 5, coupling_w=1.2, seed=seed)
-        [system] = sample_parity_system(10, 4, rng, 1)
+        [system], _ = sample_parity_system(10, 4, rng, 1)
         a = reference_map(model, system)
         b = map_solve(model, system)
         assert a.log_value == pytest.approx(b.log_value, abs=1e-9)
@@ -82,7 +82,7 @@ class TestMapSolve:
     def test_constrained_max_matches_table_scan(self):
         rng = np.random.default_rng(77)
         model = random_factor_model(8, rng)
-        [system] = sample_parity_system(8, 3, rng, 1)
+        [system], _ = sample_parity_system(8, 3, rng, 1)
         result = map_solve(model, system)
         table = log_weight_table(model)
         sols = [x for x in range(256) if gf2.satisfies(system, x)]
@@ -113,7 +113,7 @@ class TestMapSolve:
         rng = np.random.default_rng(99)
         for model in model_zoo(20, 14, seed=99):
             n = model.n
-            [system] = sample_parity_system(n, n + 2, rng, 1)
+            [system], _ = sample_parity_system(n, n + 2, rng, 1)
             chain = [gf2.row_reduce(gf2.Gf2System(n, (), ()))]
             for i in range(n + 3):
                 prefix = gf2.Gf2System(n, system.rows[:i], system.rhs[:i])
@@ -133,7 +133,7 @@ class TestMapSolve:
         model = gen_grid_ising(3, 3, coupling_w=1.0, seed=0)
         # the unlimited search takes 33 nodes; the first dive ends at 17 on
         # a leaf below the optimum
-        [system] = sample_parity_system(model.n, 2, np.random.default_rng(0), 1)
+        [system], _ = sample_parity_system(model.n, 2, np.random.default_rng(0), 1)
         result = map_solve(model, system, node_limit=5)
         assert not result.exact
         exact = map_solve(model, system)
@@ -147,7 +147,7 @@ class TestMapSolve:
         # most one dive: two children at each of the n variables
         rng = np.random.default_rng(5)
         for m in range(model.n + 1):
-            [system] = sample_parity_system(model.n, m, rng, 1)
+            [system], _ = sample_parity_system(model.n, m, rng, 1)
             for limit in (1, 5, 20):
                 limited = map_solve(model, system, node_limit=limit)
                 assert limited.nodes <= limit + 2 * model.n
@@ -159,7 +159,7 @@ class TestMapSolve:
         # the deadline is looked at every 1,024 nodes; this solve takes
         # 9,799, so the check is re-armed several times before it ends
         model = gen_grid_ising(5, 5, coupling_w=1.0, seed=0)
-        [system] = sample_parity_system(model.n, 12, np.random.default_rng(0), 1)
+        [system], _ = sample_parity_system(model.n, 12, np.random.default_rng(0), 1)
         unlimited = map_solve(model, system)
         assert unlimited.nodes == 9799
         assert map_solve(model, system, time_limit=3600.0) == unlimited
@@ -180,7 +180,7 @@ class TestMapSolve:
         rng = np.random.default_rng(0)
         model = WeightedModel(n, tuple(Factor((v, v + 1), rng.normal(size=4)) for v in range(n - 1)))
         # parity rows over the whole chain keep the search past its node limit
-        [system] = sample_parity_system(n, 20, rng, 1)
+        [system], _ = sample_parity_system(n, 20, rng, 1)
         result = map_solve(model, system, node_limit=20_000)
         assert result.feasible and not result.exact
         assert result.log_value == log_weight(model, result.assignment)
@@ -197,7 +197,7 @@ class TestMapSolve:
         model = gen_grid_ising(3, 4, coupling_w=1.0, seed=seed)
         rng = np.random.default_rng(seed)
         for m in range(model.n + 3):
-            [system] = sample_parity_system(model.n, m, rng, 1)
+            [system], _ = sample_parity_system(model.n, m, rng, 1)
             assert map_solve(model, gf2.row_reduce(system)) == map_solve(model, system)
 
     def test_only_parity_systems_are_solved(self):
@@ -256,7 +256,7 @@ class TestMapSolve:
     def _small_coset_instance():
         # n = 30 is past the enumeration limit, but 28 independent rows
         # leave a 4-point coset
-        [system] = sample_parity_system(30, 28, np.random.default_rng(0), 1)
+        [system], _ = sample_parity_system(30, 28, np.random.default_rng(0), 1)
         got = gf2.row_reduce(system)
         p = got.x0
         u, w = (vec for vec in got.nulls if vec is not None)
@@ -296,7 +296,7 @@ class TestMapSolve:
             for f in random_factor_model(n, rng).factors
         )
         model = WeightedModel(n, factors)
-        [system] = sample_parity_system(n, m, rng, 1)
+        [system], _ = sample_parity_system(n, m, rng, 1)
 
         points = range(1 << n)
         ref = [ref_log_weight(model, [(x >> v) & 1 for v in range(n)]) for x in points]
@@ -354,6 +354,13 @@ class TestParitySampling:
         )
         return gf2.Gf2System(n, rows, tuple(int(b) for b in bits[pad:]))
 
+    @staticmethod
+    def _affine(system):
+        # each row's bits, bit v first, then its rhs bit: the bits the sampler hands out
+        n = system.cols
+        text = "".join(format(row | b << n, f"0{n + 1}b")[::-1] for row, b in zip(system.rows, system.rhs))
+        return (np.frombuffer(text.encode(), np.uint8) - ord("0")).reshape(system.m, n + 1)
+
     @pytest.mark.parametrize("n", [0, 1, 7, 12, 13, 16, 25, 64, 65, 100, 128, 129])
     def test_rows_match_per_row_packing(self, n):
         # the reference draws the matrix and the rhs in two calls; equal
@@ -361,11 +368,12 @@ class TestParitySampling:
         for seed in range(3):
             for m in range(n + 3):
                 rng = rng_from(seed, n, m)
-                [system] = sample_parity_system(n, m, rng, 1)
+                [system], drawn = sample_parity_system(n, m, rng, 1)
                 ref = rng_from(seed, n, m)
                 matrix = ref.integers(0, 2, size=m * n, dtype=np.uint8)
                 bits = np.concatenate([matrix, ref.integers(0, 2, size=m, dtype=np.uint8)])
                 assert system == self._packed(n, m, bits, m * n)
+                assert drawn.dtype == np.uint8 and np.array_equal(drawn, [self._affine(system)])
                 assert rng.bit_generator.state == ref.bit_generator.state
         # a batch is one (reps, pad + m) draw of the generator, one system
         # per row with its rhs from byte pad = m*n rounded up to a multiple
@@ -374,10 +382,11 @@ class TestParitySampling:
             for m in range(n + 3):
                 pad = -(-m * n // 4) * 4
                 bits = rng_from(master, m).integers(0, 2, size=(3, pad + m), dtype=np.uint8)
-                batch = sample_parity_system(n, m, rng_from(master, m), 3)
+                batch, drawn = sample_parity_system(n, m, rng_from(master, m), 3)
                 assert batch == [self._packed(n, m, row, pad) for row in bits]
-                assert sample_parity_system(n, m, rng_from(master, m), 1) == batch[:1]
-                assert sample_parity_system(n, m, rng_from(master, m), 5)[:3] == batch
+                assert drawn.shape == (3, m, n + 1) and np.array_equal(drawn, [self._affine(s) for s in batch])
+                assert sample_parity_system(n, m, rng_from(master, m), 1)[0] == batch[:1]
+                assert sample_parity_system(n, m, rng_from(master, m), 5)[0][:3] == batch
 
     def test_negative_sizes_rejected(self):
         rng = np.random.default_rng(0)
@@ -441,15 +450,16 @@ def _replayed_records(oracle):
 class TestXorQuery:
     @pytest.mark.parametrize("T", [1, 2, 5, 30])
     @pytest.mark.parametrize(
-        "spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0", "clique:n=14:w=0.1:seed=0"]
+        "spec", ["grid:3x4:w=1.0:seed=2", "clique:n=12:w=0.1:seed=0", "grid:2x7:w=1.0:seed=0"]
     )
     def test_running_bounds_are_the_records_slices(self, spec, T):
         # lo_run and hi_run are kept by walks; the plain records they stand
         # for give each interval as max(leaves[i:]) and min(caps[:i + 1])
         model = parse_gen_spec(spec)
         n = model.n
-        hits = swept = 0
-        for order, master in itertools.product(("wish", "adawish", "descending"), (0, 50)):
+        hits = dict.fromkeys((0, 50), 0)
+        swept = 0
+        for master, order in itertools.product(hits, ("wish", "adawish", "descending")):
             oracle = _SettleLog(model, OracleConfig(kind="neighbor", c=2, T=T, master_seed=master))
             if order == "wish":
                 wish_from_oracle(oracle)
@@ -463,20 +473,20 @@ class TestXorQuery:
                 assert oracle.interval(t, i) == (max(leaves[t][i:]), min(caps[t][: i + 1])), (order, master, t, i)
             solved = [hit is None for _, _, hit, _ in oracle.settles]
             assert oracle.ledger.map_calls == sum(solved)
-            hits += len(solved) - sum(solved)
+            hits[master] += len(solved) - sum(solved)
             swept += len(_enumerated(oracle, oracle.sweep_from))
         # without the scan, repetitions share the unconstrained coset at i = 0,
         # which lies below the sweep's first index at n = 12, T = 5 (K = 10)
         # and T = 30 (K = 8), and at n = 14 for every T; at n = 12, T = 1 and 2
         # the sweep settles every index, and one repetition shares with none.
-        # At n <= 13 the scan settles i = 0.  The sweep runs first, and its
-        # leaf at i0 walks down to i = 0: on clique 14, whose n + 1
-        # assignments of at most one 1 all weigh 0.0, at T = 2 it settles the
-        # second repetition there in most draws, so no solve is shared;
-        # master seed 50 leaves it open
+        # At n <= 13 the scan settles i = 0.  The sweep's leaf at i0 walks
+        # down to i = 0, and settles a repetition there when its coset at i0
+        # holds the heaviest assignment; grid 2x7 has one, so at T = 2 each
+        # master seed leaves a solve to share
         assert oracle.sweep_from == max(0, n - {1: 13, 2: 12, 5: 10, 30: 8}[T])
         if oracle.scan_size is None:
-            assert hits > 0 if oracle.sweep_from > 0 and T > 1 else hits == 0
+            for shared in hits.values():
+                assert shared > 0 if oracle.sweep_from > 0 and T > 1 else shared == 0
         assert swept == 6 * T
 
     def test_sweep_depth(self):
@@ -535,6 +545,30 @@ class TestXorQuery:
         for t in swept:
             want = map_solve(model, oracle._systems[t]).log_value
             assert oracle.interval(t, model.n) == (want, want)
+
+    def test_sweep_after_a_scan_leaves_the_chains_unextended(self):
+        # with a scan, the sweep reduces each prefix at i0 from scratch and
+        # the chains grow only as solves read them: on grid 3x4 at T = 30 the
+        # first query makes no solve, so every chain is the free coset alone
+        model = parse_gen_spec("grid:3x4:w=1.0:seed=2")
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=30, master_seed=0))
+        assert (oracle.sweep_from, oracle.scan_size) == (4, 32)
+        oracle.query(model.n)
+        assert oracle.ledger.map_calls == 0
+        free = gf2.row_reduce(gf2.Gf2System(model.n, (), ()))
+        assert oracle._chains == [[free]] * 30
+
+    def test_sweep_without_a_scan_extends_every_chain_to_its_start(self):
+        # with no scan the shallow solves read the chains again, so the sweep
+        # takes each prefix at i0 from its chain: on grid 4x4 at T = 5
+        # (i0 = 6) every chain holds the cosets of 0..i0 rows after query(i0)
+        model = parse_gen_spec("grid:4x4:w=1.0:seed=0")
+        oracle = make_oracle(model, OracleConfig(kind="neighbor", c=2, T=5, master_seed=0))
+        i0 = oracle.sweep_from
+        assert (i0, oracle.scan_size) == (6, None)
+        oracle.query(i0)
+        for chain, system in zip(oracle._chains, oracle._systems):
+            assert chain == [gf2.row_reduce(gf2.Gf2System(model.n, system.rows[:k], system.rhs[:k])) for k in range(i0 + 1)]
 
     def test_scan_runs_up_to_the_prefix_table_width(self):
         # at n = 13 the prefix table is the whole weight table, and at T = 30
@@ -742,7 +776,7 @@ class TestXorQuery:
         # pruning shows here even when every maximum stays the same
         model = parse_gen_spec(spec)
         results = [
-            map_solve(model, sample_parity_system(model.n, i, rng_from(master, i, t), 1)[0])
+            map_solve(model, sample_parity_system(model.n, i, rng_from(master, i, t), 1)[0][0])
             for master in range(3)
             for i in range(model.n + 1)
             for t in range(10)

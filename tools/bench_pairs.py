@@ -11,8 +11,12 @@ BENCHMARK.json) and failure counts, and per workload and metric each side's
 median and quartiles, the pairs the change won (ties count for neither),
 and whether that is a gain: wins in at least nine tenths of the pairs and
 medians apart, in the better direction, by more than the distance between
-the base's quartiles.  It also records the seeds, both checkouts' commits
-and source trees, and the environment.
+the base's quartiles.  Beside it stand the no-regression verdicts: `worse`
+when the change's median is worse than the base's by more than the
+metric's relative `bound`, and `unresolved` when the base's quartiles lie
+further apart than that bound, so the runs spread too widely to tell.  It
+also records the seeds, both checkouts' commits and source trees, and the
+environment.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict], gated: list[dict]) -> dict:
-    """Per gated metric: each side's median and quartiles, the change's wins, and whether they make a gain."""
+    """Per gated metric: each side's median and quartiles, the change's wins, and the gain and no-regression verdicts."""
     out = {}
     for metric in gated:
         name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
@@ -71,9 +75,11 @@ def summarise(pairs: list[dict], gated: list[dict]) -> dict:
         wins = sum(1 for b, c in zip(base, change) if sign * (b - c) > 0)
         b, c = spread(base), spread(change)
         gain = wins >= math.ceil(WIN_SHARE * len(pairs)) and sign * (b["median"] - c["median"]) > b["q3"] - b["q1"]
+        allowed = metric["bound"] * abs(b["median"])  # the bound is relative to the base's median
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "base": b, "change": c, "change_wins": wins, "pairs": len(pairs), "gain": gain,
+            "worse": sign * (c["median"] - b["median"]) > allowed, "unresolved": b["q3"] - b["q1"] > allowed,
             "median_ratio": c["median"] / b["median"] if b["median"] else None,
         }
     return out
