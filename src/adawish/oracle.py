@@ -718,13 +718,14 @@ class XorOracle(NeighborOracle):
     def _start(self) -> None:
         """The first query's set-up: draw the T systems, start every interval at (-inf, inf), then scan and sweep."""
         n, T = self.n, self.T
-        self._systems, self._rows = sample_parity_system(n, n, rng_from(self.config.master_seed, n), T)
+        self._systems, rows = sample_parity_system(n, n, rng_from(self.config.master_seed, n), T)
         free = gf2.row_reduce(gf2.Gf2System(n, (), ()))
         self._chains = [[free] for _ in range(T)]
         self._lo = [[NEG_INF] * (n + 1) for _ in range(T)]
         self._hi = [[math.inf] * (n + 1) for _ in range(T)]
         if self.sweep_from is None:
             return
+        self._rows = rows
         if self.scan_size is not None:
             self._scan()
         self._sweep()
